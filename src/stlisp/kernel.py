@@ -3,8 +3,9 @@
 The world is an ordered log of definition events (defun, defstobj,
 signature, defattach) plus registries derived from it; undo removes a
 suffix of the log, rebuilds the registries, and retracts undone stobj
-names from every live table.  Evaluation is pure except through live
-stobj instances, and in logical mode even those are copied on write.
+names from every table reachable from this session's stobj bank.
+Evaluation is pure except through live stobj instances, and in logical
+mode even those are copied on write.
 """
 
 import sys
@@ -15,7 +16,7 @@ from .errors import (EvalError, GuardViolation, LinearityError, LispError,
 from .sexpr import (NIL, T, Cons, MultiValue, Symbol, from_bool, intern,
                     is_keyword, show, truthy)
 from .stobjs import (FOLLOW, POLY, UNKNOWN, GeneratedOp, Poison,
-                     StobjInstance, generated_ops, op_shape)
+                     StobjInstance, _cons_args, generated_ops, op_shape)
 
 
 class Env:
@@ -346,19 +347,15 @@ _DO_ONLY = {"PROGN", "SETQ", "MV-SETQ", "RETURN", "LOOP-FINISH"}
 _EVENTS = {"DEFUN", "DEFSTOBJ", "ENCAPSULATE", "DEFATTACH"}
 
 
-def _args(form, what="form"):
-    return sexpr.to_pylist(form.cdr, what)
-
-
 def _sf_quote(interp, form, env):
-    a = _args(form)
+    a = _cons_args(form)
     if len(a) != 1:
         raise EvalError("QUOTE takes one argument", form=form)
     return a[0]
 
 
 def _sf_if(interp, form, env):
-    a = _args(form)
+    a = _cons_args(form)
     if len(a) not in (2, 3):
         raise EvalError("IF takes a test and one or two branches", form=form)
     test = interp.eval(a[0], env)
@@ -380,7 +377,7 @@ def _value_check(v, what, form):
 
 
 def _let_parts(form, name):
-    a = _args(form)
+    a = _cons_args(form)
     body = [x for x in a[1:] if not stobjs._is_declare(x)]
     if len(a) < 2 or len(body) != 1:
         raise EvalError("%s takes bindings and a single body form" % name,
@@ -412,7 +409,7 @@ def _sf_letstar(interp, form, env):
 
 
 def _sf_mv(interp, form, env):
-    a = _args(form)
+    a = _cons_args(form)
     if len(a) < 2:
         raise EvalError("MV needs at least two values", form=form)
     vals = []
@@ -426,7 +423,7 @@ def _sf_mv(interp, form, env):
 
 
 def _sf_mv_let(interp, form, env):
-    a = _args(form)
+    a = _cons_args(form)
     body = [x for x in a[2:] if not stobjs._is_declare(x)]
     if len(a) < 3 or len(body) != 1:
         raise EvalError("MV-LET takes variables, a form, and a body",
@@ -456,31 +453,10 @@ def _sf_stobj_let(interp, form, env):
     return stobjs.eval_stobj_let(interp, form, env)
 
 
-def _sf_of_type(interp, form, env):
-    a = _args(form)
-    var = a[0].cdr.car
-    typ = a[1].cdr.car
-    val = interp.eval(a[2], env)
-    loops.check_of_type(interp, var.name, typ.name, val, form=form)
-    return val
-
-
-def _sf_pcons(interp, form, env):
-    # Plumbing cons emitted by the DO-body translator; unlike the CONS
-    # builtin it may carry stobjs (alists and exit triples hold them).
-    a = _args(form)
-    x = interp.eval(a[0], env)
-    y = interp.eval(a[1], env)
-    if isinstance(x, MultiValue) or isinstance(y, MultiValue):
-        raise EvalError("multiple values inside a generated cons", form=form)
-    return Cons(x, y)
-
-
 _SPECIAL = {
     "QUOTE": _sf_quote, "IF": _sf_if, "LET": _sf_let, "LET*": _sf_letstar,
     "MV": _sf_mv, "MV-LET": _sf_mv_let, "LOOP$": _sf_loop,
-    "STOBJ-LET": _sf_stobj_let, "%OF-TYPE": _sf_of_type,
-    "%CONS": _sf_pcons,
+    "STOBJ-LET": _sf_stobj_let,
 }
 
 
@@ -499,8 +475,11 @@ class Interp:
         self.trace = trace
         self.world = World()
         self.bank = {}
-        self.do_trace = []        # (alist, exit triple) per do-body apply
-        self.loop_measures = []   # lex-fixed measure per do-body apply
+        # Logical DO loops only: one (kind, alist, exit triple) per walk
+        # of a DO ("do") or FINALLY ("finally") statement tree, and the
+        # lex-fixed measure entering each DO walk.
+        self.do_trace = []
+        self.loop_measures = []
         self.fn_measures = {}     # fn name -> entry measures, when tracing
         self._measure_stack = {}
 
@@ -576,7 +555,7 @@ class Interp:
 
     def _eval_call(self, form, env):
         name = form.car.name
-        arg_forms = _args(form, "argument list")
+        arg_forms = _cons_args(form)
         op = self.world.genops.get(name)
         if op is not None and op.kind in ("create", "tbl-get", "tbl-put"):
             # Blocked before argument evaluation: a tbl-get default must
@@ -675,9 +654,6 @@ class Interp:
             raise EvalError("%s is not a live stobj here" % name, form=form)
         return v
 
-    def make_fresh(self, spec):
-        return spec.fresh()
-
     def latch(self, val):
         items = val.values if isinstance(val, MultiValue) else (val,)
         for item in items:
@@ -715,7 +691,7 @@ class Interp:
             raise EvalError("the name %s is already in use" % name, form=form)
 
     def _defun(self, form):
-        a = _args(form, "defun form")
+        a = _cons_args(form, "defun form")
         if len(a) < 3 or not isinstance(a[0], Symbol):
             raise EvalError("defun takes a name, formals, and a body",
                             form=form)
@@ -841,7 +817,7 @@ class Interp:
                   and ev.name not in self.world.stobjs]
         for name in undone:
             self.bank.pop(name, None)
-        stobj_table.retract(undone)
+        stobj_table.retract(self.bank.values(), undone)
         return len(cut)
 
 

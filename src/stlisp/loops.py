@@ -1,19 +1,23 @@
-"""Iteration: loop$ parsing, DO-body translation, and both executors.
+"""Iteration: loop$ parsing, the DO statement tree, and both executors.
 
-A DO body is a statement tree of if/let/let*/mv-let/progn/setq/mv-setq/
-return/loop-finish.  The logical path translates it to a one-formal
-lambda over an environment alist whose application yields an exit
-triple (token value new-alist), then iterates that lambda under a
-strictly decreasing lexicographic measure.  The native path executes
-the same statements imperatively over mutable slots, with no measure,
-under an iteration cap.  Both paths share parsing, grammar validation,
-and result decoding, so any disagreement between them is a bug in one
-of the two execution strategies and not in the front end.
+make_do_plan parses and validates a DO body and its FINALLY body once,
+into a tree of if/let/mv-let/setq/mv-setq/return/loop-finish nodes, and
+two walkers run that one tree.  The logical path (run_do) is the
+specification: the DO body is a one-formal function of an alist of the
+settable variables, applied once per iteration to yield an exit triple
+(token value new-alist), under a strictly decreasing lexicographic
+measure.  It walks the tree without assignment, binding each SETQ in a
+new frame and building the new alist at the leaf.  The native path
+(native_exec) walks the same tree and assigns into mutable slots, with
+no measure, under an iteration cap.  Both paths share parsing, grammar
+validation, and result decoding, so any disagreement between them is a
+bug in one of the two walkers and not in the front end.
 """
 
-from . import sexpr, stobjs
-from .errors import (CapExceeded, EvalError, GuardViolation, LispError,
+from . import stobjs
+from .errors import (CapExceeded, EvalError, GuardViolation,
                      MeasureViolation, TranslateError)
+from .stobjs import _cons_args
 from .sexpr import (NIL, T, Cons, MultiValue, Symbol, from_pylist, intern,
                     is_keyword, mklist, show, to_pylist, truthy)
 
@@ -32,23 +36,8 @@ K_MEASURE = intern(":MEASURE")
 K_GUARD = intern(":GUARD")
 K_RETURN = intern(":RETURN")
 K_FINISH = intern(":LOOP-FINISH")
-QUOTE = intern("QUOTE")
-LAMBDA = intern("LAMBDA")
-ALIST = intern("ALIST")
-IF = intern("IF")
-LET = intern("LET")
-LETSTAR = intern("LET*")
 MV = intern("MV")
-MV_LET = intern("MV-LET")
-PROGN = intern("PROGN")
-SETQ = intern("SETQ")
-MV_SETQ = intern("MV-SETQ")
-RETURN = intern("RETURN")
-LOOP_FINISH = intern("LOOP-FINISH")
-PCONS = intern("%CONS")
-OF_TYPE_CHECK = intern("%OF-TYPE")
 CDR = intern("CDR")
-ASSOC_EQ_SAFE = intern("ASSOC-EQ-SAFE")
 
 _STMT_HEADS = ("SETQ", "MV-SETQ", "RETURN", "LOOP-FINISH", "PROGN")
 
@@ -79,9 +68,8 @@ class LoopSpec:
         names = [w[0] for w in self.withs]
         return names + self.value_stobjs()
 
-    def of_types(self):
-        return {name: typ for name, typ, _init in self.withs
-                if typ == "INTEGER"}
+    def integer_vars(self):
+        return {name for name, typ, _init in self.withs if typ == "INTEGER"}
 
 
 def parse_loop(form, world):
@@ -205,92 +193,73 @@ def _parse_values(arg, spec, world):
     return tuple(slots)
 
 
-### translation of DO and FINALLY bodies
+### parsing DO and FINALLY bodies into statement trees
+
+# Statement tree nodes.  Each node holds all that runs after it, so the
+# walkers below run a tree with a plain loop and never return to a
+# parent node:
+#
+#   ("if", test, then, else, form)
+#   ("let", names, rhs forms, body, form)   LET* nests one-binding LETs
+#   ("mv-let", names, rhs form, body, form)
+#   ("setq", (name,), rhs form, rest, form)
+#   ("mv-setq", names, rhs form, rest, form)
+#   ("return", expr, form)     FINISH     FALL
+#
+# PROGN does not survive parsing: a SETQ or MV-SETQ carries the
+# statements after it as `rest`, and an IF that precedes other
+# statements gets them appended to each of its branches.
+FINISH = ("finish",)
+FALL = ("fall",)
+
 
 class DoPlan:
-    __slots__ = ("do_fn", "finally_fn", "measure_fn", "guard_fn",
-                 "measure_form", "settables", "of_types", "values")
+    __slots__ = ("do_tree", "finally_tree", "measure_form", "settables",
+                 "integer_vars")
 
 
 def make_do_plan(spec, world):
-    """Validate the statement grammar and build the alist lambdas."""
+    """Parse and validate the DO and FINALLY bodies into statement trees."""
     settables = spec.settables()
-    of_types = spec.of_types()
-    tr = _Translator(settables, of_types, spec.values)
-    do_core = tr.stmt(spec.do_body, set(settables))
-    fin_core = None
+    parser = _Parser(settables, spec.values)
+    plan = DoPlan()
+    plan.settables = settables
+    plan.integer_vars = spec.integer_vars()
+    plan.do_tree = parser.stmt(spec.do_body, set(settables))
+    plan.finally_tree = None
     if spec.finally_body is not None:
-        trf = _Translator(settables, of_types, spec.values,
-                          finally_mode=True)
-        fin_core = trf.stmt(spec.finally_body, set(settables))
-    elif tr.saw_loop_finish and spec.value_stobjs():
+        plan.finally_tree = _Parser(settables, spec.values,
+                                    finally_mode=True).stmt(
+            spec.finally_body, set(settables))
+    elif parser.saw_loop_finish and spec.value_stobjs():
         raise TranslateError(
             "LOOP-FINISH without a FINALLY clause cannot produce the stobjs "
             "named in :VALUES", form=spec.form)
-    measure_form = spec.measure
-    if measure_form is None:
-        measure_form = guess_measure(spec)
-    _scan_expr(measure_form, set(settables), settables, ":MEASURE")
+    plan.measure_form = spec.measure
+    if plan.measure_form is None:
+        plan.measure_form = guess_measure(spec, parser.steps)
+    _scan_expr(plan.measure_form, set(settables), settables, ":MEASURE")
     if spec.guard is not None:
         _scan_expr(spec.guard, set(settables), settables, ":GUARD")
-    plan = DoPlan()
-    plan.settables = settables
-    plan.of_types = of_types
-    plan.values = spec.values
-    plan.measure_form = measure_form
-    plan.do_fn = _alist_lambda(settables, do_core)
-    plan.finally_fn = _alist_lambda(settables, fin_core) \
-        if fin_core is not None else None
-    plan.measure_fn = _alist_lambda(settables, measure_form)
-    plan.guard_fn = _alist_lambda(settables, spec.guard) \
-        if spec.guard is not None else None
     return plan
 
 
-def _q(x):
-    return mklist(QUOTE, x)
-
-
-def _alist_lambda(settables, core):
-    """(LAMBDA (ALIST) (LET* ((v (CDR (ASSOC-EQ-SAFE 'v ALIST))) ..) core))"""
-    bindings = [mklist(intern(name),
-                       mklist(CDR, mklist(ASSOC_EQ_SAFE, _q(intern(name)),
-                                          ALIST)))
-                for name in settables]
-    body = mklist(LETSTAR, from_pylist(bindings), core) if bindings else core
-    return mklist(LAMBDA, mklist(ALIST), body)
-
-
-def _alist_term(settables):
-    term = NIL
-    for name in reversed(settables):
-        sym = intern(name)
-        term = mklist(PCONS, mklist(PCONS, _q(sym), sym), term)
-    return term
-
-
-def _triple(token, value, alist):
-    return mklist(PCONS, token, mklist(PCONS, value, mklist(PCONS, alist,
-                                                            NIL)))
-
-
-class _Translator:
-    def __init__(self, settables, of_types, values, finally_mode=False):
+class _Parser:
+    def __init__(self, settables, values, finally_mode=False):
         self.settables = settables
-        self.of_types = of_types
         self.values = values
         self.finally_mode = finally_mode
         self.saw_loop_finish = False
-
-    def leaf(self, scope):
-        return _triple(NIL, NIL, _alist_term(self.settables))
+        # settable name -> right-hand side of each SETQ of it, or None
+        # for an MV-SETQ of it; read by guess_measure
+        self.steps = {}
 
     def stmt(self, s, scope):
         if isinstance(s, (int, str)):
-            return self.leaf(scope)
+            return FALL
         if isinstance(s, Symbol):
             if s is NIL or s is T or is_keyword(s):
-                return self.leaf(scope)
+                return FALL
             raise TranslateError(
                 "a bare variable is not a statement in a DO body: %s"
                 % show(s), form=s)
@@ -299,7 +268,7 @@ class _Translator:
                                  form=s)
         name = s.car.name
         if name == "IF":
-            return self._stmt_if(s, scope)
+            return self._stmt_if(s, [], scope)
         if name in ("LET", "LET*"):
             return self._stmt_let(s, scope, sequential=name == "LET*")
         if name == "MV-LET":
@@ -319,20 +288,20 @@ class _Translator:
                 raise TranslateError("LOOP-FINISH is not legal in a FINALLY "
                                      "clause", form=s)
             self.saw_loop_finish = True
-            return _triple(K_FINISH, NIL, _alist_term(self.settables))
+            return FINISH
         raise TranslateError(
             "%s is not a statement; a DO body is built from if/let/let*/"
             "mv-let/progn/setq/mv-setq/return/loop-finish" % show(s), form=s)
 
-    def _stmt_if(self, s, scope):
+    def _stmt_if(self, s, rest, scope):
         args = _cons_args(s)
         if len(args) not in (2, 3):
             raise TranslateError("malformed IF in a DO body: %s" % show(s),
                                  form=s)
         test = self.expr(args[0], scope)
-        tbr = self.stmt(args[1], scope)
-        fbr = self.stmt(args[2], scope) if len(args) == 3 else self.leaf(scope)
-        return mklist(IF, test, tbr, fbr)
+        tbr = self._stmt_progn([args[1]] + rest, scope)
+        fbr = self._stmt_progn(args[2:] + rest, scope)
+        return ("if", test, tbr, fbr, s)
 
     def _stmt_let(self, s, scope, sequential):
         args = [a for a in _cons_args(s) if not stobjs._is_declare(a)]
@@ -343,17 +312,21 @@ class _Translator:
         if pairs is None:
             raise TranslateError("malformed bindings in %s" % show(s), form=s)
         cur_scope = set(scope)
-        out_pairs = []
+        names, rhss = [], []
         for var, rhs in pairs:
             if var.name in self.settables:
                 raise TranslateError(
                     "a statement-position %s may not rebind the settable "
                     "variable %s; use SETQ" % (s.car.name, var.name), form=s)
-            rhs2 = self.expr(rhs, cur_scope if sequential else scope)
-            out_pairs.append(mklist(var, rhs2))
+            rhss.append(self.expr(rhs, cur_scope if sequential else scope))
+            names.append(var.name)
             cur_scope.add(var.name)
         body = self.stmt(args[1], cur_scope)
-        return mklist(s.car, from_pylist(out_pairs), body)
+        if not sequential:
+            return ("let", tuple(names), tuple(rhss), body, s)
+        for name, rhs in reversed(list(zip(names, rhss))):
+            body = ("let", (name,), (rhs,), body, s)
+        return body
 
     def _stmt_mv_let(self, s, scope):
         args = [a for a in _cons_args(s) if not stobjs._is_declare(a)]
@@ -371,11 +344,11 @@ class _Translator:
         rhs = self.expr(args[1], scope)
         body_scope = set(scope) | {v.name for v in vars_}
         body = self.stmt(args[2], body_scope)
-        return mklist(MV_LET, args[0], rhs, body)
+        return ("mv-let", tuple(v.name for v in vars_), rhs, body, s)
 
     def _stmt_progn(self, items, scope):
         if not items:
-            return self.leaf(scope)
+            return FALL
         if len(items) == 1:
             return self.stmt(items[0], scope)
         s0, rest = items[0], items[1:]
@@ -384,15 +357,7 @@ class _Translator:
             if h == "PROGN":
                 return self._stmt_progn(_cons_args(s0) + rest, scope)
             if h == "IF":
-                args = _cons_args(s0)
-                if len(args) not in (2, 3):
-                    raise TranslateError("malformed IF in a DO body: %s"
-                                         % show(s0), form=s0)
-                test = self.expr(args[0], scope)
-                tbr = self._stmt_progn([args[1]] + rest, scope)
-                fbr = self._stmt_progn(([args[2]] if len(args) == 3 else [])
-                                       + rest, scope)
-                return mklist(IF, test, tbr, fbr)
+                return self._stmt_if(s0, rest, scope)
             if h == "SETQ":
                 return self._setq_step(s0, rest, scope)
             if h == "MV-SETQ":
@@ -421,9 +386,9 @@ class _Translator:
                 "%s)" % (var.name, " ".join(self.settables) or "none"),
                 form=s)
         rhs = self.expr(args[1], scope)
-        rhs = self._typed(var.name, rhs)
+        self.steps.setdefault(var.name, []).append(rhs)
         body = self._stmt_progn(rest, scope)
-        return mklist(LET, mklist(mklist(var, rhs)), body)
+        return ("setq", (var.name,), rhs, body, s)
 
     def _mv_setq_step(self, s, rest, scope):
         args = _cons_args(s)
@@ -434,7 +399,7 @@ class _Translator:
         if len(vars_) < 2 or not all(isinstance(v, Symbol) for v in vars_):
             raise TranslateError("MV-SETQ needs two or more variables",
                                  form=s)
-        names = [v.name for v in vars_]
+        names = tuple(v.name for v in vars_)
         if len(set(names)) != len(names):
             raise TranslateError("duplicate MV-SETQ target in %s" % show(s),
                                  form=s)
@@ -442,20 +407,10 @@ class _Translator:
             if n not in self.settables:
                 raise TranslateError(
                     "MV-SETQ target %s is not settable" % n, form=s)
+            self.steps.setdefault(n, []).append(None)
         rhs = self.expr(args[1], scope)
         body = self._stmt_progn(rest, scope)
-        for n in reversed(names):
-            if n in self.of_types:
-                sym = intern(n)
-                body = mklist(LET, mklist(mklist(sym, self._typed(n, sym))),
-                              body)
-        return mklist(MV_LET, args[0], rhs, body)
-
-    def _typed(self, name, rhs):
-        if name in self.of_types:
-            return mklist(OF_TYPE_CHECK, _q(intern(name)),
-                          _q(intern(self.of_types[name])), rhs)
-        return rhs
+        return ("mv-setq", names, rhs, body, s)
 
     def _stmt_return(self, s, scope):
         args = _cons_args(s)
@@ -468,8 +423,7 @@ class _Translator:
                 raise TranslateError(
                     "RETURN of multiple values requires a :VALUES signature",
                     form=s)
-            val = self.expr(e, scope)
-            return _triple(K_RETURN, val, _alist_term(self.settables))
+            return ("return", self.expr(e, scope), s)
         if not (isinstance(e, Cons) and e.car is MV):
             raise TranslateError(
                 "with :VALUES of length %d, RETURN needs a literal (MV ..) "
@@ -479,20 +433,14 @@ class _Translator:
             raise TranslateError(
                 "RETURN supplies %d values for %d :VALUES slots"
                 % (len(comps), len(sig)), form=s)
-        terms = []
         for slot, comp in zip(sig, comps):
-            if slot is not None:
-                if not (isinstance(comp, Symbol) and comp.name == slot):
-                    raise TranslateError(
-                        "this RETURN slot must be the stobj %s, got %s"
-                        % (slot, show(comp)), form=s)
-                terms.append(comp)
-            else:
-                terms.append(self.expr(comp, scope))
-        packed = NIL
-        for t in reversed(terms):
-            packed = mklist(PCONS, t, packed)
-        return _triple(K_RETURN, packed, _alist_term(self.settables))
+            if slot is None:
+                self.expr(comp, scope)
+            elif not (isinstance(comp, Symbol) and comp.name == slot):
+                raise TranslateError(
+                    "this RETURN slot must be the stobj %s, got %s"
+                    % (slot, show(comp)), form=s)
+        return ("return", e, s)
 
     def expr(self, e, scope):
         _scan_expr(e, scope, self.settables, "a DO-body expression")
@@ -553,19 +501,14 @@ def _scan_expr(e, scope, settables, what):
         _scan_expr(a, scope, settables, what)
 
 
-def _cons_args(form):
-    return to_pylist(form.cdr, "argument list")
-
-
 ### measure guessing
 
-def guess_measure(spec):
-    updates = {}
-    _collect_updates(spec.do_body, updates)
+def guess_measure(spec, steps):
+    """A measure from the DO body's SETQ record (see _Parser.steps)."""
     candidates = []
     for name, _typ, _init in spec.withs:
-        ups = updates.get(name)
-        if not ups or ups == "complex":
+        ups = steps.get(name)
+        if not ups:
             continue
         if all(_is_numeric_step(r, name) for r in ups):
             candidates.append(mklist(intern("NFIX"), intern(name)))
@@ -577,34 +520,6 @@ def guess_measure(spec):
         "cannot guess a :MEASURE for this DO loop (no single WITH variable "
         "is stepped only by 1-/-/cdr of itself); supply :MEASURE",
         form=spec.form)
-
-
-def _collect_updates(s, out):
-    if not isinstance(s, Cons) or not isinstance(s.car, Symbol):
-        return
-    name = s.car.name
-    args = _cons_args(s)
-    if name == "IF":
-        for a in args[1:]:
-            _collect_updates(a, out)
-    elif name in ("LET", "LET*", "MV-LET"):
-        body = [a for a in args if not stobjs._is_declare(a)]
-        if body:
-            _collect_updates(body[-1], out)
-    elif name == "PROGN":
-        for a in args:
-            _collect_updates(a, out)
-    elif name == "SETQ" and len(args) == 2 and isinstance(args[0], Symbol):
-        cur = out.get(args[0].name)
-        if cur != "complex":
-            out.setdefault(args[0].name, []).append(args[1])
-    elif name == "MV-SETQ" and args:
-        try:
-            for v in to_pylist(args[0], "targets"):
-                if isinstance(v, Symbol):
-                    out[v.name] = "complex"
-        except LispError:
-            pass
 
 
 def _is_numeric_step(r, name):
@@ -659,15 +574,12 @@ def lex_show(t):
 
 ### guards
 
-def check_of_type(interp, var, typ, value, form=None, iteration=None):
-    if typ != "INTEGER" or not interp.guard_check:
-        return
-    if isinstance(value, int):
-        return
-    msg = "OF-TYPE violation: %s = %s is not an INTEGER" % (var, show(value))
-    if iteration is not None:
-        msg += " (iteration %d)" % iteration
-    raise OfTypeViolation(msg, form=form)
+def check_of_type(interp, var, value, form, iteration):
+    """OF-TYPE INTEGER on a WITH variable, checked while guards are on."""
+    if interp.guard_check and not isinstance(value, int):
+        raise OfTypeViolation(
+            "OF-TYPE violation: %s = %s is not an INTEGER (iteration %d)"
+            % (var, show(value), iteration), form=form)
 
 
 ### shared setup and result decoding
@@ -679,7 +591,7 @@ def initial_bindings(interp, spec, env, form):
     for name, typ, init in spec.withs:
         v = interp.eval(init, cur) if init is not None else NIL
         if typ == "INTEGER":
-            check_of_type(interp, name, typ, v, form=form, iteration=0)
+            check_of_type(interp, name, v, form, 0)
         if isinstance(v, (MultiValue, stobjs.StobjInstance)):
             raise EvalError("WITH %s may not be initialized to a stobj or "
                             "multiple values" % name, form=form)
@@ -725,45 +637,156 @@ def _default_result(spec, form):
     return MultiValue([NIL] * len(spec.values))
 
 
+### the two walkers
+
+def _if_test(interp, node, env):
+    test = interp.eval(node[1], env)
+    if isinstance(test, (MultiValue, stobjs.StobjInstance)):
+        raise EvalError("bad value in an IF test", form=node[4])
+    return truthy(test)
+
+
+def _frame(interp, node, env, plan, n):
+    """The checked {name: value} that a LET, MV-LET, SETQ or MV-SETQ node
+    binds, its right-hand sides evaluated in env."""
+    tag, names, rhs, _next, form = node
+    if tag == "let":
+        vals = [interp.eval(r, env) for r in rhs]
+    elif tag == "setq":
+        vals = [interp.eval(rhs, env)]
+    else:
+        val = interp.eval(rhs, env)
+        if not isinstance(val, MultiValue) or len(val.values) != len(names):
+            raise EvalError("%s expected %d values"
+                            % (form.car.name, len(names)), form=form)
+        vals = val.values
+    frame = {}
+    for name, v in zip(names, vals):
+        # only settables have types, and only SETQ and MV-SETQ bind them
+        if name in plan.integer_vars:
+            check_of_type(interp, name, v, form, n)
+        interp.check_binding(name, v, form)
+        frame[name] = v
+    return frame
+
+
+def _walk_logical(interp, node, env, plan, n):
+    """Run a statement tree without assignment: each SETQ or MV-SETQ
+    binds a new frame.  Returns (token, value, env at the leaf)."""
+    from .kernel import Env
+    while True:
+        tag = node[0]
+        if tag == "if":
+            node = node[2] if _if_test(interp, node, env) else node[3]
+        elif tag == "return":
+            return K_RETURN, interp.eval(node[1], env), env
+        elif tag == "finish":
+            return K_FINISH, NIL, env
+        elif tag == "fall":
+            return NIL, NIL, env
+        else:
+            env = Env(_frame(interp, node, env, plan, n), env)
+            node = node[3]
+
+
+def _walk_native(interp, node, env, slots, plan, n):
+    """Run a statement tree, assigning each SETQ and MV-SETQ into the
+    slots frame at the root of env.  Returns (token, value)."""
+    from .kernel import Env
+    while True:
+        tag = node[0]
+        if tag == "if":
+            node = node[2] if _if_test(interp, node, env) else node[3]
+        elif tag == "return":
+            return K_RETURN, interp.eval(node[1], env)
+        elif tag == "finish":
+            return K_FINISH, NIL
+        elif tag == "fall":
+            return NIL, NIL
+        elif tag == "setq" or tag == "mv-setq":
+            slots.update(_frame(interp, node, env, plan, n))
+            node = node[3]
+        else:
+            env = Env(_frame(interp, node, env, plan, n), env)
+            node = node[3]
+
+
+def _result(spec, token, value, form):
+    if token is K_RETURN:
+        return decode_result(spec, value, form)
+    return _default_result(spec, form)
+
+
 ### the measured recursive path
 
+# The alist always lists the settables in plan order, one (name . value)
+# entry each, so the environment is read from it by position.
+
+def _alist_env(interp, plan, alist):
+    from .kernel import Env
+    if interp.trace:
+        assert [e.car.name for e in to_pylist(alist)] == plan.settables
+    frame = {}
+    for name in plan.settables:
+        frame[name] = alist.car.cdr
+        alist = alist.cdr
+    return Env(frame)
+
+
+def _alist(plan, env):
+    entries = []
+    for name in plan.settables:
+        e = env
+        while name not in e.vars:
+            e = e.parent
+        entries.append((name, e.vars[name]))
+    return _build_alist(entries)
+
+
+def _build_alist(entries):
+    return from_pylist([Cons(intern(name), v) for name, v in entries])
+
+
+def _triple(token, value, alist):
+    if isinstance(value, MultiValue):
+        value = from_pylist(value.values)
+    return from_pylist([token, value, alist])
+
+
 def run_do(interp, spec, plan, env, form):
-    entries = initial_bindings(interp, spec, env, form)
-    alist = _build_alist(entries)
+    alist = _build_alist(initial_bindings(interp, spec, env, form))
+    env = _alist_env(interp, plan, alist)
     n = 0
     m_cur = None
     while True:
         n += 1
-        if plan.guard_fn is not None and interp.guard_check:
-            if not truthy(_apply_plan(interp, plan.guard_fn, alist, n)):
+        if spec.guard is not None and interp.guard_check:
+            if not truthy(interp.eval(spec.guard, env)):
                 raise GuardViolation(
                     "loop :GUARD %s failed entering iteration %d with %s"
                     % (show(spec.guard), n, show(alist)), form=form)
         if m_cur is None:
-            m_cur = lex_fix(_apply_plan(interp, plan.measure_fn, alist, n))
+            m_cur = lex_fix(interp.eval(plan.measure_form, env))
         if interp.trace:
             interp.loop_measures.append(m_cur)
-        token, val, new_alist = _take_triple(
-            interp, _apply_plan(interp, plan.do_fn, alist, n), form)
+        token, val, leaf = _walk_logical(interp, plan.do_tree, env, plan, n)
+        new_alist = _alist(plan, leaf)
         if interp.trace:
-            interp.do_trace.append(
-                ("do", alist, from_pylist([token, val, new_alist])))
+            interp.do_trace.append(("do", alist,
+                                    _triple(token, val, new_alist)))
         if token is K_RETURN:
-            return _decode_triple_value(spec, val, form)
+            return decode_result(spec, val, form)
+        env = _alist_env(interp, plan, new_alist)
         if token is K_FINISH:
-            if plan.finally_fn is None:
-                return _default_result(spec, form)
-            ftoken, fval, falist = _take_triple(
-                interp, _apply_plan(interp, plan.finally_fn, new_alist, n),
-                form)
-            if interp.trace:
-                interp.do_trace.append(
-                    ("finally", new_alist,
-                     from_pylist([ftoken, fval, falist])))
-            if ftoken is K_RETURN:
-                return _decode_triple_value(spec, fval, form)
-            return _default_result(spec, form)
-        m_new = lex_fix(_apply_plan(interp, plan.measure_fn, new_alist, n))
+            if plan.finally_tree is not None:
+                token, val, leaf = _walk_logical(interp, plan.finally_tree,
+                                                 env, plan, n)
+                if interp.trace:
+                    interp.do_trace.append(
+                        ("finally", new_alist,
+                         _triple(token, val, _alist(plan, leaf))))
+            return _result(spec, token, val, form)
+        m_new = lex_fix(interp.eval(plan.measure_form, env))
         if not l_less(m_new, m_cur):
             raise MeasureViolation(
                 "the measure %s of this DO loop failed to decrease at "
@@ -771,47 +794,6 @@ def run_do(interp, spec, plan, env, form):
                 % (show(plan.measure_form), n, lex_show(m_new),
                    show(new_alist), lex_show(m_cur), show(alist)), form=form)
         alist, m_cur = new_alist, m_new
-
-
-def _apply_plan(interp, fn, alist, n):
-    try:
-        return interp.apply_lambda(fn, [alist])
-    except OfTypeViolation as e:
-        raise OfTypeViolation("%s (iteration %d)" % (e.message, n),
-                              form=e.form)
-
-
-def _build_alist(entries):
-    return from_pylist([Cons(intern(name), v) for name, v in entries])
-
-
-def _take_triple(interp, raw, form):
-    items = []
-    node = raw
-    while isinstance(node, Cons) and len(items) < 3:
-        items.append(node.car)
-        node = node.cdr
-    while len(items) < 3:
-        items.append(NIL)
-    token = items[0]
-    if token is not NIL and token is not K_RETURN and token is not K_FINISH:
-        raise EvalError("malformed exit triple %s" % show(raw), form=form)
-    return items[0], items[1], items[2]
-
-
-def _decode_triple_value(spec, val, form):
-    sig = spec.values
-    if len(sig) == 1:
-        return decode_result(spec, val, form)
-    items = []
-    node = val
-    while isinstance(node, Cons):
-        items.append(node.car)
-        node = node.cdr
-    if len(items) != len(sig):
-        raise EvalError("this DO loop returns %d values" % len(sig),
-                        form=form)
-    return decode_result(spec, MultiValue(items), form)
 
 
 ### the native imperative path
@@ -833,97 +815,14 @@ def native_exec(interp, spec, plan, env, form):
                 raise GuardViolation(
                     "loop :GUARD %s failed entering iteration %d"
                     % (show(spec.guard), n), form=form)
-        out = _exec_stmt(interp, spec.do_body, base, slots, plan, n)
-        if out[0] == "return":
-            return decode_result(spec, out[1], form)
-        if out[0] == "finish":
-            if spec.finally_body is None:
-                return _default_result(spec, form)
-            fout = _exec_stmt(interp, spec.finally_body, base, slots, plan, n)
-            if fout[0] == "return":
-                return decode_result(spec, fout[1], form)
-            return _default_result(spec, form)
-
-
-_FALL = ("fall", None)
-
-
-def _exec_stmt(interp, s, env, slots, plan, n):
-    from .kernel import Env
-    if not isinstance(s, Cons):
-        return _FALL
-    name = s.car.name
-    args = _cons_args(s)
-    if name == "IF":
-        test = interp.eval(args[0], env)
-        if isinstance(test, (MultiValue, stobjs.StobjInstance)):
-            raise EvalError("bad value in an IF test", form=s)
-        if truthy(test):
-            return _exec_stmt(interp, args[1], env, slots, plan, n)
-        if len(args) == 3:
-            return _exec_stmt(interp, args[2], env, slots, plan, n)
-        return _FALL
-    if name in ("LET", "LET*"):
-        body = [a for a in args[1:] if not stobjs._is_declare(a)]
-        pairs = stobjs._binding_pairs(args[0])
-        if name == "LET":
-            frame = {}
-            for var, rhs in pairs:
-                val = interp.eval(rhs, env)
-                interp.check_binding(var.name, val, s)
-                frame[var.name] = val
-            return _exec_stmt(interp, body[0], Env(frame, env), slots, plan,
-                              n)
-        cur = env
-        for var, rhs in pairs:
-            val = interp.eval(rhs, cur)
-            interp.check_binding(var.name, val, s)
-            cur = Env({var.name: val}, cur)
-        return _exec_stmt(interp, body[0], cur, slots, plan, n)
-    if name == "MV-LET":
-        body = [a for a in args[2:] if not stobjs._is_declare(a)]
-        vars_ = to_pylist(args[0], "MV-LET variables")
-        val = interp.eval(args[1], env)
-        if not isinstance(val, MultiValue) or len(val.values) != len(vars_):
-            raise EvalError("MV-LET expected %d values" % len(vars_), form=s)
-        frame = {}
-        for var, v in zip(vars_, val.values):
-            interp.check_binding(var.name, v, s)
-            frame[var.name] = v
-        return _exec_stmt(interp, body[0], Env(frame, env), slots, plan, n)
-    if name == "PROGN":
-        for item in args:
-            out = _exec_stmt(interp, item, env, slots, plan, n)
-            if out[0] != "fall":
-                return out
-        return _FALL
-    if name == "SETQ":
-        var = args[0].name
-        val = interp.eval(args[1], env)
-        if var in plan.of_types:
-            check_of_type(interp, var, plan.of_types[var], val, form=s,
-                          iteration=n)
-        interp.check_binding(var, val, s)
-        slots[var] = val
-        return _FALL
-    if name == "MV-SETQ":
-        vars_ = to_pylist(args[0], "MV-SETQ variables")
-        val = interp.eval(args[1], env)
-        if not isinstance(val, MultiValue) or len(val.values) != len(vars_):
-            raise EvalError("MV-SETQ expected %d values" % len(vars_),
-                            form=s)
-        for var, v in zip(vars_, val.values):
-            if var.name in plan.of_types:
-                check_of_type(interp, var.name, plan.of_types[var.name], v,
-                              form=s, iteration=n)
-            interp.check_binding(var.name, v, s)
-            slots[var.name] = v
-        return _FALL
-    if name == "RETURN":
-        return ("return", interp.eval(args[0], env))
-    if name == "LOOP-FINISH":
-        return ("finish", None)
-    raise EvalError("unexpected statement %s" % show(s), form=s)
+        token, val = _walk_native(interp, plan.do_tree, base, slots, plan, n)
+        if token is K_RETURN:
+            return decode_result(spec, val, form)
+        if token is K_FINISH:
+            if plan.finally_tree is not None:
+                token, val = _walk_native(interp, plan.finally_tree, base,
+                                          slots, plan, n)
+            return _result(spec, token, val, form)
 
 
 ### FOR loops

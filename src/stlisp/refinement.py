@@ -13,6 +13,7 @@ import random
 from . import sexpr
 from .errors import EvalError
 from .sexpr import Cons, Symbol, intern, show, to_pylist, truthy
+from .stobjs import _shape_str
 
 ARROW = intern("=>")
 DEFTHM = intern("DEFTHM")
@@ -105,10 +106,6 @@ def parse_defattach(form, world):
     return args[0].name, args[1].name
 
 
-def _shape_str(slots):
-    return "(" + " ".join("*" if s is None else s for s in slots) + ")"
-
-
 def report_completion(interp, args, form):
     """One-line run report: completion when every rank is zero, else a
     stopped-with-work-remaining diagnostic.  Returns the stobj unchanged."""
@@ -193,7 +190,7 @@ def check_constraints(interp, seed=0, trials=1000, state_generator=None):
 
     if state_generator is None:
         def state_generator(rng):
-            st = interp.make_fresh(spec)
+            st = spec.fresh()
             for _ in range(rng.randrange(7)):
                 st = interp.call("EXEC", [pick_id(), st])
             return st

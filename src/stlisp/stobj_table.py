@@ -2,35 +2,26 @@
 
 Logically a table is an association list looked up with
 hons-assoc-equal (first match wins); the execution view is a hash
-table keyed by interned symbol.  Every execution-view table ever
-created is tracked in a weak registry so that undoing a stobj
-definition can unbind that name from all live tables.
+table keyed by interned symbol.  A table belongs to the stobj instance
+whose field holds it, so undoing a stobj definition unbinds that name
+by walking the session's stobj bank down through every table.
 """
-
-import weakref
 
 from . import sexpr
 from .sexpr import NIL, Cons, from_bool, intern
 from .errors import EvalError, OwnershipError
 
-_registry = weakref.WeakSet()
-
 
 class TableCell:
     """Execution view of one stobj-table field: Symbol -> StobjInstance."""
 
-    __slots__ = ("data", "__weakref__")
+    __slots__ = ("data",)
 
     def __init__(self, data=None):
         self.data = {} if data is None else data
-        _registry.add(self)
 
     def copy(self):
         return TableCell(dict(self.data))
-
-
-def live_tables():
-    return list(_registry)
 
 
 def table_get(cell, key):
@@ -83,12 +74,21 @@ def check_key(key, form=None):
     return key
 
 
-def retract(undone_names):
-    """Unbind every undone stobj name from every live table."""
+def retract(instances, undone_names):
+    """Unbind every undone stobj name from every table held by the given
+    stobj instances or, recursively, by the children in those tables."""
+    from .stobjs import StobjInstance
     keys = {intern(n) for n in undone_names}
-    for cell in live_tables():
-        for key in keys:
-            cell.data.pop(key, None)
+    todo = list(instances)
+    while todo:
+        inst = todo.pop()
+        for i in range(len(inst.spec.fields)):
+            cell = inst.get_cell(i)
+            if isinstance(cell, TableCell):
+                for key in keys:
+                    cell.data.pop(key, None)
+                todo.extend(v for v in cell.data.values()
+                            if isinstance(v, StobjInstance))
 
 
 def logical_view(cell):

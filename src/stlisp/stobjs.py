@@ -85,7 +85,7 @@ class StobjInstance:
     invisible to every accessor.
     """
 
-    __slots__ = ("spec", "cells", "owner", "__weakref__")
+    __slots__ = ("spec", "cells", "owner")
 
     def __init__(self, spec, cells):
         self.spec = spec
@@ -414,7 +414,7 @@ def eval_stobj_let(interp, form, env):
         hit = stobj_table.table_get(cell, child)
         if hit is None:
             # Default is evaluated lazily, only on a miss.
-            hit = interp.make_fresh(_creator_call(default, interp.world).spec)
+            hit = _creator_call(default, interp.world).spec.fresh()
         extracted.append((child, pname, op, hit))
 
     body_env = Env({c.name: inst for c, _, _, inst in extracted}, env)
@@ -682,14 +682,7 @@ class Analyzer:
                 or not all(isinstance(v, Symbol) for v in vars_):
             self.err("R1", "malformed MV-LET variables in %s" % show(expr))
             return (None,)
-        sh = self.analyze(rhs, live, bound, tail=False)
-        if sh is UNKNOWN:
-            self.err("R2", "cannot infer the shape of %s here" % show(rhs))
-            sh = tuple(live.get(v.name) for v in vars_)
-        if len(sh) != len(vars_):
-            self.err("R2", "MV-LET binds %d names to %d values in %s"
-                     % (len(vars_), len(sh), show(expr)))
-            sh = tuple(live.get(v.name) for v in vars_)
+        sh = self._mv_shape(rhs, [v.name for v in vars_], live, bound, expr)
         cur_live, cur_bound = live, bound
         for var, slot in zip(vars_, sh):
             cur_live, cur_bound = self._bind_one(var, (slot,), cur_live,
@@ -698,6 +691,18 @@ class Analyzer:
         self._require_returned([s for s in sh if s is not None], bsh,
                                "MV-LET")
         return bsh
+
+    def _mv_shape(self, rhs, names, live, bound, expr):
+        """The shape of an MV-LET right-hand side binding names."""
+        sh = self.analyze(rhs, live, bound, tail=False)
+        if sh is UNKNOWN:
+            self.err("R2", "cannot infer the shape of %s here" % show(rhs))
+            sh = tuple(live.get(n) for n in names)
+        if len(sh) != len(names):
+            self.err("R2", "MV-LET binds %d names to %d values in %s"
+                     % (len(names), len(sh), show(expr)))
+            sh = tuple(live.get(n) for n in names)
+        return sh
 
     def _analyze_stobj_let(self, expr, live, bound, tail):
         try:
@@ -796,10 +801,57 @@ class Analyzer:
                 self.err("R1", ":VALUES stobj %s is not a live stobj here"
                          % sname)
         try:
-            loops.make_do_plan(spec, self.world)
+            plan = loops.make_do_plan(spec, self.world)
         except EvalError as e:
             self.err("R1", str(e))
+            return tuple(spec.values)
+        # The body sees the settables only: :VALUES stobjs and WITH names.
+        live = {s: s for s in spec.value_stobjs()}
+        bound = {name for name, _typ, _init in spec.withs}
+        if spec.guard is not None:
+            self.want_value(spec.guard, live, bound, "a loop :GUARD")
+        self.want_value(plan.measure_form, live, bound, "a loop :MEASURE")
+        for tree in (plan.do_tree, plan.finally_tree):
+            if tree is not None:
+                self._analyze_stmt(tree, live, bound, spec.values)
         return tuple(spec.values)
+
+    def _analyze_stmt(self, node, live, bound, values):
+        """Check a DO or FINALLY statement tree (see loops.make_do_plan).
+
+        An assignment must keep the shape of its targets and a RETURN
+        must have the shape of :VALUES, so an update the native path
+        keeps is never one the logical path drops.
+        """
+        tag = node[0]
+        if tag == "if":
+            self.want_value(node[1], live, bound, "an IF test")
+            self._analyze_stmt(node[2], live, bound, values)
+            self._analyze_stmt(node[3], live, bound, values)
+        elif tag == "let" or tag == "mv-let":
+            _tag, names, rhs, body, form = node
+            if tag == "let":
+                shapes = [self.analyze(r, live, bound, tail=False)
+                          for r in rhs]
+            else:
+                shapes = [(s,) for s in self._mv_shape(rhs, names, live,
+                                                       bound, form)]
+            for name, sh in zip(names, shapes):
+                live, bound = self._bind_one(intern(name), sh, live, bound,
+                                             form)
+            self._analyze_stmt(body, live, bound, values)
+        elif tag == "setq" or tag == "mv-setq":
+            want = tuple(live.get(n) for n in node[1])
+            self._want_shape(node[2], want, live, bound, node[4])
+            self._analyze_stmt(node[3], live, bound, values)
+        elif tag == "return":
+            self._want_shape(node[1], tuple(values), live, bound, node[2])
+
+    def _want_shape(self, expr, want, live, bound, stmt):
+        sh = self.analyze(expr, live, bound, tail=False)
+        if sh is not UNKNOWN and sh != want:
+            self.err("R2", "%s needs values shaped %s, got %s"
+                     % (show(stmt), _shape_str(want), _shape_str(sh)))
 
     def _analyze_call(self, expr, live, bound, tail):
         name = expr.car.name
@@ -867,8 +919,8 @@ class Analyzer:
         return self.world.shape_of(name, nargs)
 
 
-def _cons_args(expr):
-    return sexpr.to_pylist(expr.cdr, "argument list")
+def _cons_args(expr, what="argument list"):
+    return sexpr.to_pylist(expr.cdr, what)
 
 
 def _binding_pairs(form):

@@ -431,7 +431,17 @@ LINEARITY_FIXTURES = [
     """(defun bad-branch (c st)
          (declare (xargs :stobjs (st)))
          (if c (update-fld 1 st) 0))""",
-]
+    # DO-loop expressions that update a stobj and drop the result
+] + ["(loop$ with i = 1 do :values (nil st) %s)" % rest for rest in (
+    ":measure (nfix i) "
+    "(if (fld (update-fld 5 st)) (return (mv 1 st)) (return (mv 2 st)))",
+    ":measure (nfix i) "
+    "(if (equal (update-fld 7 st) 3) (return (mv 1 st)) (return (mv 2 st)))",
+    ":measure (nfix i) "
+    "(progn (setq i (fld (update-fld 9 st))) (return (mv i st)))",
+    ":measure 0 (progn (setq i (update-fld 4 st)) (return (mv i st)))",
+    ":guard (fld (update-fld 3 st)) :measure (nfix i) "
+    "(if (zp i) (return (mv 1 st)) (setq i (1- i)))")]
 
 ACCEPTED_F = GUARDED_F
 

@@ -91,8 +91,9 @@ def test_lex_show():
 # ---------------------------------------------------------- measure guessing
 
 def guess(text, world=None):
-    spec = loops.parse_loop(read(text), world or Interp().world)
-    return show(loops.guess_measure(spec))
+    w = world or Interp().world
+    spec = loops.parse_loop(read(text), w)
+    return show(loops.make_do_plan(spec, w).measure_form)
 
 
 def test_guess_measure_numeric_and_cdr_steps():
@@ -483,17 +484,20 @@ def test_loop_inside_defun_with_stobj():
 # ------------------------------------------------------- guards and of-type
 
 def test_of_type_violation_same_class_and_message_both_modes():
-    msgs = []
-    for mode in ("logical", "native"):
-        interp = Interp(mode=mode)
-        with pytest.raises(OfTypeViolation) as exc:
-            interp.eval_text(
-                "(loop$ with i of-type integer = 3 do :measure (nfix i) "
-                "(if (zp i) (return i) (setq i (if (= i 2) 'oops (1- i)))))")
-        msgs.append(exc.value.message)
-    assert msgs[0] == msgs[1]
-    assert "OF-TYPE violation: I = OOPS is not an INTEGER" in msgs[0]
-    assert "(iteration 2)" in msgs[0]
+    for step in ("(setq i (if (= i 2) 'oops (1- i)))",
+                 "(mv-setq (i j) (mv (if (= i 2) 'oops (1- i)) j))"):
+        msgs = []
+        for mode in ("logical", "native"):
+            interp = Interp(mode=mode)
+            with pytest.raises(OfTypeViolation) as exc:
+                interp.eval_text(
+                    "(loop$ with i of-type integer = 3 with j = 0 do "
+                    ":measure (nfix i) (if (zp i) (return i) %s))" % step)
+            msgs.append(str(exc.value))
+        assert msgs[0] == msgs[1]
+        assert "OF-TYPE violation: I = OOPS is not an INTEGER" in msgs[0]
+        assert "(iteration 2)" in msgs[0]
+        assert msgs[0].endswith(" in " + show(read(step)))
 
 
 def test_of_type_checks_initial_value():

@@ -422,7 +422,7 @@ def test_check_constraints_takes_a_state_generator():
     interp = scheduler_interp()
 
     def drained(rng):
-        st = interp.make_fresh(interp.world.stobj_spec("ST"))
+        st = interp.world.stobj_spec("ST").fresh()
         st = interp.call("EXEC", [interp.eval_text("'proc1")[0][1], st])
         st = interp.call("EXEC", [interp.eval_text("'proc1")[0][1], st])
         st = interp.call("EXEC", [interp.eval_text("'proc2")[0][1], st])

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stlisp import sexpr, stobj_table
+from stlisp import sexpr, stobj_table, stobjs
 from stlisp.errors import EvalError
 from stlisp.kernel import Interp
 from stlisp.sexpr import NIL, T, intern, show
@@ -217,10 +217,39 @@ def test_retract_reaches_both_fields_of_one_stobj():
 def test_retract_helper_on_raw_cells():
     a = stobj_table.TableCell({intern("X"): "left"})
     b = stobj_table.TableCell({intern("X"): "right", intern("Y"): "keep"})
-    stobj_table.retract(["X"])
+    holder = stobjs.StobjSpec("HOLDER",
+                              [stobjs.FieldSpec("TBL", stobjs.TABLE)])
+    stobj_table.retract([stobjs.StobjInstance(holder, [a]),
+                         stobjs.StobjInstance(holder, [b])], ["X"])
     assert intern("X") not in a.data
     assert intern("X") not in b.data
     assert b.data[intern("Y")] == "keep"
+
+
+def test_retract_reaches_tables_inside_table_children():
+    for mode in ("logical", "native"):
+        interp = Interp(mode=mode)
+        interp.eval_text("""
+          (defstobj mid (mt :type (stobj-table)))
+          (defstobj top (tt :type (stobj-table)))
+          (defun leaves (top)
+            (declare (xargs :stobjs (top)))
+            (stobj-let ((mid (tt-get 'mid top (create-mid))))
+                       (n) (mt-count mid) n))
+          (defstobj leaf v)
+          (defun put-leaf (mid)
+            (declare (xargs :stobjs (mid)))
+            (stobj-let ((leaf (mt-get 'leaf mid (create-leaf))))
+                       (leaf) (update-v 1 leaf) mid))
+          (defun put-mid (top)
+            (declare (xargs :stobjs (top)))
+            (stobj-let ((mid (tt-get 'mid top (create-mid))))
+                       (mid) (put-leaf mid) top))
+          (put-mid top)
+        """)
+        assert interp.eval_text("(leaves top)")[0][1] == 1
+        interp.undo(4)  # the leaf definition
+        assert interp.eval_text("(leaves top)")[0][1] == 0
 
 
 def test_logical_view_is_sorted_alist():

@@ -484,6 +484,16 @@ def test_undo_of_defstobj_retracts_from_every_live_table():
         assert "SWITCH" not in interp.bank
 
 
+def test_undo_in_one_session_leaves_another_sessions_tables():
+    for mode in ("logical", "native"):
+        first = fixture(RETRACT_DEMO, mode=mode)
+        second = fixture(RETRACT_DEMO, mode=mode)
+        first.undo(3)
+        assert counts(first) == (0, 0)
+        assert counts(second) == (1, 1)
+        assert second.eval_text("(tbl1-boundp 'switch top1)")[0][1] is T
+
+
 def test_undo_of_defun_leaves_tables_alone():
     interp = fixture(RETRACT_DEMO)
     interp.eval_text("(defun noop (x) x)")
