@@ -34,9 +34,6 @@ def build_parser():
                         default=_env("GUARD_CHECK", "on"))
     common.add_argument("--cap", type=int,
                         default=int(_env("CAP", "10000000")))
-    common.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
-    common.add_argument("--trials", type=int,
-                        default=int(_env("TRIALS", "1000")))
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", parents=[common],
                            help="evaluate a file of forms")
@@ -49,6 +46,9 @@ def build_parser():
                            help="load a file, then sample the scheduler "
                                 "contracts")
     p_chk.add_argument("path")
+    p_chk.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
+    p_chk.add_argument("--trials", type=int,
+                       default=int(_env("TRIALS", "1000")))
     return parser
 
 

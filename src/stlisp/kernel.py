@@ -11,12 +11,14 @@ mode even those are copied on write.
 import sys
 
 from . import loops, refinement, sexpr, stobjs, stobj_table
-from .errors import (EvalError, GuardViolation, LinearityError, LispError,
+from .errors import (EvalError, GuardViolation, LinearityError,
                      MeasureViolation)
 from .sexpr import (NIL, T, Cons, MultiValue, Symbol, from_bool, intern,
                     is_keyword, show, truthy)
-from .stobjs import (FOLLOW, POLY, UNKNOWN, GeneratedOp, Poison,
-                     StobjInstance, _cons_args, generated_ops, op_shape)
+from .stobjs import (DO_ONLY_HEADS, EVENT_HEADS, FOLLOW, POLY, UNKNOWN,
+                     GeneratedOp, Poison, StobjInstance, _cons_args,
+                     generated_ops, if_parts, let_parts, list_items,
+                     mv_let_parts, mv_parts, op_shape, quote_parts)
 
 
 class Env:
@@ -309,7 +311,7 @@ def _bi_assoc_eq_safe(interp, args, form):
 
 def _bi_apply(interp, args, form):
     fn, arglist = args
-    call_args = sexpr.to_pylist(arglist, "apply$ argument list")
+    call_args = list_items(arglist, "apply$ argument list", form)
     if isinstance(fn, Symbol):
         return interp.call(fn.name, call_args, form=form)
     return interp.apply_lambda(fn, call_args, form=form)
@@ -340,24 +342,15 @@ BUILTINS["REPORT-COMPLETION-OR-ERROR-AND-RETURN"] = Builtin(
 
 ### special forms
 
-QUOTE = intern("QUOTE")
 LAMBDA = intern("LAMBDA")
-
-_DO_ONLY = {"PROGN", "SETQ", "MV-SETQ", "RETURN", "LOOP-FINISH"}
-_EVENTS = {"DEFUN", "DEFSTOBJ", "ENCAPSULATE", "DEFATTACH"}
 
 
 def _sf_quote(interp, form, env):
-    a = _cons_args(form)
-    if len(a) != 1:
-        raise EvalError("QUOTE takes one argument", form=form)
-    return a[0]
+    return quote_parts(form)
 
 
 def _sf_if(interp, form, env):
-    a = _cons_args(form)
-    if len(a) not in (2, 3):
-        raise EvalError("IF takes a test and one or two branches", form=form)
+    a = if_parts(form)
     test = interp.eval(a[0], env)
     _value_check(test, "an IF test", form)
     if truthy(test):
@@ -376,20 +369,8 @@ def _value_check(v, what, form):
                         form=form)
 
 
-def _let_parts(form, name):
-    a = _cons_args(form)
-    body = [x for x in a[1:] if not stobjs._is_declare(x)]
-    if len(a) < 2 or len(body) != 1:
-        raise EvalError("%s takes bindings and a single body form" % name,
-                        form=form)
-    pairs = stobjs._binding_pairs(a[0])
-    if pairs is None:
-        raise EvalError("malformed %s bindings" % name, form=form)
-    return pairs, body[0]
-
-
 def _sf_let(interp, form, env):
-    pairs, body = _let_parts(form, "LET")
+    pairs, body = let_parts(form)
     frame = {}
     for var, rhs in pairs:
         val = interp.eval(rhs, env)
@@ -399,7 +380,7 @@ def _sf_let(interp, form, env):
 
 
 def _sf_letstar(interp, form, env):
-    pairs, body = _let_parts(form, "LET*")
+    pairs, body = let_parts(form)
     cur = env
     for var, rhs in pairs:
         val = interp.eval(rhs, cur)
@@ -409,11 +390,8 @@ def _sf_letstar(interp, form, env):
 
 
 def _sf_mv(interp, form, env):
-    a = _cons_args(form)
-    if len(a) < 2:
-        raise EvalError("MV needs at least two values", form=form)
     vals = []
-    for x in a:
+    for x in mv_parts(form):
         v = interp.eval(x, env)
         if isinstance(v, MultiValue):
             raise EvalError("multiple values are not a single MV component",
@@ -423,26 +401,16 @@ def _sf_mv(interp, form, env):
 
 
 def _sf_mv_let(interp, form, env):
-    a = _cons_args(form)
-    body = [x for x in a[2:] if not stobjs._is_declare(x)]
-    if len(a) < 3 or len(body) != 1:
-        raise EvalError("MV-LET takes variables, a form, and a body",
-                        form=form)
-    try:
-        vars_ = sexpr.to_pylist(a[0], "MV-LET variables")
-    except LispError:
-        vars_ = []
-    if len(vars_) < 2 or not all(isinstance(v, Symbol) for v in vars_):
-        raise EvalError("MV-LET needs two or more variable names", form=form)
-    val = interp.eval(a[1], env)
+    vars_, rhs, body = mv_let_parts(form)
+    val = interp.eval(rhs, env)
     if not isinstance(val, MultiValue) or len(val.values) != len(vars_):
         raise EvalError("MV-LET expected %d values from %s"
-                        % (len(vars_), show(a[1])), form=form)
+                        % (len(vars_), show(rhs)), form=form)
     frame = {}
     for var, v in zip(vars_, val.values):
         interp.check_binding(var.name, v, form)
         frame[var.name] = v
-    return interp.eval(body[0], Env(frame, env))
+    return interp.eval(body, Env(frame, env))
 
 
 def _sf_loop(interp, form, env):
@@ -464,14 +432,13 @@ _SPECIAL = {
 
 class Interp:
     def __init__(self, mode="logical", guard_check=True, cap=10_000_000,
-                 out=None, debug_owners=True, trace=False):
+                 out=None, trace=False):
         if mode not in ("logical", "native"):
             raise ValueError("mode must be 'logical' or 'native'")
         self.mode = mode
         self.guard_check = guard_check
         self.cap = cap
         self.out = out
-        self.debug_owners = debug_owners
         self.trace = trace
         self.world = World()
         self.bank = {}
@@ -493,27 +460,27 @@ class Interp:
 
     def eval_top(self, form):
         if isinstance(form, Cons) and isinstance(form.car, Symbol) \
-                and form.car.name in _EVENTS:
+                and form.car.name in EVENT_HEADS:
             return self._event(form)
-        self._check_top(form)
+        self._check(form, {name: name for name in self.bank}, set(),
+                    "this top-level form")
         val = self.eval(form, None)
         self.latch(val)
         return val
 
-    def _check_top(self, form):
-        """Single-threadedness check for a top-level form.
+    def _check(self, form, live, bound, what):
+        """Single-threadedness check for a top-level form or a lambda body.
 
-        Same rules as a defun body, with every bank stobj live.  An
-        update whose result never reaches the top of the form would be
-        kept by in-place execution and lost by logical execution, so
-        such forms are rejected before either mode runs them.
+        Same rules as a defun body, over the given live stobjs and bound
+        names.  An update whose result never reaches the top of the form
+        would be kept by in-place execution and lost by logical
+        execution, so such forms are rejected before either mode runs them.
         """
-        live = {name: name for name in self.bank}
         analyzer = stobjs.Analyzer(self.world, None, (), stobjs.UNKNOWN,
                                    raise_call_errors=True)
-        analyzer.analyze(form, live, set(), tail=True)
+        analyzer.analyze(form, live, bound, tail=True)
         if analyzer.violations:
-            raise LinearityError("this top-level form", analyzer.violations)
+            raise LinearityError(what, analyzer.violations)
 
     def eval_text(self, text):
         return [(f, self.eval_top(f)) for f in sexpr.read_all(text)]
@@ -545,10 +512,10 @@ class Interp:
         handler = _SPECIAL.get(head.name)
         if handler is not None:
             return handler(self, form, env)
-        if head.name in _EVENTS:
+        if head.name in EVENT_HEADS:
             raise EvalError("%s is only legal at the top level" % head.name,
                             form=form)
-        if head.name in _DO_ONLY:
+        if head.name in DO_ONLY_HEADS:
             raise EvalError("%s is legal only inside DO and FINALLY bodies"
                             % head.name, form=form)
         return self._eval_call(form, env)
@@ -626,16 +593,20 @@ class Interp:
             stack.pop()
 
     def apply_lambda(self, fn, args, form=None):
-        parts = sexpr.to_pylist(fn, "function object") \
+        parts = list_items(fn, "function object", form) \
             if isinstance(fn, Cons) else None
         if not parts or len(parts) != 3 or parts[0] is not LAMBDA:
             raise EvalError("not a function object: %s" % show(fn), form=form)
-        formals = sexpr.to_pylist(parts[1], "lambda formals")
+        formals = list_items(parts[1], "lambda formals", form)
+        if not all(isinstance(f, Symbol) for f in formals):
+            raise EvalError("lambda formals must be symbols", form=form)
         if len(formals) != len(args):
             raise EvalError("lambda takes %d arguments, got %d"
                             % (len(formals), len(args)), form=form)
-        frame = {f.name: a for f, a in zip(formals, args)}
-        return self.eval(parts[2], Env(frame))
+        names = [f.name for f in formals]
+        # A function object takes no stobj, so none is live in its body.
+        self._check(parts[2], {}, set(names), "this lambda")
+        return self.eval(parts[2], Env(dict(zip(names, args))))
 
     ### stobj plumbing
 
@@ -696,7 +667,7 @@ class Interp:
             raise EvalError("defun takes a name, formals, and a body",
                             form=form)
         name = a[0].name
-        formals = sexpr.to_pylist(a[1], "defun formals")
+        formals = list_items(a[1], "defun formals", form)
         if not all(isinstance(f, Symbol) for f in formals):
             raise EvalError("defun formals must be symbols", form=form)
         fnames = [f.name for f in formals]
@@ -742,7 +713,7 @@ class Interp:
     def _parse_declare(self, form, fname):
         guard = measure = None
         stobjs_in = []
-        for clause in sexpr.to_pylist(form.cdr, "declare clauses"):
+        for clause in _cons_args(form, "declare clauses"):
             if not (isinstance(clause, Cons) and isinstance(clause.car,
                                                             Symbol)):
                 raise EvalError("malformed declare clause %s" % show(clause),
@@ -752,7 +723,7 @@ class Interp:
                 self.write_line("; note: ignoring declare clause %s in %s"
                                 % (cname, fname))
                 continue
-            items = sexpr.to_pylist(clause.cdr, "xargs")
+            items = _cons_args(clause, "xargs")
             if len(items) % 2 != 0:
                 raise EvalError("xargs expects keyword/value pairs", form=form)
             for key, val in zip(items[::2], items[1::2]):
@@ -767,7 +738,7 @@ class Interp:
                     if isinstance(val, Symbol) and val is not NIL:
                         stobjs_in.append(val.name)
                     else:
-                        for s in sexpr.to_pylist(val, ":stobjs"):
+                        for s in list_items(val, ":stobjs", form):
                             if not isinstance(s, Symbol):
                                 raise EvalError(":stobjs names must be "
                                                 "symbols", form=form)

@@ -17,9 +17,10 @@ bug in one of the two walkers and not in the front end.
 from . import stobjs
 from .errors import (CapExceeded, EvalError, GuardViolation,
                      MeasureViolation, TranslateError)
-from .stobjs import _cons_args
+from .stobjs import (DO_ONLY_HEADS, MV, _cons_args, if_parts, let_parts,
+                     list_items, mv_let_parts, mv_parts, quote_parts)
 from .sexpr import (NIL, T, Cons, MultiValue, Symbol, from_pylist, intern,
-                    is_keyword, mklist, show, to_pylist, truthy)
+                    is_keyword, show, to_pylist, truthy)
 
 WITH = intern("WITH")
 FOR = intern("FOR")
@@ -36,10 +37,7 @@ K_MEASURE = intern(":MEASURE")
 K_GUARD = intern(":GUARD")
 K_RETURN = intern(":RETURN")
 K_FINISH = intern(":LOOP-FINISH")
-MV = intern("MV")
 CDR = intern("CDR")
-
-_STMT_HEADS = ("SETQ", "MV-SETQ", "RETURN", "LOOP-FINISH", "PROGN")
 
 
 class OfTypeViolation(GuardViolation):
@@ -73,7 +71,7 @@ class LoopSpec:
 
 
 def parse_loop(form, world):
-    items = to_pylist(form, "loop$ form")
+    items = list_items(form, "loop$ form", form, TranslateError)
     spec = LoopSpec(form)
     if len(items) >= 2 and items[1] is FOR:
         return _parse_for(spec, items)
@@ -177,7 +175,7 @@ def _parse_do(spec, items, world):
 
 def _parse_values(arg, spec, world):
     slots = []
-    for x in to_pylist(arg, ":VALUES"):
+    for x in list_items(arg, ":VALUES", spec.form, TranslateError):
         if x is NIL:
             slots.append(None)
         elif isinstance(x, Symbol) and world.stobj_spec(x.name) is not None:
@@ -274,7 +272,8 @@ class _Parser:
         if name == "MV-LET":
             return self._stmt_mv_let(s, scope)
         if name == "PROGN":
-            return self._stmt_progn(_cons_args(s), scope)
+            return self._stmt_progn(_cons_args(s, error=TranslateError),
+                                    scope)
         if name == "SETQ":
             return self._setq_step(s, [], scope)
         if name == "MV-SETQ":
@@ -282,7 +281,7 @@ class _Parser:
         if name == "RETURN":
             return self._stmt_return(s, scope)
         if name == "LOOP-FINISH":
-            if _cons_args(s):
+            if _cons_args(s, error=TranslateError):
                 raise TranslateError("LOOP-FINISH takes no arguments", form=s)
             if self.finally_mode:
                 raise TranslateError("LOOP-FINISH is not legal in a FINALLY "
@@ -294,23 +293,14 @@ class _Parser:
             "mv-let/progn/setq/mv-setq/return/loop-finish" % show(s), form=s)
 
     def _stmt_if(self, s, rest, scope):
-        args = _cons_args(s)
-        if len(args) not in (2, 3):
-            raise TranslateError("malformed IF in a DO body: %s" % show(s),
-                                 form=s)
+        args = if_parts(s, TranslateError)
         test = self.expr(args[0], scope)
         tbr = self._stmt_progn([args[1]] + rest, scope)
         fbr = self._stmt_progn(args[2:] + rest, scope)
         return ("if", test, tbr, fbr, s)
 
     def _stmt_let(self, s, scope, sequential):
-        args = [a for a in _cons_args(s) if not stobjs._is_declare(a)]
-        if len(args) != 2:
-            raise TranslateError("malformed %s in a DO body" % s.car.name,
-                                 form=s)
-        pairs = stobjs._binding_pairs(args[0])
-        if pairs is None:
-            raise TranslateError("malformed bindings in %s" % show(s), form=s)
+        pairs, body = let_parts(s, TranslateError)
         cur_scope = set(scope)
         names, rhss = [], []
         for var, rhs in pairs:
@@ -321,7 +311,7 @@ class _Parser:
             rhss.append(self.expr(rhs, cur_scope if sequential else scope))
             names.append(var.name)
             cur_scope.add(var.name)
-        body = self.stmt(args[1], cur_scope)
+        body = self.stmt(body, cur_scope)
         if not sequential:
             return ("let", tuple(names), tuple(rhss), body, s)
         for name, rhs in reversed(list(zip(names, rhss))):
@@ -329,21 +319,14 @@ class _Parser:
         return body
 
     def _stmt_mv_let(self, s, scope):
-        args = [a for a in _cons_args(s) if not stobjs._is_declare(a)]
-        if len(args) != 3:
-            raise TranslateError("malformed MV-LET in a DO body", form=s)
-        vars_ = to_pylist(args[0], "MV-LET variables")
-        if len(vars_) < 2 or not all(isinstance(v, Symbol) for v in vars_):
-            raise TranslateError("malformed MV-LET variables in %s" % show(s),
-                                 form=s)
+        vars_, rhs, body = mv_let_parts(s, TranslateError)
         for v in vars_:
             if v.name in self.settables:
                 raise TranslateError(
                     "a statement-position MV-LET may not rebind the settable "
                     "variable %s; use MV-SETQ" % v.name, form=s)
-        rhs = self.expr(args[1], scope)
-        body_scope = set(scope) | {v.name for v in vars_}
-        body = self.stmt(args[2], body_scope)
+        rhs = self.expr(rhs, scope)
+        body = self.stmt(body, set(scope) | {v.name for v in vars_})
         return ("mv-let", tuple(v.name for v in vars_), rhs, body, s)
 
     def _stmt_progn(self, items, scope):
@@ -355,7 +338,8 @@ class _Parser:
         if isinstance(s0, Cons) and isinstance(s0.car, Symbol):
             h = s0.car.name
             if h == "PROGN":
-                return self._stmt_progn(_cons_args(s0) + rest, scope)
+                return self._stmt_progn(
+                    _cons_args(s0, error=TranslateError) + rest, scope)
             if h == "IF":
                 return self._stmt_if(s0, rest, scope)
             if h == "SETQ":
@@ -375,7 +359,7 @@ class _Parser:
             "of a PROGN, got %s" % show(s0), form=s0)
 
     def _setq_step(self, s, rest, scope):
-        args = _cons_args(s)
+        args = _cons_args(s, error=TranslateError)
         if len(args) != 2 or not isinstance(args[0], Symbol):
             raise TranslateError("SETQ takes a variable and a value: %s"
                                  % show(s), form=s)
@@ -391,11 +375,11 @@ class _Parser:
         return ("setq", (var.name,), rhs, body, s)
 
     def _mv_setq_step(self, s, rest, scope):
-        args = _cons_args(s)
+        args = _cons_args(s, error=TranslateError)
         if len(args) != 2:
             raise TranslateError("MV-SETQ takes a variable list and a form",
                                  form=s)
-        vars_ = to_pylist(args[0], "MV-SETQ variables")
+        vars_ = list_items(args[0], "MV-SETQ variables", s, TranslateError)
         if len(vars_) < 2 or not all(isinstance(v, Symbol) for v in vars_):
             raise TranslateError("MV-SETQ needs two or more variables",
                                  form=s)
@@ -413,7 +397,7 @@ class _Parser:
         return ("mv-setq", names, rhs, body, s)
 
     def _stmt_return(self, s, scope):
-        args = _cons_args(s)
+        args = _cons_args(s, error=TranslateError)
         if len(args) != 1:
             raise TranslateError("RETURN takes exactly one form", form=s)
         e = args[0]
@@ -428,7 +412,7 @@ class _Parser:
             raise TranslateError(
                 "with :VALUES of length %d, RETURN needs a literal (MV ..) "
                 "of that arity" % len(sig), form=s)
-        comps = _cons_args(e)
+        comps = mv_parts(e, TranslateError)
         if len(comps) != len(sig):
             raise TranslateError(
                 "RETURN supplies %d values for %d :VALUES slots"
@@ -466,37 +450,36 @@ def _scan_expr(e, scope, settables, what):
                              form=e)
     name = head.name
     if name == "QUOTE":
+        quote_parts(e, TranslateError)
         return
-    if name in _STMT_HEADS:
+    if name in DO_ONLY_HEADS:
         raise TranslateError(
             "%s is a statement and may not appear inside %s" % (name, what),
             form=e)
     if name in ("LOOP$", "STOBJ-LET"):
         raise TranslateError("%s is not supported inside a DO body" % name,
                              form=e)
-    args = _cons_args(e)
     if name in ("LET", "LET*"):
-        body = [a for a in args[1:] if not stobjs._is_declare(a)]
-        pairs = stobjs._binding_pairs(args[0]) if args else None
-        if pairs is None or len(body) != 1:
-            raise TranslateError("malformed %s in %s" % (name, what), form=e)
+        pairs, body = let_parts(e, TranslateError)
         cur = set(scope)
         for var, rhs in pairs:
             _scan_expr(rhs, cur if name == "LET*" else scope, settables,
                        what)
             cur.add(var.name)
-        _scan_expr(body[0], cur, settables, what)
+        _scan_expr(body, cur, settables, what)
         return
     if name == "MV-LET":
-        body = [a for a in args[2:] if not stobjs._is_declare(a)]
-        if len(args) < 3 or len(body) != 1:
-            raise TranslateError("malformed MV-LET in %s" % what, form=e)
-        vars_ = to_pylist(args[0], "MV-LET variables")
-        _scan_expr(args[1], scope, settables, what)
-        _scan_expr(body[0], set(scope) | {v.name for v in vars_
-                                          if isinstance(v, Symbol)},
-                   settables, what)
+        vars_, rhs, body = mv_let_parts(e, TranslateError)
+        _scan_expr(rhs, scope, settables, what)
+        _scan_expr(body, set(scope) | {v.name for v in vars_}, settables,
+                   what)
         return
+    if name == "IF":
+        args = if_parts(e, TranslateError)
+    elif name == "MV":
+        args = mv_parts(e, TranslateError)
+    else:
+        args = _cons_args(e, error=TranslateError)
     for a in args:
         _scan_expr(a, scope, settables, what)
 
@@ -511,9 +494,9 @@ def guess_measure(spec, steps):
         if not ups:
             continue
         if all(_is_numeric_step(r, name) for r in ups):
-            candidates.append(mklist(intern("NFIX"), intern(name)))
+            candidates.append(from_pylist([intern("NFIX"), intern(name)]))
         elif all(_is_cdr_step(r, name) for r in ups):
-            candidates.append(mklist(intern("LEN"), intern(name)))
+            candidates.append(from_pylist([intern("LEN"), intern(name)]))
     if len(candidates) == 1:
         return candidates[0]
     raise TranslateError(

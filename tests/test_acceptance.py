@@ -431,6 +431,10 @@ LINEARITY_FIXTURES = [
     """(defun bad-branch (c st)
          (declare (xargs :stobjs (st)))
          (if c (update-fld 1 st) 0))""",
+    # lambda bodies that update a stobj no lambda can take
+    "(consp (apply$ '(lambda (x) (update-fld x st)) '(5)))",
+    "(let ((y (apply$ '(lambda (x) (let ((st (update-fld x st))) 7)) "
+    "'(5)))) y)",
     # DO-loop expressions that update a stobj and drop the result
 ] + ["(loop$ with i = 1 do :values (nil st) %s)" % rest for rest in (
     ":measure (nfix i) "

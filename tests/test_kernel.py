@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from stlisp import sexpr
+from stlisp import loops, sexpr
 from stlisp.errors import (EvalError, GuardViolation, LinearityError,
-                           MeasureViolation)
+                           MeasureViolation, ReadError, TranslateError)
 from stlisp.kernel import Interp
 from stlisp.sexpr import NIL, T, intern, read, show
 
@@ -180,6 +180,51 @@ def test_let_body_count_and_binding_shape_errors():
         ev("(let ((x 1)) x x)")
     with pytest.raises(EvalError):
         ev("(let (x 1) x)")
+
+
+@pytest.mark.parametrize("text,offending", [
+    ("(+ 1 . 2)", "(+ 1 . 2)"),
+    ("(mv 1 . 2)", "(MV 1 . 2)"),
+    ("(let ((x . 1)) x)", "(LET ((X . 1)) X)"),
+    ("(stobj-let ((a . b)) (a) 1 2)", "(STOBJ-LET ((A . B)) (A) 1 2)"),
+    ("(loop$ with x = 0 do :values (nil . st) (return x))",
+     "(LOOP$ WITH X = 0 DO :VALUES (NIL . ST) (RETURN X))"),
+    ("(loop$ with x = 0 with y = 0 do :measure 0 "
+     "(mv-setq (x . y) (mv 1 2)))", "(MV-SETQ (X . Y) (MV 1 2))"),
+    ("(defun f x x)", "(DEFUN F X X)"),
+    ("(apply$ 'car '(1 . 2))", "(APPLY$ (QUOTE CAR) (QUOTE (1 . 2)))"),
+    ("(apply$ '(lambda (1) 1) '(5))",
+     "(APPLY$ (QUOTE (LAMBDA (1) 1)) (QUOTE (5)))"),
+])
+def test_syntax_errors_name_the_form_in_both_modes(text, offending):
+    classes = set()
+    for mode in ("logical", "native"):
+        with pytest.raises(EvalError) as exc:
+            ev(text, mode=mode)
+        assert not isinstance(exc.value, ReadError)
+        assert offending in str(exc.value)
+        classes.add(type(exc.value))
+    assert len(classes) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "(quote 1 2)", "(if 1)", "(if 1 2 3 4)", "(let ((y 1)))", "(let (y) 1)",
+    "(let* ((y . 1)) y)", "(mv 1)", "(mv-let (a) (mv 1 2) a)",
+    "(mv-let (a b) (mv 1 2))"])
+def test_malformed_special_form_has_one_text(text):
+    # the evaluator, the analyzer and the DO-body parser reject it alike
+    with pytest.raises(EvalError) as exc:
+        Interp().eval(read(text))
+    want = str(exc.value)
+    with pytest.raises(LinearityError) as exc:
+        ev(text)
+    assert "R1: " + want in str(exc.value)
+    world = Interp().world
+    spec = loops.parse_loop(
+        read("(loop$ with x = 0 do :measure 0 (setq x %s))" % text), world)
+    with pytest.raises(TranslateError) as exc:
+        loops.make_do_plan(spec, world)
+    assert str(exc.value) == want
 
 
 def test_mv_and_mv_let():
