@@ -14,11 +14,12 @@ from . import loops, refinement, sexpr, stobjs, stobj_table
 from .errors import (EvalError, GuardViolation, LinearityError,
                      MeasureViolation)
 from .sexpr import (NIL, T, Cons, MultiValue, Symbol, from_bool, intern,
-                    is_keyword, show, truthy)
-from .stobjs import (DO_ONLY_HEADS, EVENT_HEADS, FOLLOW, POLY, UNKNOWN,
-                     GeneratedOp, Poison, StobjInstance, _cons_args,
-                     generated_ops, if_parts, let_parts, list_items,
-                     mv_let_parts, mv_parts, op_shape, quote_parts)
+                    show, truthy)
+from .stobjs import (DO_ONLY_HEADS, EVENT_HEADS, FOLLOW, POLY,
+                     STOBJ_LET_ONLY, GeneratedOp, Poison, StobjInstance,
+                     _cons_args, arity_error, bindable, generated_ops,
+                     if_parts, let_parts, list_items, mv_let_parts, mv_parts,
+                     op_shape, quote_parts)
 
 
 class Env:
@@ -34,7 +35,7 @@ class Env:
 
 class FunctionDef:
     __slots__ = ("name", "formals", "stobjs_in", "guard", "measure", "body",
-                 "inputs", "out_shape")
+                 "inputs", "outputs")
 
     def __init__(self, name, formals, stobjs_in, guard, measure, body):
         self.name = name
@@ -45,7 +46,7 @@ class FunctionDef:
         self.body = body
         self.inputs = tuple(f if f in self.stobjs_in else None
                             for f in self.formals)
-        self.out_shape = None  # filled in after the static check
+        self.outputs = None  # filled in after the static check
 
 
 class Event:
@@ -71,38 +72,36 @@ class World:
     def stobj_spec(self, name):
         return self.stobjs.get(name)
 
-    def generated_op(self, name):
-        return self.genops.get(name)
-
     def name_taken(self, name):
         return (name in self.functions or name in self.genops
                 or name in self.signatures or name in BUILTINS)
 
-    def shape_of(self, name, nargs):
-        """(inputs, outputs) of a callable, checking arity.
+    def callee(self, name, nargs, form=None):
+        """(target, inputs, outputs) of a callable, checking arity.
 
-        Raises EvalError for unknown names or wrong argument counts.
+        The target is a Builtin, FunctionDef, GeneratedOp or Signature.
+        Raises EvalError naming form for unknown names or wrong argument
+        counts.
         """
-        fd = self.functions.get(name)
-        if fd is not None:
-            _check_arity(name, nargs, len(fd.inputs), len(fd.inputs))
-            return fd.inputs, fd.out_shape
-        op = self.genops.get(name)
-        if op is not None:
-            ins, outs = op_shape(op)
-            _check_arity(name, nargs, len(ins), len(ins))
-            return ins, outs
-        sig = self.signatures.get(name)
-        if sig is not None:
-            _check_arity(name, nargs, len(sig.inputs), len(sig.inputs))
-            return sig.inputs, (sig.output,)
-        b = BUILTINS.get(name)
-        if b is not None:
-            _check_arity(name, nargs, b.min_args, b.max_args)
-            if b.poly_stobj:
-                return (None, POLY), (FOLLOW,)
-            return (None,) * nargs, (None,)
-        raise EvalError("undefined function %s" % name)
+        target = BUILTINS.get(name)
+        if target is not None:
+            lo, hi = target.min_args, target.max_args
+            inputs = (None, POLY) if target.poly_stobj else (None,) * nargs
+            outputs = target.outputs
+        else:
+            target = self.functions.get(name) or self.signatures.get(name)
+            if target is not None:
+                inputs, outputs = target.inputs, target.outputs
+            else:
+                target = self.genops.get(name)
+                if target is None:
+                    raise EvalError("undefined function %s" % name,
+                                    form=form)
+                inputs, outputs = op_shape(target)
+            lo = hi = len(inputs)
+        if nargs < lo or (hi is not None and nargs > hi):
+            arity_error(name, nargs, lo, hi, form)
+        return target, inputs, outputs
 
     def add_event(self, kind, name, payload):
         ev = Event(self.next_index, kind, name, payload)
@@ -134,22 +133,11 @@ class World:
             self.register(ev)
 
 
-def _check_arity(name, got, lo, hi):
-    if got < lo or (hi is not None and got > hi):
-        if hi == lo:
-            want = str(lo)
-        elif hi is None:
-            want = "at least %d" % lo
-        else:
-            want = "%d to %d" % (lo, hi)
-        raise EvalError("%s takes %s argument%s, got %d"
-                        % (name, want, "" if want == "1" else "s", got))
-
-
 ### builtins
 
 class Builtin:
-    __slots__ = ("name", "min_args", "max_args", "fn", "poly_stobj")
+    __slots__ = ("name", "min_args", "max_args", "fn", "poly_stobj",
+                 "outputs")
 
     def __init__(self, name, min_args, max_args, fn, poly_stobj=False):
         self.name = name
@@ -157,28 +145,32 @@ class Builtin:
         self.max_args = max_args
         self.fn = fn
         self.poly_stobj = poly_stobj
+        self.outputs = (FOLLOW,) if poly_stobj else (None,)
 
 
-def _guard(interp, form, ok, msg):
-    if interp.guard_check and not ok:
-        raise GuardViolation("guard violation in %s: %s" % (show(form), msg),
+def _guard(interp, form, fmt, *values):
+    """A builtin's precondition failed: raise unless guards are off.
+    Callers test the precondition, so a passing check formats nothing."""
+    if interp.guard_check:
+        raise GuardViolation("guard violation in %s: %s"
+                             % (show(form), fmt % tuple(map(show, values))),
                              form=form)
 
 
 def _the_ints(interp, form, args):
-    out = []
     for a in args:
-        _guard(interp, form, isinstance(a, int),
-               "%s is not an integer" % show(a))
-        out.append(a if isinstance(a, int) else 0)
-    return out
+        if not isinstance(a, int):
+            _guard(interp, form, "%s is not an integer", a)
+            return [x if isinstance(x, int) else 0 for x in args]
+    return args
 
 
 def _bi_car(interp, args, form):
     x = args[0]
     if isinstance(x, Cons):
         return x.car
-    _guard(interp, form, x is NIL, "%s is neither a cons nor NIL" % show(x))
+    if x is not NIL:
+        _guard(interp, form, "%s is neither a cons nor NIL", x)
     return NIL
 
 
@@ -186,7 +178,8 @@ def _bi_cdr(interp, args, form):
     x = args[0]
     if isinstance(x, Cons):
         return x.cdr
-    _guard(interp, form, x is NIL, "%s is neither a cons nor NIL" % show(x))
+    if x is not NIL:
+        _guard(interp, form, "%s is neither a cons nor NIL", x)
     return NIL
 
 
@@ -245,9 +238,8 @@ def _bi_not(interp, args, form):
 
 def _bi_eq(interp, args, form):
     a, b = args
-    _guard(interp, form,
-           isinstance(a, Symbol) or isinstance(b, Symbol),
-           "EQ needs a symbol argument")
+    if not (isinstance(a, Symbol) or isinstance(b, Symbol)):
+        _guard(interp, form, "EQ needs a symbol argument")
     return from_bool(sexpr.equal(a, b))
 
 
@@ -267,11 +259,10 @@ def _bi_nfix(interp, args, form):
 
 def _bi_zp(interp, args, form):
     x = args[0]
-    natural = isinstance(x, int) and x >= 0
-    _guard(interp, form, natural, "%s is not a natural number" % show(x))
-    if not natural:
-        return T
-    return from_bool(x == 0)
+    if isinstance(x, int) and x >= 0:
+        return from_bool(x == 0)
+    _guard(interp, form, "%s is not a natural number", x)
+    return T
 
 
 def _bi_len(interp, args, form):
@@ -459,12 +450,17 @@ class Interp:
     ### evaluation
 
     def eval_top(self, form):
-        if isinstance(form, Cons) and isinstance(form.car, Symbol) \
-                and form.car.name in EVENT_HEADS:
-            return self._event(form)
-        self._check(form, {name: name for name in self.bank}, set(),
-                    "this top-level form")
-        val = self.eval(form, None)
+        try:
+            if isinstance(form, Cons) and isinstance(form.car, Symbol) \
+                    and form.car.name in EVENT_HEADS:
+                return self._event(form)
+            self._check(form, {name: name for name in self.bank}, set(),
+                        "this top-level form")
+            val = self.eval(form, None)
+        except RecursionError:
+            raise EvalError("nesting too deep: evaluation exceeded Python's "
+                            "recursion limit of %d" % sys.getrecursionlimit(),
+                            form=form) from None
         self.latch(val)
         return val
 
@@ -487,20 +483,23 @@ class Interp:
 
     def eval(self, form, env=None):
         if isinstance(form, Symbol):
-            if form is NIL or form is T or is_keyword(form):
-                return form
+            # NIL, T and keywords are never bound (see stobjs.bindable),
+            # so variables are looked up first.
+            name = form.name
             e = env
             while e is not None:
-                if form.name in e.vars:
-                    v = e.vars[form.name]
+                if name in e.vars:
+                    v = e.vars[name]
                     if isinstance(v, Poison):
-                        raise EvalError(v.reason, form=form)
+                        raise EvalError(v % name, form=form)
                     return v
                 e = e.parent
-            inst = self.bank.get(form.name)
+            if form is NIL or form is T or name[:1] == ":":
+                return form
+            inst = self.bank.get(name)
             if inst is not None:
                 return inst
-            raise EvalError("unbound variable %s" % form.name, form=form)
+            raise EvalError("unbound variable %s" % name, form=form)
         if isinstance(form, (int, str)):
             return form
         if not isinstance(form, Cons):
@@ -523,50 +522,41 @@ class Interp:
     def _eval_call(self, form, env):
         name = form.car.name
         arg_forms = _cons_args(form)
-        op = self.world.genops.get(name)
-        if op is not None and op.kind in ("create", "tbl-get", "tbl-put"):
+        target, inputs, _outputs = self.world.callee(name, len(arg_forms),
+                                                     form)
+        if type(target) is GeneratedOp and target.kind in STOBJ_LET_ONLY:
             # Blocked before argument evaluation: a tbl-get default must
             # not run outside stobj-let.
-            stobjs.apply_generated(self, op, [], form)
-        inputs, _outputs = self._shape(name, len(arg_forms), form)
+            stobjs.apply_generated(self, target, [], form)
         vals = []
         for aform, slot in zip(arg_forms, inputs):
             v = self.eval(aform, env)
-            _slot_check(name, slot, v, form)
+            # an ordinary slot rejects only stobjs and multiple values
+            if slot is not None or isinstance(v, (StobjInstance, MultiValue)):
+                _slot_check(name, slot, v, form)
             vals.append(v)
-        return self._dispatch(name, vals, form)
+        return self._dispatch(target, vals, form)
 
     def call(self, name, args, form=None):
         """Apply a named function to already-evaluated arguments."""
-        inputs, _outputs = self._shape(name, len(args), form)
+        target, inputs, _outputs = self.world.callee(name, len(args), form)
         for slot, v in zip(inputs, args):
             _slot_check(name, slot, v, form)
-        return self._dispatch(name, list(args), form)
+        return self._dispatch(target, list(args), form)
 
-    def _shape(self, name, nargs, form):
-        try:
-            return self.world.shape_of(name, nargs)
-        except EvalError as e:
-            raise EvalError(e.message, form=form)
-
-    def _dispatch(self, name, vals, form):
-        fd = self.world.functions.get(name)
-        if fd is not None:
-            return self._call_defun(fd, vals, form)
-        op = self.world.genops.get(name)
-        if op is not None:
-            return stobjs.apply_generated(self, op, vals, form)
-        sig = self.world.signatures.get(name)
-        if sig is not None:
-            target = self.world.attachments.get(name)
-            if target is None:
-                raise EvalError("constrained function %s has no attachment"
-                                % name, form=form)
-            return self._call_defun(self.world.functions[target], vals, form)
-        b = BUILTINS.get(name)
-        if b is not None:
-            return b.fn(self, vals, form)
-        raise EvalError("undefined function %s" % name, form=form)
+    def _dispatch(self, target, vals, form):
+        kind = type(target)
+        if kind is Builtin:
+            return target.fn(self, vals, form)
+        if kind is FunctionDef:
+            return self._call_defun(target, vals, form)
+        if kind is GeneratedOp:
+            return stobjs.apply_generated(self, target, vals, form)
+        attached = self.world.attachments.get(target.name)
+        if attached is None:
+            raise EvalError("constrained function %s has no attachment"
+                            % target.name, form=form)
+        return self._call_defun(self.world.functions[attached], vals, form)
 
     def _call_defun(self, fd, vals, form):
         env = Env(dict(zip(fd.formals, vals)))
@@ -597,13 +587,10 @@ class Interp:
             if isinstance(fn, Cons) else None
         if not parts or len(parts) != 3 or parts[0] is not LAMBDA:
             raise EvalError("not a function object: %s" % show(fn), form=form)
-        formals = list_items(parts[1], "lambda formals", form)
-        if not all(isinstance(f, Symbol) for f in formals):
-            raise EvalError("lambda formals must be symbols", form=form)
-        if len(formals) != len(args):
+        names = _formal_names(parts[1], "lambda", "this lambda", form)
+        if len(names) != len(args):
             raise EvalError("lambda takes %d arguments, got %d"
-                            % (len(formals), len(args)), form=form)
-        names = [f.name for f in formals]
+                            % (len(names), len(args)), form=form)
         # A function object takes no stobj, so none is live in its body.
         self._check(parts[2], {}, set(names), "this lambda")
         return self.eval(parts[2], Env(dict(zip(names, args))))
@@ -616,7 +603,7 @@ class Interp:
             if name in e.vars:
                 v = e.vars[name]
                 if isinstance(v, Poison):
-                    raise EvalError(v.reason, form=form)
+                    raise EvalError(v % name, form=form)
                 break
             e = e.parent
         else:
@@ -641,7 +628,7 @@ class Interp:
                 raise EvalError(
                     "stobj %s must be rebound to its own name, not %s"
                     % (val.spec.name, name), form=form)
-        elif self.world.stobj_spec(name) is not None:
+        elif name in self.world.stobjs:
             raise EvalError("stobj name %s may not be bound to an ordinary "
                             "value" % name, form=form)
 
@@ -667,12 +654,7 @@ class Interp:
             raise EvalError("defun takes a name, formals, and a body",
                             form=form)
         name = a[0].name
-        formals = list_items(a[1], "defun formals", form)
-        if not all(isinstance(f, Symbol) for f in formals):
-            raise EvalError("defun formals must be symbols", form=form)
-        fnames = [f.name for f in formals]
-        if len(set(fnames)) != len(fnames):
-            raise EvalError("duplicate formal in defun %s" % name, form=form)
+        fnames = _formal_names(a[1], "defun", "defun " + name, form)
         guard = measure = None
         stobjs_in = []
         body_forms = []
@@ -703,7 +685,7 @@ class Interp:
                     form=form)
         fd = FunctionDef(name, fnames, stobjs_in, guard, measure,
                          body_forms[0])
-        fd.out_shape = stobjs.check_defun(
+        fd.outputs = stobjs.check_defun(
             self.world, name, fd.formals, fd.stobjs_in, fd.body, guard,
             measure)
         self.world.add_event("defun", name, fd)
@@ -790,6 +772,18 @@ class Interp:
             self.bank.pop(name, None)
         stobj_table.retract(self.bank.values(), undone)
         return len(cut)
+
+
+def _formal_names(formals, what, owner, form):
+    """The names of a defun's or a lambda's formals: symbols that may be
+    bound, none twice."""
+    items = list_items(formals, what + " formals", form)
+    if not all(isinstance(f, Symbol) for f in items):
+        raise EvalError("%s formals must be symbols" % what, form=form)
+    names = [bindable(f, what + " formal", form).name for f in items]
+    if len(set(names)) != len(names):
+        raise EvalError("duplicate formal in %s" % owner, form=form)
+    return names
 
 
 def _slot_check(name, slot, v, form):

@@ -17,8 +17,9 @@ bug in one of the two walkers and not in the front end.
 from . import stobjs
 from .errors import (CapExceeded, EvalError, GuardViolation,
                      MeasureViolation, TranslateError)
-from .stobjs import (DO_ONLY_HEADS, MV, _cons_args, if_parts, let_parts,
-                     list_items, mv_let_parts, mv_parts, quote_parts)
+from .stobjs import (DO_ONLY_HEADS, MV, _cons_args, bindable, if_parts,
+                     let_parts, list_items, mv_let_parts, mv_parts,
+                     quote_parts)
 from .sexpr import (NIL, T, Cons, MultiValue, Symbol, from_pylist, intern,
                     is_keyword, show, to_pylist, truthy)
 
@@ -109,10 +110,8 @@ def _parse_do(spec, items, world):
     while i < len(items) and items[i] is WITH:
         if i + 1 >= len(items) or not isinstance(items[i + 1], Symbol):
             raise TranslateError("WITH needs a variable name", form=spec.form)
-        var = items[i + 1]
-        if var is NIL or var is T or is_keyword(var):
-            raise TranslateError("bad WITH variable %s" % show(var),
-                                 form=spec.form)
+        var = bindable(items[i + 1], "WITH variable", spec.form,
+                       TranslateError)
         if world.stobj_spec(var.name) is not None:
             raise TranslateError("WITH may not bind the stobj name %s; "
                                  "stobjs enter a DO loop through :VALUES"

@@ -20,12 +20,12 @@ DEFTHM = intern("DEFTHM")
 
 
 class Signature:
-    __slots__ = ("name", "inputs", "output")
+    __slots__ = ("name", "inputs", "outputs")
 
-    def __init__(self, name, inputs, output):
+    def __init__(self, name, inputs, outputs):
         self.name = name
         self.inputs = inputs
-        self.output = output
+        self.outputs = outputs
 
 
 def _parse_slot(x, world, form, what):
@@ -76,7 +76,7 @@ def parse_encapsulate(form, world):
                                 "%s" % (slot, name), form=form)
             inputs.append(slot)
         output = _parse_slot(parts[2], world, form, "a signature result")
-        sigs.append(Signature(name, tuple(inputs), output))
+        sigs.append(Signature(name, tuple(inputs), (output,)))
     return sigs
 
 
@@ -98,11 +98,11 @@ def parse_defattach(form, world):
             "cannot attach %s to %s: argument shapes differ (%s vs %s)"
             % (args[1].name, args[0].name, _shape_str(fd.inputs),
                _shape_str(sig.inputs)), form=form)
-    if fd.out_shape != (sig.output,):
+    if fd.outputs != sig.outputs:
         raise EvalError(
             "cannot attach %s to %s: result shapes differ (%s vs %s)"
-            % (args[1].name, args[0].name, _shape_str(fd.out_shape),
-               _shape_str((sig.output,))), form=form)
+            % (args[1].name, args[0].name, _shape_str(fd.outputs),
+               _shape_str(sig.outputs)), form=form)
     return args[0].name, args[1].name
 
 

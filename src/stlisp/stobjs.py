@@ -122,13 +122,15 @@ class StobjInstance:
         return self.print_name
 
 
-class Poison:
-    """Binding that makes a name unusable inside a scope."""
+class Poison(str):
+    """Binding that makes a name unusable inside a scope: the error text,
+    a format that takes the name when the name is read."""
 
-    __slots__ = ("reason",)
 
-    def __init__(self, reason):
-        self.reason = reason
+EXTRACTED_PARENT = Poison("%s is not available inside a stobj-let body "
+                          "that extracts from it")
+WRITTEN_CHILD = Poison("%s has been written back and is not available in "
+                       "the consumer")
 
 
 ### defstobj parsing
@@ -144,6 +146,7 @@ def parse_defstobj(form):
     name = args[1]
     if not isinstance(name, Symbol):
         raise EvalError("defstobj name must be a symbol", form=form)
+    bindable(name, "stobj name", form)
     fields = []
     seen = set()
     for fform in args[2:]:
@@ -215,6 +218,10 @@ class GeneratedOp:
         self.name = name
 
 
+# Kinds of generated op that only stobj-let may call.
+STOBJ_LET_ONLY = frozenset(("create", "tbl-get", "tbl-put"))
+
+
 def generated_ops(spec):
     ops = [GeneratedOp("create", spec, None, "CREATE-" + spec.name),
            GeneratedOp("recognize", spec, None, spec.name + "P")]
@@ -230,21 +237,26 @@ def generated_ops(spec):
     return ops
 
 
+# kind -> (inputs, outputs) of a generated op of the stobj named s.  Built
+# per call: kept on every op, the tuples cost memory in stobj-heavy
+# programs.
+_OP_SHAPES = {
+    "create": lambda s: ((), (s,)),
+    "recognize": lambda s: ((None,), (None,)),
+    "get": lambda s: ((s,), (None,)),
+    "update": lambda s: ((None, s), (s,)),
+    "tbl-get": lambda s: ((None, s, None), (FOLLOW,)),  # stobj-let only
+    "tbl-put": lambda s: ((None, None, s), (s,)),       # writeback only
+    "tbl-boundp": lambda s: ((None, s), (None,)),
+    "tbl-rem": lambda s: ((None, s), (s,)),
+    "tbl-count": lambda s: ((s,), (None,)),
+    "tbl-clear": lambda s: ((s,), (s,)),
+}
+
+
 def op_shape(op):
     """(inputs, outputs) for the static checker and call dispatch."""
-    s = op.spec.name
-    return {
-        "create": ((), (s,)),
-        "recognize": ((None,), (None,)),
-        "get": ((s,), (None,)),
-        "update": ((None, s), (s,)),
-        "tbl-get": ((None, s, None), (FOLLOW,)),   # restricted to stobj-let
-        "tbl-put": ((None, None, s), (s,)),        # internal writeback only
-        "tbl-boundp": ((None, s), (None,)),
-        "tbl-rem": ((None, s), (s,)),
-        "tbl-count": ((s,), (None,)),
-        "tbl-clear": ((s,), (s,)),
-    }[op.kind]
+    return _OP_SHAPES[op.kind](op.spec.name)
 
 
 def recognizer_value(spec, x):
@@ -340,6 +352,8 @@ def parse_stobj_let(form, world):
     if not outputs or not all(isinstance(o, Symbol) for o in outputs):
         raise EvalError("stobj-let outputs must be a non-empty list of names",
                         form=form)
+    for o in outputs:
+        bindable(o, "stobj-let output", form)
     if len(set(o.name for o in outputs)) != len(outputs):
         raise EvalError("duplicate stobj-let output", form=form)
     return StobjLetSpec(bindings, outputs, producer, consumer)
@@ -353,7 +367,7 @@ def _parse_accessor(child, accessor, world, form):
             "stobj-let accessor for %s must be (<table>-GET 'key parent "
             "default)" % child.name, form=form)
     opname, keyform, parentform, default = parts
-    entry = world.generated_op(opname.name)
+    entry = world.genops.get(opname.name)
     if entry is None or entry.kind != "tbl-get":
         raise EvalError("%s is not a stobj-table get operation" % opname.name,
                         form=form)
@@ -382,7 +396,7 @@ def _parse_accessor(child, accessor, world, form):
 def _creator_call(form, world):
     if isinstance(form, Cons) and isinstance(form.car, Symbol) \
             and form.cdr is NIL:
-        entry = world.generated_op(form.car.name)
+        entry = world.genops.get(form.car.name)
         if entry is not None and entry.kind == "create":
             return entry
     return None
@@ -407,8 +421,7 @@ def eval_stobj_let(interp, form, env):
         extracted.append((child, pname, op, hit))
 
     body_env = Env({c.name: inst for c, _, _, inst in extracted}, env)
-    poison = {p: Poison("%s is not available inside a stobj-let body that "
-                        "extracts from it" % p) for p in parents}
+    poison = dict.fromkeys(parents, EXTRACTED_PARENT)
     body_env = Env(poison, body_env)
 
     result = interp.eval(spec.producer, body_env)
@@ -442,9 +455,7 @@ def eval_stobj_let(interp, form, env):
     consumer_env = Env(parents, consumer_env)
     consumer_env = Env(consumer_bindings, consumer_env)
     # Children stay poisoned in the consumer: they may not escape.
-    child_poison = {c.name: Poison("%s has been written back and is not "
-                                   "available in the consumer" % c.name)
-                    for c, _, _, _ in extracted}
+    child_poison = {c.name: WRITTEN_CHILD for c, _, _, _ in extracted}
     consumer_env = Env(child_poison, consumer_env)
     return interp.eval(spec.consumer, consumer_env)
 
@@ -831,9 +842,8 @@ class Analyzer:
     def _analyze_call(self, expr, live, bound, tail):
         name = expr.car.name
         args = _cons_args(expr)
-        entry = self.world.generated_op(name)
-        if entry is not None and entry.kind in ("create", "tbl-get",
-                                                "tbl-put"):
+        entry = self.world.genops.get(name)
+        if entry is not None and entry.kind in STOBJ_LET_ONLY:
             where = {"create": "as a stobj-table default inside stobj-let",
                      "tbl-get": "inside stobj-let bindings",
                      "tbl-put": "through stobj-let writeback"}[entry.kind]
@@ -886,12 +896,13 @@ class Analyzer:
         return tuple(follow if o is FOLLOW else o for o in outputs)
 
     def _shape_of(self, name, nargs):
+        """(inputs, outputs) of a call, checking arity like the evaluator."""
         if name == self.fname:
-            if nargs != len(self.self_inputs):
-                raise EvalError("%s takes %d arguments, got %d"
-                                % (name, len(self.self_inputs), nargs))
+            n = len(self.self_inputs)
+            if nargs != n:
+                arity_error(name, nargs, n, n)
             return (self.self_inputs, self.self_output)
-        return self.world.shape_of(name, nargs)
+        return self.world.callee(name, nargs)[1:]
 
 
 def list_items(v, what, form, error=EvalError):
@@ -902,6 +913,28 @@ def list_items(v, what, form, error=EvalError):
 
 def _cons_args(expr, what="argument list", error=EvalError):
     return sexpr.to_pylist(expr.cdr, what, expr, error)
+
+
+def arity_error(name, got, lo, hi, form=None):
+    """Raise the error for a call of name with got arguments, outside lo
+    to hi (None: no upper bound)."""
+    if hi == lo:
+        want = str(lo)
+    elif hi is None:
+        want = "at least %d" % lo
+    else:
+        want = "%d to %d" % (lo, hi)
+    raise EvalError("%s takes %s argument%s, got %d"
+                    % (name, want, "" if want == "1" else "s", got),
+                    form=form)
+
+
+def bindable(var, what, form, error=EvalError):
+    """var, unless it is NIL, T or a keyword, which name constants and so
+    may never be bound; then error naming what binds it and form."""
+    if var is NIL or var is T or sexpr.is_keyword(var):
+        raise error("bad %s %s" % (what, var.name), form=form)
+    return var
 
 
 def _is_declare(form):
@@ -951,7 +984,8 @@ def let_parts(form, error=EvalError):
         if not (isinstance(b, Cons) and isinstance(b.car, Symbol)
                 and isinstance(b.cdr, Cons) and b.cdr.cdr is NIL):
             break
-        pairs.append((b.car, b.cdr.car))
+        pairs.append((bindable(b.car, name + " variable", form, error),
+                      b.cdr.car))
         rest = rest.cdr
     if rest is not NIL:
         raise error("malformed %s bindings" % name, form=form)
@@ -975,7 +1009,7 @@ def mv_let_parts(form, error=EvalError):
     vars_ = []
     rest = a[0]
     while isinstance(rest, Cons) and isinstance(rest.car, Symbol):
-        vars_.append(rest.car)
+        vars_.append(bindable(rest.car, "MV-LET variable", form, error))
         rest = rest.cdr
     if rest is not NIL or len(vars_) < 2:
         raise error("MV-LET needs two or more variable names", form=form)

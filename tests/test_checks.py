@@ -1,0 +1,300 @@
+"""The texts of the evaluator's checks, pinned in both modes; passing
+checks that format nothing; one callee lookup shared by the analyzer and
+the evaluator; names that may never be bound; deep recursion."""
+
+import pytest
+
+from stlisp import kernel, loops, stobjs
+from stlisp.errors import (EvalError, GuardViolation, LinearityError,
+                           TranslateError)
+from stlisp.kernel import Interp
+from stlisp.sexpr import NIL, T, Cons, intern, read
+
+MODES = ("logical", "native")
+
+PRELUDE = """
+(defstobj st val)
+(defstobj switch fld)
+(defstobj top (tbl :type (stobj-table)))
+(encapsulate (((f *) => *)))
+(defun g (x) x)
+(defun half (n) (declare (xargs :guard (natp n))) n)
+"""
+
+
+def prelude(mode):
+    interp = Interp(mode=mode)
+    interp.eval_text(PRELUDE)
+    return interp
+
+
+def failure(interp, text):
+    with pytest.raises(EvalError) as exc:
+        interp.eval_text(text)
+    return type(exc.value), str(exc.value)
+
+
+# ----------------------------------------------- passing checks format nothing
+
+PASSING = [
+    ("(+ 1 2 3)", 6), ("(- 5 3)", 2), ("(- 4)", -4), ("(* 2 3)", 6),
+    ("(1+ 1)", 2), ("(1- 1)", 0), ("(< 1 2)", T), ("(<= 2 2)", T),
+    ("(= 3 4)", NIL), ("(zp 0)", T), ("(zp 4)", NIL), ("(car '(1 2))", 1),
+    ("(car nil)", NIL), ("(cdr nil)", NIL), ("(eq 'a 'a)", T),
+    ("(eq 'a 1)", NIL), ("(half 3)", 3),
+    ("(flip-switch top)", None), ("(peek-switch top)", T),
+    ("(loop$ with i of-type integer = 3 with acc of-type integer = 0 do "
+     ":guard (natp i) (if (zp i) (return acc) "
+     "(progn (setq acc (+ acc i)) (setq i (1- i)))))", 6),
+]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_passing_checks_format_nothing(mode, monkeypatch):
+    interp = prelude(mode)
+    interp.eval_text("""
+      (defun flip-switch (top)
+        (declare (xargs :stobjs (top)))
+        (stobj-let ((switch (tbl-get 'switch top (create-switch))))
+                   (switch)
+                   (update-fld (not (fld switch)) switch)
+                   top))
+      (defun peek-switch (top)
+        (declare (xargs :stobjs (top)))
+        (stobj-let ((switch (tbl-get 'switch top (create-switch))))
+                   (flg)
+                   (fld switch)
+                   flg))
+    """)
+
+    def no_show(v):
+        raise AssertionError("show called on a passing check")
+
+    for module in (kernel, stobjs, loops):
+        monkeypatch.setattr(module, "show", no_show)
+    for text, want in PASSING:
+        got = interp.eval_text(text)[0][1]
+        if want is not None:
+            assert got is want or got == want, text
+    cdr = interp.eval_text("(cdr '(1 2))")[0][1]
+    assert isinstance(cdr, Cons) and cdr.car == 2
+
+
+# ----------------------------------------------------- full texts, pinned
+
+FAILING = [
+    ("(+ 1 'a)", GuardViolation,
+     "guard violation in (+ 1 (QUOTE A)): A is not an integer "
+     "in (+ 1 (QUOTE A))"),
+    ("(- 'x)", GuardViolation,
+     "guard violation in (- (QUOTE X)): X is not an integer "
+     "in (- (QUOTE X))"),
+    ('(- 1 "s")', GuardViolation,
+     'guard violation in (- 1 "s"): "s" is not an integer in (- 1 "s")'),
+    ("(* 2 'y)", GuardViolation,
+     "guard violation in (* 2 (QUOTE Y)): Y is not an integer "
+     "in (* 2 (QUOTE Y))"),
+    ("(1+ nil)", GuardViolation,
+     "guard violation in (1+ NIL): NIL is not an integer in (1+ NIL)"),
+    ("(1- '(1))", GuardViolation,
+     "guard violation in (1- (QUOTE (1))): (1) is not an integer "
+     "in (1- (QUOTE (1)))"),
+    ("(< 'a 1)", GuardViolation,
+     "guard violation in (< (QUOTE A) 1): A is not an integer "
+     "in (< (QUOTE A) 1)"),
+    ("(<= 1 'b)", GuardViolation,
+     "guard violation in (<= 1 (QUOTE B)): B is not an integer "
+     "in (<= 1 (QUOTE B))"),
+    ("(= 'c 2)", GuardViolation,
+     "guard violation in (= (QUOTE C) 2): C is not an integer "
+     "in (= (QUOTE C) 2)"),
+    ("(zp -1)", GuardViolation,
+     "guard violation in (ZP -1): -1 is not a natural number in (ZP -1)"),
+    ("(zp 'a)", GuardViolation,
+     "guard violation in (ZP (QUOTE A)): A is not a natural number "
+     "in (ZP (QUOTE A))"),
+    ("(car 5)", GuardViolation,
+     "guard violation in (CAR 5): 5 is neither a cons nor NIL in (CAR 5)"),
+    ('(cdr "s")', GuardViolation,
+     'guard violation in (CDR "s"): "s" is neither a cons nor NIL '
+     'in (CDR "s")'),
+    ("(eq 1 2)", GuardViolation,
+     "guard violation in (EQ 1 2): EQ needs a symbol argument in (EQ 1 2)"),
+    ("(half -2)", GuardViolation,
+     "guard violation calling HALF: :guard (NATP N) failed in (HALF -2)"),
+    ("(car 1 2)", EvalError, "CAR takes 1 argument, got 2 in (CAR 1 2)"),
+    ("(- )", EvalError, "- takes 1 to 2 arguments, got 0 in (-)"),
+    ("(cons 1)", EvalError, "CONS takes 2 arguments, got 1 in (CONS 1)"),
+    ("(val)", EvalError, "VAL takes 1 argument, got 0 in (VAL)"),
+    ("(update-val 1)", EvalError,
+     "UPDATE-VAL takes 2 arguments, got 1 in (UPDATE-VAL 1)"),
+    ("(f 1 2)", EvalError, "F takes 1 argument, got 2 in (F 1 2)"),
+    ("(g)", EvalError, "G takes 1 argument, got 0 in (G)"),
+    ("(nosuch 1)", EvalError, "undefined function NOSUCH in (NOSUCH 1)"),
+    ("(apply$ 'car '(1 2))", EvalError,
+     "CAR takes 1 argument, got 2 in (APPLY$ (QUOTE CAR) (QUOTE (1 2)))"),
+    ("(apply$ 'val '())", EvalError,
+     "VAL takes 1 argument, got 0 in (APPLY$ (QUOTE VAL) (QUOTE NIL))"),
+    ("(apply$ 'f '(1 2))", EvalError,
+     "F takes 1 argument, got 2 in (APPLY$ (QUOTE F) (QUOTE (1 2)))"),
+    ("(apply$ 'g '())", EvalError,
+     "G takes 1 argument, got 0 in (APPLY$ (QUOTE G) (QUOTE NIL))"),
+    ("(apply$ 'nosuch '(1))", EvalError,
+     "undefined function NOSUCH in (APPLY$ (QUOTE NOSUCH) (QUOTE (1)))"),
+    ("(f 1)", EvalError, "constrained function F has no attachment in (F 1)"),
+]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("text,cls,message", FAILING,
+                         ids=[t for t, _, _ in FAILING])
+def test_failing_check_text(mode, text, cls, message):
+    assert failure(prelude(mode), text) == (cls, message)
+
+
+POISONED = [
+    ("(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
+     "(flg) (tbl-count top) flg)",
+     "TOP is not available inside a stobj-let body that extracts from it "
+     "in TOP"),
+    ("(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
+     "(switch) (update-fld t switch) (fld switch))",
+     "SWITCH has been written back and is not available in the consumer "
+     "in SWITCH"),
+]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("text,message", POISONED,
+                         ids=["parent", "child"])
+def test_poison_text(mode, text, message):
+    # The analyzer rejects both forms; evaluating them directly reaches
+    # the poisoned bindings, the runtime backstop.
+    with pytest.raises(LinearityError):
+        prelude(mode).eval_text(text)
+    with pytest.raises(EvalError) as exc:
+        prelude(mode).eval(read(text), None)
+    assert type(exc.value) is EvalError
+    assert str(exc.value) == message
+
+
+# ------------------------------- the analyzer and the evaluator agree on calls
+
+# One bad call of each kind of callee: builtin, generated op, constrained
+# function, defun, and an undefined name.
+BAD_CALLS = ["(car 1 2)", "(val)", "(f 1 2)", "(g)", "(nosuch 1)"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("text", BAD_CALLS)
+def test_analyzer_and_evaluator_give_one_call_text(mode, text):
+    interp = prelude(mode)
+    # at top level the analyzer raises before evaluation
+    analyzed = failure(interp, text)
+    # evaluating the form directly skips the analyzer
+    with pytest.raises(EvalError) as exc:
+        interp.eval(read(text), None)
+    assert analyzed == (EvalError, str(exc.value))
+    # inside a defun body the analyzer records it as an R1 violation
+    with pytest.raises(LinearityError) as exc:
+        interp.eval_text("(defun h (x) (if x %s x))" % text)
+    assert exc.value.violations == ["R1: " + analyzed[1]]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_self_call_arity_text_matches_other_calls(mode):
+    interp = prelude(mode)
+    with pytest.raises(LinearityError) as exc:
+        interp.eval_text("(defun r (x) (if x (r x x) x))")
+    assert exc.value.violations == ["R1: R takes 1 argument, got 2 "
+                                    "in (R X X)"]
+
+
+# ------------------------------------------------ names that are never bound
+
+UNBINDABLE = [
+    ("(defun h (t) t)", EvalError, "bad defun formal T in (DEFUN H (T) T)"),
+    ("(defun h (:k) 1)", EvalError,
+     "bad defun formal :K in (DEFUN H (:K) 1)"),
+    ("(let ((t 5)) t)", LinearityError,
+     "single-threadedness violation in this top-level form:\n"
+     "  R1: bad LET variable T in (LET ((T 5)) T)"),
+    ("(let* ((nil 5)) nil)", LinearityError,
+     "single-threadedness violation in this top-level form:\n"
+     "  R1: bad LET* variable NIL in (LET* ((NIL 5)) NIL)"),
+    ("(mv-let (a t) (mv 1 2) a)", LinearityError,
+     "single-threadedness violation in this top-level form:\n"
+     "  R1: bad MV-LET variable T in (MV-LET (A T) (MV 1 2) A)"),
+    ("(defun h (x) (let ((:k x)) :k))", LinearityError,
+     "single-threadedness violation in H:\n"
+     "  R1: bad LET variable :K in (LET ((:K X)) :K)"),
+    ("(apply$ '(lambda (t) t) '(5))", EvalError,
+     "bad lambda formal T in (APPLY$ (QUOTE (LAMBDA (T) T)) (QUOTE (5)))"),
+    ("(loop$ with x = 0 do (let ((t 1)) (return x)))", LinearityError,
+     "single-threadedness violation in this top-level form:\n"
+     "  R1: bad LET variable T in (LET ((T 1)) (RETURN X))"),
+    ("(defstobj t fld)", EvalError, "bad stobj name T in (DEFSTOBJ T FLD)"),
+    ("(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
+     "(t) (fld switch) t)", LinearityError,
+     "single-threadedness violation in this top-level form:\n"
+     "  R1: bad stobj-let output T in (STOBJ-LET ((SWITCH (TBL-GET "
+     "(QUOTE SWITCH) TOP (CREATE-SWITCH)))) (T) (FLD SWITCH) T)"),
+]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("text,cls,message", UNBINDABLE,
+                         ids=[t for t, _, _ in UNBINDABLE])
+def test_constant_names_may_not_be_bound(mode, text, cls, message):
+    assert failure(prelude(mode), text) == (cls, message)
+
+
+def test_do_body_binding_of_a_constant_is_a_translate_error():
+    interp = Interp()
+    form = read("(loop$ with x = 0 do (mv-let (a nil) (mv 1 2) (return a)))")
+    spec = loops.parse_loop(form, interp.world)
+    with pytest.raises(TranslateError) as exc:
+        loops.make_do_plan(spec, interp.world)
+    assert str(exc.value) == ("bad MV-LET variable NIL in "
+                              "(MV-LET (A NIL) (MV 1 2) (RETURN A))")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_constants_still_evaluate_to_themselves(mode):
+    interp = prelude(mode)
+    assert interp.eval_text("(let ((x 1)) t)")[0][1] is T
+    assert interp.eval_text("(g nil)")[0][1] is NIL
+    assert interp.eval_text("(g :k)")[0][1] is intern(":K")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_duplicate_lambda_formals_rejected_like_defun(mode):
+    interp = prelude(mode)
+    assert failure(interp, "(defun d (x x) x)") == (
+        EvalError, "duplicate formal in defun D in (DEFUN D (X X) X)")
+    assert failure(interp, "(apply$ '(lambda (x x) x) '(1 2))") == (
+        EvalError, "duplicate formal in this lambda in "
+        "(APPLY$ (QUOTE (LAMBDA (X X) X)) (QUOTE (1 2)))")
+
+
+# ------------------------------------------------------------ deep recursion
+
+COUNT = """
+(defun cnt (n acc)
+  (declare (xargs :measure (nfix n)))
+  (if (zp n) acc (cnt (1- n) (1+ acc))))
+"""
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_deep_recursion_is_an_eval_error(mode):
+    interp = Interp(mode=mode)
+    interp.eval_text(COUNT)
+    assert interp.eval_text("(cnt 50 0)")[0][1] == 50
+    cls, message = failure(interp, "(cnt 2000 0)")
+    assert cls is EvalError
+    assert message.startswith("nesting too deep: evaluation exceeded "
+                              "Python's recursion limit of ")
+    assert message.endswith(" in (CNT 2000 0)")
+    # the session is still usable, and no measure is left pending
+    assert interp.eval_text("(cnt 50 0)")[0][1] == 50

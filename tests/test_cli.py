@@ -133,6 +133,31 @@ def test_diff_skips_errors_common_to_both_modes(capsys, tmp_path):
     assert out.splitlines()[-1] == "equivalent (3 forms, 0 stobjs)"
 
 
+DEEP_COUNT = ("(defun cnt (n acc) (declare (xargs :measure (nfix n))) "
+              "(if (zp n) acc (cnt (1- n) (1+ acc))))\n(cnt 2000 0)\n")
+DEEP_ERROR = ("nesting too deep: evaluation exceeded Python's recursion "
+              "limit of %d in (CNT 2000 0)" % sys.getrecursionlimit())
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_run_deep_recursion_ends_in_one_error_line(capsys, tmp_path, mode):
+    f = tmp_path / "deep.lisp"
+    f.write_text(DEEP_COUNT)
+    code, out = run_cli(capsys, ["run", "--mode", mode, str(f)])
+    assert code == 1
+    assert out.splitlines() == ["CNT", "error: " + DEEP_ERROR]
+
+
+def test_diff_deep_recursion_is_an_error_in_both_modes(capsys, tmp_path):
+    f = tmp_path / "deep.lisp"
+    f.write_text(DEEP_COUNT)
+    code, out = run_cli(capsys, ["diff", str(f)])
+    assert code == 0
+    assert out.splitlines() == [
+        "form 2 skipped (EvalError in both modes: %s)" % DEEP_ERROR,
+        "equivalent (2 forms, 0 stobjs)"]
+
+
 def test_diff_missing_file(capsys):
     code, out = run_cli(capsys, ["diff", "/nonexistent/x.lisp"])
     assert code == 1 and out.startswith("error:")
