@@ -13,24 +13,13 @@ import sys
 from . import loops, refinement, sexpr, stobjs, stobj_table
 from .errors import (EvalError, GuardViolation, LinearityError,
                      MeasureViolation)
-from .sexpr import (NIL, T, Cons, MultiValue, Symbol, from_bool, intern,
-                    show, truthy)
+from .sexpr import (NIL, T, Cons, Env, MultiValue, Symbol, from_bool,
+                    intern, show, truthy)
 from .stobjs import (DO_ONLY_HEADS, EVENT_HEADS, FOLLOW, POLY,
                      STOBJ_LET_ONLY, GeneratedOp, Poison, StobjInstance,
                      _cons_args, arity_error, bindable, generated_ops,
                      if_parts, let_parts, list_items, mv_let_parts, mv_parts,
                      op_shape, quote_parts)
-
-
-class Env:
-    """Chained lexical scope.  Frames are never mutated after binding,
-    except the native loop executor's slots frame, which owns its dict."""
-
-    __slots__ = ("vars", "parent")
-
-    def __init__(self, vars, parent=None):
-        self.vars = vars
-        self.parent = parent
 
 
 class FunctionDef:
@@ -341,14 +330,15 @@ def _sf_quote(interp, form, env):
 
 
 def _sf_if(interp, form, env):
-    a = if_parts(form)
-    test = interp.eval(a[0], env)
-    _value_check(test, "an IF test", form)
-    if truthy(test):
-        return interp.eval(a[1], env)
-    if len(a) == 3:
-        return interp.eval(a[2], env)
-    return NIL
+    test, then, els = if_parts(form)
+    v = interp.eval(test, env)
+    if isinstance(v, (MultiValue, StobjInstance)):
+        _value_check(v, "an IF test", form)
+    if v is not NIL:
+        return interp.eval(then, env)
+    if els is None:
+        return NIL
+    return interp.eval(els, env)
 
 
 def _value_check(v, what, form):
@@ -361,46 +351,56 @@ def _value_check(v, what, form):
 
 
 def _sf_let(interp, form, env):
-    pairs, body = let_parts(form)
+    bindings, body = let_parts(form)
     frame = {}
-    for var, rhs in pairs:
-        val = interp.eval(rhs, env)
-        interp.check_binding(var.name, val, form)
-        frame[var.name] = val
+    while bindings is not NIL:
+        b = bindings.car
+        name = b.car.name
+        val = interp.eval(b.cdr.car, env)
+        interp.check_binding(name, val, form)
+        frame[name] = val
+        bindings = bindings.cdr
     return interp.eval(body, Env(frame, env))
 
 
 def _sf_letstar(interp, form, env):
-    pairs, body = let_parts(form)
-    cur = env
-    for var, rhs in pairs:
-        val = interp.eval(rhs, cur)
-        interp.check_binding(var.name, val, form)
-        cur = Env({var.name: val}, cur)
-    return interp.eval(body, cur)
+    bindings, body = let_parts(form)
+    while bindings is not NIL:
+        b = bindings.car
+        name = b.car.name
+        val = interp.eval(b.cdr.car, env)
+        interp.check_binding(name, val, form)
+        env = Env({name: val}, env)
+        bindings = bindings.cdr
+    return interp.eval(body, env)
 
 
 def _sf_mv(interp, form, env):
     vals = []
-    for x in mv_parts(form):
-        v = interp.eval(x, env)
+    node = mv_parts(form)
+    while node is not NIL:
+        v = interp.eval(node.car, env)
         if isinstance(v, MultiValue):
             raise EvalError("multiple values are not a single MV component",
                             form=form)
         vals.append(v)
+        node = node.cdr
     return MultiValue(vals)
 
 
 def _sf_mv_let(interp, form, env):
     vars_, rhs, body = mv_let_parts(form)
     val = interp.eval(rhs, env)
-    if not isinstance(val, MultiValue) or len(val.values) != len(vars_):
+    n = sexpr.list_length(vars_)
+    if not isinstance(val, MultiValue) or len(val.values) != n:
         raise EvalError("MV-LET expected %d values from %s"
-                        % (len(vars_), show(rhs)), form=form)
+                        % (n, show(rhs)), form=form)
     frame = {}
-    for var, v in zip(vars_, val.values):
-        interp.check_binding(var.name, v, form)
-        frame[var.name] = v
+    for v in val.values:
+        name = vars_.car.name
+        interp.check_binding(name, v, form)
+        frame[name] = v
+        vars_ = vars_.cdr
     return interp.eval(body, Env(frame, env))
 
 
@@ -412,11 +412,25 @@ def _sf_stobj_let(interp, form, env):
     return stobjs.eval_stobj_let(interp, form, env)
 
 
+def _sf_event(interp, form, env):
+    raise EvalError("%s is only legal at the top level" % form.car.name,
+                    form=form)
+
+
+def _sf_do_only(interp, form, env):
+    raise EvalError("%s is legal only inside DO and FINALLY bodies"
+                    % form.car.name, form=form)
+
+
+# Every head the evaluator does not treat as a call, so a call node makes
+# one lookup.
 _SPECIAL = {
     "QUOTE": _sf_quote, "IF": _sf_if, "LET": _sf_let, "LET*": _sf_letstar,
     "MV": _sf_mv, "MV-LET": _sf_mv_let, "LOOP$": _sf_loop,
     "STOBJ-LET": _sf_stobj_let,
 }
+_SPECIAL.update(dict.fromkeys(EVENT_HEADS, _sf_event))
+_SPECIAL.update(dict.fromkeys(DO_ONLY_HEADS, _sf_do_only))
 
 
 ### the interpreter
@@ -511,30 +525,31 @@ class Interp:
         handler = _SPECIAL.get(head.name)
         if handler is not None:
             return handler(self, form, env)
-        if head.name in EVENT_HEADS:
-            raise EvalError("%s is only legal at the top level" % head.name,
-                            form=form)
-        if head.name in DO_ONLY_HEADS:
-            raise EvalError("%s is legal only inside DO and FINALLY bodies"
-                            % head.name, form=form)
         return self._eval_call(form, env)
 
     def _eval_call(self, form, env):
         name = form.car.name
-        arg_forms = _cons_args(form)
-        target, inputs, _outputs = self.world.callee(name, len(arg_forms),
-                                                     form)
+        nargs = 0
+        node = form.cdr
+        while isinstance(node, Cons):
+            nargs += 1
+            node = node.cdr
+        if node is not NIL:
+            _cons_args(form)  # raises: not a proper list
+        target, inputs, _outputs = self.world.callee(name, nargs, form)
         if type(target) is GeneratedOp and target.kind in STOBJ_LET_ONLY:
             # Blocked before argument evaluation: a tbl-get default must
             # not run outside stobj-let.
             stobjs.apply_generated(self, target, [], form)
         vals = []
-        for aform, slot in zip(arg_forms, inputs):
-            v = self.eval(aform, env)
+        node = form.cdr
+        for slot in inputs:   # one slot per argument, arity checked
+            v = self.eval(node.car, env)
             # an ordinary slot rejects only stobjs and multiple values
             if slot is not None or isinstance(v, (StobjInstance, MultiValue)):
                 _slot_check(name, slot, v, form)
             vals.append(v)
+            node = node.cdr
         return self._dispatch(target, vals, form)
 
     def call(self, name, args, form=None):

@@ -18,10 +18,10 @@ from . import stobjs
 from .errors import (CapExceeded, EvalError, GuardViolation,
                      MeasureViolation, TranslateError)
 from .stobjs import (DO_ONLY_HEADS, MV, _cons_args, bindable, if_parts,
-                     let_parts, list_items, mv_let_parts, mv_parts,
-                     quote_parts)
-from .sexpr import (NIL, T, Cons, MultiValue, Symbol, from_pylist, intern,
-                    is_keyword, show, to_pylist, truthy)
+                     let_pairs, let_parts, list_items, mv_let_parts,
+                     mv_parts, quote_parts)
+from .sexpr import (NIL, T, Cons, Env, MultiValue, Symbol, from_pylist,
+                    intern, is_keyword, iter_conses, show, to_pylist, truthy)
 
 WITH = intern("WITH")
 FOR = intern("FOR")
@@ -292,17 +292,17 @@ class _Parser:
             "mv-let/progn/setq/mv-setq/return/loop-finish" % show(s), form=s)
 
     def _stmt_if(self, s, rest, scope):
-        args = if_parts(s, TranslateError)
-        test = self.expr(args[0], scope)
-        tbr = self._stmt_progn([args[1]] + rest, scope)
-        fbr = self._stmt_progn(args[2:] + rest, scope)
+        test, then, els = if_parts(s, TranslateError)
+        test = self.expr(test, scope)
+        tbr = self._stmt_progn([then] + rest, scope)
+        fbr = self._stmt_progn(rest if els is None else [els] + rest, scope)
         return ("if", test, tbr, fbr, s)
 
     def _stmt_let(self, s, scope, sequential):
-        pairs, body = let_parts(s, TranslateError)
+        bindings, body = let_parts(s, TranslateError)
         cur_scope = set(scope)
         names, rhss = [], []
-        for var, rhs in pairs:
+        for var, rhs in let_pairs(bindings):
             if var.name in self.settables:
                 raise TranslateError(
                     "a statement-position %s may not rebind the settable "
@@ -319,6 +319,7 @@ class _Parser:
 
     def _stmt_mv_let(self, s, scope):
         vars_, rhs, body = mv_let_parts(s, TranslateError)
+        vars_ = list(iter_conses(vars_))
         for v in vars_:
             if v.name in self.settables:
                 raise TranslateError(
@@ -411,7 +412,7 @@ class _Parser:
             raise TranslateError(
                 "with :VALUES of length %d, RETURN needs a literal (MV ..) "
                 "of that arity" % len(sig), form=s)
-        comps = mv_parts(e, TranslateError)
+        comps = list(iter_conses(mv_parts(e, TranslateError)))
         if len(comps) != len(sig):
             raise TranslateError(
                 "RETURN supplies %d values for %d :VALUES slots"
@@ -459,9 +460,9 @@ def _scan_expr(e, scope, settables, what):
         raise TranslateError("%s is not supported inside a DO body" % name,
                              form=e)
     if name in ("LET", "LET*"):
-        pairs, body = let_parts(e, TranslateError)
+        bindings, body = let_parts(e, TranslateError)
         cur = set(scope)
-        for var, rhs in pairs:
+        for var, rhs in let_pairs(bindings):
             _scan_expr(rhs, cur if name == "LET*" else scope, settables,
                        what)
             cur.add(var.name)
@@ -470,13 +471,14 @@ def _scan_expr(e, scope, settables, what):
     if name == "MV-LET":
         vars_, rhs, body = mv_let_parts(e, TranslateError)
         _scan_expr(rhs, scope, settables, what)
-        _scan_expr(body, set(scope) | {v.name for v in vars_}, settables,
-                   what)
+        _scan_expr(body, set(scope) | {v.name for v in iter_conses(vars_)},
+                   settables, what)
         return
     if name == "IF":
-        args = if_parts(e, TranslateError)
+        if_parts(e, TranslateError)
+        args = iter_conses(e.cdr)
     elif name == "MV":
-        args = mv_parts(e, TranslateError)
+        args = iter_conses(mv_parts(e, TranslateError))
     else:
         args = _cons_args(e, error=TranslateError)
     for a in args:
@@ -567,7 +569,6 @@ def check_of_type(interp, var, value, form, iteration):
 ### shared setup and result decoding
 
 def initial_bindings(interp, spec, env, form):
-    from .kernel import Env
     entries = []
     cur = env
     for name, typ, init in spec.withs:
@@ -655,7 +656,6 @@ def _frame(interp, node, env, plan, n):
 def _walk_logical(interp, node, env, plan, n):
     """Run a statement tree without assignment: each SETQ or MV-SETQ
     binds a new frame.  Returns (token, value, env at the leaf)."""
-    from .kernel import Env
     while True:
         tag = node[0]
         if tag == "if":
@@ -674,7 +674,6 @@ def _walk_logical(interp, node, env, plan, n):
 def _walk_native(interp, node, env, slots, plan, n):
     """Run a statement tree, assigning each SETQ and MV-SETQ into the
     slots frame at the root of env.  Returns (token, value)."""
-    from .kernel import Env
     while True:
         tag = node[0]
         if tag == "if":
@@ -705,7 +704,6 @@ def _result(spec, token, value, form):
 # entry each, so the environment is read from it by position.
 
 def _alist_env(interp, plan, alist):
-    from .kernel import Env
     if interp.trace:
         assert [e.car.name for e in to_pylist(alist)] == plan.settables
     frame = {}
@@ -781,7 +779,6 @@ def run_do(interp, spec, plan, env, form):
 ### the native imperative path
 
 def native_exec(interp, spec, plan, env, form):
-    from .kernel import Env
     slots = dict(initial_bindings(interp, spec, env, form))
     base = Env(slots)
     n = 0
@@ -810,7 +807,6 @@ def native_exec(interp, spec, plan, env, form):
 ### FOR loops
 
 def for_exec(interp, spec, env, form):
-    from .kernel import Env
     rng = interp.eval(spec.for_range, env)
     items = []
     node = rng

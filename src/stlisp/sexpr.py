@@ -1,4 +1,4 @@
-"""S-expression values, reader, and printer.
+"""S-expression values, the evaluator's scope chain, reader, and printer.
 
 Value universe: interned symbols, Python ints, Python strings, and
 Cons pairs.  NIL doubles as the false value and the empty list; T is
@@ -63,6 +63,17 @@ class MultiValue:
 
     def __repr__(self):
         return show(self)
+
+
+class Env:
+    """Chained lexical scope.  Frames are never mutated after binding,
+    except the native loop executor's slots frame, which owns its dict."""
+
+    __slots__ = ("vars", "parent")
+
+    def __init__(self, vars, parent=None):
+        self.vars = vars
+        self.parent = parent
 
 
 def is_keyword(v):
@@ -282,9 +293,8 @@ def classify_atom(token, line=None, col=None):
 def read(text):
     """Read a single form from text; trailing content is an error."""
     r = _Reader(text)
-    form = r.read_form()
-    if form is _DOT:
-        r.error("stray dot")
+    r.skip_blank()
+    form = _read_top(r)
     if not r.at_eof():
         r.error("trailing content after form")
     return form
@@ -294,11 +304,22 @@ def read_all(text):
     r = _Reader(text)
     forms = []
     while not r.at_eof():
-        form = r.read_form()
-        if form is _DOT:
-            r.error("stray dot")
-        forms.append(form)
+        forms.append(_read_top(r))
     return forms
+
+
+def _read_top(r):
+    """The top-level form that starts where r stands.  The reader
+    recurses once per nesting level, so input nested past Python's
+    recursion limit is a ReadError at the form's start."""
+    line, col = r.line, r.col
+    try:
+        form = r.read_form()
+    except RecursionError:
+        raise ReadError("nesting too deep", line=line, col=col) from None
+    if form is _DOT:
+        r.error("stray dot")
+    return form
 
 
 def balanced(text):

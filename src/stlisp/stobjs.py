@@ -20,7 +20,7 @@ of scope and rejected up front.
 """
 
 from . import sexpr, stobj_table
-from .sexpr import NIL, T, Cons, Symbol, intern, show, from_bool, truthy
+from .sexpr import NIL, T, Cons, Env, Symbol, intern, show, from_bool
 from .errors import EvalError, LinearityError
 from .stobj_table import TableCell
 
@@ -317,56 +317,68 @@ class StobjLetSpec:
     __slots__ = ("bindings", "outputs", "producer", "consumer")
 
     def __init__(self, bindings, outputs, producer, consumer):
-        self.bindings = bindings    # [(child Symbol, parent Symbol, op, default form)]
+        # [(child Symbol, parent Symbol, tbl-get op, create op)]
+        self.bindings = bindings
         self.outputs = outputs      # [Symbol]
         self.producer = producer
         self.consumer = consumer
 
 
 def parse_stobj_let(form, world):
-    args = list_items(form, "stobj-let form", form)
-    if len(args) != 5:
+    """The checked parts of a stobj-let.  It runs on every evaluation, so
+    it reads the form in place and lists only the bindings and outputs."""
+    if _proper_length(form) != 5:
+        list_items(form, "stobj-let form", form)  # raises if dotted
         raise EvalError(
             "stobj-let takes bindings, outputs, a producer, and a consumer",
             form=form)
-    _, bindings_form, outputs_form, producer, consumer = args
+    a = form.cdr
+    bindings_form, a = a.car, a.cdr
+    outputs_form, a = a.car, a.cdr
+    producer, consumer = a.car, a.cdr.car
+    if _proper_length(bindings_form) < 0:
+        list_items(bindings_form, "stobj-let bindings", form)  # raises
     bindings = []
-    seen_children = set()
-    for bform in list_items(bindings_form, "stobj-let bindings", form):
-        parts = list_items(bform, "stobj-let binding", form)
-        if len(parts) != 2 or not isinstance(parts[0], Symbol):
+    while bindings_form is not NIL:
+        bform = bindings_form.car
+        bindings_form = bindings_form.cdr
+        if _proper_length(bform) != 2 or not isinstance(bform.car, Symbol):
+            list_items(bform, "stobj-let binding", form)  # raises if dotted
             raise EvalError("malformed stobj-let binding %s" % show(bform),
                             form=form)
-        child, accessor = parts
+        child = bform.car
         if world.stobj_spec(child.name) is None:
             raise EvalError("stobj-let binds %s, which is not a defined stobj"
                             % child.name, form=form)
-        if child.name in seen_children:
-            raise EvalError(
-                "stobj-let binds %s twice; one binding per child, and the "
-                "same child may not be drawn from two tables" % child.name,
-                form=form)
-        seen_children.add(child.name)
-        bindings.append(_parse_accessor(child, accessor, world, form))
+        for earlier in bindings:
+            if earlier[0] is child:
+                raise EvalError(
+                    "stobj-let binds %s twice; one binding per child, and "
+                    "the same child may not be drawn from two tables"
+                    % child.name, form=form)
+        bindings.append(_parse_accessor(child, bform.cdr.car, world, form))
     outputs = list_items(outputs_form, "stobj-let outputs", form)
     if not outputs or not all(isinstance(o, Symbol) for o in outputs):
         raise EvalError("stobj-let outputs must be a non-empty list of names",
                         form=form)
     for o in outputs:
         bindable(o, "stobj-let output", form)
-    if len(set(o.name for o in outputs)) != len(outputs):
-        raise EvalError("duplicate stobj-let output", form=form)
+    for i, o in enumerate(outputs):
+        if outputs.index(o) != i:
+            raise EvalError("duplicate stobj-let output", form=form)
     return StobjLetSpec(bindings, outputs, producer, consumer)
 
 
 def _parse_accessor(child, accessor, world, form):
-    parts = (list_items(accessor, "stobj-let accessor", form)
-             if isinstance(accessor, Cons) else None)
-    if not parts or len(parts) != 4 or not isinstance(parts[0], Symbol):
+    if _proper_length(accessor) != 4 or not isinstance(accessor.car, Symbol):
+        if isinstance(accessor, Cons):
+            list_items(accessor, "stobj-let accessor", form)  # if dotted
         raise EvalError(
             "stobj-let accessor for %s must be (<table>-GET 'key parent "
             "default)" % child.name, form=form)
-    opname, keyform, parentform, default = parts
+    opname, a = accessor.car, accessor.cdr
+    keyform, a = a.car, a.cdr
+    parentform, default = a.car, a.cdr.car
     entry = world.genops.get(opname.name)
     if entry is None or entry.kind != "tbl-get":
         raise EvalError("%s is not a stobj-table get operation" % opname.name,
@@ -376,7 +388,7 @@ def _parse_accessor(child, accessor, world, form):
     if not isinstance(key, Symbol):
         raise EvalError("stobj-let key must be a quoted symbol in %s"
                         % show(accessor), form=form)
-    if key.name != child.name:
+    if key is not child:
         raise EvalError("stobj-let binds %s but looks up key %s; the bound "
                         "name and the key must agree" % (child.name, key.name),
                         form=form)
@@ -390,7 +402,7 @@ def _parse_accessor(child, accessor, world, form):
             "stobj-table default for key %s must be (CREATE-%s); a creator "
             "for a different stobj does not match the key"
             % (key.name, key.name), form=form)
-    return (child, intern(parent), entry, default)
+    return (child, parentform, entry, creator)
 
 
 def _creator_call(form, world):
@@ -403,61 +415,59 @@ def _creator_call(form, world):
 
 
 def eval_stobj_let(interp, form, env):
-    from .kernel import Env
     spec = parse_stobj_let(form, interp.world)
     in_place = interp.in_place()
 
+    # The producer's frame: the children, then their parents poisoned
+    # (a parent that is also a child stays poisoned).
     parents = {}     # parent name -> instance
-    extracted = []   # (child Symbol, parent name, op, child instance)
-    for child, parent_sym, op, default in spec.bindings:
+    frame = {}
+    for child, parent_sym, op, creator in spec.bindings:
         pname = parent_sym.name
-        if pname not in parents:
-            parents[pname] = interp.resolve_stobj(pname, env, form)
-        cell = parents[pname].get_cell(op.findex)
-        hit = stobj_table.table_get(cell, child)
-        if hit is None:
-            # Default is evaluated lazily, only on a miss.
-            hit = _creator_call(default, interp.world).spec.fresh()
-        extracted.append((child, pname, op, hit))
+        parent = parents.get(pname)
+        if parent is None:
+            parent = parents[pname] = interp.resolve_stobj(pname, env, form)
+        hit = stobj_table.table_get(parent.get_cell(op.findex), child)
+        # A miss creates the default child; nothing else runs it.
+        frame[child.name] = creator.spec.fresh() if hit is None else hit
+    for pname in parents:
+        frame[pname] = EXTRACTED_PARENT
 
-    body_env = Env({c.name: inst for c, _, _, inst in extracted}, env)
-    poison = dict.fromkeys(parents, EXTRACTED_PARENT)
-    body_env = Env(poison, body_env)
-
-    result = interp.eval(spec.producer, body_env)
+    result = interp.eval(spec.producer, Env(frame, env))
     values = result.values if isinstance(result, sexpr.MultiValue) \
         else (result,)
     if len(values) != len(spec.outputs):
         raise EvalError("stobj-let producer returned %d values for %d outputs"
                         % (len(values), len(spec.outputs)), form=form)
 
-    child_map = {c.name: (pname, op) for c, pname, op, _ in extracted}
-    consumer_bindings = {}
+    kept = {}        # outputs that are not children
     for out, val in zip(spec.outputs, values):
-        if out.name in child_map:
-            pname, op = child_map[out.name]
-            if not (isinstance(val, StobjInstance)
-                    and val.spec.name == out.name):
-                raise EvalError(
-                    "stobj-let output %s does not satisfy the recognizer for "
-                    "its key" % out.name, form=form)
-            parent = parents[pname]
-            cell = parent.get_cell(op.findex)
-            newcell = stobj_table.table_put(
-                cell, intern(out.name), val, in_place=in_place,
-                check_owner=in_place)
-            if not in_place:
-                parents[pname] = parent.with_cell(op.findex, newcell)
+        for child, parent_sym, op, _creator in spec.bindings:
+            if child is out:
+                break
         else:
-            consumer_bindings[out.name] = val
+            kept[out.name] = val
+            continue
+        if not (isinstance(val, StobjInstance) and val.spec.name == out.name):
+            raise EvalError(
+                "stobj-let output %s does not satisfy the recognizer for "
+                "its key" % out.name, form=form)
+        pname = parent_sym.name
+        parent = parents[pname]
+        newcell = stobj_table.table_put(
+            parent.get_cell(op.findex), out, val, in_place=in_place,
+            check_owner=in_place)
+        if not in_place:
+            parents[pname] = parent.with_cell(op.findex, newcell)
 
-    consumer_env = Env(dict(poison), env)
-    consumer_env = Env(parents, consumer_env)
-    consumer_env = Env(consumer_bindings, consumer_env)
-    # Children stay poisoned in the consumer: they may not escape.
-    child_poison = {c.name: WRITTEN_CHILD for c, _, _, _ in extracted}
-    consumer_env = Env(child_poison, consumer_env)
-    return interp.eval(spec.consumer, consumer_env)
+    # The consumer's frame: the written-back parents, then the outputs
+    # that are not children, then the children poisoned: they may not
+    # escape.
+    frame = parents
+    frame.update(kept)
+    for child, _parent, _op, _creator in spec.bindings:
+        frame[child.name] = WRITTEN_CHILD
+    return interp.eval(spec.consumer, Env(frame, env))
 
 
 ### static single-threadedness analysis
@@ -556,10 +566,11 @@ class Analyzer:
         args = self._parse(if_parts, expr)
         if args is None:
             return (None,)
-        self.want_value(args[0], live, bound, "an IF test")
-        sh_t = self.analyze(args[1], live, bound, tail)
-        sh_f = self.analyze(args[2], live, bound, tail) if len(args) == 3 \
-            else (None,)
+        test, then, els = args
+        self.want_value(test, live, bound, "an IF test")
+        sh_t = self.analyze(then, live, bound, tail)
+        sh_f = (None,) if els is None else self.analyze(els, live, bound,
+                                                        tail)
         return self._unify(sh_t, sh_f, expr)
 
     def _unify(self, a, b, expr):
@@ -606,7 +617,7 @@ class Analyzer:
         parts = self._parse(let_parts, expr)
         if parts is None:
             return (None,)
-        bindings, body = parts
+        bindings, body = let_pairs(parts[0]), parts[1]
         if not sequential and len(bindings) > 1:
             self._check_parallel(bindings, live, expr)
         cur_live, cur_bound = live, bound
@@ -656,7 +667,7 @@ class Analyzer:
             return (None,)
         slots = []
         seen = set()
-        for a in args:
+        for a in sexpr.iter_conses(args):
             if isinstance(a, Symbol) and a.name in live:
                 if a.name in seen:
                     self.err("R3", "stobj %s appears twice in %s"
@@ -674,6 +685,7 @@ class Analyzer:
         if parts is None:
             return (None,)
         vars_, rhs, body = parts
+        vars_ = list(sexpr.iter_conses(vars_))
         sh = self._mv_shape(rhs, [v.name for v in vars_], live, bound, expr)
         cur_live, cur_bound = live, bound
         for var, slot in zip(vars_, sh):
@@ -702,7 +714,7 @@ class Analyzer:
             return (None,)
         parents = set()
         children = {}
-        for child, parent_sym, op, _default in spec.bindings:
+        for child, parent_sym, _op, _creator in spec.bindings:
             pname = parent_sym.name
             if pname not in live:
                 self.err("R1", "stobj-let parent %s is not a live stobj here"
@@ -908,11 +920,26 @@ class Analyzer:
 def list_items(v, what, form, error=EvalError):
     """The elements of the proper list v, read from source as part of
     form; raises error naming form when v is not a proper list."""
-    return sexpr.to_pylist(v, what, form, error)
+    out = []
+    while isinstance(v, Cons):
+        out.append(v.car)
+        v = v.cdr
+    if v is not NIL:
+        raise error("%s is not a proper list" % what, form=form)
+    return out
 
 
 def _cons_args(expr, what="argument list", error=EvalError):
-    return sexpr.to_pylist(expr.cdr, what, expr, error)
+    return list_items(expr.cdr, what, expr, error)
+
+
+def _proper_length(v):
+    """The length of v if it is a proper list, else -1."""
+    n = 0
+    while isinstance(v, Cons):
+        n += 1
+        v = v.cdr
+    return n if v is NIL else -1
 
 
 def arity_error(name, got, lo, hi, form=None):
@@ -950,70 +977,107 @@ EVENT_HEADS = frozenset(("DEFUN", "DEFSTOBJ", "ENCAPSULATE", "DEFATTACH"))
 
 # One parser per special form, shared by the evaluator, the analyzer and
 # the DO-body parser (which passes TranslateError), so all three accept
-# the same forms and reject the rest with the same text.
+# the same forms and reject the rest with the same text.  Each reads a
+# well-formed form in place; a malformed one is listed by _cons_args, so
+# a dotted form raises that error before any count check.  A name is
+# tested as bindable does, inline, so a good name costs no call.
 
 
 def quote_parts(form, error=EvalError):
     """(QUOTE x) -> x."""
-    a = _cons_args(form, error=error)
-    if len(a) != 1:
-        raise error("QUOTE takes one argument", form=form)
-    return a[0]
+    a = form.cdr
+    if isinstance(a, Cons) and a.cdr is NIL:
+        return a.car
+    _cons_args(form, error=error)
+    raise error("QUOTE takes one argument", form=form)
 
 
 def if_parts(form, error=EvalError):
-    """(IF test then [else]) -> [test, then] or [test, then, else]."""
-    a = _cons_args(form, error=error)
-    if len(a) not in (2, 3):
-        raise error("IF takes a test and one or two branches", form=form)
-    return a
+    """(IF test then [else]) -> (test, then, else), else None if absent."""
+    a = form.cdr
+    if isinstance(a, Cons):
+        b = a.cdr
+        if isinstance(b, Cons):
+            c = b.cdr
+            if c is NIL:
+                return a.car, b.car, None
+            if isinstance(c, Cons) and c.cdr is NIL:
+                return a.car, b.car, c.car
+    _cons_args(form, error=error)
+    raise error("IF takes a test and one or two branches", form=form)
 
 
 def let_parts(form, error=EvalError):
-    """(LET|LET* ((var rhs) ..) [declare ..] body) -> ([(var, rhs)], body)."""
-    name = form.car.name
-    a = _cons_args(form, error=error)
-    body = [x for x in a[1:] if not _is_declare(x)]
-    if len(a) < 2 or len(body) != 1:
-        raise error("%s takes bindings and a single body form" % name,
-                    form=form)
-    pairs = []
-    rest = a[0]
+    """(LET|LET* ((var rhs) ..) [declare ..] body) -> (bindings, body),
+    bindings the checked spine of (var rhs) lists; see let_pairs."""
+    a = form.cdr
+    body = _one_body(a.cdr) if isinstance(a, Cons) else None
+    if body is None:
+        _cons_args(form, error=error)
+        raise error("%s takes bindings and a single body form"
+                    % form.car.name, form=form)
+    bindings = rest = a.car
     while isinstance(rest, Cons):
         b = rest.car
         if not (isinstance(b, Cons) and isinstance(b.car, Symbol)
                 and isinstance(b.cdr, Cons) and b.cdr.cdr is NIL):
             break
-        pairs.append((bindable(b.car, name + " variable", form, error),
-                      b.cdr.car))
+        var = b.car
+        if var is NIL or var is T or var.name[:1] == ":":
+            bindable(var, form.car.name + " variable", form, error)
         rest = rest.cdr
     if rest is not NIL:
-        raise error("malformed %s bindings" % name, form=form)
-    return pairs, body[0]
+        raise error("malformed %s bindings" % form.car.name, form=form)
+    return bindings, body
+
+
+def let_pairs(bindings):
+    """[(var, rhs)] of a bindings spine checked by let_parts."""
+    return [(b.car, b.cdr.car) for b in sexpr.iter_conses(bindings)]
 
 
 def mv_parts(form, error=EvalError):
-    """(MV x y ..) -> [x, y, ..], two or more forms."""
-    a = _cons_args(form, error=error)
-    if len(a) < 2:
-        raise error("MV needs at least two values", form=form)
-    return a
+    """(MV x y ..) -> the spine of x y .., two or more forms."""
+    if _proper_length(form.cdr) >= 2:
+        return form.cdr
+    _cons_args(form, error=error)
+    raise error("MV needs at least two values", form=form)
 
 
 def mv_let_parts(form, error=EvalError):
-    """(MV-LET (var var ..) rhs [declare ..] body) -> ([var ..], rhs, body)."""
-    a = _cons_args(form, error=error)
-    body = [x for x in a[2:] if not _is_declare(x)]
-    if len(a) < 3 or len(body) != 1:
+    """(MV-LET (var var ..) rhs [declare ..] body) -> (vars, rhs, body),
+    vars the checked spine of two or more names."""
+    a = form.cdr
+    b = a.cdr if isinstance(a, Cons) else None
+    body = _one_body(b.cdr) if isinstance(b, Cons) else None
+    if body is None:
+        _cons_args(form, error=error)
         raise error("MV-LET takes variables, a form, and a body", form=form)
-    vars_ = []
-    rest = a[0]
+    vars_, rhs = a.car, b.car
+    n = 0
+    rest = vars_
     while isinstance(rest, Cons) and isinstance(rest.car, Symbol):
-        vars_.append(bindable(rest.car, "MV-LET variable", form, error))
+        var = rest.car
+        if var is NIL or var is T or var.name[:1] == ":":
+            bindable(var, "MV-LET variable", form, error)
+        n += 1
         rest = rest.cdr
-    if rest is not NIL or len(vars_) < 2:
+    if rest is not NIL or n < 2:
         raise error("MV-LET needs two or more variable names", form=form)
-    return vars_, a[1], body[0]
+    return vars_, rhs, body
+
+
+def _one_body(rest):
+    """The one form on the spine rest that is not a declare; None when
+    there is not exactly one or rest is not a proper list."""
+    body = None
+    while isinstance(rest, Cons):
+        if not _is_declare(rest.car):
+            if body is not None:
+                return None
+            body = rest.car
+        rest = rest.cdr
+    return body if rest is NIL else None
 
 
 def _mentions(expr, name):

@@ -1,14 +1,15 @@
 """The texts of the evaluator's checks, pinned in both modes; passing
-checks that format nothing; one callee lookup shared by the analyzer and
-the evaluator; names that may never be bound; deep recursion."""
+checks that format nothing; stobj-let scoping; a passing path that lists
+no form; one callee lookup shared by the analyzer and the evaluator;
+names that may never be bound; deep recursion."""
 
 import pytest
 
-from stlisp import kernel, loops, stobjs
+from stlisp import kernel, loops, refinement, sexpr, stobjs
 from stlisp.errors import (EvalError, GuardViolation, LinearityError,
                            TranslateError)
 from stlisp.kernel import Interp
-from stlisp.sexpr import NIL, T, Cons, intern, read
+from stlisp.sexpr import NIL, T, Cons, intern, read, show
 
 MODES = ("logical", "native")
 
@@ -176,6 +177,110 @@ def test_poison_text(mode, text, message):
         prelude(mode).eval(read(text), None)
     assert type(exc.value) is EvalError
     assert str(exc.value) == message
+
+
+# Stobj-let scoping, in the one frame each scope binds: the producer sees
+# the outer scope and the children, with the parents poisoned; the consumer
+# sees the written-back parents and the outputs that are not children,
+# with the children poisoned.
+SCOPING = [
+    # an outer LET variable stays visible inside the producer
+    ("(let ((k 5)) (stobj-let ((switch (tbl-get 'switch top "
+     "(create-switch)))) (switch) (update-fld k switch) top))",
+     "<TOP>", "(((SWITCH 5)))"),
+    # a non-child output shadows an outer variable of the same name
+    ("(let ((flg 1)) (stobj-let ((switch (tbl-get 'switch top "
+     "(create-switch)))) (flg) (fld switch) flg))", "NIL", "(NIL)"),
+    # the consumer's parent is the instance the child was written back to
+    ("(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
+     "(switch) (update-fld 7 switch) (mv (tbl-count top) top))",
+     "(1 <TOP>)", "(((SWITCH 7)))"),
+]
+
+
+@pytest.mark.parametrize("text,value,top", SCOPING,
+                         ids=["producer-outer", "consumer-shadow",
+                              "consumer-parent"])
+def test_stobj_let_scoping(text, value, top):
+    banks = []
+    for mode in MODES:
+        interp = prelude(mode)
+        assert show(interp.eval_text(text)[0][1]) == value
+        assert show(interp.bank["TOP"].logical_view()) == top
+        banks.append({name: show(inst.logical_view())
+                      for name, inst in interp.bank.items()})
+    assert banks[0] == banks[1]
+
+
+SCOPE_POISONED = [
+    # the parent is poisoned in the producer, an outer variable is not
+    ("(let ((k 5)) (stobj-let ((switch (tbl-get 'switch top "
+     "(create-switch)))) (flg) (mv k (tbl-count top)) flg))",
+     "TOP is not available inside a stobj-let body that extracts from it "
+     "in TOP"),
+    # the child is poisoned in the consumer, behind a shadowing output
+    ("(let ((flg 1)) (stobj-let ((switch (tbl-get 'switch top "
+     "(create-switch)))) (flg switch) (mv (fld switch) switch) "
+     "(mv flg (fld switch))))",
+     "SWITCH has been written back and is not available in the consumer "
+     "in SWITCH"),
+]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("text,message", SCOPE_POISONED,
+                         ids=["producer-parent", "consumer-child"])
+def test_stobj_let_scope_poison(mode, text, message):
+    with pytest.raises(EvalError) as exc:
+        prelude(mode).eval(read(text), None)
+    assert type(exc.value) is EvalError
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_stobj_let_output_shadows_the_parent(mode):
+    # In the consumer an output that is not a child comes before the
+    # parent of the same name.
+    text = ("(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
+            "(top) 5 top)")
+    assert prelude(mode).eval(read(text), None) == 5
+
+
+# ----------------------------------------- the passing path builds no lists
+
+# Each form with its value.  The evaluator reads calls, QUOTE, IF, LET,
+# LET*, MV and MV-LET in place, so none of them lists its form.
+IN_PLACE = [
+    ("(+ 1 (g 2) (car '(3 4)))", "6"), ("(quote (a . b))", "(A . B)"),
+    ("(if (< 1 2) 'yes 'no)", "YES"), ("(if nil 1)", "NIL"),
+    ("(if (g nil) 1 (half 3))", "3"),
+    ("(let ((x 1) (y 2)) (+ x y))", "3"),
+    ("(let ((x 1)) (declare (ignore x)) 2)", "2"),
+    ("(let* ((x 1) (y (+ x 1))) (* x y))", "2"),
+    ("(mv 1 (g 2) 3)", "(1 2 3)"),
+    ("(mv-let (a b) (mv 1 2) (- a b))", "-1"),
+    ("(val (update-val (let ((v 5)) v) st))", "5"),
+]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_passing_path_builds_no_lists(mode, monkeypatch):
+    forms = [read(text) for text, _ in IN_PLACE]
+    before = prelude(mode)
+    want = [show(before.eval(f, None)) for f in forms]
+    assert want == [value for _, value in IN_PLACE]
+    interp = prelude(mode)
+
+    def no_list(*args, **kwargs):
+        raise AssertionError("a list was built on the passing path")
+
+    originals = {"to_pylist": sexpr.to_pylist, "list_items": stobjs.list_items,
+                 "_cons_args": stobjs._cons_args}
+    for module in (sexpr, stobjs, kernel, loops, refinement):
+        for name, fn in originals.items():
+            if module.__dict__.get(name) is fn:
+                monkeypatch.setattr(module, name, no_list)
+    assert [show(interp.eval(f, None)) for f in forms] == want
 
 
 # ------------------------------- the analyzer and the evaluator agree on calls

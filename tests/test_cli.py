@@ -158,6 +158,22 @@ def test_diff_deep_recursion_is_an_error_in_both_modes(capsys, tmp_path):
         "equivalent (2 forms, 0 stobjs)"]
 
 
+# The reader recurses once per nesting level: past Python's limit the file
+# is one read error at the start of the form, not a traceback.
+DEEP_NESTING = "(+ 1 2)\n(car '" + "(" * 3000 + ")" * 3000 + ")\n"
+
+
+@pytest.mark.parametrize("argv", [["run"], ["run", "--mode", "native"],
+                                  ["diff"], ["check-constraints"]],
+                         ids=["run", "run-native", "diff", "check"])
+def test_deeply_nested_input_is_one_read_error(capsys, tmp_path, argv):
+    f = tmp_path / "nested.lisp"
+    f.write_text(DEEP_NESTING)
+    code, out = run_cli(capsys, argv + [str(f)])
+    assert code == 1
+    assert out.splitlines() == ["error: nesting too deep at line 2, column 1"]
+
+
 def test_diff_missing_file(capsys):
     code, out = run_cli(capsys, ["diff", "/nonexistent/x.lisp"])
     assert code == 1 and out.startswith("error:")

@@ -195,6 +195,11 @@ def test_let_body_count_and_binding_shape_errors():
     ("(apply$ 'car '(1 . 2))", "(APPLY$ (QUOTE CAR) (QUOTE (1 . 2)))"),
     ("(apply$ '(lambda (1) 1) '(5))",
      "(APPLY$ (QUOTE (LAMBDA (1) 1)) (QUOTE (5)))"),
+    ("(if 1 2 . 3)", "(IF 1 2 . 3)"), ("(if 1 2 3 4)", "(IF 1 2 3 4)"),
+    ("(quote a . b)", "(QUOTE A . B)"),
+    ("(let ((x 1)) . x)", "(LET ((X 1)) . X)"),
+    ("(stobj-let ((a b) . c) (a) 1 2)", "(STOBJ-LET ((A B) . C) (A) 1 2)"),
+    ("(car 1 2 . 3)", "(CAR 1 2 . 3)"),
 ])
 def test_syntax_errors_name_the_form_in_both_modes(text, offending):
     classes = set()
@@ -210,7 +215,8 @@ def test_syntax_errors_name_the_form_in_both_modes(text, offending):
 @pytest.mark.parametrize("text", [
     "(quote 1 2)", "(if 1)", "(if 1 2 3 4)", "(let ((y 1)))", "(let (y) 1)",
     "(let* ((y . 1)) y)", "(mv 1)", "(mv-let (a) (mv 1 2) a)",
-    "(mv-let (a b) (mv 1 2))"])
+    "(mv-let (a b) (mv 1 2))", "(if 1 2 . 3)", "(quote a . b)",
+    "(let ((x 1)) . x)"])
 def test_malformed_special_form_has_one_text(text):
     # the evaluator, the analyzer and the DO-body parser reject it alike
     with pytest.raises(EvalError) as exc:
@@ -225,6 +231,26 @@ def test_malformed_special_form_has_one_text(text):
     with pytest.raises(TranslateError) as exc:
         loops.make_do_plan(spec, world)
     assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("text,message", [
+    # a dotted argument list is reported before the arity
+    ("(car 1 2 . 3)", "argument list is not a proper list in (CAR 1 2 . 3)"),
+    ("(if 1 2 . 3)", "argument list is not a proper list in (IF 1 2 . 3)"),
+    ("(if 1 2 3 4)",
+     "IF takes a test and one or two branches in (IF 1 2 3 4)"),
+    ("(quote a . b)", "argument list is not a proper list in (QUOTE A . B)"),
+    ("(let ((x 1)) . x)",
+     "argument list is not a proper list in (LET ((X 1)) . X)"),
+    ("(stobj-let ((a b) . c) (a) 1 2)", "stobj-let bindings is not a proper "
+     "list in (STOBJ-LET ((A B) . C) (A) 1 2)"),
+])
+def test_evaluator_error_texts_in_both_modes(text, message):
+    for mode in ("logical", "native"):
+        with pytest.raises(EvalError) as exc:
+            Interp(mode=mode).eval(read(text))
+        assert type(exc.value) is EvalError
+        assert str(exc.value) == message
 
 
 def test_mv_and_mv_let():

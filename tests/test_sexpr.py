@@ -103,6 +103,17 @@ def test_reader_errors_carry_positions():
         raise AssertionError("expected ReadError")
 
 
+def test_nesting_past_the_recursion_limit_is_a_read_error():
+    deep = "(" * 3000 + ")" * 3000
+    with pytest.raises(ReadError) as exc:
+        read("  " + deep)
+    assert str(exc.value) == "nesting too deep at line 1, column 3"
+    with pytest.raises(ReadError) as exc:
+        read_all("(a)\n'" + deep)
+    assert str(exc.value) == "nesting too deep at line 2, column 1"
+    assert show(read("(" * 50 + ")" * 50)) == "(" * 49 + "NIL" + ")" * 49
+
+
 def test_unbalanced_parens():
     with pytest.raises(ReadError):
         read("(a (b)")
