@@ -23,19 +23,17 @@ from .stobjs import (DO_ONLY_HEADS, EVENT_HEADS, FOLLOW, POLY,
 
 
 class FunctionDef:
-    __slots__ = ("name", "formals", "stobjs_in", "guard", "measure", "body",
-                 "inputs", "outputs")
+    __slots__ = ("name", "formals", "guard", "measure", "body", "inputs",
+                 "outputs")
 
-    def __init__(self, name, formals, stobjs_in, guard, measure, body):
+    def __init__(self, name, formals, inputs, outputs, guard, measure, body):
         self.name = name
-        self.formals = tuple(formals)
-        self.stobjs_in = tuple(stobjs_in)
+        self.formals = formals    # names
+        self.inputs = inputs      # per formal: its stobj name, or None
+        self.outputs = outputs    # the shape the static check found
         self.guard = guard
         self.measure = measure
         self.body = body
-        self.inputs = tuple(f if f in self.stobjs_in else None
-                            for f in self.formals)
-        self.outputs = None  # filled in after the static check
 
 
 class Event:
@@ -57,6 +55,13 @@ class World:
         self.stobjs = {}
         self.signatures = {}
         self.attachments = {}
+        self.stobj_lets = {}  # stobj-let form -> StobjLetSpec
+        # Equal formals and shape tuples of defuns, kept once: many small
+        # defuns would otherwise each hold their own copies.
+        self.shapes = {}
+
+    def shared(self, shape):
+        return self.shapes.setdefault(shape, shape)
 
     def stobj_spec(self, name):
         return self.stobjs.get(name)
@@ -118,6 +123,7 @@ class World:
         self.stobjs = {}
         self.signatures = {}
         self.attachments = {}
+        self.stobj_lets = {}
         for ev in self.events:
             self.register(ev)
 
@@ -698,11 +704,13 @@ class Interp:
                     "the formal %s of %s is the name of a stobj; declare it "
                     "with (declare (xargs :stobjs (%s)))" % (f, name, f),
                     form=form)
-        fd = FunctionDef(name, fnames, stobjs_in, guard, measure,
-                         body_forms[0])
-        fd.outputs = stobjs.check_defun(
-            self.world, name, fd.formals, fd.stobjs_in, fd.body, guard,
-            measure)
+        outputs = stobjs.check_defun(self.world, name, fnames, stobjs_in,
+                                     body_forms[0], guard, measure)
+        shared = self.world.shared
+        fd = FunctionDef(
+            name, shared(tuple(fnames)),
+            shared(tuple(f if f in stobjs_in else None for f in fnames)),
+            shared(outputs), guard, measure, body_forms[0])
         self.world.add_event("defun", name, fd)
         self.world.register(self.world.events[-1])
         return intern(name)

@@ -13,12 +13,17 @@ from .errors import EvalError, OwnershipError
 
 
 class TableCell:
-    """Execution view of one stobj-table field: Symbol -> StobjInstance."""
+    """Execution view of one stobj-table field: Symbol -> StobjInstance.
 
-    __slots__ = ("data",)
+    A child stored in place is marked as owned with the cell's `mark`,
+    not the cell itself, so a stored child makes no reference cycle.
+    """
+
+    __slots__ = ("data", "mark")
 
     def __init__(self, data=None):
         self.data = {} if data is None else data
+        self.mark = object()
 
     def copy(self):
         return TableCell(dict(self.data))
@@ -38,13 +43,14 @@ def table_count(cell):
 
 
 def table_put(cell, key, child, *, in_place, check_owner=False):
-    if check_owner and child.owner is not None and child.owner is not cell:
+    if check_owner and child.owner is not None \
+            and child.owner is not cell.mark:
         raise OwnershipError(
             "stobj %s is already owned by another location and cannot be "
             "stored in a second table" % child.print_name)
     if in_place:
         cell.data[key] = child
-        child.owner = cell
+        child.owner = cell.mark
         return cell
     new = cell.copy()
     new.data[key] = child

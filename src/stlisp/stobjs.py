@@ -56,6 +56,8 @@ class FieldSpec:
 
 
 class StobjSpec:
+    __slots__ = ("name", "fields", "single")
+
     def __init__(self, name, fields):
         self.name = name
         self.fields = tuple(fields)
@@ -317,68 +319,57 @@ class StobjLetSpec:
     __slots__ = ("bindings", "outputs", "producer", "consumer")
 
     def __init__(self, bindings, outputs, producer, consumer):
-        # [(child Symbol, parent Symbol, tbl-get op, create op)]
+        # ((child Symbol, parent Symbol, tbl-get op, create op), ..)
         self.bindings = bindings
-        self.outputs = outputs      # [Symbol]
+        self.outputs = outputs      # (Symbol, ..)
         self.producer = producer
         self.consumer = consumer
 
 
 def parse_stobj_let(form, world):
-    """The checked parts of a stobj-let.  It runs on every evaluation, so
-    it reads the form in place and lists only the bindings and outputs."""
-    if _proper_length(form) != 5:
-        list_items(form, "stobj-let form", form)  # raises if dotted
+    """The checked parts of a stobj-let.  The evaluator keeps the result
+    per form in its World (see eval_stobj_let)."""
+    args = list_items(form, "stobj-let form", form)
+    if len(args) != 5:
         raise EvalError(
             "stobj-let takes bindings, outputs, a producer, and a consumer",
             form=form)
-    a = form.cdr
-    bindings_form, a = a.car, a.cdr
-    outputs_form, a = a.car, a.cdr
-    producer, consumer = a.car, a.cdr.car
-    if _proper_length(bindings_form) < 0:
-        list_items(bindings_form, "stobj-let bindings", form)  # raises
+    _, bindings_form, outputs_form, producer, consumer = args
     bindings = []
-    while bindings_form is not NIL:
-        bform = bindings_form.car
-        bindings_form = bindings_form.cdr
-        if _proper_length(bform) != 2 or not isinstance(bform.car, Symbol):
-            list_items(bform, "stobj-let binding", form)  # raises if dotted
+    for bform in list_items(bindings_form, "stobj-let bindings", form):
+        parts = list_items(bform, "stobj-let binding", form)
+        if len(parts) != 2 or not isinstance(parts[0], Symbol):
             raise EvalError("malformed stobj-let binding %s" % show(bform),
                             form=form)
-        child = bform.car
+        child, accessor = parts
         if world.stobj_spec(child.name) is None:
             raise EvalError("stobj-let binds %s, which is not a defined stobj"
                             % child.name, form=form)
-        for earlier in bindings:
-            if earlier[0] is child:
-                raise EvalError(
-                    "stobj-let binds %s twice; one binding per child, and "
-                    "the same child may not be drawn from two tables"
-                    % child.name, form=form)
-        bindings.append(_parse_accessor(child, bform.cdr.car, world, form))
+        if any(b[0] is child for b in bindings):
+            raise EvalError(
+                "stobj-let binds %s twice; one binding per child, and the "
+                "same child may not be drawn from two tables" % child.name,
+                form=form)
+        bindings.append(_parse_accessor(child, accessor, world, form))
     outputs = list_items(outputs_form, "stobj-let outputs", form)
     if not outputs or not all(isinstance(o, Symbol) for o in outputs):
         raise EvalError("stobj-let outputs must be a non-empty list of names",
                         form=form)
     for o in outputs:
         bindable(o, "stobj-let output", form)
-    for i, o in enumerate(outputs):
-        if outputs.index(o) != i:
-            raise EvalError("duplicate stobj-let output", form=form)
-    return StobjLetSpec(bindings, outputs, producer, consumer)
+    if len(set(outputs)) != len(outputs):
+        raise EvalError("duplicate stobj-let output", form=form)
+    return StobjLetSpec(tuple(bindings), tuple(outputs), producer, consumer)
 
 
 def _parse_accessor(child, accessor, world, form):
-    if _proper_length(accessor) != 4 or not isinstance(accessor.car, Symbol):
-        if isinstance(accessor, Cons):
-            list_items(accessor, "stobj-let accessor", form)  # if dotted
+    parts = (list_items(accessor, "stobj-let accessor", form)
+             if isinstance(accessor, Cons) else None)
+    if not parts or len(parts) != 4 or not isinstance(parts[0], Symbol):
         raise EvalError(
             "stobj-let accessor for %s must be (<table>-GET 'key parent "
             "default)" % child.name, form=form)
-    opname, a = accessor.car, accessor.cdr
-    keyform, a = a.car, a.cdr
-    parentform, default = a.car, a.cdr.car
+    opname, keyform, parentform, default = parts
     entry = world.genops.get(opname.name)
     if entry is None or entry.kind != "tbl-get":
         raise EvalError("%s is not a stobj-table get operation" % opname.name,
@@ -415,7 +406,12 @@ def _creator_call(form, world):
 
 
 def eval_stobj_let(interp, form, env):
-    spec = parse_stobj_let(form, interp.world)
+    # One parse per form per World, kept only if it succeeds; only undo
+    # can change what a parse read, and World.rebuild empties the table.
+    world = interp.world
+    spec = world.stobj_lets.get(form)
+    if spec is None:
+        spec = world.stobj_lets[form] = parse_stobj_let(form, world)
     in_place = interp.in_place()
 
     # The producer's frame: the children, then their parents poisoned
@@ -743,9 +739,14 @@ class Analyzer:
                                                             cname):
                 self.err("R2", "child %s is updated in the producer but is "
                                "not among the stobj-let outputs" % cname)
+        # An output that is not a child binds an ordinary value, as a LET
+        # variable does.
         cons_live = {k: v for k, v in live.items() if k not in children}
-        cons_bound = set(bound) | set(n for n in out_names
-                                      if n not in children)
+        cons_bound = bound
+        for out in spec.outputs:
+            if out.name not in children:
+                cons_live, cons_bound = self._bind_one(
+                    out, (None,), cons_live, cons_bound, expr)
         csh = self.analyze(spec.consumer, cons_live, cons_bound, tail)
         if written:
             returned = set() if csh is UNKNOWN else set(
@@ -905,6 +906,10 @@ class Analyzer:
         if outputs is UNKNOWN:
             self.saw_self = True
             return UNKNOWN
+        if FOLLOW not in outputs:
+            # The callee's own tuple: a new one per call would leave freed
+            # tuples behind on CPython's free list.
+            return outputs
         return tuple(follow if o is FOLLOW else o for o in outputs)
 
     def _shape_of(self, name, nargs):

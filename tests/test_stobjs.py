@@ -1,9 +1,11 @@
 """Stobj tests: defstobj parsing, generated operations, the static
 single-threadedness rules, stobj-let, and table retraction on undo."""
 
+import gc
+
 import pytest
 
-from stlisp import sexpr, stobj_table, stobjs
+from stlisp import kernel, sexpr, stobj_table, stobjs
 from stlisp.errors import EvalError, LinearityError, OwnershipError
 from stlisp.kernel import Interp
 from stlisp.sexpr import NIL, T, intern, read, show
@@ -369,6 +371,21 @@ def test_stobj_let_updated_child_must_be_output():
         "stobj-let outputs" in msg
 
 
+def test_stobj_let_output_may_not_rebind_a_stobj():
+    interp = fixture(SWITCH_DEMO + "(defstobj st st-fld)")
+    msg = check(interp,
+                "(defun h (top) (declare (xargs :stobjs (top))) "
+                "(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
+                "(top) 5 top))")
+    assert "R3: stobj name TOP may not be rebound to an ordinary value" \
+        in msg
+    msg = check(interp,
+                "(defun h (top) (declare (xargs :stobjs (top))) "
+                "(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
+                "(st) 5 (mv st top)))")
+    assert "R3: stobj name ST may not be used as an ordinary variable" in msg
+
+
 def test_stobj_let_producer_output_mismatch():
     interp = fixture(SWITCH_DEMO)
     msg = check(interp,
@@ -445,6 +462,142 @@ def test_ownership_guard_rejects_double_store():
         stobj_table.table_put(cell_b, intern("CHILD"), inst, in_place=True,
                               check_owner=True)
     assert "already owned by another location" in str(exc.value)
+
+
+def test_ownership_guard_accepts_a_second_store_in_the_same_cell():
+    cell = stobj_table.TableCell({})
+    spec = stobjs.StobjSpec("CHILD", [stobjs.FieldSpec("F", stobjs.SCALAR)])
+    inst = spec.fresh()
+    for _ in range(2):
+        out = stobj_table.table_put(cell, intern("CHILD"), inst,
+                                    in_place=True, check_owner=True)
+        assert out is cell
+    assert cell.data == {intern("CHILD"): inst}
+
+
+def test_stored_child_does_not_reach_its_cell():
+    # The child's owner mark must not lead back to the cell that holds the
+    # child, or every stored child would be a reference cycle.
+    cell = stobj_table.TableCell({})
+    spec = stobjs.StobjSpec("CHILD", [stobjs.FieldSpec("F", stobjs.SCALAR)])
+    child = spec.fresh()
+    stobj_table.table_put(cell, intern("CHILD"), child, in_place=True,
+                          check_owner=True)
+    seen = set()
+    todo = [child]
+    while todo:
+        obj = todo.pop()
+        assert obj is not cell
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        todo.extend(gc.get_referents(obj))
+
+
+# ------------------------------------------------ stobj-let parse per World
+
+def counting_parser(monkeypatch):
+    """Count parse_stobj_let calls, per form, at the binding that
+    eval_stobj_let reads."""
+    calls = []
+    real = stobjs.parse_stobj_let
+
+    def parse(form, world):
+        calls.append(form)
+        return real(form, world)
+    monkeypatch.setattr(stobjs, "parse_stobj_let", parse)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_each_stobj_let_form_is_parsed_once(monkeypatch, mode):
+    interp = fixture(SWITCH_DEMO, mode=mode)
+    calls = counting_parser(monkeypatch)
+    peek = read("(stobj-let ((switch (tbl-get 'switch top (create-switch))))"
+                " (flg) (fld switch) flg)")
+    for _ in range(4):
+        interp.eval_text("(flip-switch top) (print-switch top)")
+        interp.eval(peek, None)
+    assert len(calls) == 3
+    assert len(set(map(id, calls))) == 3
+    assert peek in interp.world.stobj_lets
+    assert interp.eval_text("(print-switch top)")[0][1] == "OFF"
+
+
+CHILD_TABLE = "(defstobj top (tbl :type (stobj-table)))"
+PUT_CHILD = ("(stobj-let ((child (tbl-get 'child top (create-child))))"
+             " (child) (update-a 1 child) top)")
+
+
+def bank_after(interp, form):
+    interp.eval_top(form)
+    return show(interp.bank["TOP"].logical_view())
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_undo_empties_the_stobj_let_table(mode):
+    form = read(PUT_CHILD)
+    interp = fixture(CHILD_TABLE + " (defstobj child a)", mode=mode)
+    assert bank_after(interp, form) == "(((CHILD 1)))"
+    interp.undo(interp.world.events[-1].index)
+    assert interp.world.stobj_lets == {}
+    interp.eval_text("(defstobj child (b :initially 7) a)")
+    fresh = fixture(CHILD_TABLE + " (defstobj child (b :initially 7) a)",
+                    mode=mode)
+    assert bank_after(interp, form) == bank_after(fresh, form) \
+        == "(((CHILD 7 1)))"
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_two_interps_keep_separate_stobj_let_tables(monkeypatch, mode):
+    calls = counting_parser(monkeypatch)
+    form = read(PUT_CHILD)
+    one = fixture(CHILD_TABLE + " (defstobj child a)", mode=mode)
+    two = fixture(CHILD_TABLE + " (defstobj child (b :initially 7) a)",
+                  mode=mode)
+    del calls[:]
+    for _ in range(2):
+        one.eval(form, None)
+        two.eval(form, None)
+    assert len(calls) == 2
+    assert one.world.stobj_lets[form] is not two.world.stobj_lets[form]
+    assert bank_after(one, form) == "(((CHILD 1)))"
+    assert bank_after(two, form) == "(((CHILD 7 1)))"
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_malformed_stobj_let_raises_the_same_text_each_time(monkeypatch,
+                                                            mode):
+    interp = fixture(SWITCH_DEMO, mode=mode)
+    calls = counting_parser(monkeypatch)
+    form = read("(stobj-let ((switch (tbl-get 'other top (create-switch))))"
+                " (flg) (fld switch) flg)")
+    texts = []
+    for _ in range(2):
+        with pytest.raises(EvalError) as exc:
+            interp.eval(form, None)
+        texts.append(str(exc.value))
+    assert texts[0] == texts[1]
+    assert "binds SWITCH but looks up key OTHER" in texts[0]
+    assert len(calls) == 2
+    assert form not in interp.world.stobj_lets
+
+
+def test_analyzer_returns_the_callees_own_outputs():
+    interp = fixture("(defstobj st fld) (defun f (st) "
+                     "(declare (xargs :stobjs (st))) (update-fld 1 st))")
+    analyzer = stobjs.Analyzer(interp.world, None, (), stobjs.UNKNOWN)
+    live = {"ST": "ST"}
+    shape = analyzer.analyze(read("(f st)"), live, set(), tail=True)
+    assert shape is interp.world.functions["F"].outputs
+    shape = analyzer.analyze(read("(car x)"), live, {"X"}, tail=True)
+    assert shape is kernel.BUILTINS["CAR"].outputs
+    # FOLLOW is replaced by the stobj passed, in a new tuple
+    shape = analyzer.analyze(
+        read("(report-completion-or-error-and-return 1 st)"), live, set(),
+        tail=True)
+    assert shape == ("ST",)
+    assert analyzer.violations == []
 
 
 # --------------------------------------------------------------- retraction
