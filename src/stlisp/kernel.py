@@ -19,7 +19,7 @@ from .stobjs import (DO_ONLY_HEADS, EVENT_HEADS, FOLLOW, POLY,
                      STOBJ_LET_ONLY, GeneratedOp, Poison, StobjInstance,
                      _cons_args, arity_error, bindable, generated_ops,
                      if_parts, let_parts, list_items, mv_let_parts, mv_parts,
-                     op_shape, quote_parts)
+                     op_shape, quote_parts, value_check)
 
 
 class FunctionDef:
@@ -101,6 +101,7 @@ class World:
         ev = Event(self.next_index, kind, name, payload)
         self.next_index += 1
         self.events.append(ev)
+        self.register(ev)
         return ev.index
 
     def register(self, ev):
@@ -339,21 +340,12 @@ def _sf_if(interp, form, env):
     test, then, els = if_parts(form)
     v = interp.eval(test, env)
     if isinstance(v, (MultiValue, StobjInstance)):
-        _value_check(v, "an IF test", form)
+        value_check(v, "an IF test", form)
     if v is not NIL:
         return interp.eval(then, env)
     if els is None:
         return NIL
     return interp.eval(els, env)
-
-
-def _value_check(v, what, form):
-    if isinstance(v, MultiValue):
-        raise EvalError("multiple values are not a single value in %s" % what,
-                        form=form)
-    if isinstance(v, StobjInstance):
-        raise EvalError("stobj %s may not appear in %s" % (v.spec.name, what),
-                        form=form)
 
 
 def _sf_let(interp, form, env):
@@ -474,9 +466,15 @@ class Interp:
             if isinstance(form, Cons) and isinstance(form.car, Symbol) \
                     and form.car.name in EVENT_HEADS:
                 return self._event(form)
-            self._check(form, {name: name for name in self.bank}, set(),
-                        "this top-level form")
-            val = self.eval(form, None)
+            lets = self._check(form, {name: name for name in self.bank},
+                               set(), "this top-level form")
+            try:
+                val = self.eval(form, None)
+            finally:
+                # a top-level form is read once, so its stobj-let parses
+                # would only pile up
+                for f in lets:
+                    self.world.stobj_lets.pop(f, None)
         except RecursionError:
             raise EvalError("nesting too deep: evaluation exceeded Python's "
                             "recursion limit of %d" % sys.getrecursionlimit(),
@@ -491,12 +489,14 @@ class Interp:
         names.  An update whose result never reaches the top of the form
         would be kept by in-place execution and lost by logical
         execution, so such forms are rejected before either mode runs them.
+        Returns the stobj-let forms in it that the check parsed.
         """
         analyzer = stobjs.Analyzer(self.world, None, (), stobjs.UNKNOWN,
                                    raise_call_errors=True)
         analyzer.analyze(form, live, bound, tail=True)
         if analyzer.violations:
             raise LinearityError(what, analyzer.violations)
+        return analyzer.stobj_lets
 
     def eval_text(self, text):
         return [(f, self.eval_top(f)) for f in sexpr.read_all(text)]
@@ -712,7 +712,6 @@ class Interp:
             shared(tuple(f if f in stobjs_in else None for f in fnames)),
             shared(outputs), guard, measure, body_forms[0])
         self.world.add_event("defun", name, fd)
-        self.world.register(self.world.events[-1])
         return intern(name)
 
     def _parse_declare(self, form, fname):
@@ -759,7 +758,6 @@ class Interp:
         for op in generated_ops(spec):
             self._check_fresh(op.name, form)
         self.world.add_event("defstobj", spec.name, spec)
-        self.world.register(self.world.events[-1])
         inst = spec.fresh()
         inst.owner = "bank"
         self.bank[spec.name] = inst
@@ -771,13 +769,11 @@ class Interp:
             self._check_fresh(sig.name, form)
         self.world.add_event("signature",
                              " ".join(s.name for s in sigs), sigs)
-        self.world.register(self.world.events[-1])
         return T
 
     def _defattach(self, form):
         name, target = refinement.parse_defattach(form, self.world)
         self.world.add_event("defattach", name, target)
-        self.world.register(self.world.events[-1])
         return T
 
     ### undo

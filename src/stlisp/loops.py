@@ -1,17 +1,19 @@
 """Iteration: loop$ parsing, the DO statement tree, and both executors.
 
 make_do_plan parses and validates a DO body and its FINALLY body once,
-into a tree of if/let/mv-let/setq/mv-setq/return/loop-finish nodes, and
-two walkers run that one tree.  The logical path (run_do) is the
+into a tree of seq/if/let/mv-let/setq/mv-setq/return/loop-finish nodes,
+and one walker runs that tree on both paths, assigning each SETQ and
+MV-SETQ into a frame of slots.  The logical path (run_do) is the
 specification: the DO body is a one-formal function of an alist of the
 settable variables, applied once per iteration to yield an exit triple
 (token value new-alist), under a strictly decreasing lexicographic
-measure.  It walks the tree without assignment, binding each SETQ in a
-new frame and building the new alist at the leaf.  The native path
-(native_exec) walks the same tree and assigns into mutable slots, with
-no measure, under an iteration cap.  Both paths share parsing, grammar
-validation, and result decoding, so any disagreement between them is a
-bug in one of the two walkers and not in the front end.
+measure.  Each application reads fresh slots from the alist, walks the
+tree over them, and conses the new alist from them.  The native path
+(native_exec) walks the tree over one set of slots for the whole loop,
+with no measure, under an iteration cap.  Both paths share parsing,
+grammar validation, the walker, and result decoding, so they differ
+only in how stobjs are written (copied or in place) and in what ends a
+runaway loop (the measure or the cap).
 """
 
 from . import stobjs
@@ -192,20 +194,21 @@ def _parse_values(arg, spec, world):
 
 ### parsing DO and FINALLY bodies into statement trees
 
-# Statement tree nodes.  Each node holds all that runs after it, so the
-# walkers below run a tree with a plain loop and never return to a
-# parent node:
+# Statement tree nodes.  A walker runs a tree with a plain loop and
+# returns at a leaf; only the effects of a "seq" are walked on their own.
 #
+#   ("seq", effects, last)     a PROGN: the effects in order, then last
 #   ("if", test, then, else, form)
 #   ("let", names, rhs forms, body, form)   LET* nests one-binding LETs
 #   ("mv-let", names, rhs form, body, form)
-#   ("setq", (name,), rhs form, rest, form)
-#   ("mv-setq", names, rhs form, rest, form)
+#   ("setq", (name,), rhs form, form)
+#   ("mv-setq", names, rhs form, form)
 #   ("return", expr, form)     FINISH     FALL
 #
-# PROGN does not survive parsing: a SETQ or MV-SETQ carries the
-# statements after it as `rest`, and an IF that precedes other
-# statements gets them appended to each of its branches.
+# An effect is a statement before the last form of a PROGN.  It can
+# only assign: a SETQ, an MV-SETQ, or an IF or PROGN built of effects,
+# so its walk always falls through.  A SETQ or MV-SETQ falls through
+# after assigning, wherever it stands.
 FINISH = ("finish",)
 FALL = ("fall",)
 
@@ -265,18 +268,17 @@ class _Parser:
                                  form=s)
         name = s.car.name
         if name == "IF":
-            return self._stmt_if(s, [], scope)
+            return self._stmt_if(s, self.stmt, scope)
         if name in ("LET", "LET*"):
             return self._stmt_let(s, scope, sequential=name == "LET*")
         if name == "MV-LET":
             return self._stmt_mv_let(s, scope)
         if name == "PROGN":
-            return self._stmt_progn(_cons_args(s, error=TranslateError),
-                                    scope)
+            return self._stmt_progn(s, self.stmt, scope)
         if name == "SETQ":
-            return self._setq_step(s, [], scope)
+            return self._setq_step(s, scope)
         if name == "MV-SETQ":
-            return self._mv_setq_step(s, [], scope)
+            return self._mv_setq_step(s, scope)
         if name == "RETURN":
             return self._stmt_return(s, scope)
         if name == "LOOP-FINISH":
@@ -291,12 +293,37 @@ class _Parser:
             "%s is not a statement; a DO body is built from if/let/let*/"
             "mv-let/progn/setq/mv-setq/return/loop-finish" % show(s), form=s)
 
-    def _stmt_if(self, s, rest, scope):
+    def _effect(self, s, scope):
+        """A statement before the last form of a PROGN (see FALL)."""
+        if isinstance(s, Cons) and isinstance(s.car, Symbol):
+            h = s.car.name
+            if h == "SETQ":
+                return self._setq_step(s, scope)
+            if h == "MV-SETQ":
+                return self._mv_setq_step(s, scope)
+            if h == "IF":
+                return self._stmt_if(s, self._effect, scope)
+            if h == "PROGN":
+                return self._stmt_progn(s, self._effect, scope)
+            if h in ("RETURN", "LOOP-FINISH"):
+                raise TranslateError(
+                    "%s must be the final form of its PROGN" % h, form=s)
+            if h in ("LET", "LET*", "MV-LET"):
+                raise TranslateError(
+                    "a %s before the end of a PROGN has no effect on the "
+                    "settable variables; bind locals around the whole PROGN "
+                    "instead" % h, form=s)
+        raise TranslateError(
+            "only SETQ, MV-SETQ, IF, and PROGN may precede the final form "
+            "of a PROGN, got %s" % show(s), form=s)
+
+    def _stmt_if(self, s, branch, scope):
+        """An IF whose branches are read by branch: stmt or _effect."""
         test, then, els = if_parts(s, TranslateError)
         test = self.expr(test, scope)
-        tbr = self._stmt_progn([then] + rest, scope)
-        fbr = self._stmt_progn(rest if els is None else [els] + rest, scope)
-        return ("if", test, tbr, fbr, s)
+        then = branch(then, scope)
+        els = FALL if els is None else branch(els, scope)
+        return ("if", test, then, els, s)
 
     def _stmt_let(self, s, scope, sequential):
         bindings, body = let_parts(s, TranslateError)
@@ -329,36 +356,17 @@ class _Parser:
         body = self.stmt(body, set(scope) | {v.name for v in vars_})
         return ("mv-let", tuple(v.name for v in vars_), rhs, body, s)
 
-    def _stmt_progn(self, items, scope):
+    def _stmt_progn(self, s, final, scope):
+        """A PROGN whose last form is read by final: stmt or _effect."""
+        items = _cons_args(s, error=TranslateError)
         if not items:
             return FALL
-        if len(items) == 1:
-            return self.stmt(items[0], scope)
-        s0, rest = items[0], items[1:]
-        if isinstance(s0, Cons) and isinstance(s0.car, Symbol):
-            h = s0.car.name
-            if h == "PROGN":
-                return self._stmt_progn(
-                    _cons_args(s0, error=TranslateError) + rest, scope)
-            if h == "IF":
-                return self._stmt_if(s0, rest, scope)
-            if h == "SETQ":
-                return self._setq_step(s0, rest, scope)
-            if h == "MV-SETQ":
-                return self._mv_setq_step(s0, rest, scope)
-            if h in ("RETURN", "LOOP-FINISH"):
-                raise TranslateError(
-                    "%s must be the final form of its PROGN" % h, form=s0)
-            if h in ("LET", "LET*", "MV-LET"):
-                raise TranslateError(
-                    "a %s before the end of a PROGN has no effect on the "
-                    "settable variables; bind locals around the whole PROGN "
-                    "instead" % h, form=s0)
-        raise TranslateError(
-            "only SETQ, MV-SETQ, IF, and PROGN may precede the final form "
-            "of a PROGN, got %s" % show(s0), form=s0)
+        n = len(items) - 1
+        effects = tuple([self._effect(items[i], scope) for i in range(n)])
+        last = final(items[n], scope)
+        return ("seq", effects, last) if effects else last
 
-    def _setq_step(self, s, rest, scope):
+    def _setq_step(self, s, scope):
         args = _cons_args(s, error=TranslateError)
         if len(args) != 2 or not isinstance(args[0], Symbol):
             raise TranslateError("SETQ takes a variable and a value: %s"
@@ -371,10 +379,9 @@ class _Parser:
                 form=s)
         rhs = self.expr(args[1], scope)
         self.steps.setdefault(var.name, []).append(rhs)
-        body = self._stmt_progn(rest, scope)
-        return ("setq", (var.name,), rhs, body, s)
+        return ("setq", (var.name,), rhs, s)
 
-    def _mv_setq_step(self, s, rest, scope):
+    def _mv_setq_step(self, s, scope):
         args = _cons_args(s, error=TranslateError)
         if len(args) != 2:
             raise TranslateError("MV-SETQ takes a variable list and a form",
@@ -393,8 +400,7 @@ class _Parser:
                     "MV-SETQ target %s is not settable" % n, form=s)
             self.steps.setdefault(n, []).append(None)
         rhs = self.expr(args[1], scope)
-        body = self._stmt_progn(rest, scope)
-        return ("mv-setq", names, rhs, body, s)
+        return ("mv-setq", names, rhs, s)
 
     def _stmt_return(self, s, scope):
         args = _cons_args(s, error=TranslateError)
@@ -620,75 +626,61 @@ def _default_result(spec, form):
     return MultiValue([NIL] * len(spec.values))
 
 
-### the two walkers
+### the walker
 
 def _if_test(interp, node, env):
     test = interp.eval(node[1], env)
     if isinstance(test, (MultiValue, stobjs.StobjInstance)):
-        raise EvalError("bad value in an IF test", form=node[4])
+        stobjs.value_check(test, "an IF test", node[4])
     return truthy(test)
 
 
-def _frame(interp, node, env, plan, n):
-    """The checked {name: value} that a LET, MV-LET, SETQ or MV-SETQ node
-    binds, its right-hand sides evaluated in env."""
-    tag, names, rhs, _next, form = node
+def _bind(interp, node, env, frame, plan, n):
+    """Store into frame the checked values that a LET, MV-LET, SETQ or
+    MV-SETQ node binds, its right-hand sides evaluated in env first."""
+    tag, names, rhs, form = node[0], node[1], node[2], node[-1]
     if tag == "let":
         vals = [interp.eval(r, env) for r in rhs]
     elif tag == "setq":
-        vals = [interp.eval(rhs, env)]
+        vals = (interp.eval(rhs, env),)
     else:
         val = interp.eval(rhs, env)
         if not isinstance(val, MultiValue) or len(val.values) != len(names):
             raise EvalError("%s expected %d values"
                             % (form.car.name, len(names)), form=form)
         vals = val.values
-    frame = {}
     for name, v in zip(names, vals):
         # only settables have types, and only SETQ and MV-SETQ bind them
         if name in plan.integer_vars:
             check_of_type(interp, name, v, form, n)
         interp.check_binding(name, v, form)
         frame[name] = v
-    return frame
 
 
-def _walk_logical(interp, node, env, plan, n):
-    """Run a statement tree without assignment: each SETQ or MV-SETQ
-    binds a new frame.  Returns (token, value, env at the leaf)."""
+def _walk(interp, node, env, slots, plan, n):
+    """Run a statement tree, assigning each SETQ and MV-SETQ into slots,
+    the frame at the root of env.  Returns (token, value)."""
     while True:
         tag = node[0]
-        if tag == "if":
+        if tag == "seq":
+            for effect in node[1]:
+                _walk(interp, effect, env, slots, plan, n)
+            node = node[2]
+        elif tag == "if":
             node = node[2] if _if_test(interp, node, env) else node[3]
-        elif tag == "return":
-            return K_RETURN, interp.eval(node[1], env), env
-        elif tag == "finish":
-            return K_FINISH, NIL, env
-        elif tag == "fall":
-            return NIL, NIL, env
-        else:
-            env = Env(_frame(interp, node, env, plan, n), env)
-            node = node[3]
-
-
-def _walk_native(interp, node, env, slots, plan, n):
-    """Run a statement tree, assigning each SETQ and MV-SETQ into the
-    slots frame at the root of env.  Returns (token, value)."""
-    while True:
-        tag = node[0]
-        if tag == "if":
-            node = node[2] if _if_test(interp, node, env) else node[3]
+        elif tag == "setq" or tag == "mv-setq":
+            _bind(interp, node, env, slots, plan, n)
+            return NIL, NIL
         elif tag == "return":
             return K_RETURN, interp.eval(node[1], env)
         elif tag == "finish":
             return K_FINISH, NIL
         elif tag == "fall":
             return NIL, NIL
-        elif tag == "setq" or tag == "mv-setq":
-            slots.update(_frame(interp, node, env, plan, n))
-            node = node[3]
         else:
-            env = Env(_frame(interp, node, env, plan, n), env)
+            frame = {}
+            _bind(interp, node, env, frame, plan, n)
+            env = Env(frame, env)
             node = node[3]
 
 
@@ -701,26 +693,17 @@ def _result(spec, token, value, form):
 ### the measured recursive path
 
 # The alist always lists the settables in plan order, one (name . value)
-# entry each, so the environment is read from it by position.
+# entry each.  Each application of the body reads fresh slots from it by
+# position, and the walk's assignments keep that order.
 
-def _alist_env(interp, plan, alist):
+def _alist_slots(interp, plan, alist):
     if interp.trace:
         assert [e.car.name for e in to_pylist(alist)] == plan.settables
-    frame = {}
+    slots = {}
     for name in plan.settables:
-        frame[name] = alist.car.cdr
+        slots[name] = alist.car.cdr
         alist = alist.cdr
-    return Env(frame)
-
-
-def _alist(plan, env):
-    entries = []
-    for name in plan.settables:
-        e = env
-        while name not in e.vars:
-            e = e.parent
-        entries.append((name, e.vars[name]))
-    return _build_alist(entries)
+    return slots
 
 
 def _build_alist(entries):
@@ -735,7 +718,8 @@ def _triple(token, value, alist):
 
 def run_do(interp, spec, plan, env, form):
     alist = _build_alist(initial_bindings(interp, spec, env, form))
-    env = _alist_env(interp, plan, alist)
+    slots = _alist_slots(interp, plan, alist)
+    env = Env(slots)
     n = 0
     m_cur = None
     while True:
@@ -749,22 +733,23 @@ def run_do(interp, spec, plan, env, form):
             m_cur = lex_fix(interp.eval(plan.measure_form, env))
         if interp.trace:
             interp.loop_measures.append(m_cur)
-        token, val, leaf = _walk_logical(interp, plan.do_tree, env, plan, n)
-        new_alist = _alist(plan, leaf)
+        token, val = _walk(interp, plan.do_tree, env, slots, plan, n)
+        new_alist = _build_alist(slots.items())
         if interp.trace:
             interp.do_trace.append(("do", alist,
                                     _triple(token, val, new_alist)))
         if token is K_RETURN:
             return decode_result(spec, val, form)
-        env = _alist_env(interp, plan, new_alist)
+        slots = _alist_slots(interp, plan, new_alist)
+        env = Env(slots)
         if token is K_FINISH:
             if plan.finally_tree is not None:
-                token, val, leaf = _walk_logical(interp, plan.finally_tree,
-                                                 env, plan, n)
+                token, val = _walk(interp, plan.finally_tree, env, slots,
+                                   plan, n)
                 if interp.trace:
                     interp.do_trace.append(
                         ("finally", new_alist,
-                         _triple(token, val, _alist(plan, leaf))))
+                         _triple(token, val, _build_alist(slots.items()))))
             return _result(spec, token, val, form)
         m_new = lex_fix(interp.eval(plan.measure_form, env))
         if not l_less(m_new, m_cur):
@@ -794,13 +779,13 @@ def native_exec(interp, spec, plan, env, form):
                 raise GuardViolation(
                     "loop :GUARD %s failed entering iteration %d"
                     % (show(spec.guard), n), form=form)
-        token, val = _walk_native(interp, plan.do_tree, base, slots, plan, n)
+        token, val = _walk(interp, plan.do_tree, base, slots, plan, n)
         if token is K_RETURN:
             return decode_result(spec, val, form)
         if token is K_FINISH:
             if plan.finally_tree is not None:
-                token, val = _walk_native(interp, plan.finally_tree, base,
-                                          slots, plan, n)
+                token, val = _walk(interp, plan.finally_tree, base, slots,
+                                   plan, n)
             return _result(spec, token, val, form)
 
 

@@ -42,13 +42,12 @@ def table_count(cell):
     return len(cell.data)
 
 
-def table_put(cell, key, child, *, in_place, check_owner=False):
-    if check_owner and child.owner is not None \
-            and child.owner is not cell.mark:
-        raise OwnershipError(
-            "stobj %s is already owned by another location and cannot be "
-            "stored in a second table" % child.print_name)
+def table_put(cell, key, child, *, in_place):
     if in_place:
+        if child.owner is not None and child.owner is not cell.mark:
+            raise OwnershipError(
+                "stobj %s is already owned by another location and cannot "
+                "be stored in a second table" % child.print_name)
         cell.data[key] = child
         child.owner = cell.mark
         return cell

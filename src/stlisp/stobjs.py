@@ -451,8 +451,7 @@ def eval_stobj_let(interp, form, env):
         pname = parent_sym.name
         parent = parents[pname]
         newcell = stobj_table.table_put(
-            parent.get_cell(op.findex), out, val, in_place=in_place,
-            check_owner=in_place)
+            parent.get_cell(op.findex), out, val, in_place=in_place)
         if not in_place:
             parents[pname] = parent.with_cell(op.findex, newcell)
 
@@ -477,6 +476,7 @@ class Analyzer:
         self.self_output = self_output
         self.violations = []
         self.saw_self = False
+        self.stobj_lets = []    # the stobj-let forms parsed, in order
         # Top-level checking raises undefined-function and arity problems
         # directly; inside a defun they are collected as violations so a
         # bad definition reports everything at once.
@@ -708,6 +708,7 @@ class Analyzer:
         spec = self._parse(parse_stobj_let, expr, self.world)
         if spec is None:
             return (None,)
+        self.stobj_lets.append(expr)
         parents = set()
         children = {}
         for child, parent_sym, _op, _creator in spec.bindings:
@@ -823,7 +824,11 @@ class Analyzer:
         keeps is never one the logical path drops.
         """
         tag = node[0]
-        if tag == "if":
+        if tag == "seq":
+            for effect in node[1]:
+                self._analyze_stmt(effect, live, bound, values)
+            self._analyze_stmt(node[2], live, bound, values)
+        elif tag == "if":
             self.want_value(node[1], live, bound, "an IF test")
             self._analyze_stmt(node[2], live, bound, values)
             self._analyze_stmt(node[3], live, bound, values)
@@ -841,8 +846,7 @@ class Analyzer:
             self._analyze_stmt(body, live, bound, values)
         elif tag == "setq" or tag == "mv-setq":
             want = tuple(live.get(n) for n in node[1])
-            self._want_shape(node[2], want, live, bound, node[4])
-            self._analyze_stmt(node[3], live, bound, values)
+            self._want_shape(node[2], want, live, bound, node[3])
         elif tag == "return":
             self._want_shape(node[1], tuple(values), live, bound, node[2])
 
@@ -967,6 +971,17 @@ def bindable(var, what, form, error=EvalError):
     if var is NIL or var is T or sexpr.is_keyword(var):
         raise error("bad %s %s" % (what, var.name), form=form)
     return var
+
+
+def value_check(v, what, form):
+    """Raise for a multiple value or a stobj v in what, a position that
+    takes one ordinary value."""
+    if isinstance(v, sexpr.MultiValue):
+        raise EvalError("multiple values are not a single value in %s" % what,
+                        form=form)
+    if isinstance(v, StobjInstance):
+        raise EvalError("stobj %s may not appear in %s" % (v.spec.name, what),
+                        form=form)
 
 
 def _is_declare(form):

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from stlisp import loops, sexpr
+from stlisp import cli, loops, sexpr
 from stlisp.errors import (CapExceeded, EvalError, GuardViolation,
                            LinearityError, MeasureViolation, TranslateError)
 from stlisp.kernel import Interp
@@ -229,6 +229,80 @@ def test_statement_grammar_errors():
     assert "LOOP-FINISH is not legal in a FINALLY clause" \
         in plan_error("(loop$ with x = 0 do :measure 0 (return x) "
                       "finally (loop-finish))")
+
+
+@pytest.mark.parametrize("branch, text", [
+    ("(return x)", "RETURN must be the final form of its PROGN"),
+    ("(progn (setq x 1) (loop-finish))",
+     "LOOP-FINISH must be the final form of its PROGN"),
+    ("(let ((y 1)) (setq x y))",
+     "a LET before the end of a PROGN has no effect"),
+    ("5", "only SETQ, MV-SETQ, IF, and PROGN may precede the final form of "
+     "a PROGN, got 5"),
+])
+def test_statement_grammar_errors_inside_an_if_that_is_not_last(branch,
+                                                                text):
+    for body in ("(if (zp x) %s)" % branch,
+                 "(if (zp x) (setq x 1) (if x %s))" % branch):
+        assert text in plan_error("(loop$ with x = 0 do :measure 0 "
+                                  "(progn %s (return x)))" % body)
+
+
+def count_scans(monkeypatch):
+    calls = []
+    real = loops._scan_expr
+
+    def scan(e, *args):
+        calls.append(e)
+        return real(e, *args)
+    monkeypatch.setattr(loops, "_scan_expr", scan)
+    return calls
+
+
+def ifs_before_the_last_form(k):
+    """A 3-iteration DO loop with k one-armed IFs before its last form."""
+    return ("(loop$ with x = 3 with y = 0 do :measure (nfix x) "
+            "(if (zp x) (return y) (progn %s (setq x (1- x)))))"
+            % " ".join("(if (< x %d) (setq y (+ y 1)))" % (i % 5)
+                       for i in range(k)))
+
+
+def test_each_do_statement_is_parsed_once(monkeypatch):
+    calls = count_scans(monkeypatch)
+    assert Interp().eval(read(ifs_before_the_last_form(12)), None) == 12
+    # (nfix x) 2, (zp x) 2, (return y) 1, each IF's (< x i) 3 and
+    # (+ y 1) 3, (1- x) 2: one scan per subexpression of the measure
+    # and the body
+    assert len(calls) == 2 + 2 + 1 + 12 * 6 + 2
+
+
+def test_forty_ifs_run_alike_in_both_modes_and_diff(capsys, tmp_path):
+    text = ifs_before_the_last_form(40)
+    assert run_both(text) == sum(x < i % 5 for x in (1, 2, 3)
+                                 for i in range(40))
+    f = tmp_path / "ifs.lisp"
+    f.write_text(text + "\n")
+    assert cli.main(["diff", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] \
+        == "equivalent (1 forms, 0 stobjs)"
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_do_if_test_has_the_evaluators_texts(mode):
+    interp = Interp(mode=mode)
+    interp.eval_text("(defstobj st fld)")
+    for form, text in [
+            ("(if (mv 1 2) 1 2)",
+             "multiple values are not a single value in an IF test"),
+            ("(loop$ with x = 0 do :measure 0 "
+             "(if (mv 1 2) (return 1) (return 2)))",
+             "multiple values are not a single value in an IF test"),
+            ("(loop$ with x = 0 do :measure 0 :values (st) "
+             "(if st (return st) (return st)))",
+             "stobj ST may not appear in an IF test")]:
+        with pytest.raises(EvalError) as exc:
+            interp.eval(read(form), None)
+        assert exc.value.message == text
 
 
 def test_expression_level_rejections():

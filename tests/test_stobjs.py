@@ -456,11 +456,9 @@ def test_ownership_guard_rejects_double_store():
     cell_b = stobj_table.TableCell({})
     spec = stobjs.StobjSpec("CHILD", [stobjs.FieldSpec("F", stobjs.SCALAR)])
     inst = spec.fresh()
-    stobj_table.table_put(cell_a, intern("CHILD"), inst, in_place=True,
-                          check_owner=True)
+    stobj_table.table_put(cell_a, intern("CHILD"), inst, in_place=True)
     with pytest.raises(OwnershipError) as exc:
-        stobj_table.table_put(cell_b, intern("CHILD"), inst, in_place=True,
-                              check_owner=True)
+        stobj_table.table_put(cell_b, intern("CHILD"), inst, in_place=True)
     assert "already owned by another location" in str(exc.value)
 
 
@@ -470,7 +468,7 @@ def test_ownership_guard_accepts_a_second_store_in_the_same_cell():
     inst = spec.fresh()
     for _ in range(2):
         out = stobj_table.table_put(cell, intern("CHILD"), inst,
-                                    in_place=True, check_owner=True)
+                                    in_place=True)
         assert out is cell
     assert cell.data == {intern("CHILD"): inst}
 
@@ -481,8 +479,7 @@ def test_stored_child_does_not_reach_its_cell():
     cell = stobj_table.TableCell({})
     spec = stobjs.StobjSpec("CHILD", [stobjs.FieldSpec("F", stobjs.SCALAR)])
     child = spec.fresh()
-    stobj_table.table_put(cell, intern("CHILD"), child, in_place=True,
-                          check_owner=True)
+    stobj_table.table_put(cell, intern("CHILD"), child, in_place=True)
     seen = set()
     todo = [child]
     while todo:
@@ -546,6 +543,27 @@ def test_undo_empties_the_stobj_let_table(mode):
                     mode=mode)
     assert bank_after(interp, form) == bank_after(fresh, form) \
         == "(((CHILD 7 1)))"
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_top_level_stobj_lets_leave_no_table_entries(monkeypatch, mode):
+    interp = fixture(CHILD_TABLE + " (defstobj child a)", mode=mode)
+    for _ in range(3):
+        interp.eval_text(PUT_CHILD)
+    assert interp.world.stobj_lets == {}
+    with pytest.raises(EvalError):
+        interp.eval_text(PUT_CHILD.replace("(update-a 1 child)",
+                                           "(update-a (car 5) child)"))
+    assert interp.world.stobj_lets == {}
+    assert show(interp.bank["TOP"].logical_view()) == "(((CHILD 1)))"
+    # a form in a defun body is parsed once, at its first evaluation
+    interp.eval_text("(defun put-child (top) (declare (xargs :stobjs (top)))"
+                     " %s)" % PUT_CHILD)
+    calls = counting_parser(monkeypatch)
+    for _ in range(3):
+        interp.eval_text("(put-child top)")
+    assert len(calls) == 1
+    assert list(interp.world.stobj_lets) == calls
 
 
 @pytest.mark.parametrize("mode", ["logical", "native"])
