@@ -9,6 +9,7 @@ STLISP_* environment default; an explicit flag wins.
 
 import argparse
 import os
+import re
 import sys
 
 from . import sexpr
@@ -18,22 +19,44 @@ from .refinement import check_constraints
 from .sexpr import show
 
 
-def _env(name, fallback):
-    return os.environ.get("STLISP_" + name, fallback)
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error exits 1: exit code 2 reports a divergence
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
+def _flag(parser, name, fallback, choices=(), least=None):
+    """Add --name, by default $STLISP_NAME or else fallback: one of
+    choices, or without them an integer (at least least, if given).
+    argparse types a string default as it types a flag's text, so an
+    environment value is checked exactly as the flag is."""
+    env = "STLISP_" + name.upper().replace("-", "_")
+    what = ("one of " + ", ".join(choices) if choices else "an integer"
+            if least is None else "an integer of at least %d" % least)
+
+    def value(text):
+        if choices and text in choices:
+            return text
+        if not choices and re.fullmatch(r"[-+]?\d+", text) \
+                and (least is None or int(text) >= least):
+            return int(text)
+        raise argparse.ArgumentTypeError("%r is not %s (from --%s or %s)"
+                                         % (text, what, name, env))
+    parser.add_argument("--" + name, type=value,
+                        default=os.environ.get(env, fallback),
+                        metavar="{%s}" % ",".join(choices) if choices else "N")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stlisp",
         description="a miniature applicative Lisp with single-threaded "
                     "objects and measured DO loops")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=["logical", "native", "diff"],
-                        default=_env("MODE", "logical"))
-    common.add_argument("--guard-check", choices=["on", "off"],
-                        default=_env("GUARD_CHECK", "on"))
-    common.add_argument("--cap", type=int,
-                        default=int(_env("CAP", "10000000")))
+    _flag(common, "mode", "logical", ("logical", "native", "diff"))
+    _flag(common, "guard-check", "on", ("on", "off"))
+    _flag(common, "cap", "10000000", least=1)
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", parents=[common],
                            help="evaluate a file of forms")
@@ -46,9 +69,8 @@ def build_parser():
                            help="load a file, then sample the scheduler "
                                 "contracts")
     p_chk.add_argument("path")
-    p_chk.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
-    p_chk.add_argument("--trials", type=int,
-                       default=int(_env("TRIALS", "1000")))
+    _flag(p_chk, "seed", "0")
+    _flag(p_chk, "trials", "1000", least=1)
     return parser
 
 

@@ -12,7 +12,7 @@ check before they are accepted:
       same name, or be in return position;
   R3  a stobj is never bound to a different name, never passed twice
       in one argument list, and its name is never bound to an
-      ordinary value;
+      ordinary value; a LET or MV-LET binds each name once;
   R4  both branches of an IF must agree on which stobjs they return.
 
 Fields are either scalars or stobj-tables; arrays and strings are out
@@ -477,6 +477,7 @@ class Analyzer:
         self.violations = []
         self.saw_self = False
         self.stobj_lets = []    # the stobj-let forms parsed, in order
+        self.produced = None    # stobjs returned by calls in a producer
         # Top-level checking raises undefined-function and arity problems
         # directly; inside a defun they are collected as violations so a
         # bad definition reports everything at once.
@@ -499,8 +500,6 @@ class Analyzer:
             if self.world.stobj_spec(expr.name) is not None:
                 self.err("R1", "stobj %s is used without being declared or "
                                "bound here" % expr.name)
-            return (None,)
-        if isinstance(expr, (int, str)):
             return (None,)
         if not isinstance(expr, Cons):
             return (None,)
@@ -614,21 +613,21 @@ class Analyzer:
         if parts is None:
             return (None,)
         bindings, body = let_pairs(parts[0]), parts[1]
-        if not sequential and len(bindings) > 1:
-            self._check_parallel(bindings, live, expr)
+        if not sequential:
+            # each right-hand side sees the scope outside the LET
+            shapes = [self.analyze(rhs, live, bound, tail=False)
+                      for _var, rhs in bindings]
+            if len(bindings) > 1:
+                self._check_parallel(bindings, shapes)
         cur_live, cur_bound = live, bound
         rebound = []
-        for var, rhs in bindings:
-            rhs_env = (cur_live, cur_bound) if sequential else (live, bound)
-            sh = self.analyze(rhs, rhs_env[0], rhs_env[1], tail=False)
-            if sh is UNKNOWN:
-                slot = cur_live.get(var.name)
-            else:
-                slot = sh[0] if len(sh) == 1 else None
-            if slot is not None:
-                rebound.append(slot)
+        for i, (var, rhs) in enumerate(bindings):
+            sh = (self.analyze(rhs, cur_live, cur_bound, tail=False)
+                  if sequential else shapes[i])
             cur_live, cur_bound = self._bind_one(var, sh, cur_live, cur_bound,
                                                  expr)
+            if var.name in cur_live:
+                rebound.append(cur_live[var.name])
         bsh = self.analyze(body, cur_live, cur_bound, tail)
         self._require_returned(rebound, bsh, "LET")
         return bsh
@@ -642,17 +641,14 @@ class Analyzer:
                                "among the values of its body; the update "
                                "would be discarded" % (sname, binder))
 
-    def _check_parallel(self, bindings, live, expr):
+    def _check_parallel(self, bindings, shapes):
         # In a parallel LET, a binding that consumes a stobj must be the
         # only binding mentioning that stobj, or evaluation order would
-        # be observable.
-        returning = {}
+        # be observable.  shapes are those of the right-hand sides.
+        returning = [sh[0] for sh in shapes if sh is not UNKNOWN
+                     and len(sh) == 1 and sh[0] is not None]
         for var, rhs in bindings:
-            sh = self.analyze(rhs, live, set(), tail=False)
-            if sh is not UNKNOWN and len(sh) == 1 and sh[0] is not None:
-                returning[var.name] = sh[0]
-        for var, rhs in bindings:
-            for name in returning.values():
+            for name in returning:
                 if var.name != name and _mentions(rhs, name):
                     self.err("R3", "parallel LET both updates and reads "
                                    "stobj %s" % name)
@@ -720,7 +716,11 @@ class Analyzer:
             children[child.name] = child.name
         body_live = {k: v for k, v in live.items() if k not in parents}
         body_live.update(children)
+        outer, self.produced = self.produced, set()
         psh = self.analyze(spec.producer, body_live, bound, tail=False)
+        produced, self.produced = self.produced, outer
+        if outer is not None:
+            outer |= produced
         out_names = [o.name for o in spec.outputs]
         expected = tuple(children.get(n) for n in out_names)
         if psh is UNKNOWN:
@@ -736,8 +736,7 @@ class Analyzer:
                              % (n, _shape_str((want,)), _shape_str((slot,))))
         written = set(n for n in out_names if n in children)
         for cname in children:
-            if cname not in written and self._updates_stobj(spec.producer,
-                                                            cname):
+            if cname not in written and cname in produced:
                 self.err("R2", "child %s is updated in the producer but is "
                                "not among the stobj-let outputs" % cname)
         # An output that is not a child binds an ordinary value, as a LET
@@ -750,35 +749,12 @@ class Analyzer:
                     out, (None,), cons_live, cons_bound, expr)
         csh = self.analyze(spec.consumer, cons_live, cons_bound, tail)
         if written:
-            returned = set() if csh is UNKNOWN else set(
-                s for s in csh if s is not None)
             for pname in parents:
-                if pname not in returned:
+                if csh is UNKNOWN or pname not in csh:
                     self.err("R2", "stobj-let updates children of %s, so its "
                                    "consumer must return %s or the update "
                                    "would be discarded" % (pname, pname))
         return csh
-
-    def _updates_stobj(self, expr, sname):
-        """Does any call inside expr return stobj sname?"""
-        if isinstance(expr, Cons):
-            head = expr.car
-            if head is QUOTE:
-                return False
-            if isinstance(head, Symbol):
-                try:
-                    _ins, outs = self._shape_of(head.name,
-                                                len(_cons_args(expr)))
-                except EvalError:
-                    outs = ()
-                if isinstance(outs, tuple) and sname in outs:
-                    return True
-            node = expr
-            while isinstance(node, Cons):
-                if self._updates_stobj(node.car, sname):
-                    return True
-                node = node.cdr
-        return False
 
     def _analyze_loop(self, expr, live, bound):
         from . import loops
@@ -787,11 +763,10 @@ class Analyzer:
             return (None,)
         if spec.kind == "FOR":
             self.want_value(spec.for_range, live, bound, "a FOR range")
-            inner = dict(live)
-            if spec.for_var.name in inner:
+            if spec.for_var.name in live:
                 self.err("R3", "FOR variable shadows stobj %s"
                          % spec.for_var.name)
-            self.want_value(spec.for_body, inner,
+            self.want_value(spec.for_body, live,
                             set(bound) | {spec.for_var.name}, "a FOR body")
             return (None,)
         for name, _typ, init in spec.withs:
@@ -910,6 +885,8 @@ class Analyzer:
         if outputs is UNKNOWN:
             self.saw_self = True
             return UNKNOWN
+        if self.produced is not None:
+            self.produced.update(outputs)
         if FOLLOW not in outputs:
             # The callee's own tuple: a new one per call would leave freed
             # tuples behind on CPython's free list.
@@ -1029,7 +1006,8 @@ def if_parts(form, error=EvalError):
 
 def let_parts(form, error=EvalError):
     """(LET|LET* ((var rhs) ..) [declare ..] body) -> (bindings, body),
-    bindings the checked spine of (var rhs) lists; see let_pairs."""
+    bindings the checked spine of (var rhs) lists, with distinct vars in
+    a LET; see let_pairs."""
     a = form.cdr
     body = _one_body(a.cdr) if isinstance(a, Cons) else None
     if body is None:
@@ -1045,6 +1023,11 @@ def let_parts(form, error=EvalError):
         var = b.car
         if var is NIL or var is T or var.name[:1] == ":":
             bindable(var, form.car.name + " variable", form, error)
+        seen = bindings if form.car is LET else rest  # LET* may shadow
+        while seen is not rest and seen.car.car is not var:
+            seen = seen.cdr
+        if seen is not rest:
+            raise error("duplicate LET variable %s" % var.name, form=form)
         rest = rest.cdr
     if rest is not NIL:
         raise error("malformed %s bindings" % form.car.name, form=form)
@@ -1066,7 +1049,7 @@ def mv_parts(form, error=EvalError):
 
 def mv_let_parts(form, error=EvalError):
     """(MV-LET (var var ..) rhs [declare ..] body) -> (vars, rhs, body),
-    vars the checked spine of two or more names."""
+    vars the checked spine of two or more distinct names."""
     a = form.cdr
     b = a.cdr if isinstance(a, Cons) else None
     body = _one_body(b.cdr) if isinstance(b, Cons) else None
@@ -1080,6 +1063,11 @@ def mv_let_parts(form, error=EvalError):
         var = rest.car
         if var is NIL or var is T or var.name[:1] == ":":
             bindable(var, "MV-LET variable", form, error)
+        seen = vars_
+        while seen is not rest and seen.car is not var:
+            seen = seen.cdr
+        if seen is not rest:
+            raise error("duplicate MV-LET variable %s" % var.name, form=form)
         n += 1
         rest = rest.cdr
     if rest is not NIL or n < 2:
@@ -1129,24 +1117,22 @@ def check_defun(world, name, formals, stobjs_decl, body, guard, measure):
     bound0 = set(f for f in formals if f not in live0)
     self_inputs = tuple(f if f in live0 else None for f in formals)
 
-    analyzer = Analyzer(world, name, self_inputs, UNKNOWN)
-    for label, extra in (("guard", guard), ("measure", measure)):
-        if extra is not None:
-            analyzer.want_value(extra, live0, bound0, "the :%s term" % label)
-    shape = analyzer.analyze(body, live0, bound0, tail=True)
+    def check(self_output):
+        analyzer = Analyzer(world, name, self_inputs, self_output)
+        for label, extra in (("guard", guard), ("measure", measure)):
+            if extra is not None:
+                analyzer.want_value(extra, live0, bound0,
+                                    "the :%s term" % label)
+        return analyzer, analyzer.analyze(body, live0, bound0, tail=True)
+
+    analyzer, shape = check(UNKNOWN)
     if analyzer.saw_self:
+        # Only a self-call has an UNKNOWN shape, so a second pass that
+        # knows it finds every shape.
         if shape is UNKNOWN:
             raise LinearityError(name, ["R2: cannot infer what %s returns; "
                                         "every path is self-recursive" % name])
-        second = Analyzer(world, name, self_inputs, shape)
-        for label, extra in (("guard", guard), ("measure", measure)):
-            if extra is not None:
-                second.want_value(extra, live0, bound0, "the :%s term" % label)
-        shape2 = second.analyze(body, live0, bound0, tail=True)
-        analyzer = second
-        shape = shape2
-    if shape is UNKNOWN:
-        raise LinearityError(name, ["R2: cannot infer what %s returns" % name])
+        analyzer, shape = check(shape)
     if analyzer.violations:
         raise LinearityError(name, analyzer.violations)
     return shape

@@ -435,6 +435,13 @@ LINEARITY_FIXTURES = [
     "(consp (apply$ '(lambda (x) (update-fld x st)) '(5)))",
     "(let ((y (apply$ '(lambda (x) (let ((st (update-fld x st))) 7)) "
     "'(5)))) y)",
+    # a parallel LET that binds the stobj twice: native execution would
+    # keep both updates and logical execution only the second
+    """(defun bad-twice (st)
+         (declare (xargs :stobjs (st)))
+         (let ((st (update-fld (cons 1 (fld st)) st))
+               (st (update-fld (cons 2 (fld st)) st)))
+           st))""",
     # DO-loop expressions that update a stobj and drop the result
 ] + ["(loop$ with i = 1 do :values (nil st) %s)" % rest for rest in (
     ":measure (nfix i) "

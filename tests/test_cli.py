@@ -260,6 +260,21 @@ def test_env_cap_default(capsys, monkeypatch, tmp_path):
     assert "native iteration cap of 75" in out
 
 
+def test_diff_rejects_a_let_binding_the_stobj_twice_in_both_modes(
+        capsys, tmp_path):
+    f = tmp_path / "twice.lisp"
+    f.write_text("(defstobj st fld)\n"
+                 "(defun twice (st) (declare (xargs :stobjs (st)))\n"
+                 "  (let ((st (update-fld (cons 1 (fld st)) st))\n"
+                 "        (st (update-fld (cons 2 (fld st)) st))) st))\n"
+                 "(twice st)\n(fld st)\n")
+    code, out = run_cli(capsys, ["diff", str(f)])
+    assert code == 0
+    assert out.startswith("form 2 skipped (LinearityError in both modes: ")
+    assert "R1: duplicate LET variable ST in (LET " in out
+    assert out.splitlines()[-1] == "equivalent (4 forms, 1 stobjs)"
+
+
 # --------------------------------------------------------------------- repl
 
 def repl(text, argv=()):
@@ -351,3 +366,46 @@ def test_repl_subprocess_round_trip():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "41" in proc.stdout
+
+
+LOOPS_BASIC = str(CORPUS / "loops_basic.lisp")
+SCHEDULER = str(CORPUS / "scheduler_demo.lisp")
+
+
+@pytest.mark.parametrize("env,argv", [
+    ({"STLISP_CAP": "abc"}, ["run", LOOPS_BASIC]),
+    ({"STLISP_CAP": "0"}, ["run", LOOPS_BASIC]),
+    ({"STLISP_MODE": "bogus"}, ["run", LOOPS_BASIC]),
+    ({"STLISP_GUARD_CHECK": "maybe"}, ["run", LOOPS_BASIC]),
+    ({"STLISP_SEED": "abc"}, ["check-constraints", SCHEDULER]),
+    ({"STLISP_TRIALS": "abc"}, ["check-constraints", SCHEDULER]),
+    ({"STLISP_TRIALS": "-3"}, ["check-constraints", SCHEDULER]),
+    ({}, ["check-constraints", "--trials", "-3", SCHEDULER]),
+    ({}, ["check-constraints", "--trials", "0", SCHEDULER]),
+    ({}, ["run", "--cap", "0", LOOPS_BASIC]),
+    ({}, ["run", "--mode", "bogus", LOOPS_BASIC]),
+    ({}, ["run", "--guard-check", "maybe", LOOPS_BASIC]),
+    ({}, ["run"]),
+    ({}, []),
+], ids=lambda v: " ".join("%s=%s" % kv for kv in v.items())
+    if isinstance(v, dict) else " ".join(Path(a).name for a in v))
+def test_usage_errors_exit_1_with_one_error_line(env, argv):
+    # exit code 2 is a divergence or a failed property, never a usage error
+    proc = subprocess.run(
+        [sys.executable, "-m", "stlisp", *argv], env={**os.environ, **env},
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0] == proc.stderr.splitlines()[-1]
+    for name in env:
+        assert name in errors[0]
+
+
+def test_environment_value_is_checked_only_when_no_flag_is_given(capsys,
+                                                                 monkeypatch):
+    monkeypatch.setenv("STLISP_TRIALS", "abc")
+    code, out = run_cli(capsys, ["check-constraints", "--trials", "4",
+                                 SCHEDULER])
+    assert code == 0 and "check-constraints: 4 trials, seed 0" in out

@@ -216,7 +216,7 @@ def test_syntax_errors_name_the_form_in_both_modes(text, offending):
     "(quote 1 2)", "(if 1)", "(if 1 2 3 4)", "(let ((y 1)))", "(let (y) 1)",
     "(let* ((y . 1)) y)", "(mv 1)", "(mv-let (a) (mv 1 2) a)",
     "(mv-let (a b) (mv 1 2))", "(if 1 2 . 3)", "(quote a . b)",
-    "(let ((x 1)) . x)"])
+    "(let ((x 1)) . x)", "(let ((x 1) (x 2)) x)", "(mv-let (a a) (mv 1 2) a)"])
 def test_malformed_special_form_has_one_text(text):
     # the evaluator, the analyzer and the DO-body parser reject it alike
     with pytest.raises(EvalError) as exc:

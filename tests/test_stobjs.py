@@ -5,7 +5,7 @@ import gc
 
 import pytest
 
-from stlisp import kernel, sexpr, stobj_table, stobjs
+from stlisp import kernel, loops, sexpr, stobj_table, stobjs
 from stlisp.errors import EvalError, LinearityError, OwnershipError
 from stlisp.kernel import Interp
 from stlisp.sexpr import NIL, T, intern, read, show
@@ -195,6 +195,36 @@ def test_rule_parallel_let_update_and_read():
     assert "parallel LET both updates and reads stobj ST" in msg
 
 
+def test_parallel_let_right_hand_sides_see_the_enclosing_scope():
+    # ST is bound as an ordinary variable, which is the one violation
+    interp = fixture("(defstobj st fld)")
+    with pytest.raises(LinearityError) as exc:
+        interp.eval_text("(defun g (x) (let ((st (+ x 1))) "
+                         "(let ((a st) (b 1)) a)))")
+    assert exc.value.violations == [
+        "R3: stobj name ST may not be used as an ordinary variable"]
+
+
+TWICE = """(defun twice (st)
+             (declare (xargs :stobjs (st)))
+             (let ((st (update-fld (cons 1 (fld st)) st))
+                   (st (update-fld (cons 2 (fld st)) st)))
+               st))"""
+
+
+def test_parallel_let_and_mv_let_bind_each_name_once():
+    interp = fixture("(defstobj st fld)")
+    with pytest.raises(LinearityError) as exc:
+        interp.eval_text(TWICE)
+    assert exc.value.violations == [
+        "R1: duplicate LET variable ST in (LET ((ST (UPDATE-FLD (CONS 1 "
+        "(FLD ST)) ST)) (ST (UPDATE-FLD (CONS 2 (FLD ST)) ST))) ST)"]
+    with pytest.raises(EvalError, match="duplicate MV-LET variable A"):
+        interp.eval(read("(mv-let (a b a) (mv 1 2 3) a)"), None)
+    # LET* binds in sequence, so a later binding may shadow an earlier one
+    assert interp.eval_text("(let* ((x 1) (x (+ x 1))) x)")[0][1] == 2
+
+
 def test_rule_undeclared_stobj_use():
     interp = fixture("(defstobj st fld)")
     # in a stobj slot: flagged as not live
@@ -369,6 +399,78 @@ def test_stobj_let_updated_child_must_be_output():
                 "(fld switch)) flg))")
     assert "child SWITCH is updated in the producer but is not among the " \
         "stobj-let outputs" in msg
+
+
+def count_calls(monkeypatch, owner, name):
+    """The argument tuples of every call of owner.name from now on."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_stobj_let_producer_is_walked_once(monkeypatch):
+    interp = fixture(SWITCH_DEMO)
+    calls = count_calls(monkeypatch, stobjs.Analyzer, "_shape_of")
+    interp.eval_text(
+        "(defun peek (top) (declare (xargs :stobjs (top))) "
+        "(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
+        "(flg) (cons (fld switch) (cons (fld switch) nil)) flg))")
+    # one callee lookup per call in the producer: CONS, FLD, CONS, FLD
+    assert [c[1] for c in calls] == ["CONS", "FLD", "CONS", "FLD"]
+
+
+def test_default_creator_in_a_nested_stobj_let_is_not_an_update():
+    # the inner stobj-let reads a SWITCH from MID; its default
+    # (CREATE-SWITCH) does not update the outer child SWITCH
+    text = """
+    (defstobj switch fld)
+    (defstobj mid (mtbl :type (stobj-table)))
+    (defstobj top (tbl :type (stobj-table)))
+    (defun peek (top)
+      (declare (xargs :stobjs (top)))
+      (stobj-let ((mid (tbl-get 'mid top (create-mid)))
+                  (switch (tbl-get 'switch top (create-switch))))
+                 (flg)
+                 (stobj-let ((switch (mtbl-get 'switch mid (create-switch))))
+                            (flg2) (fld switch) flg2)
+                 flg))
+    (peek top)"""
+    for mode in ("logical", "native"):
+        assert fixture(text, mode=mode).eval_text("(tbl-count top)")[0][1] \
+            == 0
+
+
+def nested_lets(k, inner):
+    """k two-binding parallel LETs, each in the first right-hand side of
+    the one around it, with inner at the bottom."""
+    for _ in range(k):
+        inner = "(let ((a %s) (b 1)) a)" % inner
+    return inner
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_each_let_right_hand_side_is_analyzed_once(monkeypatch, k):
+    interp = Interp()
+    calls = count_calls(monkeypatch, stobjs.Analyzer, "analyze")
+    interp.eval_text("(defun g (x) %s)" % nested_lets(k, "x"))
+    # each LET, its second right-hand side and its body, then X
+    assert len(calls) == 3 * k + 1
+    assert interp.eval_text("(g 5)")[0][1] == 5
+
+
+def test_a_loop_under_nested_lets_is_planned_once(monkeypatch):
+    interp = Interp()
+    calls = count_calls(monkeypatch, loops, "make_do_plan")
+    interp.eval_text("(defun h (x) %s)" % nested_lets(
+        10, "(loop$ with i = x do :measure (nfix i) "
+            "(if (zp i) (return 7) (setq i (1- i))))"))
+    assert len(calls) == 1
+    assert interp.eval_text("(h 3)")[0][1] == 7
 
 
 def test_stobj_let_output_may_not_rebind_a_stobj():
