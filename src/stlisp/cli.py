@@ -83,13 +83,11 @@ def make_interp(args, mode=None):
 def cmd_run(args, out):
     if args.mode == "diff":
         return cmd_diff(args, out)
+    forms = _load(args.path, out)
+    if forms is None:
+        return 1
     interp = make_interp(args)
     interp.out = out
-    try:
-        forms = sexpr.read_all(_read_file(args.path))
-    except (OSError, LispError) as e:
-        out.write("error: %s\n" % e)
-        return 1
     for form in forms:
         try:
             val = interp.eval_top(form)
@@ -100,9 +98,15 @@ def cmd_run(args, out):
     return 0
 
 
-def _read_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _load(path, out):
+    """The forms of the file at path, or None once one error line is
+    written to out."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return sexpr.read_all(fh.read())
+    except (OSError, UnicodeError, LispError) as e:
+        out.write("error: %s\n" % e)
+        return None
 
 
 def _attempt(interp, form):
@@ -119,10 +123,8 @@ def _bank_view(interp):
 
 
 def cmd_diff(args, out):
-    try:
-        forms = sexpr.read_all(_read_file(args.path))
-    except (OSError, LispError) as e:
-        out.write("error: %s\n" % e)
+    forms = _load(args.path, out)
+    if forms is None:
         return 1
     ilog = make_interp(args, "logical")
     ilog.out = _Null()
@@ -167,15 +169,18 @@ class _Null:
 
 
 def cmd_check_constraints(args, out):
+    forms = _load(args.path, out)
+    if forms is None:
+        return 1
     interp = make_interp(args, "logical" if args.mode == "diff"
                          else args.mode)
     interp.out = out
     try:
-        for form in sexpr.read_all(_read_file(args.path)):
+        for form in forms:
             interp.eval_top(form)
         report = check_constraints(interp, seed=args.seed,
                                    trials=args.trials)
-    except (OSError, LispError) as e:
+    except LispError as e:
         out.write("error: %s\n" % e)
         return 1
     for line in report.lines():

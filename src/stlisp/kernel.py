@@ -467,7 +467,7 @@ class Interp:
                     and form.car.name in EVENT_HEADS:
                 return self._event(form)
             lets = self._check(form, {name: name for name in self.bank},
-                               set(), "this top-level form")
+                               (), "this top-level form")
             try:
                 val = self.eval(form, None)
             finally:
@@ -482,18 +482,21 @@ class Interp:
         self.latch(val)
         return val
 
-    def _check(self, form, live, bound, what):
+    def _check(self, form, live, formals, what):
         """Single-threadedness check for a top-level form or a lambda body.
 
-        Same rules as a defun body, over the given live stobjs and bound
-        names.  An update whose result never reaches the top of the form
-        would be kept by in-place execution and lost by logical
-        execution, so such forms are rejected before either mode runs them.
-        Returns the stobj-let forms in it that the check parsed.
+        Same rules as a defun body, over the given live stobjs and the
+        formals, each bound as a LET binds it.  An update whose result
+        never reaches the top of the form would be kept by in-place
+        execution and lost by logical execution, so such forms are
+        rejected before either mode runs them.  Returns the stobj-let
+        forms in it that the check parsed.
         """
-        analyzer = stobjs.Analyzer(self.world, None, (), stobjs.UNKNOWN,
-                                   raise_call_errors=True)
-        analyzer.analyze(form, live, bound, tail=True)
+        analyzer = stobjs.Analyzer(self.world, raise_call_errors=True)
+        bound = set()
+        for name in formals:
+            live, bound = analyzer._bind_one(name, (None,), live, bound, form)
+        analyzer.analyze(form, live, bound)
         if analyzer.violations:
             raise LinearityError(what, analyzer.violations)
         return analyzer.stobj_lets
@@ -613,7 +616,7 @@ class Interp:
             raise EvalError("lambda takes %d arguments, got %d"
                             % (len(names), len(args)), form=form)
         # A function object takes no stobj, so none is live in its body.
-        self._check(parts[2], {}, set(names), "this lambda")
+        self._check(parts[2], {}, names, "this lambda")
         return self.eval(parts[2], Env(dict(zip(names, args))))
 
     ### stobj plumbing

@@ -23,7 +23,7 @@ from .stobjs import (DO_ONLY_HEADS, MV, _cons_args, bindable, if_parts,
                      let_pairs, let_parts, list_items, mv_let_parts,
                      mv_parts, quote_parts)
 from .sexpr import (NIL, T, Cons, Env, MultiValue, Symbol, from_pylist,
-                    intern, is_keyword, iter_conses, show, to_pylist, truthy)
+                    intern, is_keyword, iter_conses, show, truthy)
 
 WITH = intern("WITH")
 FOR = intern("FOR")
@@ -698,7 +698,8 @@ def _result(spec, token, value, form):
 
 def _alist_slots(interp, plan, alist):
     if interp.trace:
-        assert [e.car.name for e in to_pylist(alist)] == plan.settables
+        assert [e.car.name for e in list_items(alist, "alist", None)] \
+            == plan.settables
     slots = {}
     for name in plan.settables:
         slots[name] = alist.car.cdr

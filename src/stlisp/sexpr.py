@@ -102,18 +102,6 @@ def iter_conses(v):
         v = v.cdr
 
 
-def to_pylist(v, what="list", form=None, error=ReadError):
-    """Proper list -> Python list.  Raises error, naming form, on an
-    improper tail."""
-    out = []
-    while isinstance(v, Cons):
-        out.append(v.car)
-        v = v.cdr
-    if v is not NIL:
-        raise error("%s is not a proper list" % what, form=form)
-    return out
-
-
 def list_length(v):
     n = 0
     while isinstance(v, Cons):

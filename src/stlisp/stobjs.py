@@ -12,7 +12,9 @@ check before they are accepted:
       same name, or be in return position;
   R3  a stobj is never bound to a different name, never passed twice
       in one argument list, and its name is never bound to an
-      ordinary value; a LET or MV-LET binds each name once;
+      ordinary value (by LET, LET*, MV-LET, a stobj-let output, a FOR
+      variable or a lambda formal); a LET or MV-LET binds each name
+      once;
   R4  both branches of an IF must agree on which stobjs they return.
 
 Fields are either scalars or stobj-tables; arrays and strings are out
@@ -37,10 +39,10 @@ STOBJ_LET = intern("STOBJ-LET")
 # (ordinary value), a stobj name, POLY (any stobj), or a restriction
 # marker; an output is a tuple of None / stobj names, FOLLOW (same
 # stobj as the POLY input), or UNKNOWN while self-recursive shapes are
-# being inferred.
+# being inferred.  UNKNOWN is empty, so every length check rejects it.
 POLY = "#poly"
 FOLLOW = "#follow"
-UNKNOWN = "#unknown"
+UNKNOWN = ()
 
 SCALAR = "scalar"
 TABLE = "table"
@@ -468,7 +470,7 @@ def eval_stobj_let(interp, form, env):
 ### static single-threadedness analysis
 
 class Analyzer:
-    def __init__(self, world, fname, self_inputs, self_output,
+    def __init__(self, world, fname=None, self_inputs=(), self_output=None,
                  raise_call_errors=False):
         self.world = world
         self.fname = fname
@@ -490,7 +492,7 @@ class Analyzer:
 
     # live: name -> stobj name for stobjs in scope
     # bound: set of ordinary variable names in scope
-    def analyze(self, expr, live, bound, tail):
+    def analyze(self, expr, live, bound):
         if isinstance(expr, Symbol):
             if expr.name in live:
                 return (live[expr.name],)
@@ -512,16 +514,16 @@ class Analyzer:
             self._parse(quote_parts, expr)
             return (None,)
         if head is IF:
-            return self._analyze_if(expr, live, bound, tail)
+            return self._analyze_if(expr, live, bound)
         if head is LET or head is LETSTAR:
-            return self._analyze_let(expr, live, bound, tail,
+            return self._analyze_let(expr, live, bound,
                                      sequential=head is LETSTAR)
         if head is MV:
             return self._analyze_mv(expr, live, bound)
         if head is MV_LET:
-            return self._analyze_mv_let(expr, live, bound, tail)
+            return self._analyze_mv_let(expr, live, bound)
         if head is STOBJ_LET:
-            return self._analyze_stobj_let(expr, live, bound, tail)
+            return self._analyze_stobj_let(expr, live, bound)
         if head is LOOPS:
             return self._analyze_loop(expr, live, bound)
         if name in DO_ONLY_HEADS:
@@ -534,7 +536,7 @@ class Analyzer:
         if name == "DECLARE":
             self.err("R1", "misplaced declare form %s" % show(expr))
             return (None,)
-        return self._analyze_call(expr, live, bound, tail)
+        return self._analyze_call(expr, live, bound)
 
     def _parse(self, parse, *args):
         """parse(*args), or None with its error recorded under R1."""
@@ -545,11 +547,7 @@ class Analyzer:
             return None
 
     def want_value(self, expr, live, bound, what):
-        sh = self.analyze(expr, live, bound, tail=False)
-        if sh is UNKNOWN:
-            self.err("R2", "recursive stobj-returning call may not appear "
-                           "in %s" % what)
-            return
+        sh = self.analyze(expr, live, bound)
         if len(sh) != 1:
             self.err("R2", "multiple values are not a single value in %s"
                      % what)
@@ -557,15 +555,14 @@ class Analyzer:
         if sh[0] is not None:
             self.err("R1", "stobj %s may not appear in %s" % (sh[0], what))
 
-    def _analyze_if(self, expr, live, bound, tail):
+    def _analyze_if(self, expr, live, bound):
         args = self._parse(if_parts, expr)
         if args is None:
             return (None,)
         test, then, els = args
         self.want_value(test, live, bound, "an IF test")
-        sh_t = self.analyze(then, live, bound, tail)
-        sh_f = (None,) if els is None else self.analyze(els, live, bound,
-                                                        tail)
+        sh_t = self.analyze(then, live, bound)
+        sh_f = (None,) if els is None else self.analyze(els, live, bound)
         return self._unify(sh_t, sh_f, expr)
 
     def _unify(self, a, b, expr):
@@ -579,11 +576,11 @@ class Analyzer:
                                            _shape_str(b)))
         return a
 
-    def _bind_one(self, var, shape, live, bound, expr):
-        """Extend scope maps for one binding; enforces R2/R3."""
+    def _bind_one(self, name, shape, live, bound, expr):
+        """Extend scope maps for one binding of name; enforces R2/R3."""
         if shape is UNKNOWN:
             # Self-recursive call: adopt the binding name's own typing.
-            shape = (live.get(var.name),) if var.name in live else (None,)
+            shape = (live.get(name),)
         if len(shape) != 1:
             self.err("R2", "LET binds multiple values in %s" % show(expr))
             shape = (None,)
@@ -591,50 +588,46 @@ class Analyzer:
         live = dict(live)
         bound = set(bound)
         if slot is not None:
-            if var.name != slot:
+            if name != slot:
                 self.err("R2+R3",
                          "the result of a call returning stobj %s must be "
-                         "rebound to the name %s, not %s"
-                         % (slot, slot, var.name))
-            live[var.name] = slot
+                         "rebound to the name %s, not %s" % (slot, slot, name))
+            live[name] = slot
         else:
-            if var.name in live:
+            if name in live:
                 self.err("R3", "stobj name %s may not be rebound to an "
-                               "ordinary value" % var.name)
-                live.pop(var.name)
-            elif self.world.stobj_spec(var.name) is not None:
+                               "ordinary value" % name)
+                live.pop(name)
+            elif self.world.stobj_spec(name) is not None:
                 self.err("R3", "stobj name %s may not be used as an ordinary "
-                               "variable" % var.name)
-            bound.add(var.name)
+                               "variable" % name)
+            bound.add(name)
         return live, bound
 
-    def _analyze_let(self, expr, live, bound, tail, sequential):
+    def _analyze_let(self, expr, live, bound, sequential):
         parts = self._parse(let_parts, expr)
         if parts is None:
             return (None,)
         bindings, body = let_pairs(parts[0]), parts[1]
         if not sequential:
             # each right-hand side sees the scope outside the LET
-            shapes = [self.analyze(rhs, live, bound, tail=False)
-                      for _var, rhs in bindings]
+            shapes = [self.analyze(rhs, live, bound) for _var, rhs in bindings]
             if len(bindings) > 1:
                 self._check_parallel(bindings, shapes)
         cur_live, cur_bound = live, bound
         rebound = []
         for i, (var, rhs) in enumerate(bindings):
-            sh = (self.analyze(rhs, cur_live, cur_bound, tail=False)
-                  if sequential else shapes[i])
-            cur_live, cur_bound = self._bind_one(var, sh, cur_live, cur_bound,
-                                                 expr)
+            sh = (self.analyze(rhs, cur_live, cur_bound) if sequential
+                  else shapes[i])
+            cur_live, cur_bound = self._bind_one(var.name, sh, cur_live,
+                                                 cur_bound, expr)
             if var.name in cur_live:
                 rebound.append(cur_live[var.name])
-        bsh = self.analyze(body, cur_live, cur_bound, tail)
+        bsh = self.analyze(body, cur_live, cur_bound)
         self._require_returned(rebound, bsh, "LET")
         return bsh
 
     def _require_returned(self, rebound, body_shape, binder):
-        if body_shape is UNKNOWN:
-            return
         for sname in rebound:
             if sname not in body_shape:
                 self.err("R2", "stobj %s is bound in this %s but is not "
@@ -645,8 +638,8 @@ class Analyzer:
         # In a parallel LET, a binding that consumes a stobj must be the
         # only binding mentioning that stobj, or evaluation order would
         # be observable.  shapes are those of the right-hand sides.
-        returning = [sh[0] for sh in shapes if sh is not UNKNOWN
-                     and len(sh) == 1 and sh[0] is not None]
+        returning = [sh[0] for sh in shapes if len(sh) == 1
+                     and sh[0] is not None]
         for var, rhs in bindings:
             for name in returning:
                 if var.name != name and _mentions(rhs, name):
@@ -672,7 +665,7 @@ class Analyzer:
                 slots.append(None)
         return tuple(slots)
 
-    def _analyze_mv_let(self, expr, live, bound, tail):
+    def _analyze_mv_let(self, expr, live, bound):
         parts = self._parse(mv_let_parts, expr)
         if parts is None:
             return (None,)
@@ -681,26 +674,23 @@ class Analyzer:
         sh = self._mv_shape(rhs, [v.name for v in vars_], live, bound, expr)
         cur_live, cur_bound = live, bound
         for var, slot in zip(vars_, sh):
-            cur_live, cur_bound = self._bind_one(var, (slot,), cur_live,
+            cur_live, cur_bound = self._bind_one(var.name, (slot,), cur_live,
                                                  cur_bound, expr)
-        bsh = self.analyze(body, cur_live, cur_bound, tail)
+        bsh = self.analyze(body, cur_live, cur_bound)
         self._require_returned([s for s in sh if s is not None], bsh,
                                "MV-LET")
         return bsh
 
     def _mv_shape(self, rhs, names, live, bound, expr):
         """The shape of an MV-LET right-hand side binding names."""
-        sh = self.analyze(rhs, live, bound, tail=False)
-        if sh is UNKNOWN:
-            self.err("R2", "cannot infer the shape of %s here" % show(rhs))
-            sh = tuple(live.get(n) for n in names)
+        sh = self.analyze(rhs, live, bound)
         if len(sh) != len(names):
             self.err("R2", "MV-LET binds %d names to %d values in %s"
                      % (len(names), len(sh), show(expr)))
             sh = tuple(live.get(n) for n in names)
         return sh
 
-    def _analyze_stobj_let(self, expr, live, bound, tail):
+    def _analyze_stobj_let(self, expr, live, bound):
         spec = self._parse(parse_stobj_let, expr, self.world)
         if spec is None:
             return (None,)
@@ -717,15 +707,13 @@ class Analyzer:
         body_live = {k: v for k, v in live.items() if k not in parents}
         body_live.update(children)
         outer, self.produced = self.produced, set()
-        psh = self.analyze(spec.producer, body_live, bound, tail=False)
+        psh = self.analyze(spec.producer, body_live, bound)
         produced, self.produced = self.produced, outer
         if outer is not None:
             outer |= produced
         out_names = [o.name for o in spec.outputs]
         expected = tuple(children.get(n) for n in out_names)
-        if psh is UNKNOWN:
-            self.err("R2", "cannot infer producer shape in %s" % show(expr))
-        elif len(psh) != len(expected):
+        if len(psh) != len(expected):
             self.err("R2", "stobj-let producer returns %d values for %d "
                            "outputs" % (len(psh), len(expected)))
         else:
@@ -746,11 +734,11 @@ class Analyzer:
         for out in spec.outputs:
             if out.name not in children:
                 cons_live, cons_bound = self._bind_one(
-                    out, (None,), cons_live, cons_bound, expr)
-        csh = self.analyze(spec.consumer, cons_live, cons_bound, tail)
+                    out.name, (None,), cons_live, cons_bound, expr)
+        csh = self.analyze(spec.consumer, cons_live, cons_bound)
         if written:
             for pname in parents:
-                if csh is UNKNOWN or pname not in csh:
+                if pname not in csh:
                     self.err("R2", "stobj-let updates children of %s, so its "
                                    "consumer must return %s or the update "
                                    "would be discarded" % (pname, pname))
@@ -763,11 +751,9 @@ class Analyzer:
             return (None,)
         if spec.kind == "FOR":
             self.want_value(spec.for_range, live, bound, "a FOR range")
-            if spec.for_var.name in live:
-                self.err("R3", "FOR variable shadows stobj %s"
-                         % spec.for_var.name)
-            self.want_value(spec.for_body, live,
-                            set(bound) | {spec.for_var.name}, "a FOR body")
+            live, bound = self._bind_one(spec.for_var.name, (None,), live,
+                                         bound, expr)
+            self.want_value(spec.for_body, live, bound, "a FOR body")
             return (None,)
         for name, _typ, init in spec.withs:
             if init is not None:
@@ -810,14 +796,12 @@ class Analyzer:
         elif tag == "let" or tag == "mv-let":
             _tag, names, rhs, body, form = node
             if tag == "let":
-                shapes = [self.analyze(r, live, bound, tail=False)
-                          for r in rhs]
+                shapes = [self.analyze(r, live, bound) for r in rhs]
             else:
                 shapes = [(s,) for s in self._mv_shape(rhs, names, live,
                                                        bound, form)]
             for name, sh in zip(names, shapes):
-                live, bound = self._bind_one(intern(name), sh, live, bound,
-                                             form)
+                live, bound = self._bind_one(name, sh, live, bound, form)
             self._analyze_stmt(body, live, bound, values)
         elif tag == "setq" or tag == "mv-setq":
             want = tuple(live.get(n) for n in node[1])
@@ -826,12 +810,12 @@ class Analyzer:
             self._want_shape(node[1], tuple(values), live, bound, node[2])
 
     def _want_shape(self, expr, want, live, bound, stmt):
-        sh = self.analyze(expr, live, bound, tail=False)
-        if sh is not UNKNOWN and sh != want:
+        sh = self.analyze(expr, live, bound)
+        if sh != want:
             self.err("R2", "%s needs values shaped %s, got %s"
                      % (show(stmt), _shape_str(want), _shape_str(sh)))
 
-    def _analyze_call(self, expr, live, bound, tail):
+    def _analyze_call(self, expr, live, bound):
         name = expr.car.name
         args = _cons_args(expr)
         entry = self.world.genops.get(name)
@@ -1123,12 +1107,13 @@ def check_defun(world, name, formals, stobjs_decl, body, guard, measure):
             if extra is not None:
                 analyzer.want_value(extra, live0, bound0,
                                     "the :%s term" % label)
-        return analyzer, analyzer.analyze(body, live0, bound0, tail=True)
+        return analyzer, analyzer.analyze(body, live0, bound0)
 
     analyzer, shape = check(UNKNOWN)
     if analyzer.saw_self:
         # Only a self-call has an UNKNOWN shape, so a second pass that
-        # knows it finds every shape.
+        # knows it finds every shape.  The first pass's violations are
+        # dropped, so UNKNOWN is read only where it sets a shape.
         if shape is UNKNOWN:
             raise LinearityError(name, ["R2: cannot infer what %s returns; "
                                         "every path is self-recursive" % name])

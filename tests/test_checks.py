@@ -274,7 +274,7 @@ def test_passing_path_builds_no_lists(mode, monkeypatch):
     def no_list(*args, **kwargs):
         raise AssertionError("a list was built on the passing path")
 
-    originals = {"to_pylist": sexpr.to_pylist, "list_items": stobjs.list_items,
+    originals = {"list_items": stobjs.list_items,
                  "_cons_args": stobjs._cons_args}
     for module in (sexpr, stobjs, kernel, loops, refinement):
         for name, fn in originals.items():

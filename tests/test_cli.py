@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from stlisp import cli, loops
+from stlisp import cli, loops, stobjs
+from stlisp.errors import EvalError
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -177,6 +178,77 @@ def test_deeply_nested_input_is_one_read_error(capsys, tmp_path, argv):
 def test_diff_missing_file(capsys):
     code, out = run_cli(capsys, ["diff", "/nonexistent/x.lisp"])
     assert code == 1 and out.startswith("error:")
+
+
+def test_diff_reports_a_split_in_error_class(capsys):
+    code, out = run_cli(capsys, ["diff", "--cap", "50",
+                                 str(CORPUS / "measure_violation.lisp")])
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0] == ("divergence at form 1: (LOOP$ WITH X = 0 DO "
+                        ":MEASURE (NFIX X) (SETQ X X))")
+    assert lines[1].startswith("  logical error: MeasureViolation: the "
+                               "measure (NFIX X) of this DO loop failed")
+    assert lines[2].startswith("  native error:  CapExceeded: DO loop "
+                               "passed the native iteration cap of 50")
+    assert len(lines) == 3
+
+
+def test_diff_reports_a_value_against_an_error(capsys, monkeypatch):
+    def native_exec(interp, spec, plan, env, form):
+        raise EvalError("native path failed", form=form)
+    monkeypatch.setattr(loops, "native_exec", native_exec)
+    code, out = run_cli(capsys, ["diff", str(CORPUS / "loops_basic.lisp")])
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0].startswith("divergence at form 2: (LOOP$ ")
+    assert lines[1:] == ["  logical: 30", "  native:  EvalError: native path "
+                         "failed in %s" % lines[0].split(": ", 1)[1]]
+
+
+def test_diff_reports_banks_that_differ_when_every_form_agrees(
+        capsys, monkeypatch, tmp_path):
+    # native UPDATE-FLD writes another value; the form still prints <ST>
+    real = stobjs.StobjInstance.set_cell
+    monkeypatch.setattr(stobjs.StobjInstance, "set_cell",
+                        lambda inst, i, v: real(inst, i, 99))
+    f = tmp_path / "bank.lisp"
+    f.write_text("(defstobj st fld)\n(update-fld 1 st)\n")
+    code, out = run_cli(capsys, ["diff", str(f)])
+    assert code == 2
+    assert out.splitlines() == ["divergence in final stobj banks:",
+                                "  logical: {'ST': '(1)'}",
+                                "  native:  {'ST': '(99)'}"]
+
+
+def test_diff_skips_stobj_names_bound_by_for_and_lambda(capsys, tmp_path):
+    f = tmp_path / "r3.lisp"
+    f.write_text("(defstobj st fld)\n"
+                 "(defun g (l) (loop$ for st in l sum st))\n"
+                 "(apply$ '(lambda (st) (cons st st)) '(5))\n")
+    code, out = run_cli(capsys, ["diff", str(f)])
+    assert code == 0
+    r3 = "R3: stobj name ST may not be used as an ordinary variable"
+    assert out.splitlines() == [
+        "form 2 skipped (LinearityError in both modes: single-threadedness "
+        "violation in G:", "  %s)" % r3,
+        "form 3 skipped (LinearityError in both modes: single-threadedness "
+        "violation in this lambda:", "  %s)" % r3,
+        "equivalent (3 forms, 1 stobjs)"]
+
+
+@pytest.mark.parametrize("command", ["run", "diff", "check-constraints"])
+def test_invalid_utf8_is_one_error_line(tmp_path, command):
+    f = tmp_path / "bad.lisp"
+    f.write_bytes(b"(+ 1 2)\n\xff\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "stlisp", command, str(f)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines() == [
+        "error: 'utf-8' codec can't decode byte 0xff in position 8: "
+        "invalid start byte"]
 
 
 # -------------------------------------------------------- check-constraints

@@ -447,6 +447,23 @@ def test_let_and_mv_let_inside_bodies():
     assert v == 11  # (4+3) + (2+2)
 
 
+def test_mv_let_inside_a_do_body_expression():
+    v = run_both("""
+      (loop$ with i = 3 with acc = 0
+             do
+             (if (zp i)
+                 (return acc)
+               (progn (setq acc (mv-let (a b) (mv i 10) (+ acc a b)))
+                      (setq i (1- i)))))
+    """)
+    assert v == 36  # (3+10) + (2+10) + (1+10)
+    # the names it binds are not in scope after it
+    with pytest.raises(LinearityError, match="A is not bound in a DO-body "
+                                             "expression"):
+        Interp().eval_text("(loop$ with i = 0 do (return (cons (mv-let "
+                           "(a b) (mv 1 2) b) a)))")
+
+
 def test_init_defaults_to_nil():
     v = run_both("(loop$ with x do :measure 0 (return x))")
     assert v is NIL

@@ -151,12 +151,8 @@ def test_equal_is_structural():
 
 def test_pylist_conversions():
     v = read("(1 2 3)")
-    assert sexpr.to_pylist(v) == [1, 2, 3]
     assert equal(sexpr.from_pylist([1, 2, 3]), v)
     assert sexpr.list_length(v) == 3
-    assert sexpr.to_pylist(NIL) == []
-    with pytest.raises(ReadError):
-        sexpr.to_pylist(read("(1 . 2)"))
 
 
 def test_balanced():
