@@ -144,6 +144,14 @@ def cmd_diff(args, out):
                 out.write("  logical error: %s: %s\n" % (a[1], a[2]))
                 out.write("  native error:  %s: %s\n" % (b[1], b[2]))
                 return 2
+            # an in-place update made before the error stays in the
+            # native bank only
+            banks = (_bank_view(ilog), _bank_view(inat))
+            if banks[0] != banks[1]:
+                out.write("divergence at form %d: %s\n" % (idx, show(form)))
+                out.write("  %s in both modes: %s\n" % (a[1], a[2]))
+                out.write("  logical bank: %s\n  native bank:  %s\n" % banks)
+                return 2
             out.write("form %d skipped (%s in both modes: %s)\n"
                       % (idx, a[1], a[2]))
         else:

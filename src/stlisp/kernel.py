@@ -9,6 +9,7 @@ mode even those are copied on write.
 """
 
 import sys
+from types import MethodType
 
 from . import loops, refinement, sexpr, stobjs, stobj_table
 from .errors import (EvalError, GuardViolation, LinearityError,
@@ -420,8 +421,44 @@ def _sf_do_only(interp, form, env):
                     % form.car.name, form=form)
 
 
-# Every head the evaluator does not treat as a call, so a call node makes
-# one lookup.
+def _eval_builtin(b, interp, form, env):
+    """A call of the builtin b: _eval_call's checks, in its order and with
+    its texts, without the callee lookup and the dispatch."""
+    nargs = 0
+    node = form.cdr
+    while isinstance(node, Cons):
+        nargs += 1
+        node = node.cdr
+    if node is not NIL:
+        _cons_args(form)  # raises: not a proper list
+    if nargs < b.min_args or (b.max_args is not None and nargs > b.max_args):
+        arity_error(b.name, nargs, b.min_args, b.max_args, form)
+    vals = []
+    node = form.cdr
+    while node is not NIL:
+        x = node.car
+        # an integer leaf, or a variable of the innermost frame, is read
+        # here, saving a call of eval
+        if type(x) is int:
+            v = x
+        else:
+            if type(x) is Symbol and env is not None and x.name in env.vars:
+                v = env.vars[x.name]
+                if isinstance(v, Poison):
+                    raise EvalError(v % x.name, form=x)
+            else:
+                v = interp.eval(x, env)
+            if isinstance(v, (StobjInstance, MultiValue)):
+                _slot_check(b.name, None, v, form)
+        vals.append(v)
+        node = node.cdr
+    return b.fn(interp, vals, form)
+
+
+# The handler of every head that is not sent through _eval_call, so such a
+# node makes one lookup: the special forms, the event and DO-only heads,
+# and each builtin but the POLY one.  World.name_taken keeps every event
+# from binding a builtin's name, so no head found here is shadowed.
 _SPECIAL = {
     "QUOTE": _sf_quote, "IF": _sf_if, "LET": _sf_let, "LET*": _sf_letstar,
     "MV": _sf_mv, "MV-LET": _sf_mv_let, "LOOP$": _sf_loop,
@@ -429,6 +466,8 @@ _SPECIAL = {
 }
 _SPECIAL.update(dict.fromkeys(EVENT_HEADS, _sf_event))
 _SPECIAL.update(dict.fromkeys(DO_ONLY_HEADS, _sf_do_only))
+_SPECIAL.update((name, MethodType(_eval_builtin, b))
+                for name, b in BUILTINS.items() if not b.poly_stobj)
 
 
 ### the interpreter

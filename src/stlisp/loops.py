@@ -208,7 +208,8 @@ def _parse_values(arg, spec, world):
 # An effect is a statement before the last form of a PROGN.  It can
 # only assign: a SETQ, an MV-SETQ, or an IF or PROGN built of effects,
 # so its walk always falls through.  A SETQ or MV-SETQ falls through
-# after assigning, wherever it stands.
+# after assigning, wherever it stands, so a SETQ that ends a PROGN joins
+# its effects and the walker assigns each of them in the seq's own loop.
 FINISH = ("finish",)
 FALL = ("fall",)
 
@@ -362,9 +363,12 @@ class _Parser:
         if not items:
             return FALL
         n = len(items) - 1
-        effects = tuple([self._effect(items[i], scope) for i in range(n)])
+        effects = [self._effect(items[i], scope) for i in range(n)]
         last = final(items[n], scope)
-        return ("seq", effects, last) if effects else last
+        if effects and last[0] == "setq":
+            effects.append(last)
+            last = FALL
+        return ("seq", tuple(effects), last) if effects else last
 
     def _setq_step(self, s, scope):
         args = _cons_args(s, error=TranslateError)
@@ -664,7 +668,16 @@ def _walk(interp, node, env, slots, plan, n):
         tag = node[0]
         if tag == "seq":
             for effect in node[1]:
-                _walk(interp, effect, env, slots, plan, n)
+                if effect[0] != "setq":
+                    _walk(interp, effect, env, slots, plan, n)
+                    continue
+                # _bind's SETQ case, without the call
+                name, form = effect[1][0], effect[3]
+                v = interp.eval(effect[2], env)
+                if name in plan.integer_vars:
+                    check_of_type(interp, name, v, form, n)
+                interp.check_binding(name, v, form)
+                slots[name] = v
             node = node[2]
         elif tag == "if":
             node = node[2] if _if_test(interp, node, env) else node[3]

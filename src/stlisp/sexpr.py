@@ -111,23 +111,27 @@ def list_length(v):
 
 
 def equal(a, b):
-    # Structural equality. Symbols are interned so identity suffices.
+    """Structural equality.  Symbols are interned, so identity suffices.
+    The pairs still to compare wait on an explicit stack, so nesting
+    depth is not bounded by Python's recursion limit."""
+    pending = []
     while True:
-        if a is b:
-            return True
-        if isinstance(a, Cons) and isinstance(b, Cons):
-            if not equal(a.car, b.car):
+        if a is not b:
+            if isinstance(a, Cons) and isinstance(b, Cons):
+                pending.append((a.cdr, b.cdr))
+                a, b = a.car, b.car
+                continue
+            if isinstance(a, MultiValue) and isinstance(b, MultiValue):
+                if len(a.values) != len(b.values):
+                    return False
+                pending.extend(zip(a.values, b.values))
+            elif not ((isinstance(a, int) and isinstance(b, int)
+                       or isinstance(a, str) and isinstance(b, str))
+                      and a == b):
                 return False
-            a, b = a.cdr, b.cdr
-            continue
-        if isinstance(a, int) and isinstance(b, int):
-            return a == b
-        if isinstance(a, str) and isinstance(b, str):
-            return a == b
-        if isinstance(a, MultiValue) and isinstance(b, MultiValue):
-            return (len(a.values) == len(b.values)
-                    and all(equal(x, y) for x, y in zip(a.values, b.values)))
-        return False
+        if not pending:
+            return True
+        a, b = pending.pop()
 
 
 ### reader
@@ -340,39 +344,46 @@ def balanced(text):
 
 ### printer
 
+class _Text(str):
+    """Punctuation that show writes as it is, unlike a Lisp string."""
+
+
+_SPACE, _DOT_SEP, _CLOSE = _Text(" "), _Text(" . "), _Text(")")
+
+
 def show(v):
+    """The printed text of v.  What is still to print waits on an
+    explicit stack, so nesting depth is not bounded by Python's recursion
+    limit."""
     out = []
-    _show(v, out)
+    todo = [v]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, Symbol):
+            out.append(v.name)
+        elif isinstance(v, int):
+            out.append(str(v))
+        elif type(v) is _Text:
+            out.append(v)
+        elif isinstance(v, str):
+            out.append('"%s"' % v.replace("\\", "\\\\").replace('"', '\\"'))
+        elif isinstance(v, (Cons, MultiValue)):
+            out.append("(")
+            todo.append(_CLOSE)
+            if isinstance(v, Cons):
+                items = []
+                while isinstance(v, Cons):
+                    items.append(v.car)
+                    v = v.cdr
+                if v is not NIL:
+                    todo += (v, _DOT_SEP)
+            else:
+                items = v.values
+            for i in range(len(items) - 1, 0, -1):
+                todo += (items[i], _SPACE)
+            todo.append(items[0])
+        elif hasattr(v, "print_name"):
+            out.append(v.print_name)
+        else:
+            raise TypeError("cannot print host object %r" % (v,))
     return "".join(out)
-
-
-def _show(v, out):
-    if isinstance(v, Symbol):
-        out.append(v.name)
-    elif isinstance(v, int):
-        out.append(str(v))
-    elif isinstance(v, str):
-        out.append('"%s"' % v.replace("\\", "\\\\").replace('"', '\\"'))
-    elif isinstance(v, Cons):
-        out.append("(")
-        _show(v.car, out)
-        v = v.cdr
-        while isinstance(v, Cons):
-            out.append(" ")
-            _show(v.car, out)
-            v = v.cdr
-        if v is not NIL:
-            out.append(" . ")
-            _show(v, out)
-        out.append(")")
-    elif isinstance(v, MultiValue):
-        out.append("(")
-        for i, item in enumerate(v.values):
-            if i:
-                out.append(" ")
-            _show(item, out)
-        out.append(")")
-    elif hasattr(v, "print_name"):
-        out.append(v.print_name)
-    else:
-        raise TypeError("cannot print host object %r" % (v,))

@@ -1,7 +1,8 @@
 """The texts of the evaluator's checks, pinned in both modes; passing
 checks that format nothing; stobj-let scoping; a passing path that lists
-no form; one callee lookup shared by the analyzer and the evaluator;
-names that may never be bound; deep recursion."""
+no form, and builtin calls and DO-body SETQs that skip the generic call
+path; one callee lookup shared by the analyzer and the evaluator; names
+that may never be bound; deep recursion and deep values."""
 
 import pytest
 
@@ -159,6 +160,10 @@ POISONED = [
      "TOP is not available inside a stobj-let body that extracts from it "
      "in TOP"),
     ("(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
+     "(flg) (consp top) flg)",
+     "TOP is not available inside a stobj-let body that extracts from it "
+     "in TOP"),
+    ("(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
      "(switch) (update-fld t switch) (fld switch))",
      "SWITCH has been written back and is not available in the consumer "
      "in SWITCH"),
@@ -167,9 +172,9 @@ POISONED = [
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("text,message", POISONED,
-                         ids=["parent", "child"])
+                         ids=["parent", "parent-builtin-arg", "child"])
 def test_poison_text(mode, text, message):
-    # The analyzer rejects both forms; evaluating them directly reaches
+    # The analyzer rejects each form; evaluating it directly reaches
     # the poisoned bindings, the runtime backstop.
     with pytest.raises(LinearityError):
         prelude(mode).eval_text(text)
@@ -177,6 +182,49 @@ def test_poison_text(mode, text, message):
         prelude(mode).eval(read(text), None)
     assert type(exc.value) is EvalError
     assert str(exc.value) == message
+
+
+# Texts that evaluation raises, read through Interp.eval: at top level the
+# analyzer would reject most of these forms first, with its own texts.
+EVALUATED = [
+    # arity is checked before any argument runs
+    ("(car 1 (undefined-fn))", EvalError,
+     "CAR takes 1 argument, got 2 in (CAR 1 (UNDEFINED-FN))"),
+    ("(car 1 . 2)", EvalError,
+     "argument list is not a proper list in (CAR 1 . 2)"),
+    ("(car st)", EvalError,
+     "stobj ST passed where CAR expects an ordinary value in (CAR ST)"),
+    # the stobj read from the innermost frame
+    ("(let ((st st)) (car st))", EvalError,
+     "stobj ST passed where CAR expects an ordinary value in (CAR ST)"),
+    ("(cons (g 1) (mv 1 2))", EvalError,
+     "multiple values are not a single argument of CONS "
+     "in (CONS (G 1) (MV 1 2))"),
+    # SETQs that are PROGN effects
+    ("(loop$ with i of-type integer = 3 with j = 0 do :measure (nfix i) "
+     "(if (zp i) (return i) "
+     "(progn (setq i (if (= i 2) 'oops (1- i))) (setq j i))))",
+     loops.OfTypeViolation,
+     "OF-TYPE violation: I = OOPS is not an INTEGER (iteration 2) "
+     "in (SETQ I (IF (= I 2) (QUOTE OOPS) (1- I)))"),
+    ("(loop$ with i = 3 with j = 0 do :measure (nfix i) "
+     "(if (zp i) (return i) (progn (setq j (mv i i)) (setq i (1- i)))))",
+     EvalError,
+     "a multiple value cannot be LET-bound; use MV-LET in (SETQ J (MV I I))"),
+    ("(loop$ with i = 3 do :measure (nfix i) :values (nil st) "
+     "(if (zp i) (return (mv i st)) (progn (setq st i) (setq i (1- i)))))",
+     EvalError,
+     "stobj name ST may not be bound to an ordinary value in (SETQ ST I)"),
+]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("text,cls,message", EVALUATED,
+                         ids=[t for t, _, _ in EVALUATED])
+def test_evaluated_check_text(mode, text, cls, message):
+    with pytest.raises(EvalError) as exc:
+        prelude(mode).eval(read(text), None)
+    assert (type(exc.value), str(exc.value)) == (cls, message)
 
 
 # Stobj-let scoping, in the one frame each scope binds: the producer sees
@@ -281,6 +329,23 @@ def test_passing_path_builds_no_lists(mode, monkeypatch):
             if module.__dict__.get(name) is fn:
                 monkeypatch.setattr(module, name, no_list)
     assert [show(interp.eval(f, None)) for f in forms] == want
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_builtin_calls_and_do_body_setqs_skip_the_generic_path(mode,
+                                                               monkeypatch):
+    forms = [read("(+ 1 (car '(2)))"),
+             read("(loop$ with a = 0 with n = 3 do (if (zp n) (return a) "
+                  "(progn (setq a (+ a 1)) (setq n (1- n)))))")]
+    interp = prelude(mode)
+
+    def generic(*args, **kwargs):
+        raise AssertionError("a builtin call or a SETQ took the generic path")
+
+    monkeypatch.setattr(kernel.World, "callee", generic)
+    monkeypatch.setattr(kernel.Interp, "_dispatch", generic)
+    monkeypatch.setattr(loops, "_bind", generic)
+    assert [interp.eval(f, None) for f in forms] == [3, 3]
 
 
 # ------------------------------- the analyzer and the evaluator agree on calls
@@ -403,3 +468,13 @@ def test_deep_recursion_is_an_eval_error(mode):
     assert message.endswith(" in (CNT 2000 0)")
     # the session is still usable, and no measure is left pending
     assert interp.eval_text("(cnt 50 0)")[0][1] == 50
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_deep_values_compare_equal(mode):
+    interp = Interp(mode=mode)
+    interp.eval_text("(defun deep (k) (loop$ with n = k with x = nil do "
+                     "(if (zp n) (return x) "
+                     "(progn (setq x (cons x nil)) (setq n (1- n))))))")
+    assert interp.eval_text("(equal (deep 10000) (deep 10000))")[0][1] is T
+    assert interp.eval_text("(equal (deep 10000) (deep 9999))")[0][1] is NIL

@@ -175,6 +175,24 @@ def test_deeply_nested_input_is_one_read_error(capsys, tmp_path, argv):
     assert out.splitlines() == ["error: nesting too deep at line 2, column 1"]
 
 
+# A value nested deeper than Python's recursion limit prints.
+DEEP_VALUE = ("(loop$ with n = 3000 with x = nil do (if (zp n) (return x) "
+              "(progn (setq x (cons x nil)) (setq n (1- n)))))\n")
+DEEP_SHOWN = "(" * 3000 + "NIL" + ")" * 3000
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["run"], DEEP_SHOWN), (["run", "--mode", "native"], DEEP_SHOWN),
+    (["diff"], "equivalent (1 forms, 0 stobjs)")],
+    ids=["run", "run-native", "diff"])
+def test_deeply_nested_value_prints(capsys, tmp_path, argv, want):
+    f = tmp_path / "deep_value.lisp"
+    f.write_text(DEEP_VALUE)
+    code, out = run_cli(capsys, argv + [str(f)])
+    assert code == 0
+    assert out.splitlines() == [want]
+
+
 def test_diff_missing_file(capsys):
     code, out = run_cli(capsys, ["diff", "/nonexistent/x.lisp"])
     assert code == 1 and out.startswith("error:")
@@ -219,6 +237,25 @@ def test_diff_reports_banks_that_differ_when_every_form_agrees(
     assert out.splitlines() == ["divergence in final stobj banks:",
                                 "  logical: {'ST': '(1)'}",
                                 "  native:  {'ST': '(99)'}"]
+
+
+def test_diff_reports_a_native_update_left_by_a_shared_error(capsys,
+                                                             tmp_path):
+    # F updates ST in place, then fails in both modes; only the native
+    # bank keeps the update, so form 3 diverges although both modes fail
+    f = tmp_path / "update_then_fail.lisp"
+    f.write_text("(defstobj st fld)\n"
+                 "(defun f (n st) (declare (xargs :stobjs (st) "
+                 ":measure (nfix n))) (if (zp n) (mv x st) "
+                 "(let ((st (update-fld n st))) (f (1- n) st))))\n"
+                 "(f 1 st)\n(fld st)\n")
+    code, out = run_cli(capsys, ["diff", str(f)])
+    assert code == 2
+    assert out.splitlines() == [
+        "divergence at form 3: (F 1 ST)",
+        "  EvalError in both modes: unbound variable X in X",
+        "  logical bank: {'ST': '(NIL)'}",
+        "  native bank:  {'ST': '(1)'}"]
 
 
 def test_diff_skips_stobj_names_bound_by_for_and_lambda(capsys, tmp_path):
