@@ -136,210 +136,183 @@ def equal(a, b):
 
 ### reader
 
-_DELIMS = set("()'\";")
-_INT_CHARS = set("0123456789+-")
+# One token per match: the blanks and `;` comments before it, then an
+# atom (a symbol that cannot be numeric, or one that starts with a sign,
+# digit or dot), a string, a parenthesis or quote, an unterminated string
+# (its opening quote), or the end of the text.  Every position matches,
+# so finditer yields the tokens back to back.  `\s` is exactly
+# str.isspace() and `\d` exactly str.isdecimal(), which int() accepts.
+_TOKEN = re.compile(r"""\s*(?:;[^\n]*\s*)*(?:
+    ([^\s()'";+\-.\d][^\s()'";]*)
+  | ([^\s()'";]+)
+  | ("(?:[^"\\]|\\.)*")
+  | (\()
+  | (\))
+  | (')
+  | (")
+  | \Z)""", re.X | re.S)
+_SYM, _NUM, _STR, _LPAREN, _RPAREN, _QUOTE, _OPEN_STR = range(1, 8)
+_END = None  # lastindex of the end-of-text match
+
+_INT_RX = re.compile(r"[+-]?\d+")
+_RATIO_RX = re.compile(r"[+-]?\d+/\d+\Z")
+_FLOAT_RX = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+(?=[eE]))(?:[eE][+-]?\d+)?\Z")
+_ESCAPE_RX = re.compile(r"\\(.)", re.S)
+_QUOTE_SYM = intern("QUOTE")
 
 
 class _Reader:
+    """A scan of text's tokens.  The reader recurses once per list level,
+    so input nested past Python's recursion limit is a ReadError at the
+    start of its top-level form.  Line and column are worked out from a
+    token's offset only when an error is raised."""
+
     def __init__(self, text):
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+        self.tokens = _TOKEN.finditer(text)
 
-    def error(self, msg, line=None, col=None):
-        raise ReadError(msg,
-                        line=self.line if line is None else line,
-                        col=self.col if col is None else col)
+    def error(self, msg, pos):
+        text = self.text
+        raise ReadError(msg, line=text.count("\n", 0, pos) + 1,
+                        col=pos - text.rfind("\n", 0, pos))
 
-    def peek(self):
-        if self.pos < len(self.text):
-            return self.text[self.pos]
-        return ""
+    def top(self, m):
+        """The top-level form whose first token is m."""
+        try:
+            return self.form(m)
+        except RecursionError:
+            pass
+        self.error("nesting too deep", m.start(m.lastindex))
 
-    def next(self):
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
+    def form(self, m):
+        """The form whose first token is m, quoted once per leading quote."""
+        quotes = 0
+        while m.lastindex == _QUOTE:
+            quotes += 1
+            m = next(self.tokens)
+        kind = m.lastindex
+        if kind == _SYM:
+            form = intern(m[_SYM].upper())
+        elif kind == _NUM:
+            if m[_NUM] == ".":
+                self.error("stray dot", m.end())
+            form = self.number(m)
+        elif kind == _LPAREN:
+            form = self.read_list(m)
+        elif kind == _STR or kind == _OPEN_STR:
+            form = self.string(m)
+        elif kind == _RPAREN:
+            self.error("unbalanced close parenthesis", m.start(_RPAREN))
         else:
-            self.col += 1
-        return ch
+            self.error("unexpected end of input", m.end())
+        for _ in range(quotes):
+            form = Cons(_QUOTE_SYM, Cons(form, NIL))
+        return form
 
-    def skip_blank(self):
-        while self.pos < len(self.text):
-            ch = self.peek()
-            if ch == ";":
-                while self.pos < len(self.text) and self.peek() != "\n":
-                    self.next()
-            elif ch.isspace():
-                self.next()
-            else:
-                return
-
-    def at_eof(self):
-        self.skip_blank()
-        return self.pos >= len(self.text)
-
-    def read_form(self):
-        self.skip_blank()
-        if self.pos >= len(self.text):
-            self.error("unexpected end of input")
-        line, col = self.line, self.col
-        ch = self.peek()
-        if ch == "(":
-            self.next()
-            return self.read_tail(line, col)
-        if ch == ")":
-            self.error("unbalanced close parenthesis")
-        if ch == "'":
-            self.next()
-            return from_pylist([intern("QUOTE"), self.read_form()])
-        if ch == '"':
-            return self.read_string()
-        return self.read_atom()
-
-    def read_tail(self, line, col):
+    def read_list(self, start):
         items = []
-        while True:
-            self.skip_blank()
-            if self.pos >= len(self.text):
-                self.error("unterminated list", line, col)
-            if self.peek() == ")":
-                self.next()
+        for m in self.tokens:
+            kind = m.lastindex
+            if kind == _SYM:
+                items.append(intern(m[_SYM].upper()))
+            elif kind == _LPAREN:
+                items.append(self.read_list(m))
+            elif kind == _RPAREN:
                 return from_pylist(items)
-            form = self.read_form()
-            if form is _DOT:
-                if not items:
-                    self.error("dot at start of list", line, col)
-                self.skip_blank()
-                if self.pos >= len(self.text) or self.peek() == ")":
-                    self.error("dotted pair missing tail", line, col)
-                tail = self.read_form()
-                if tail is _DOT:
-                    self.error("multiple dots in list", line, col)
-                self.skip_blank()
-                if self.pos >= len(self.text) or self.peek() != ")":
-                    self.error("more than one form after dot", line, col)
-                self.next()
-                return from_pylist(items, tail=tail)
-            items.append(form)
-
-    def read_string(self):
-        line, col = self.line, self.col
-        self.next()
-        chars = []
-        while True:
-            if self.pos >= len(self.text):
-                self.error("unterminated string", line, col)
-            ch = self.next()
-            if ch == '"':
-                return "".join(chars)
-            if ch == "\\":
-                if self.pos >= len(self.text):
-                    self.error("unterminated string", line, col)
-                esc = self.next()
-                if esc not in ('"', "\\"):
-                    self.error("unknown string escape \\%s" % esc, line, col)
-                chars.append(esc)
+            elif kind == _NUM and m[_NUM] == ".":
+                return self.dotted(start.start(_LPAREN), items)
+            elif kind == _END:
+                self.error("unterminated list", start.start(_LPAREN))
             else:
-                chars.append(ch)
+                items.append(self.form(m))
 
-    def read_atom(self):
-        line, col = self.line, self.col
-        chars = []
-        while self.pos < len(self.text):
-            ch = self.peek()
-            if ch.isspace() or ch in _DELIMS:
-                break
-            chars.append(self.next())
-        token = "".join(chars)
-        if token == ".":
-            return _DOT
-        return classify_atom(token, line, col)
+    def dotted(self, where, items):
+        """The rest of a list whose items are read up to its dot."""
+        if not items:
+            self.error("dot at start of list", where)
+        m = next(self.tokens)
+        if m.lastindex in (_RPAREN, _END):
+            self.error("dotted pair missing tail", where)
+        if m.lastindex == _NUM and m[_NUM] == ".":
+            self.error("multiple dots in list", where)
+        tail = self.form(m)
+        m = next(self.tokens)
+        if m.lastindex == _END:
+            self.error("unterminated list", where)
+        if m.lastindex != _RPAREN:
+            self.error("more than one form after dot", where)
+        return from_pylist(items, tail=tail)
 
+    def number(self, m):
+        """An atom that starts with a sign, digit or dot: an integer, a
+        rejected ratio or float, or else a symbol, such as 1+ or 2X."""
+        token = m[_NUM]
+        if _INT_RX.fullmatch(token):
+            return int(token)
+        if _RATIO_RX.match(token):
+            self.error("rational literals are not supported: %s" % token,
+                       m.start(_NUM))
+        if _FLOAT_RX.match(token):
+            self.error("non-integer numeric literals are not supported: %s"
+                       % token, m.start(_NUM))
+        return intern(token.upper())
 
-_DOT = object()
-
-
-_RATIO_RX = re.compile(r"[+-]?\d+/\d+\Z")
-_FLOAT_RX = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+(?=[eE]))(?:[eE][+-]?\d+)?\Z")
-
-
-def classify_atom(token, line=None, col=None):
-    body = token[1:] if token[:1] in "+-" else token
-    if body and all(c.isdigit() for c in body):
-        return int(token)
-    # Numeric syntax we deliberately reject; everything else that fails to
-    # parse as an integer is a symbol (so 1+ and 1- read as symbols).
-    if _RATIO_RX.match(token):
-        raise ReadError("rational literals are not supported: %s" % token,
-                        line=line, col=col)
-    if _FLOAT_RX.match(token):
-        raise ReadError("non-integer numeric literals are not supported: %s"
-                        % token, line=line, col=col)
-    return intern(token.upper())
+    def string(self, m):
+        """A string, or the error of an unterminated one.  Escapes are
+        checked first, so an unknown one is reported even then."""
+        if m.lastindex == _STR:
+            body = m[_STR][1:-1]
+            if "\\" not in body:
+                return body
+        else:
+            body = self.text[m.end():]
+        for e in _ESCAPE_RX.finditer(body):
+            if e[1] not in '"\\':
+                self.error("unknown string escape \\%s" % e[1],
+                           m.start(m.lastindex))
+        if m.lastindex == _OPEN_STR:
+            self.error("unterminated string", m.start(_OPEN_STR))
+        return _ESCAPE_RX.sub(r"\1", body)
 
 
 def read(text):
     """Read a single form from text; trailing content is an error."""
     r = _Reader(text)
-    r.skip_blank()
-    form = _read_top(r)
-    if not r.at_eof():
-        r.error("trailing content after form")
+    form = r.top(next(r.tokens))
+    m = next(r.tokens)
+    if m.lastindex != _END:
+        r.error("trailing content after form", m.start(m.lastindex))
     return form
 
 
 def read_all(text):
     r = _Reader(text)
     forms = []
-    while not r.at_eof():
-        forms.append(_read_top(r))
-    return forms
-
-
-def _read_top(r):
-    """The top-level form that starts where r stands.  The reader
-    recurses once per nesting level, so input nested past Python's
-    recursion limit is a ReadError at the form's start."""
-    line, col = r.line, r.col
-    try:
-        form = r.read_form()
-    except RecursionError:
-        raise ReadError("nesting too deep", line=line, col=col) from None
-    if form is _DOT:
-        r.error("stray dot")
-    return form
+    for m in r.tokens:
+        if m.lastindex == _END:
+            return forms
+        forms.append(r.top(m))
 
 
 def balanced(text):
     """True when text contains no open parens, strings, or partial tokens.
 
-    Used by the REPL to decide whether to keep reading lines.
+    Used by the REPL to decide whether to keep reading lines.  It scans
+    the reader's own tokens, so the two agree on where a string or
+    comment ends.
     """
     depth = 0
-    in_string = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_string:
-            if ch == "\\":
-                i += 1
-            elif ch == '"':
-                in_string = False
-        elif ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch == '"':
-            in_string = True
-        elif ch == "(":
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        if kind == _LPAREN:
             depth += 1
-        elif ch == ")":
+        elif kind == _RPAREN:
             depth -= 1
-        i += 1
-    return depth <= 0 and not in_string
+        elif kind == _OPEN_STR:
+            return False
+        elif kind == _END:
+            break
+    return depth <= 0
 
 
 ### printer

@@ -175,6 +175,21 @@ def test_deeply_nested_input_is_one_read_error(capsys, tmp_path, argv):
     assert out.splitlines() == ["error: nesting too deep at line 2, column 1"]
 
 
+# A digit that int() rejects reads as a symbol, and a quoted dot is a
+# read error; neither ends in a traceback.
+@pytest.mark.parametrize("text,argv,want", [
+    ("(+ 1 \u00b2)\n", ["run"], "error: unbound variable \u00b2 in \u00b2"),
+    ("(car '(a '. b))\n", ["run"], "error: stray dot at line 1, column 12"),
+    ("(car '(a '. b))\n", ["diff"], "error: stray dot at line 1, column 12")],
+    ids=["digit-run", "dot-run", "dot-diff"])
+def test_odd_tokens_end_in_one_error_line(capsys, tmp_path, text, argv, want):
+    f = tmp_path / "odd.lisp"
+    f.write_text(text, encoding="utf-8")
+    code, out = run_cli(capsys, argv + [str(f)])
+    assert code == 1
+    assert out.splitlines() == [want]
+
+
 # A value nested deeper than Python's recursion limit prints.
 DEEP_VALUE = ("(loop$ with n = 3000 with x = nil do (if (zp n) (return x) "
               "(progn (setq x (cons x nil)) (setq n (1- n)))))\n")

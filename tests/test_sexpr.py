@@ -6,7 +6,7 @@ printable value universe.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from stlisp import sexpr
 from stlisp.errors import ReadError
@@ -31,12 +31,16 @@ def test_integers():
     assert read("-17") == -17
     assert read("+3") == 3
     assert read("0") == 0
+    assert read("\u0663") == 3  # ARABIC-INDIC DIGIT THREE
 
 
 def test_digit_led_tokens_that_are_not_integers_are_symbols():
     assert read("1+").name == "1+"
     assert read("1-").name == "1-"
     assert read("2x") is intern("2X")
+    # digits that str.isdigit() admits but int() rejects
+    for text in ("\u00b2", "+\u00b2", "1\u00b2", "\u1369"):
+        assert read(text) is intern(text)
 
 
 def test_unsupported_numeric_literals_are_rejected():
@@ -101,6 +105,54 @@ def test_reader_errors_carry_positions():
         assert e.col == 3
     else:
         raise AssertionError("expected ReadError")
+
+
+# Every ReadError text, with its position.  A quoted lone dot is a stray
+# dot, placed as at top level; a dotted list cut off by the end of input
+# is unterminated.
+READ_ERRORS = [
+    ("", "unexpected end of input at line 1, column 1"),
+    ("'  ; note\n  ", "unexpected end of input at line 2, column 3"),
+    ("(a '", "unexpected end of input at line 1, column 5"),
+    (")", "unbalanced close parenthesis at line 1, column 1"),
+    ("(a\n  (b)", "unterminated list at line 1, column 1"),
+    ("(a . b", "unterminated list at line 1, column 1"),
+    ("(. a)", "dot at start of list at line 1, column 1"),
+    ("(a . )", "dotted pair missing tail at line 1, column 1"),
+    ("(a . . b)", "multiple dots in list at line 1, column 1"),
+    ("(a . b c)", "more than one form after dot at line 1, column 1"),
+    ('(f "open', "unterminated string at line 1, column 4"),
+    ('(f "open\\', "unterminated string at line 1, column 4"),
+    ('"bad \\n escape"', "unknown string escape \\n at line 1, column 1"),
+    ('(f "a\\q', "unknown string escape \\q at line 1, column 4"),
+    ("1/2", "rational literals are not supported: 1/2 at line 1, column 1"),
+    ("(x -2/3)",
+     "rational literals are not supported: -2/3 at line 1, column 4"),
+    ("1.5", "non-integer numeric literals are not supported: 1.5 at line 1, "
+     "column 1"),
+    (" .5e3", "non-integer numeric literals are not supported: .5e3 at line "
+     "1, column 2"),
+    ("(a)\n  )", "trailing content after form at line 2, column 3"),
+    ('(a) "b', "trailing content after form at line 1, column 5"),
+    (".", "stray dot at line 1, column 2"),
+    ("'.", "stray dot at line 1, column 3"),
+    ("(a '. b)", "stray dot at line 1, column 6"),
+    ("(a . '.)", "stray dot at line 1, column 8"),
+    ("\n '" + "(" * 3000, "nesting too deep at line 2, column 2"),
+    ('; one\r\n; two ( "\r\n  1e5', "non-integer numeric literals are "
+     "not supported: 1e5 at line 3, column 3"),
+    ("(a\xa0.\u2028b\x1cc)",
+     "more than one form after dot at line 1, column 1"),
+    ("\xa0\u2028\x1c1.5", "non-integer numeric literals are not supported: "
+     "1.5 at line 1, column 4"),
+]
+
+
+@pytest.mark.parametrize("text,message", READ_ERRORS)
+def test_read_error_text_and_position(text, message):
+    with pytest.raises(ReadError) as exc:
+        read(text)
+    assert str(exc.value) == message
 
 
 def test_nesting_past_the_recursion_limit_is_a_read_error():
@@ -186,3 +238,27 @@ def _values(depth):
 @given(_values(3))
 def test_show_read_round_trip(v):
     assert equal(read(show(v)), v)
+
+
+# Texts over the characters the reader treats specially, blanks of every
+# kind, and atoms that look numeric.
+_HOSTILE = st.text(alphabet=st.sampled_from(
+    list("()'\";.\\") + [" ", "\n", "\r", "\t", "\xa0", "\u2028", "\x1c",
+                         "\u3000"] + list("abzAZ019+-/eE:|#,`")
+    + ["\u00b2", "\u0663"]), max_size=30)
+
+
+@seed(2026)
+@settings(max_examples=1500, deadline=None, database=None)
+@given(_HOSTILE)
+def test_reader_raises_only_read_errors(text):
+    try:
+        forms = read_all(text)
+    except ReadError as e:
+        lines = text.split("\n")
+        assert 1 <= e.line <= len(lines)
+        assert 1 <= e.col <= len(lines[e.line - 1]) + 1
+        return
+    assert balanced(text)
+    for form in forms:
+        assert equal(read(show(form)), form)
