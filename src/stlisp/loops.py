@@ -1,9 +1,12 @@
 """Iteration: loop$ parsing, the DO statement tree, and both executors.
 
-make_do_plan parses and validates a DO body and its FINALLY body once,
-into a tree of seq/if/let/mv-let/setq/mv-setq/return/loop-finish nodes,
-and one walker runs that tree on both paths, assigning each SETQ and
-MV-SETQ into a frame of slots.  The logical path (run_do) is the
+make_do_plan parses a DO body and its FINALLY body once, into a tree of
+seq/if/let/mv-let/setq/mv-setq/return/loop-finish nodes, checking only
+the statement grammar: the expressions in the tree, the :GUARD and the
+:MEASURE are checked by stobjs.Analyzer, which admits a loop before it
+runs and lets them name only the settable variables and the locals
+they bind.  One walker runs that tree on both paths, assigning each
+SETQ and MV-SETQ into a frame of slots.  The logical path (run_do) is the
 specification: the DO body is a one-formal function of an alist of the
 settable variables, applied once per iteration to yield an exit triple
 (token value new-alist), under a strictly decreasing lexicographic
@@ -19,9 +22,8 @@ runaway loop (the measure or the cap).
 from . import stobjs
 from .errors import (CapExceeded, EvalError, GuardViolation,
                      MeasureViolation, TranslateError)
-from .stobjs import (DO_ONLY_HEADS, MV, _cons_args, bindable, if_parts,
-                     let_pairs, let_parts, list_items, mv_let_parts,
-                     mv_parts, quote_parts)
+from .stobjs import (MV, _cons_args, bindable, if_parts, let_pairs,
+                     let_parts, list_items, mv_let_parts, mv_parts)
 from .sexpr import (NIL, T, Cons, Env, MultiValue, Symbol, from_pylist,
                     intern, is_keyword, iter_conses, show, truthy)
 
@@ -41,6 +43,8 @@ K_GUARD = intern(":GUARD")
 K_RETURN = intern(":RETURN")
 K_FINISH = intern(":LOOP-FINISH")
 CDR = intern("CDR")
+ONE_MINUS = intern("1-")
+MINUS = intern("-")
 
 
 class OfTypeViolation(GuardViolation):
@@ -220,18 +224,17 @@ class DoPlan:
 
 
 def make_do_plan(spec, world):
-    """Parse and validate the DO and FINALLY bodies into statement trees."""
+    """Parse the DO and FINALLY bodies into statement trees."""
     settables = spec.settables()
     parser = _Parser(settables, spec.values)
     plan = DoPlan()
     plan.settables = settables
     plan.integer_vars = spec.integer_vars()
-    plan.do_tree = parser.stmt(spec.do_body, set(settables))
+    plan.do_tree = parser.stmt(spec.do_body)
     plan.finally_tree = None
     if spec.finally_body is not None:
         plan.finally_tree = _Parser(settables, spec.values,
-                                    finally_mode=True).stmt(
-            spec.finally_body, set(settables))
+                                    finally_mode=True).stmt(spec.finally_body)
     elif parser.saw_loop_finish and spec.value_stobjs():
         raise TranslateError(
             "LOOP-FINISH without a FINALLY clause cannot produce the stobjs "
@@ -239,9 +242,6 @@ def make_do_plan(spec, world):
     plan.measure_form = spec.measure
     if plan.measure_form is None:
         plan.measure_form = guess_measure(spec, parser.steps)
-    _scan_expr(plan.measure_form, set(settables), settables, ":MEASURE")
-    if spec.guard is not None:
-        _scan_expr(spec.guard, set(settables), settables, ":GUARD")
     return plan
 
 
@@ -255,33 +255,132 @@ class _Parser:
         # for an MV-SETQ of it; read by guess_measure
         self.steps = {}
 
-    def stmt(self, s, scope):
-        if isinstance(s, (int, str)):
-            return FALL
-        if isinstance(s, Symbol):
+    def stmt(self, s, effect=False):
+        """The tree of the statement s; with effect set, s precedes the
+        last form of a PROGN and must be an effect (see FALL)."""
+        name = s.car.name if isinstance(s, Cons) \
+            and isinstance(s.car, Symbol) else None
+        if name == "IF":
+            test, then, els = if_parts(s, TranslateError)
+            return ("if", test, self.stmt(then, effect),
+                    FALL if els is None else self.stmt(els, effect), s)
+        if name == "PROGN":
+            items = _cons_args(s, error=TranslateError)
+            if not items:
+                return FALL
+            effects = [self.stmt(x, True) for x in items[:-1]]
+            last = self.stmt(items[-1], effect)
+            if effects and last[0] == "setq":
+                effects.append(last)
+                last = FALL
+            return ("seq", tuple(effects), last) if effects else last
+        if name == "SETQ":
+            args = _cons_args(s, error=TranslateError)
+            if len(args) != 2 or not isinstance(args[0], Symbol):
+                raise TranslateError("SETQ takes a variable and a value: %s"
+                                     % show(s), form=s)
+            var = args[0].name
+            if var not in self.settables:
+                raise TranslateError(
+                    "SETQ target %s is not settable (settable variables "
+                    "here: %s)" % (var, " ".join(self.settables) or "none"),
+                    form=s)
+            self.steps.setdefault(var, []).append(args[1])
+            return ("setq", (var,), args[1], s)
+        if name == "MV-SETQ":
+            args = _cons_args(s, error=TranslateError)
+            if len(args) != 2:
+                raise TranslateError("MV-SETQ takes a variable list and a "
+                                     "form", form=s)
+            vars_ = list_items(args[0], "MV-SETQ variables", s,
+                               TranslateError)
+            if len(vars_) < 2 or not all(isinstance(v, Symbol)
+                                         for v in vars_):
+                raise TranslateError("MV-SETQ needs two or more variables",
+                                     form=s)
+            names = tuple(v.name for v in vars_)
+            if len(set(names)) != len(names):
+                raise TranslateError("duplicate MV-SETQ target in %s"
+                                     % show(s), form=s)
+            for n in names:
+                if n not in self.settables:
+                    raise TranslateError(
+                        "MV-SETQ target %s is not settable" % n, form=s)
+                self.steps.setdefault(n, []).append(None)
+            return ("mv-setq", names, args[1], s)
+        if effect:
+            if name in ("RETURN", "LOOP-FINISH"):
+                raise TranslateError(
+                    "%s must be the final form of its PROGN" % name, form=s)
+            if name in ("LET", "LET*", "MV-LET"):
+                raise TranslateError(
+                    "a %s before the end of a PROGN has no effect on the "
+                    "settable variables; bind locals around the whole PROGN "
+                    "instead" % name, form=s)
+            raise TranslateError(
+                "only SETQ, MV-SETQ, IF, and PROGN may precede the final "
+                "form of a PROGN, got %s" % show(s), form=s)
+        if name is None:
+            if isinstance(s, (int, str)):
+                return FALL
+            if not isinstance(s, Symbol):
+                raise TranslateError("not a DO-body statement: %s" % show(s),
+                                     form=s)
             if s is NIL or s is T or is_keyword(s):
                 return FALL
             raise TranslateError(
                 "a bare variable is not a statement in a DO body: %s"
                 % show(s), form=s)
-        if not isinstance(s, Cons) or not isinstance(s.car, Symbol):
-            raise TranslateError("not a DO-body statement: %s" % show(s),
-                                 form=s)
-        name = s.car.name
-        if name == "IF":
-            return self._stmt_if(s, self.stmt, scope)
         if name in ("LET", "LET*"):
-            return self._stmt_let(s, scope, sequential=name == "LET*")
+            bindings, body = let_parts(s, TranslateError)
+            pairs = let_pairs(bindings)
+            for var, _rhs in pairs:
+                if var.name in self.settables:
+                    raise TranslateError(
+                        "a statement-position %s may not rebind the settable "
+                        "variable %s; use SETQ" % (name, var.name), form=s)
+            body = self.stmt(body)
+            if name == "LET":
+                return ("let", tuple(v.name for v, _rhs in pairs),
+                        tuple(rhs for _v, rhs in pairs), body, s)
+            for var, rhs in reversed(pairs):   # LET* nests one-binding LETs
+                body = ("let", (var.name,), (rhs,), body, s)
+            return body
         if name == "MV-LET":
-            return self._stmt_mv_let(s, scope)
-        if name == "PROGN":
-            return self._stmt_progn(s, self.stmt, scope)
-        if name == "SETQ":
-            return self._setq_step(s, scope)
-        if name == "MV-SETQ":
-            return self._mv_setq_step(s, scope)
+            vars_, rhs, body = mv_let_parts(s, TranslateError)
+            names = tuple(v.name for v in iter_conses(vars_))
+            for n in names:
+                if n in self.settables:
+                    raise TranslateError(
+                        "a statement-position MV-LET may not rebind the "
+                        "settable variable %s; use MV-SETQ" % n, form=s)
+            return ("mv-let", names, rhs, self.stmt(body), s)
         if name == "RETURN":
-            return self._stmt_return(s, scope)
+            args = _cons_args(s, error=TranslateError)
+            if len(args) != 1:
+                raise TranslateError("RETURN takes exactly one form", form=s)
+            e, sig = args[0], self.values
+            mv = isinstance(e, Cons) and e.car is MV
+            if len(sig) == 1 and mv:
+                raise TranslateError("RETURN of multiple values requires a "
+                                     ":VALUES signature", form=s)
+            if len(sig) > 1:
+                if not mv:
+                    raise TranslateError(
+                        "with :VALUES of length %d, RETURN needs a literal "
+                        "(MV ..) of that arity" % len(sig), form=s)
+                comps = list(iter_conses(mv_parts(e, TranslateError)))
+                if len(comps) != len(sig):
+                    raise TranslateError(
+                        "RETURN supplies %d values for %d :VALUES slots"
+                        % (len(comps), len(sig)), form=s)
+                for slot, comp in zip(sig, comps):
+                    if slot is not None and not (isinstance(comp, Symbol)
+                                                 and comp.name == slot):
+                        raise TranslateError(
+                            "this RETURN slot must be the stobj %s, got %s"
+                            % (slot, show(comp)), form=s)
+            return ("return", e, s)
         if name == "LOOP-FINISH":
             if _cons_args(s, error=TranslateError):
                 raise TranslateError("LOOP-FINISH takes no arguments", form=s)
@@ -293,206 +392,6 @@ class _Parser:
         raise TranslateError(
             "%s is not a statement; a DO body is built from if/let/let*/"
             "mv-let/progn/setq/mv-setq/return/loop-finish" % show(s), form=s)
-
-    def _effect(self, s, scope):
-        """A statement before the last form of a PROGN (see FALL)."""
-        if isinstance(s, Cons) and isinstance(s.car, Symbol):
-            h = s.car.name
-            if h == "SETQ":
-                return self._setq_step(s, scope)
-            if h == "MV-SETQ":
-                return self._mv_setq_step(s, scope)
-            if h == "IF":
-                return self._stmt_if(s, self._effect, scope)
-            if h == "PROGN":
-                return self._stmt_progn(s, self._effect, scope)
-            if h in ("RETURN", "LOOP-FINISH"):
-                raise TranslateError(
-                    "%s must be the final form of its PROGN" % h, form=s)
-            if h in ("LET", "LET*", "MV-LET"):
-                raise TranslateError(
-                    "a %s before the end of a PROGN has no effect on the "
-                    "settable variables; bind locals around the whole PROGN "
-                    "instead" % h, form=s)
-        raise TranslateError(
-            "only SETQ, MV-SETQ, IF, and PROGN may precede the final form "
-            "of a PROGN, got %s" % show(s), form=s)
-
-    def _stmt_if(self, s, branch, scope):
-        """An IF whose branches are read by branch: stmt or _effect."""
-        test, then, els = if_parts(s, TranslateError)
-        test = self.expr(test, scope)
-        then = branch(then, scope)
-        els = FALL if els is None else branch(els, scope)
-        return ("if", test, then, els, s)
-
-    def _stmt_let(self, s, scope, sequential):
-        bindings, body = let_parts(s, TranslateError)
-        cur_scope = set(scope)
-        names, rhss = [], []
-        for var, rhs in let_pairs(bindings):
-            if var.name in self.settables:
-                raise TranslateError(
-                    "a statement-position %s may not rebind the settable "
-                    "variable %s; use SETQ" % (s.car.name, var.name), form=s)
-            rhss.append(self.expr(rhs, cur_scope if sequential else scope))
-            names.append(var.name)
-            cur_scope.add(var.name)
-        body = self.stmt(body, cur_scope)
-        if not sequential:
-            return ("let", tuple(names), tuple(rhss), body, s)
-        for name, rhs in reversed(list(zip(names, rhss))):
-            body = ("let", (name,), (rhs,), body, s)
-        return body
-
-    def _stmt_mv_let(self, s, scope):
-        vars_, rhs, body = mv_let_parts(s, TranslateError)
-        vars_ = list(iter_conses(vars_))
-        for v in vars_:
-            if v.name in self.settables:
-                raise TranslateError(
-                    "a statement-position MV-LET may not rebind the settable "
-                    "variable %s; use MV-SETQ" % v.name, form=s)
-        rhs = self.expr(rhs, scope)
-        body = self.stmt(body, set(scope) | {v.name for v in vars_})
-        return ("mv-let", tuple(v.name for v in vars_), rhs, body, s)
-
-    def _stmt_progn(self, s, final, scope):
-        """A PROGN whose last form is read by final: stmt or _effect."""
-        items = _cons_args(s, error=TranslateError)
-        if not items:
-            return FALL
-        n = len(items) - 1
-        effects = [self._effect(items[i], scope) for i in range(n)]
-        last = final(items[n], scope)
-        if effects and last[0] == "setq":
-            effects.append(last)
-            last = FALL
-        return ("seq", tuple(effects), last) if effects else last
-
-    def _setq_step(self, s, scope):
-        args = _cons_args(s, error=TranslateError)
-        if len(args) != 2 or not isinstance(args[0], Symbol):
-            raise TranslateError("SETQ takes a variable and a value: %s"
-                                 % show(s), form=s)
-        var = args[0]
-        if var.name not in self.settables:
-            raise TranslateError(
-                "SETQ target %s is not settable (settable variables here: "
-                "%s)" % (var.name, " ".join(self.settables) or "none"),
-                form=s)
-        rhs = self.expr(args[1], scope)
-        self.steps.setdefault(var.name, []).append(rhs)
-        return ("setq", (var.name,), rhs, s)
-
-    def _mv_setq_step(self, s, scope):
-        args = _cons_args(s, error=TranslateError)
-        if len(args) != 2:
-            raise TranslateError("MV-SETQ takes a variable list and a form",
-                                 form=s)
-        vars_ = list_items(args[0], "MV-SETQ variables", s, TranslateError)
-        if len(vars_) < 2 or not all(isinstance(v, Symbol) for v in vars_):
-            raise TranslateError("MV-SETQ needs two or more variables",
-                                 form=s)
-        names = tuple(v.name for v in vars_)
-        if len(set(names)) != len(names):
-            raise TranslateError("duplicate MV-SETQ target in %s" % show(s),
-                                 form=s)
-        for n in names:
-            if n not in self.settables:
-                raise TranslateError(
-                    "MV-SETQ target %s is not settable" % n, form=s)
-            self.steps.setdefault(n, []).append(None)
-        rhs = self.expr(args[1], scope)
-        return ("mv-setq", names, rhs, s)
-
-    def _stmt_return(self, s, scope):
-        args = _cons_args(s, error=TranslateError)
-        if len(args) != 1:
-            raise TranslateError("RETURN takes exactly one form", form=s)
-        e = args[0]
-        sig = self.values
-        if len(sig) == 1:
-            if isinstance(e, Cons) and e.car is MV:
-                raise TranslateError(
-                    "RETURN of multiple values requires a :VALUES signature",
-                    form=s)
-            return ("return", self.expr(e, scope), s)
-        if not (isinstance(e, Cons) and e.car is MV):
-            raise TranslateError(
-                "with :VALUES of length %d, RETURN needs a literal (MV ..) "
-                "of that arity" % len(sig), form=s)
-        comps = list(iter_conses(mv_parts(e, TranslateError)))
-        if len(comps) != len(sig):
-            raise TranslateError(
-                "RETURN supplies %d values for %d :VALUES slots"
-                % (len(comps), len(sig)), form=s)
-        for slot, comp in zip(sig, comps):
-            if slot is None:
-                self.expr(comp, scope)
-            elif not (isinstance(comp, Symbol) and comp.name == slot):
-                raise TranslateError(
-                    "this RETURN slot must be the stobj %s, got %s"
-                    % (slot, show(comp)), form=s)
-        return ("return", e, s)
-
-    def expr(self, e, scope):
-        _scan_expr(e, scope, self.settables, "a DO-body expression")
-        return e
-
-
-def _scan_expr(e, scope, settables, what):
-    if isinstance(e, (int, str)):
-        return
-    if isinstance(e, Symbol):
-        if e is NIL or e is T or is_keyword(e):
-            return
-        if e.name not in scope:
-            raise TranslateError(
-                "%s is not bound in %s (settable variables: %s)"
-                % (e.name, what, " ".join(settables) or "none"), form=e)
-        return
-    if not isinstance(e, Cons):
-        raise TranslateError("cannot translate %r" % (e,))
-    head = e.car
-    if not isinstance(head, Symbol):
-        raise TranslateError("call head must be a symbol in %s" % show(e),
-                             form=e)
-    name = head.name
-    if name == "QUOTE":
-        quote_parts(e, TranslateError)
-        return
-    if name in DO_ONLY_HEADS:
-        raise TranslateError(
-            "%s is a statement and may not appear inside %s" % (name, what),
-            form=e)
-    if name in ("LOOP$", "STOBJ-LET"):
-        raise TranslateError("%s is not supported inside a DO body" % name,
-                             form=e)
-    if name in ("LET", "LET*"):
-        bindings, body = let_parts(e, TranslateError)
-        cur = set(scope)
-        for var, rhs in let_pairs(bindings):
-            _scan_expr(rhs, cur if name == "LET*" else scope, settables,
-                       what)
-            cur.add(var.name)
-        _scan_expr(body, cur, settables, what)
-        return
-    if name == "MV-LET":
-        vars_, rhs, body = mv_let_parts(e, TranslateError)
-        _scan_expr(rhs, scope, settables, what)
-        _scan_expr(body, set(scope) | {v.name for v in iter_conses(vars_)},
-                   settables, what)
-        return
-    if name == "IF":
-        if_parts(e, TranslateError)
-        args = iter_conses(e.cdr)
-    elif name == "MV":
-        args = iter_conses(mv_parts(e, TranslateError))
-    else:
-        args = _cons_args(e, error=TranslateError)
-    for a in args:
-        _scan_expr(a, scope, settables, what)
 
 
 ### measure guessing
@@ -517,17 +416,17 @@ def guess_measure(spec, steps):
 
 
 def _is_numeric_step(r, name):
-    if not (isinstance(r, Cons) and isinstance(r.car, Symbol)):
+    """Whether r is (1- name) or (- name k) with k a positive integer,
+    read in place: a step reaches here unchecked, and may be dotted."""
+    if not (isinstance(r, Cons) and isinstance(r.cdr, Cons)):
         return False
-    args = _cons_args(r)
-    if r.car.name == "1-":
-        return len(args) == 1 and isinstance(args[0], Symbol) \
-            and args[0].name == name
-    if r.car.name == "-":
-        return (len(args) == 2 and isinstance(args[0], Symbol)
-                and args[0].name == name and isinstance(args[1], int)
-                and args[1] > 0)
-    return False
+    var, rest = r.cdr.car, r.cdr.cdr
+    if not (isinstance(var, Symbol) and var.name == name):
+        return False
+    if r.car is ONE_MINUS:
+        return rest is NIL
+    return (r.car is MINUS and isinstance(rest, Cons) and rest.cdr is NIL
+            and isinstance(rest.car, int) and rest.car > 0)
 
 
 def _is_cdr_step(r, name):

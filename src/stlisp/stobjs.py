@@ -7,7 +7,10 @@ interchangeable because definitions pass a static single-threadedness
 check before they are accepted:
 
   R1  a stobj name may appear only in a stobj argument position of a
-      call typed for it (or be returned);
+      call typed for it (or be returned); a DO loop's :GUARD, :MEASURE
+      and statements are closed over the loop's settable variables, so
+      a name in them must be a settable or a local bound there, and
+      their expressions may hold no statement, LOOP$ or STOBJ-LET;
   R2  a call returning a stobj must have its result rebound to the
       same name, or be in return position;
   R3  a stobj is never bound to a different name, never passed twice
@@ -480,6 +483,10 @@ class Analyzer:
         self.saw_self = False
         self.stobj_lets = []    # the stobj-let forms parsed, in order
         self.produced = None    # stobjs returned by calls in a producer
+        # (what, settables) inside a DO loop's :GUARD, :MEASURE and
+        # statements, which may name only the settables and their own
+        # locals
+        self.loop_scope = None
         # Top-level checking raises undefined-function and arity problems
         # directly; inside a defun they are collected as violations so a
         # bad definition reports everything at once.
@@ -499,7 +506,8 @@ class Analyzer:
             if expr.name in bound or expr is NIL or expr is T \
                     or sexpr.is_keyword(expr):
                 return (None,)
-            if self.world.stobj_spec(expr.name) is not None:
+            if not self._free_in_loop(expr, live, bound) \
+                    and self.world.stobj_spec(expr.name) is not None:
                 self.err("R1", "stobj %s is used without being declared or "
                                "bound here" % expr.name)
             return (None,)
@@ -522,6 +530,16 @@ class Analyzer:
             return self._analyze_mv(expr, live, bound)
         if head is MV_LET:
             return self._analyze_mv_let(expr, live, bound)
+        if self.loop_scope is not None:
+            if head is STOBJ_LET or head is LOOPS:
+                self.err("R1", "%s is not supported inside a DO body in %s"
+                         % (name, show(expr)))
+                return (None,)
+            if name in DO_ONLY_HEADS:
+                self.err("R1", "%s is a statement and may not appear inside "
+                               "%s in %s" % (name, self.loop_scope[0],
+                                             show(expr)))
+                return (None,)
         if head is STOBJ_LET:
             return self._analyze_stobj_let(expr, live, bound)
         if head is LOOPS:
@@ -537,6 +555,19 @@ class Analyzer:
             self.err("R1", "misplaced declare form %s" % show(expr))
             return (None,)
         return self._analyze_call(expr, live, bound)
+
+    def _free_in_loop(self, expr, live, bound):
+        """Record, and return True for, a name that the loop_scope does not
+        allow: a symbol neither live, bound nor a constant."""
+        if self.loop_scope is None or not isinstance(expr, Symbol) \
+                or expr.name in live or expr.name in bound or expr is NIL \
+                or expr is T or sexpr.is_keyword(expr):
+            return False
+        what, settables = self.loop_scope
+        self.err("R1", "%s is not bound in %s (settable variables: %s) in %s"
+                 % (expr.name, what, " ".join(settables) or "none",
+                    expr.name))
+        return True
 
     def _parse(self, parse, *args):
         """parse(*args), or None with its error recorded under R1."""
@@ -766,15 +797,20 @@ class Analyzer:
         plan = self._parse(loops.make_do_plan, spec, self.world)
         if plan is None:
             return tuple(spec.values)
-        # The body sees the settables only: :VALUES stobjs and WITH names.
+        # The loop sees the settables only: :VALUES stobjs and WITH names.
         live = {s: s for s in spec.value_stobjs()}
         bound = {name for name, _typ, _init in spec.withs}
+        outer = self.loop_scope
         if spec.guard is not None:
+            self.loop_scope = (":GUARD", plan.settables)
             self.want_value(spec.guard, live, bound, "a loop :GUARD")
+        self.loop_scope = (":MEASURE", plan.settables)
         self.want_value(plan.measure_form, live, bound, "a loop :MEASURE")
+        self.loop_scope = ("a DO-body expression", plan.settables)
         for tree in (plan.do_tree, plan.finally_tree):
             if tree is not None:
                 self._analyze_stmt(tree, live, bound, spec.values)
+        self.loop_scope = outer
         return tuple(spec.values)
 
     def _analyze_stmt(self, node, live, bound, values):
@@ -836,17 +872,12 @@ class Analyzer:
                     self.want_value(a, live, bound,
                                     "an argument of %s" % name)
             return (None,)
-        seen_stobjs = set()
         follow = None
         for arg, slot in zip(args, inputs):
             if slot is POLY:
                 if isinstance(arg, Symbol) and arg.name in live:
                     follow = live[arg.name]
-                    if arg.name in seen_stobjs:
-                        self.err("R3", "stobj %s appears twice in %s"
-                                 % (arg.name, show(expr)))
-                    seen_stobjs.add(arg.name)
-                else:
+                elif not self._free_in_loop(arg, live, bound):
                     self.err("R1", "%s needs a live stobj argument in %s"
                              % (name, show(expr)))
             elif slot is None:
@@ -856,16 +887,11 @@ class Analyzer:
                 else:
                     self.want_value(arg, live, bound,
                                     "an argument of %s" % name)
-            else:
-                if not (isinstance(arg, Symbol) and arg.name == slot
-                        and live.get(slot) == slot):
-                    self.err("R1", "%s expects the stobj %s in this position "
-                                   "of %s" % (name, slot, show(expr)))
-                else:
-                    if slot in seen_stobjs:
-                        self.err("R3", "stobj %s appears twice in %s"
-                                 % (slot, show(expr)))
-                    seen_stobjs.add(slot)
+            elif not (isinstance(arg, Symbol) and arg.name == slot
+                      and live.get(slot) == slot) \
+                    and not self._free_in_loop(arg, live, bound):
+                self.err("R1", "%s expects the stobj %s in this position of "
+                               "%s" % (name, slot, show(expr)))
         if outputs is UNKNOWN:
             self.saw_self = True
             return UNKNOWN

@@ -1,6 +1,7 @@
 """Shared test plumbing: the acceptance tests record one verdict per
 criterion here, and the terminal summary prints them as stable
-"criterion NN <name>: PASS|FAIL" lines."""
+"criterion NN <name>: PASS|FAIL" lines; count_calls counts the calls of
+one function."""
 
 CRITERIA_RESULTS = {}
 
@@ -17,3 +18,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         name, verdict = CRITERIA_RESULTS[number]
         terminalreporter.write_line(
             "criterion %02d %s: %s" % (number, name, verdict))
+
+
+def count_calls(monkeypatch, owner, name):
+    """The argument tuples of every call of owner.name from now on."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls

@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from stlisp import loops, sexpr
+from stlisp import sexpr
 from stlisp.errors import (EvalError, GuardViolation, LinearityError,
-                           MeasureViolation, ReadError, TranslateError)
+                           MeasureViolation, ReadError)
 from stlisp.kernel import Interp
 from stlisp.sexpr import NIL, T, intern, read, show
 
@@ -218,19 +218,16 @@ def test_syntax_errors_name_the_form_in_both_modes(text, offending):
     "(mv-let (a b) (mv 1 2))", "(if 1 2 . 3)", "(quote a . b)",
     "(let ((x 1)) . x)", "(let ((x 1) (x 2)) x)", "(mv-let (a a) (mv 1 2) a)"])
 def test_malformed_special_form_has_one_text(text):
-    # the evaluator, the analyzer and the DO-body parser reject it alike
+    # the evaluator and the analyzer reject it alike, in a DO body too
     with pytest.raises(EvalError) as exc:
         Interp().eval(read(text))
     want = str(exc.value)
     with pytest.raises(LinearityError) as exc:
         ev(text)
     assert "R1: " + want in str(exc.value)
-    world = Interp().world
-    spec = loops.parse_loop(
-        read("(loop$ with x = 0 do :measure 0 (setq x %s))" % text), world)
-    with pytest.raises(TranslateError) as exc:
-        loops.make_do_plan(spec, world)
-    assert str(exc.value) == want
+    with pytest.raises(LinearityError) as exc:
+        ev("(loop$ with x = 0 do :measure 0 (setq x %s))" % text)
+    assert exc.value.violations == ["R1: " + want]
 
 
 @pytest.mark.parametrize("text,message", [

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from stlisp import cli, loops, sexpr
+from conftest import count_calls
+from stlisp import cli, loops, sexpr, stobjs
 from stlisp.errors import (CapExceeded, EvalError, GuardViolation,
                            LinearityError, MeasureViolation, TranslateError)
 from stlisp.kernel import Interp
@@ -248,17 +249,6 @@ def test_statement_grammar_errors_inside_an_if_that_is_not_last(branch,
                                   "(progn %s (return x)))" % body)
 
 
-def count_scans(monkeypatch):
-    calls = []
-    real = loops._scan_expr
-
-    def scan(e, *args):
-        calls.append(e)
-        return real(e, *args)
-    monkeypatch.setattr(loops, "_scan_expr", scan)
-    return calls
-
-
 def ifs_before_the_last_form(k):
     """A 3-iteration DO loop with k one-armed IFs before its last form."""
     return ("(loop$ with x = 3 with y = 0 do :measure (nfix x) "
@@ -268,12 +258,19 @@ def ifs_before_the_last_form(k):
 
 
 def test_each_do_statement_is_parsed_once(monkeypatch):
-    calls = count_scans(monkeypatch)
+    calls = count_calls(monkeypatch, loops, "if_parts")
     assert Interp().eval(read(ifs_before_the_last_form(12)), None) == 12
-    # (nfix x) 2, (zp x) 2, (return y) 1, each IF's (< x i) 3 and
-    # (+ y 1) 3, (1- x) 2: one scan per subexpression of the measure
-    # and the body
-    assert len(calls) == 2 + 2 + 1 + 12 * 6 + 2
+    # the outer IF and the 12 IFs of the PROGN, each read once
+    assert len(calls) == 1 + 12
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_each_do_subexpression_is_analyzed_once(monkeypatch, k):
+    calls = count_calls(monkeypatch, stobjs.Analyzer, "analyze")
+    Interp().eval_text(ifs_before_the_last_form(k))
+    # the loop 1, its two WITH values 2, (nfix x) 2, (zp x) 2,
+    # (return y) 1, each IF's (< x i) 3 and (+ y 1) 3, (1- x) 2
+    assert len(calls) == 1 + 2 + 2 + 2 + 1 + 6 * k + 2
 
 
 def test_forty_ifs_run_alike_in_both_modes_and_diff(capsys, tmp_path):
@@ -305,21 +302,85 @@ def test_do_if_test_has_the_evaluators_texts(mode):
         assert exc.value.message == text
 
 
+def admission_error(text):
+    """The text of the LinearityError that admitting text raises, the
+    same in both modes."""
+    texts = set()
+    for mode in ("logical", "native"):
+        with pytest.raises(LinearityError) as exc:
+            Interp(mode=mode).eval_text(text)
+        texts.add(str(exc.value))
+    assert len(texts) == 1
+    return texts.pop()
+
+
 def test_expression_level_rejections():
-    assert "SETQ is a statement and may not appear inside a DO-body " \
-        "expression" in plan_error(
+    assert "R1: SETQ is a statement and may not appear inside a DO-body " \
+        "expression" in admission_error(
             "(loop$ with x = 0 do :measure 0 (setq x (setq x 1)))")
-    assert "LOOP$ is not supported inside a DO body" in plan_error(
+    assert "R1: LOOP$ is not supported inside a DO body" in admission_error(
         "(loop$ with x = 0 do :measure 0 "
         "(setq x (loop$ for y in '(1) sum y)))")
-    assert "STOBJ-LET is not supported inside a DO body" in plan_error(
-        "(loop$ with x = 0 do :measure 0 "
-        "(setq x (stobj-let ((a (tbl-get 'a top (create-a)))) (v) (f a) v)))")
-    msg = plan_error("(loop$ with x = 0 do :measure 0 (setq x (+ x free)))")
-    assert "FREE is not bound in a DO-body expression " \
+    assert "R1: STOBJ-LET is not supported inside a DO body" \
+        in admission_error(
+            "(loop$ with x = 0 do :measure 0 (setq x (stobj-let "
+            "((a (tbl-get 'a top (create-a)))) (v) (f a) v)))")
+    msg = admission_error(
+        "(loop$ with x = 0 do :measure 0 (setq x (+ x free)))")
+    assert "R1: FREE is not bound in a DO-body expression " \
         "(settable variables: X)" in msg
-    assert ":MEASURE" in plan_error(
+    assert "R1: ZZ is not bound in :MEASURE" in admission_error(
         "(loop$ with x = 0 do :measure (nfix zz) (return x))")
+
+
+FREE_EVERYWHERE = ("(loop$ with x = 3 do :guard (natp g) :measure (nfix m) "
+                   "(if (zp x) (loop-finish) (setq x (- x d))) "
+                   "finally (return (+ x f)))")
+
+
+def test_every_scope_fault_of_a_loop_is_listed(capsys, tmp_path):
+    assert admission_error(FREE_EVERYWHERE).splitlines()[1:] == [
+        "  R1: G is not bound in :GUARD (settable variables: X) in G",
+        "  R1: M is not bound in :MEASURE (settable variables: X) in M",
+        "  R1: D is not bound in a DO-body expression (settable variables: "
+        "X) in D",
+        "  R1: F is not bound in a DO-body expression (settable variables: "
+        "X) in F"]
+    f = tmp_path / "free.lisp"
+    f.write_text(FREE_EVERYWHERE + "\n")
+    assert cli.main(["diff", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("form 1 skipped (LinearityError in both modes: "
+                          "single-threadedness violation in this top-level "
+                          "form:")
+    assert out.splitlines()[-1] == "equivalent (1 forms, 0 stobjs)"
+
+
+def test_an_unguessable_measure_is_reported_before_scope_faults():
+    lines = admission_error("(loop$ with i = 0 do (if (= i 5) (return free) "
+                            "(setq i (1+ i))))").splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("  R1: cannot guess a :MEASURE for this DO "
+                               "loop")
+
+
+def test_a_dotted_step_is_no_measure():
+    text = "(loop$ with i = 3 do (if (zp i) (return 0) (setq i (1- i . 3))))"
+    msg = admission_error(text)
+    assert msg == (
+        "single-threadedness violation in this top-level form:\n"
+        "  R1: cannot guess a :MEASURE for this DO loop (no single WITH "
+        "variable is stepped only by 1-/-/cdr of itself); supply :MEASURE "
+        "in %s" % show(read(text)))
+    # with a measure the analyzer reaches the step, and rejects it as the
+    # evaluator does any dotted call
+    for mode in ("logical", "native"):
+        with pytest.raises(EvalError) as exc:
+            Interp(mode=mode).eval_text(
+                "(loop$ with i = 3 do :measure i (if (zp i) (return 0) "
+                "(setq i (1- i . 3))))")
+        assert str(exc.value) == ("argument list is not a proper list in "
+                                  "(1- I . 3)")
 
 
 def test_return_shape_validation():
@@ -460,8 +521,8 @@ def test_mv_let_inside_a_do_body_expression():
     # the names it binds are not in scope after it
     with pytest.raises(LinearityError, match="A is not bound in a DO-body "
                                              "expression"):
-        Interp().eval_text("(loop$ with i = 0 do (return (cons (mv-let "
-                           "(a b) (mv 1 2) b) a)))")
+        Interp().eval_text("(loop$ with i = 0 do :measure 0 (return (cons "
+                           "(mv-let (a b) (mv 1 2) b) a)))")
 
 
 def test_init_defaults_to_nil():

@@ -7,7 +7,8 @@ import gc
 import pytest
 from hypothesis import given, seed, settings, strategies as hs
 
-from stlisp import kernel, loops, refinement, sexpr, stobj_table, stobjs
+from conftest import count_calls
+from stlisp import kernel, loops, sexpr, stobj_table, stobjs
 from stlisp.errors import EvalError, LinearityError, OwnershipError
 from stlisp.kernel import Interp
 from stlisp.sexpr import NIL, T, intern, read, show
@@ -302,21 +303,6 @@ def test_analyzer_path_has_its_text(text, violation):
     assert exc.value.violations == [violation]
 
 
-@pytest.mark.parametrize("inputs", [("ST", "ST"), (stobjs.POLY, stobjs.POLY)],
-                         ids=["named", "poly"])
-def test_stobj_twice_in_one_call(inputs):
-    # No defun, signature or builtin has two slots that one stobj may fill,
-    # so this callee is built by hand.
-    interp = fixture("(defstobj st fld)")
-    interp.world.signatures["TWO"] = refinement.Signature("TWO", inputs,
-                                                          (None,))
-    with pytest.raises(LinearityError) as exc:
-        interp.eval_text("(defun h (st) (declare (xargs :stobjs (st))) "
-                         "(two st st))")
-    assert exc.value.violations == [
-        "R3: stobj ST appears twice in (TWO ST ST)"]
-
-
 def test_a_self_call_bound_to_its_stobj_takes_the_stobj_shape():
     # The first pass meets the self-call before any base case, so the LET
     # adopts the shape of the name it binds.
@@ -551,18 +537,6 @@ def test_stobj_let_updated_child_must_be_output():
                 "(fld switch)) flg))")
     assert "child SWITCH is updated in the producer but is not among the " \
         "stobj-let outputs" in msg
-
-
-def count_calls(monkeypatch, owner, name):
-    """The argument tuples of every call of owner.name from now on."""
-    calls = []
-    real = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(owner, name, counted)
-    return calls
 
 
 def test_stobj_let_producer_is_walked_once(monkeypatch):
