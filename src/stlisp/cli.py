@@ -122,6 +122,15 @@ def _bank_view(interp):
             for name, inst in sorted(interp.bank.items())}
 
 
+def _diverge(out, idx, form, *details):
+    """Report that the modes diverge at form idx, one line per detail;
+    the exit code is 2."""
+    out.write("divergence at form %d: %s\n" % (idx, show(form)))
+    for line in details:
+        out.write("  %s\n" % line)
+    return 2
+
+
 def cmd_diff(args, out):
     forms = _load(args.path, out)
     if forms is None:
@@ -133,34 +142,25 @@ def cmd_diff(args, out):
     for idx, form in enumerate(forms, 1):
         a = _attempt(ilog, form)
         b = _attempt(inat, form)
-        if a[0] == "ok" and b[0] == "ok":
+        if a[0] == "error" and b[0] == "error":
             if a[1] != b[1]:
-                out.write("divergence at form %d: %s\n" % (idx, show(form)))
-                out.write("  logical: %s\n  native:  %s\n" % (a[1], b[1]))
-                return 2
-        elif a[0] == "error" and b[0] == "error":
-            if a[1] != b[1]:
-                out.write("divergence at form %d: %s\n" % (idx, show(form)))
-                out.write("  logical error: %s: %s\n" % (a[1], a[2]))
-                out.write("  native error:  %s: %s\n" % (b[1], b[2]))
-                return 2
+                return _diverge(out, idx, form,
+                                "logical error: %s: %s" % a[1:],
+                                "native error:  %s: %s" % b[1:])
             # an in-place update made before the error stays in the
             # native bank only
             banks = (_bank_view(ilog), _bank_view(inat))
             if banks[0] != banks[1]:
-                out.write("divergence at form %d: %s\n" % (idx, show(form)))
-                out.write("  %s in both modes: %s\n" % (a[1], a[2]))
-                out.write("  logical bank: %s\n  native bank:  %s\n" % banks)
-                return 2
+                return _diverge(out, idx, form,
+                                "%s in both modes: %s" % a[1:],
+                                "logical bank: %s" % banks[0],
+                                "native bank:  %s" % banks[1])
             out.write("form %d skipped (%s in both modes: %s)\n"
                       % (idx, a[1], a[2]))
-        else:
-            out.write("divergence at form %d: %s\n" % (idx, show(form)))
-            out.write("  logical: %s\n" % (a[1] if a[0] == "ok"
-                                           else "%s: %s" % (a[1], a[2])))
-            out.write("  native:  %s\n" % (b[1] if b[0] == "ok"
-                                           else "%s: %s" % (b[1], b[2])))
-            return 2
+        elif a != b:
+            # a value, or "class: message" for an error
+            return _diverge(out, idx, form, "logical: " + ": ".join(a[1:]),
+                            "native:  " + ": ".join(b[1:]))
     banks = (_bank_view(ilog), _bank_view(inat))
     if banks[0] != banks[1]:
         out.write("divergence in final stobj banks:\n")

@@ -1,22 +1,22 @@
 """Iteration: loop$ parsing, the DO statement tree, and both executors.
 
-make_do_plan parses a DO body and its FINALLY body once, into a tree of
-seq/if/let/mv-let/setq/mv-setq/return/loop-finish nodes, checking only
-the statement grammar: the expressions in the tree, the :GUARD and the
-:MEASURE are checked by stobjs.Analyzer, which admits a loop before it
-runs and lets them name only the settable variables and the locals
-they bind.  One walker runs that tree on both paths, assigning each
-SETQ and MV-SETQ into a frame of slots.  The logical path (run_do) is the
-specification: the DO body is a one-formal function of an alist of the
-settable variables, applied once per iteration to yield an exit triple
-(token value new-alist), under a strictly decreasing lexicographic
-measure.  Each application reads fresh slots from the alist, walks the
-tree over them, and conses the new alist from them.  The native path
-(native_exec) walks the tree over one set of slots for the whole loop,
-with no measure, under an iteration cap.  Both paths share parsing,
-grammar validation, the walker, and result decoding, so they differ
-only in how stobjs are written (copied or in place) and in what ends a
-runaway loop (the measure or the cap).
+A LoopSpec is the one record of a loop$ form: parse_loop fills in its
+clauses, and for a DO loop make_do_plan adds the settable variables, the
+measure (given or guessed), and the DO and FINALLY bodies as trees of
+seq/if/let/mv-let/setq/mv-setq/return/loop-finish nodes.  It checks only
+the statement grammar; stobjs.Analyzer checks the expressions, :GUARD
+and :MEASURE before the loop runs, and lets them name only the
+settables and the locals they bind.  The WITH values bind into the
+loop's own frame of settables, and one walker runs the trees over it on
+both paths.  The logical path (run_do) is the specification: the DO body
+is a one-formal function of an alist of the settables, applied once per
+iteration to yield an exit triple (token value new-alist), under a
+strictly decreasing lexicographic measure; each application reads fresh
+slots from the alist and conses the new alist from them.  The native
+path (native_exec) walks one frame for the whole loop, with no measure,
+under an iteration cap.  Both share the record, the walker and the exit
+decoding (_result), so they differ only in how stobjs are written
+(copied or in place) and in what ends a runaway loop (measure or cap).
 """
 
 from . import stobjs
@@ -61,20 +61,16 @@ class LoopSpec:
         self.for_body = None
         self.withs = []          # (name: str, type: str or None, init form)
         self.values = (None,)    # None or stobj name, per slot
-        self.measure = None
+        self.measure_form = None  # :MEASURE, or else guessed by make_do_plan
         self.guard = None
         self.do_body = None
         self.finally_body = None
-
-    def value_stobjs(self):
-        return [s for s in self.values if s is not None]
-
-    def settables(self):
-        names = [w[0] for w in self.withs]
-        return names + self.value_stobjs()
-
-    def integer_vars(self):
-        return {name for name, typ, _init in self.withs if typ == "INTEGER"}
+        # set by make_do_plan
+        self.value_stobjs = None  # the stobj names in values, in order
+        self.settables = None     # WITH names, then value_stobjs
+        self.integer_vars = None  # the WITH names of type INTEGER
+        self.do_tree = None
+        self.finally_tree = None
 
 
 def parse_loop(form, world):
@@ -156,7 +152,7 @@ def _parse_do(spec, items, world):
             raise TranslateError("%s needs a value" % kw.name, form=spec.form)
         arg = items[i + 1]
         if kw is K_MEASURE:
-            spec.measure = arg
+            spec.measure_form = arg
         elif kw is K_GUARD:
             spec.guard = arg
         else:
@@ -218,31 +214,25 @@ FINISH = ("finish",)
 FALL = ("fall",)
 
 
-class DoPlan:
-    __slots__ = ("do_tree", "finally_tree", "measure_form", "settables",
-                 "integer_vars")
-
-
 def make_do_plan(spec, world):
-    """Parse the DO and FINALLY bodies into statement trees."""
-    settables = spec.settables()
-    parser = _Parser(settables, spec.values)
-    plan = DoPlan()
-    plan.settables = settables
-    plan.integer_vars = spec.integer_vars()
-    plan.do_tree = parser.stmt(spec.do_body)
-    plan.finally_tree = None
+    """Complete the record of a parsed DO loop: its settable variables,
+    its DO and FINALLY bodies as statement trees, and its measure."""
+    spec.value_stobjs = [s for s in spec.values if s is not None]
+    spec.settables = [w[0] for w in spec.withs] + spec.value_stobjs
+    spec.integer_vars = {name for name, typ, _init in spec.withs
+                         if typ == "INTEGER"}
+    parser = _Parser(spec.settables, spec.values)
+    spec.do_tree = parser.stmt(spec.do_body)
     if spec.finally_body is not None:
-        plan.finally_tree = _Parser(settables, spec.values,
+        spec.finally_tree = _Parser(spec.settables, spec.values,
                                     finally_mode=True).stmt(spec.finally_body)
-    elif parser.saw_loop_finish and spec.value_stobjs():
+    elif parser.saw_loop_finish and spec.value_stobjs:
         raise TranslateError(
             "LOOP-FINISH without a FINALLY clause cannot produce the stobjs "
             "named in :VALUES", form=spec.form)
-    plan.measure_form = spec.measure
-    if plan.measure_form is None:
-        plan.measure_form = guess_measure(spec, parser.steps)
-    return plan
+    if spec.measure_form is None:
+        spec.measure_form = guess_measure(spec, parser.steps)
+    return spec
 
 
 class _Parser:
@@ -478,24 +468,33 @@ def check_of_type(interp, var, value, form, iteration):
 ### shared setup and result decoding
 
 def initial_bindings(interp, spec, env, form):
-    entries = []
-    cur = env
+    """The loop's frame: the settables, in order, to their first values.
+    Each WITH init runs while the frame holds only the earlier WITH
+    names, so a later name still resolves outward, in env."""
+    slots = {}
+    inits = Env(slots, env)
     for name, typ, init in spec.withs:
-        v = interp.eval(init, cur) if init is not None else NIL
+        v = interp.eval(init, inits) if init is not None else NIL
         if typ == "INTEGER":
             check_of_type(interp, name, v, form, 0)
         if isinstance(v, (MultiValue, stobjs.StobjInstance)):
             raise EvalError("WITH %s may not be initialized to a stobj or "
                             "multiple values" % name, form=form)
-        entries.append((name, v))
-        cur = Env({name: v}, cur)
-    for sname in spec.value_stobjs():
-        entries.append((sname, interp.resolve_stobj(sname, env, form)))
-    return entries
+        slots[name] = v
+    for sname in spec.value_stobjs:
+        slots[sname] = interp.resolve_stobj(sname, env, form)
+    return slots
 
 
-def decode_result(spec, value, form):
+def _result(spec, token, value, form):
+    """The loop's value, from the token and value of the walk that ended
+    it: a RETURN's value checked against :VALUES, else NIL per slot."""
     sig = spec.values
+    if token is not K_RETURN:
+        if spec.value_stobjs:
+            raise EvalError("the FINALLY clause fell through without "
+                            "RETURN, but :VALUES names stobjs", form=form)
+        return NIL if len(sig) == 1 else MultiValue([NIL] * len(sig))
     if len(sig) == 1:
         if isinstance(value, MultiValue):
             raise EvalError("this DO loop returns a single value", form=form)
@@ -520,25 +519,9 @@ def _sig_check(slot, v, form):
                             "it" % slot, form=form)
 
 
-def _default_result(spec, form):
-    if spec.value_stobjs():
-        raise EvalError("the FINALLY clause fell through without RETURN, "
-                        "but :VALUES names stobjs", form=form)
-    if len(spec.values) == 1:
-        return NIL
-    return MultiValue([NIL] * len(spec.values))
-
-
 ### the walker
 
-def _if_test(interp, node, env):
-    test = interp.eval(node[1], env)
-    if isinstance(test, (MultiValue, stobjs.StobjInstance)):
-        stobjs.value_check(test, "an IF test", node[4])
-    return truthy(test)
-
-
-def _bind(interp, node, env, frame, plan, n):
+def _bind(interp, node, env, frame, spec, n):
     """Store into frame the checked values that a LET, MV-LET, SETQ or
     MV-SETQ node binds, its right-hand sides evaluated in env first."""
     tag, names, rhs, form = node[0], node[1], node[2], node[-1]
@@ -554,13 +537,13 @@ def _bind(interp, node, env, frame, plan, n):
         vals = val.values
     for name, v in zip(names, vals):
         # only settables have types, and only SETQ and MV-SETQ bind them
-        if name in plan.integer_vars:
+        if name in spec.integer_vars:
             check_of_type(interp, name, v, form, n)
         interp.check_binding(name, v, form)
         frame[name] = v
 
 
-def _walk(interp, node, env, slots, plan, n):
+def _walk(interp, node, env, slots, spec, n):
     """Run a statement tree, assigning each SETQ and MV-SETQ into slots,
     the frame at the root of env.  Returns (token, value)."""
     while True:
@@ -568,20 +551,23 @@ def _walk(interp, node, env, slots, plan, n):
         if tag == "seq":
             for effect in node[1]:
                 if effect[0] != "setq":
-                    _walk(interp, effect, env, slots, plan, n)
+                    _walk(interp, effect, env, slots, spec, n)
                     continue
                 # _bind's SETQ case, without the call
                 name, form = effect[1][0], effect[3]
                 v = interp.eval(effect[2], env)
-                if name in plan.integer_vars:
+                if name in spec.integer_vars:
                     check_of_type(interp, name, v, form, n)
                 interp.check_binding(name, v, form)
                 slots[name] = v
             node = node[2]
         elif tag == "if":
-            node = node[2] if _if_test(interp, node, env) else node[3]
+            test = interp.eval(node[1], env)
+            if isinstance(test, (MultiValue, stobjs.StobjInstance)):
+                stobjs.value_check(test, "an IF test", node[4])
+            node = node[2] if truthy(test) else node[3]
         elif tag == "setq" or tag == "mv-setq":
-            _bind(interp, node, env, slots, plan, n)
+            _bind(interp, node, env, slots, spec, n)
             return NIL, NIL
         elif tag == "return":
             return K_RETURN, interp.eval(node[1], env)
@@ -591,29 +577,23 @@ def _walk(interp, node, env, slots, plan, n):
             return NIL, NIL
         else:
             frame = {}
-            _bind(interp, node, env, frame, plan, n)
+            _bind(interp, node, env, frame, spec, n)
             env = Env(frame, env)
             node = node[3]
 
 
-def _result(spec, token, value, form):
-    if token is K_RETURN:
-        return decode_result(spec, value, form)
-    return _default_result(spec, form)
-
-
 ### the measured recursive path
 
-# The alist always lists the settables in plan order, one (name . value)
+# The alist always lists the settables in order, one (name . value)
 # entry each.  Each application of the body reads fresh slots from it by
 # position, and the walk's assignments keep that order.
 
-def _alist_slots(interp, plan, alist):
+def _alist_slots(interp, spec, alist):
     if interp.trace:
         assert [e.car.name for e in list_items(alist, "alist", None)] \
-            == plan.settables
+            == spec.settables
     slots = {}
-    for name in plan.settables:
+    for name in spec.settables:
         slots[name] = alist.car.cdr
         alist = alist.cdr
     return slots
@@ -629,9 +609,9 @@ def _triple(token, value, alist):
     return from_pylist([token, value, alist])
 
 
-def run_do(interp, spec, plan, env, form):
-    alist = _build_alist(initial_bindings(interp, spec, env, form))
-    slots = _alist_slots(interp, plan, alist)
+def run_do(interp, spec, env, form):
+    slots = initial_bindings(interp, spec, env, form)
+    alist = _build_alist(slots.items())
     env = Env(slots)
     n = 0
     m_cur = None
@@ -643,41 +623,41 @@ def run_do(interp, spec, plan, env, form):
                     "loop :GUARD %s failed entering iteration %d with %s"
                     % (show(spec.guard), n, show(alist)), form=form)
         if m_cur is None:
-            m_cur = lex_fix(interp.eval(plan.measure_form, env))
+            m_cur = lex_fix(interp.eval(spec.measure_form, env))
         if interp.trace:
             interp.loop_measures.append(m_cur)
-        token, val = _walk(interp, plan.do_tree, env, slots, plan, n)
+        token, val = _walk(interp, spec.do_tree, env, slots, spec, n)
         new_alist = _build_alist(slots.items())
         if interp.trace:
             interp.do_trace.append(("do", alist,
                                     _triple(token, val, new_alist)))
         if token is K_RETURN:
-            return decode_result(spec, val, form)
-        slots = _alist_slots(interp, plan, new_alist)
+            return _result(spec, token, val, form)
+        slots = _alist_slots(interp, spec, new_alist)
         env = Env(slots)
         if token is K_FINISH:
-            if plan.finally_tree is not None:
-                token, val = _walk(interp, plan.finally_tree, env, slots,
-                                   plan, n)
+            if spec.finally_tree is not None:
+                token, val = _walk(interp, spec.finally_tree, env, slots,
+                                   spec, n)
                 if interp.trace:
                     interp.do_trace.append(
                         ("finally", new_alist,
                          _triple(token, val, _build_alist(slots.items()))))
             return _result(spec, token, val, form)
-        m_new = lex_fix(interp.eval(plan.measure_form, env))
+        m_new = lex_fix(interp.eval(spec.measure_form, env))
         if not l_less(m_new, m_cur):
             raise MeasureViolation(
                 "the measure %s of this DO loop failed to decrease at "
                 "iteration %d: %s (from %s) is not below %s (from %s)"
-                % (show(plan.measure_form), n, lex_show(m_new),
+                % (show(spec.measure_form), n, lex_show(m_new),
                    show(new_alist), lex_show(m_cur), show(alist)), form=form)
         alist, m_cur = new_alist, m_new
 
 
 ### the native imperative path
 
-def native_exec(interp, spec, plan, env, form):
-    slots = dict(initial_bindings(interp, spec, env, form))
+def native_exec(interp, spec, env, form):
+    slots = initial_bindings(interp, spec, env, form)
     base = Env(slots)
     n = 0
     while True:
@@ -692,13 +672,13 @@ def native_exec(interp, spec, plan, env, form):
                 raise GuardViolation(
                     "loop :GUARD %s failed entering iteration %d"
                     % (show(spec.guard), n), form=form)
-        token, val = _walk(interp, plan.do_tree, base, slots, plan, n)
+        token, val = _walk(interp, spec.do_tree, base, slots, spec, n)
         if token is K_RETURN:
-            return decode_result(spec, val, form)
+            return _result(spec, token, val, form)
         if token is K_FINISH:
-            if plan.finally_tree is not None:
-                token, val = _walk(interp, plan.finally_tree, base, slots,
-                                   plan, n)
+            if spec.finally_tree is not None:
+                token, val = _walk(interp, spec.finally_tree, base, slots,
+                                   spec, n)
             return _result(spec, token, val, form)
 
 
@@ -741,7 +721,7 @@ def eval_loop(interp, form, env):
     spec = parse_loop(form, interp.world)
     if spec.kind == "FOR":
         return for_exec(interp, spec, env, form)
-    plan = make_do_plan(spec, interp.world)
+    make_do_plan(spec, interp.world)
     if interp.in_place():
-        return native_exec(interp, spec, plan, env, form)
-    return run_do(interp, spec, plan, env, form)
+        return native_exec(interp, spec, env, form)
+    return run_do(interp, spec, env, form)

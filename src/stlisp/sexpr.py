@@ -67,7 +67,7 @@ class MultiValue:
 
 class Env:
     """Chained lexical scope.  Frames are never mutated after binding,
-    except the native loop executor's slots frame, which owns its dict."""
+    except a DO loop's frame of settables, which its executor owns."""
 
     __slots__ = ("vars", "parent")
 

@@ -790,24 +790,23 @@ class Analyzer:
             if init is not None:
                 self.want_value(init, live, bound,
                                 "a WITH initial value")
-        for sname in spec.value_stobjs():
-            if live.get(sname) != sname:
+        for sname in spec.values:
+            if sname is not None and live.get(sname) != sname:
                 self.err("R1", ":VALUES stobj %s is not a live stobj here"
                          % sname)
-        plan = self._parse(loops.make_do_plan, spec, self.world)
-        if plan is None:
+        if self._parse(loops.make_do_plan, spec, self.world) is None:
             return tuple(spec.values)
         # The loop sees the settables only: :VALUES stobjs and WITH names.
-        live = {s: s for s in spec.value_stobjs()}
+        live = {s: s for s in spec.value_stobjs}
         bound = {name for name, _typ, _init in spec.withs}
         outer = self.loop_scope
         if spec.guard is not None:
-            self.loop_scope = (":GUARD", plan.settables)
+            self.loop_scope = (":GUARD", spec.settables)
             self.want_value(spec.guard, live, bound, "a loop :GUARD")
-        self.loop_scope = (":MEASURE", plan.settables)
-        self.want_value(plan.measure_form, live, bound, "a loop :MEASURE")
-        self.loop_scope = ("a DO-body expression", plan.settables)
-        for tree in (plan.do_tree, plan.finally_tree):
+        self.loop_scope = (":MEASURE", spec.settables)
+        self.want_value(spec.measure_form, live, bound, "a loop :MEASURE")
+        self.loop_scope = ("a DO-body expression", spec.settables)
+        for tree in (spec.do_tree, spec.finally_tree):
             if tree is not None:
                 self._analyze_stmt(tree, live, bound, spec.values)
         self.loop_scope = outer

@@ -1,7 +1,14 @@
 """Shared test plumbing: the acceptance tests record one verdict per
 criterion here, and the terminal summary prints them as stable
 "criterion NN <name>: PASS|FAIL" lines; count_calls counts the calls of
-one function."""
+one function.  Hypothesis draws the same examples on every run: a test
+without its own @seed seeds them from a hash of the test function."""
+
+from hypothesis import settings
+
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("tier1")
 
 CRITERIA_RESULTS = {}
 

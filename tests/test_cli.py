@@ -117,7 +117,7 @@ def test_run_mode_diff_delegates(capsys):
 
 def test_diff_reports_forced_divergence(capsys, monkeypatch):
     monkeypatch.setattr(loops, "native_exec",
-                        lambda interp, spec, plan, env, form: 999)
+                        lambda interp, spec, env, form: 999)
     code, out = run_cli(capsys, ["diff", str(CORPUS / "loops_basic.lisp")])
     assert code == 2
     assert "divergence at form 2" in out
@@ -228,7 +228,7 @@ def test_diff_reports_a_split_in_error_class(capsys):
 
 
 def test_diff_reports_a_value_against_an_error(capsys, monkeypatch):
-    def native_exec(interp, spec, plan, env, form):
+    def native_exec(interp, spec, env, form):
         raise EvalError("native path failed", form=form)
     monkeypatch.setattr(loops, "native_exec", native_exec)
     code, out = run_cli(capsys, ["diff", str(CORPUS / "loops_basic.lisp")])

@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as hs
 
 from conftest import count_calls
 from stlisp import cli, loops, sexpr, stobjs
@@ -544,6 +545,58 @@ def test_quoted_data_is_inert_in_bodies():
     assert show(v) == "(DONE . 3)"
 
 
+# ------------------------------------------------- WITH scoping and exits
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_a_with_init_sees_the_earlier_with_names_only(mode):
+    interp = Interp(mode=mode)
+    # the first init reads the formal B, the second the WITH variable A
+    interp.eval_text("(defun f (b) (loop$ with a = b with b = (+ a 1) do "
+                     ":measure 0 (return (+ (* 10 a) b))))")
+    assert interp.eval_text("(f 5)")[0][1] == 56
+    assert interp.eval_text("(loop$ with a = 1 with b = a do :measure 0 "
+                            "(return (+ a b)))")[0][1] == 2
+    with pytest.raises(EvalError) as exc:
+        interp.eval_text("(loop$ with a = b with b = 1 do :measure 0 "
+                         "(return a))")
+    assert str(exc.value) == "unbound variable B in B"
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+@pytest.mark.parametrize("finally_", ["", " finally (progn)"])
+def test_plain_values_fall_through_to_nils(mode, finally_):
+    out = Interp(mode=mode).eval_text(
+        "(loop$ with i = 2 do :values (nil nil) :measure (nfix i) "
+        "(if (zp i) (loop-finish) (setq i (1- i)))%s)" % finally_)[0][1]
+    assert isinstance(out, MultiValue)
+    assert show(out) == "(NIL NIL)"
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_a_finally_that_falls_through_cannot_yield_a_stobj(mode):
+    interp = Interp(mode=mode)
+    interp.eval_text(STOBJ_SETUP)
+    text = ("(loop$ with i = 1 do :values (st) (if (zp i) (loop-finish) "
+            "(setq i (1- i))) finally (setq i 0))")
+    with pytest.raises(EvalError) as exc:
+        interp.eval_text(text)
+    assert str(exc.value) == (
+        "the FINALLY clause fell through without RETURN, but :VALUES names "
+        "stobjs in " + show(read(text)))
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_an_unadmitted_return_of_a_stobj_in_an_ordinary_slot(mode):
+    interp = Interp(mode=mode)
+    interp.eval_text(STOBJ_SETUP)
+    form = read("(loop$ with i = 0 do :values (nil st) :measure 0 "
+                "(return (mv st st)))")
+    with pytest.raises(EvalError) as exc:
+        interp.eval(form)   # eval skips admission, which rejects this
+    assert str(exc.value) == ("a stobj came back in an ordinary :VALUES "
+                              "slot in " + show(form))
+
+
 # --------------------------------------------------------------- stobj loops
 
 STOBJ_SETUP = "(defstobj st fld)"
@@ -828,6 +881,112 @@ def test_random_list_walks_match_reference():
                 % " ".join(str(i) for i in items))
         assert run_both(text) == sum(items), text
 
+
+
+# Generated DO loops: a countdown N, then 1-4 WITH variables W0.. whose
+# inits are literals or (+ X k) over an earlier WITH name, stepped by SETQs
+# in one PROGN until N reaches 0.  The model runs the same assignments on
+# a Python dict, in the same order.  With the stobj ST, a step may also
+# cons a WITH value onto its field.
+@hs.composite
+def do_loops(draw):
+    n0 = draw(hs.integers(0, 5))
+    withs, names = [], ["N"]
+    for i in range(draw(hs.integers(1, 4))):
+        if draw(hs.booleans()):
+            init = (None, draw(hs.integers(-3, 3)))
+        else:
+            init = (draw(hs.sampled_from(names)), draw(hs.integers(-3, 3)))
+        withs.append(("W%d" % i, draw(hs.booleans()), init))
+        names.append("W%d" % i)
+    use_st = draw(hs.booleans())
+    ws = names[1:]
+    step = hs.tuples(hs.sampled_from(ws + ["ST"] if use_st else ws),
+                     hs.sampled_from(["+", "*", "sum"]),
+                     hs.sampled_from(names), hs.sampled_from(names),
+                     hs.integers(-2, 2))
+    steps = draw(hs.lists(step, max_size=4))
+    steps.insert(draw(hs.integers(0, len(steps))), ("N", "1-"))
+    return (n0, withs, steps, use_st, draw(hs.booleans()),
+            draw(hs.booleans()))
+
+
+def _do_loop_text(n0, withs, steps, use_st, finish, explicit):
+    clauses = ["with n = %d" % n0]
+    for name, typed, (src, k) in withs:
+        init = str(k) if src is None else "(+ %s %d)" % (src, k)
+        clauses.append("with %s%s = %s" % (
+            name, " of-type integer" if typed else "", init))
+    setqs = []
+    for target, op, *args in steps:
+        if op == "1-":
+            rhs = "(1- n)"
+        elif target == "ST":
+            rhs = "(update-fld (cons %s (fld st)) st)" % args[0]
+        elif op == "+":
+            rhs = "(+ %s %d)" % (args[0], args[2])
+        elif op == "*":
+            rhs = "(* %d %s)" % (args[2], args[0])
+        else:
+            rhs = "(+ %s %s)" % (args[0], args[1])
+        setqs.append("(setq %s %s)" % (target, rhs))
+    result = "nil"
+    for name in reversed(["N"] + [w[0] for w in withs]):
+        result = "(cons %s %s)" % (name, result)
+    if use_st:
+        result = "(mv %s st)" % result
+    exit_ = "(loop-finish)" if finish else "(return %s)" % result
+    return "(loop$ %s do%s%s (if (zp n) %s (progn %s))%s)" % (
+        " ".join(clauses), " :values (nil st)" if use_st else "",
+        " :measure (nfix n)" if explicit else "", exit_, " ".join(setqs),
+        " finally (return %s)" % result if finish else "")
+
+
+def _do_loop_model(n0, withs, steps, use_st, finish, explicit):
+    env, fld = {"N": n0}, []
+    for name, _typed, (src, k) in withs:
+        env[name] = k if src is None else env[src] + k
+    while env["N"] != 0:
+        for target, op, *args in steps:
+            if op == "1-":
+                env["N"] -= 1
+            elif target == "ST":
+                fld.insert(0, env[args[0]])
+            elif op == "+":
+                env[target] = env[args[0]] + args[2]
+            elif op == "*":
+                env[target] = args[2] * env[args[0]]
+            else:
+                env[target] = env[args[0]] + env[args[1]]
+    value = "(%s)" % " ".join(str(env[name]) for name in
+                               ["N"] + [w[0] for w in withs])
+    return value, "(%s)" % " ".join(map(str, fld)) if fld else "NIL"
+
+
+@seed(2026)
+@settings(max_examples=150, deadline=None, database=None)
+@given(do_loops())
+def test_generated_do_loops_match_a_model(case):
+    text = _do_loop_text(*case)
+    runs = []
+    for mode in ("logical", "native"):
+        interp = Interp(mode=mode)
+        interp.eval_text(STOBJ_SETUP)
+        try:
+            out = interp.eval_text(text)[0][1]
+        except EvalError as e:
+            runs.append((type(e).__name__, str(e)))
+            continue
+        if isinstance(out, MultiValue):
+            runs.append((show(out.values[0]),
+                         show(interp.eval_text("(fld st)")[0][1]),
+                         show(interp.bank["ST"].logical_view())))
+        else:
+            runs.append((show(out),))
+    assert runs[0] == runs[1], text
+    value, fld = _do_loop_model(*case)
+    use_st = case[3]
+    assert runs[0][:2] == ((value, fld) if use_st else (value,)), text
 
 # --------------------------------------------------------------- FOR loops
 
