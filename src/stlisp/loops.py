@@ -52,6 +52,12 @@ class OfTypeViolation(GuardViolation):
 
 
 class LoopSpec:
+    # slots keep the record small: they pay for settable_symbols
+    __slots__ = ("form", "kind", "for_var", "for_range", "for_acc", "for_body",
+                 "withs", "values", "measure_form", "guard", "do_body",
+                 "finally_body", "value_stobjs", "settables",
+                 "settable_symbols", "integer_vars", "do_tree", "finally_tree")
+
     def __init__(self, form):
         self.form = form
         self.kind = None
@@ -68,6 +74,7 @@ class LoopSpec:
         # set by make_do_plan
         self.value_stobjs = None  # the stobj names in values, in order
         self.settables = None     # WITH names, then value_stobjs
+        self.settable_symbols = None  # the same, as Symbols
         self.integer_vars = None  # the WITH names of type INTEGER
         self.do_tree = None
         self.finally_tree = None
@@ -219,6 +226,7 @@ def make_do_plan(spec, world):
     its DO and FINALLY bodies as statement trees, and its measure."""
     spec.value_stobjs = [s for s in spec.values if s is not None]
     spec.settables = [w[0] for w in spec.withs] + spec.value_stobjs
+    spec.settable_symbols = tuple([intern(name) for name in spec.settables])
     spec.integer_vars = {name for name, typ, _init in spec.withs
                          if typ == "INTEGER"}
     parser = _Parser(spec.settables, spec.values)
@@ -599,8 +607,11 @@ def _alist_slots(interp, spec, alist):
     return slots
 
 
-def _build_alist(entries):
-    return from_pylist([Cons(intern(name), v) for name, v in entries])
+def _build_alist(spec, slots):
+    alist = NIL
+    for sym in reversed(spec.settable_symbols):
+        alist = Cons(Cons(sym, slots[sym.name]), alist)
+    return alist
 
 
 def _triple(token, value, alist):
@@ -611,7 +622,7 @@ def _triple(token, value, alist):
 
 def run_do(interp, spec, env, form):
     slots = initial_bindings(interp, spec, env, form)
-    alist = _build_alist(slots.items())
+    alist = _build_alist(spec, slots)
     env = Env(slots)
     n = 0
     m_cur = None
@@ -627,7 +638,7 @@ def run_do(interp, spec, env, form):
         if interp.trace:
             interp.loop_measures.append(m_cur)
         token, val = _walk(interp, spec.do_tree, env, slots, spec, n)
-        new_alist = _build_alist(slots.items())
+        new_alist = _build_alist(spec, slots)
         if interp.trace:
             interp.do_trace.append(("do", alist,
                                     _triple(token, val, new_alist)))
@@ -642,7 +653,7 @@ def run_do(interp, spec, env, form):
                 if interp.trace:
                     interp.do_trace.append(
                         ("finally", new_alist,
-                         _triple(token, val, _build_alist(slots.items()))))
+                         _triple(token, val, _build_alist(spec, slots))))
             return _result(spec, token, val, form)
         m_new = lex_fix(interp.eval(spec.measure_form, env))
         if not l_less(m_new, m_cur):

@@ -5,6 +5,7 @@ import io
 import random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as hs
 
 from stlisp import sexpr
 from stlisp.errors import (EvalError, GuardViolation, LinearityError,
@@ -248,6 +249,209 @@ def test_evaluator_error_texts_in_both_modes(text, message):
             Interp(mode=mode).eval(read(text))
         assert type(exc.value) is EvalError
         assert str(exc.value) == message
+
+
+# ------------------------------------------- the call path's argument reads
+
+CALLS_PRELUDE = """
+(defstobj st val)
+(defstobj switch fld)
+(defstobj top (tbl :type (stobj-table)))
+(defun inc (x) (1+ x))
+(defun half (n) (declare (xargs :guard (natp n))) n)
+"""
+
+# a stobj-let producer body, where TOP is poisoned in the innermost frame
+PRODUCER = "(stobj-let ((switch (tbl-get 'switch top (create-switch)))) " \
+    "(flg) %s flg)"
+EXTRACTED = "TOP is not available inside a stobj-let body that extracts " \
+    "from it in TOP"
+
+# Each form, read through Interp.eval so no static check comes first, with
+# its error class and text (or its value, as shown) with guards on, and
+# with guards off.  A builtin call and a defun call take their arguments
+# in the same order, with the same checks.
+CALL_CHECKS = [
+    # a poisoned variable, in the innermost frame and in an outer one
+    (PRODUCER % "(+ top 1)", EvalError, EXTRACTED, EvalError, EXTRACTED),
+    (PRODUCER % "(inc top)", EvalError, EXTRACTED, EvalError, EXTRACTED),
+    (PRODUCER % "(let ((k 1)) (+ k top))", EvalError, EXTRACTED,
+     EvalError, EXTRACTED),
+    (PRODUCER % "(let ((k 1)) (inc top))", EvalError, EXTRACTED,
+     EvalError, EXTRACTED),
+    # arguments run left to right: the poison, or the earlier error
+    (PRODUCER % "(+ top (car 1 2))", EvalError, EXTRACTED,
+     EvalError, EXTRACTED),
+    (PRODUCER % "(+ (car 1 2) top)", EvalError,
+     "CAR takes 1 argument, got 2 in (CAR 1 2)", EvalError,
+     "CAR takes 1 argument, got 2 in (CAR 1 2)"),
+    # a stobj or multiple values in an ordinary slot, before any guard
+    ("(+ st 1)", EvalError,
+     "stobj ST passed where + expects an ordinary value in (+ ST 1)",
+     EvalError,
+     "stobj ST passed where + expects an ordinary value in (+ ST 1)"),
+    ("(let ((st st)) (+ 'a st))", EvalError,
+     "stobj ST passed where + expects an ordinary value in (+ (QUOTE A) ST)",
+     EvalError,
+     "stobj ST passed where + expects an ordinary value in (+ (QUOTE A) ST)"),
+    ("(let ((st st)) (inc st))", EvalError,
+     "stobj ST passed where INC expects an ordinary value in (INC ST)",
+     EvalError,
+     "stobj ST passed where INC expects an ordinary value in (INC ST)"),
+    ("(+ 1 (mv 1 2))", EvalError,
+     "multiple values are not a single argument of + in (+ 1 (MV 1 2))",
+     EvalError,
+     "multiple values are not a single argument of + in (+ 1 (MV 1 2))"),
+    ("(inc (mv 1 2))", EvalError,
+     "multiple values are not a single argument of INC in (INC (MV 1 2))",
+     EvalError,
+     "multiple values are not a single argument of INC in (INC (MV 1 2))"),
+    # a dotted argument list, reported before the arity
+    ("(1+ 1 2 . 3)", EvalError,
+     "argument list is not a proper list in (1+ 1 2 . 3)", EvalError,
+     "argument list is not a proper list in (1+ 1 2 . 3)"),
+    ("(inc 1 2 . 3)", EvalError,
+     "argument list is not a proper list in (INC 1 2 . 3)", EvalError,
+     "argument list is not a proper list in (INC 1 2 . 3)"),
+    # the arity, before any argument runs
+    ("(1+ 1 (undefined-fn))", EvalError,
+     "1+ takes 1 argument, got 2 in (1+ 1 (UNDEFINED-FN))", EvalError,
+     "1+ takes 1 argument, got 2 in (1+ 1 (UNDEFINED-FN))"),
+    ("(inc 1 (undefined-fn))", EvalError,
+     "INC takes 1 argument, got 2 in (INC 1 (UNDEFINED-FN))", EvalError,
+     "INC takes 1 argument, got 2 in (INC 1 (UNDEFINED-FN))"),
+    # a non-integer argument; guards off, it counts as 0
+    ("(+ 1 'a)", GuardViolation,
+     "guard violation in (+ 1 (QUOTE A)): A is not an integer "
+     "in (+ 1 (QUOTE A))", None, "1"),
+    ("(let ((x 'a)) (1- x))", GuardViolation,
+     "guard violation in (1- X): A is not an integer in (1- X)", None, "-1"),
+    ("(< 1 \"s\")", GuardViolation,
+     "guard violation in (< 1 \"s\"): \"s\" is not an integer "
+     "in (< 1 \"s\")", None, "NIL"),
+    ("(zp -1)", GuardViolation,
+     "guard violation in (ZP -1): -1 is not a natural number in (ZP -1)",
+     None, "T"),
+    ("(inc 'a)", GuardViolation,
+     "guard violation in (1+ X): A is not an integer in (1+ X)", None, "1"),
+    ("(let ((x 'a)) (inc x))", GuardViolation,
+     "guard violation in (1+ X): A is not an integer in (1+ X)", None, "1"),
+    ("(half 'a)", GuardViolation,
+     "guard violation calling HALF: :guard (NATP N) failed "
+     "in (HALF (QUOTE A))", None, "A"),
+]
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+@pytest.mark.parametrize("text,cls,message,off_cls,off", CALL_CHECKS)
+def test_call_argument_checks_in_both_modes(mode, text, cls, message,
+                                            off_cls, off):
+    for guard_check, want_cls, want in ((True, cls, message),
+                                        (False, off_cls, off)):
+        interp = Interp(mode=mode, guard_check=guard_check)
+        interp.eval_text(CALLS_PRELUDE)
+        if want_cls is None:
+            assert show(interp.eval(read(text), None)) == want
+            continue
+        with pytest.raises(EvalError) as exc:
+            interp.eval(read(text), None)
+        assert (type(exc.value), str(exc.value)) == (want_cls, want)
+
+
+# The integer builtins against a Python model, on ints (literal, quoted or
+# bound by an enclosing LET) mixed with symbols, conses and strings.
+ARITIES = {"+": (0, 4), "-": (1, 2), "*": (0, 4), "1+": (1, 1),
+           "1-": (1, 1), "<": (2, 2), "<=": (2, 2), "=": (2, 2),
+           "ZP": (1, 1), "NATP": (1, 1), "NFIX": (1, 1)}
+
+
+def _int_builtin_model(op, vals, call, guard_check):
+    """('value', v) or ('error', text) for the call of op on vals."""
+    if op in ("NATP", "NFIX"):
+        x = vals[0]
+        nat = type(x) is int and x >= 0
+        if op == "NATP":
+            return "value", T if nat else NIL
+        return "value", x if nat else 0
+    if op == "ZP":
+        x = vals[0]
+        if type(x) is int and x >= 0:
+            return "value", T if x == 0 else NIL
+        if guard_check:
+            return "error", "guard violation in %s: %s is not a natural " \
+                "number in %s" % (show(call), show(x), show(call))
+        return "value", T
+    bad = [x for x in vals if type(x) is not int]
+    if bad and guard_check:
+        return "error", "guard violation in %s: %s is not an integer in %s" \
+            % (show(call), show(bad[0]), show(call))
+    xs = [x if type(x) is int else 0 for x in vals]
+    if op == "+":
+        return "value", sum(xs)
+    if op == "*":
+        out = 1
+        for x in xs:
+            out *= x
+        return "value", out
+    if op == "-":
+        return "value", -xs[0] if len(xs) == 1 else xs[0] - xs[1]
+    if op in ("1+", "1-"):
+        return "value", xs[0] + (1 if op == "1+" else -1)
+    a, b = xs
+    test = {"<": a < b, "<=": a <= b, "=": a == b}[op]
+    return "value", T if test else NIL
+
+
+_ints = hs.one_of(hs.integers(-5, 5), hs.integers(-2 ** 70, 2 ** 70),
+                  hs.sampled_from([2 ** 64, 2 ** 64 + 1, -2 ** 64 - 1,
+                                   2 ** 65 + 3]))
+_others = hs.sampled_from([intern("A"), NIL, T, intern(":K"),
+                           sexpr.Cons(1, 2), sexpr.Cons(intern("A"), NIL),
+                           "", "s"])
+# an argument: its value, and how it is written (0 literal, 1 quoted,
+# 2 bound by the LET around the call)
+_args = hs.tuples(hs.one_of(_ints, _ints, _others), hs.integers(0, 2))
+
+
+def _call_form(op, drawn):
+    """(the call of op on the drawn arguments, the form that runs it)."""
+    bindings, args = [], []
+    for i, (v, how) in enumerate(drawn):
+        if how == 0 and type(v) is int or type(v) is str:
+            args.append(v)
+        elif how == 2:
+            name = intern("X%d" % i)
+            bindings.append(sexpr.from_pylist(
+                [name, sexpr.from_pylist([intern("QUOTE"), v])]))
+            args.append(name)
+        else:
+            args.append(sexpr.from_pylist([intern("QUOTE"), v]))
+    call = sexpr.Cons(intern(op), sexpr.from_pylist(args))
+    if not bindings:
+        return call, call
+    return call, sexpr.from_pylist([intern("LET"),
+                                    sexpr.from_pylist(bindings), call])
+
+
+@seed(20261018)
+@settings(max_examples=200, database=None, deadline=None)
+@given(hs.lists(_args, min_size=4, max_size=4), hs.integers(0, 4),
+       hs.booleans())
+def test_integer_builtins_match_a_model(drawn, count, guard_check):
+    # every builtin on the first `count` arguments, clamped to its arity
+    interps = [Interp(mode=mode, guard_check=guard_check)
+               for mode in ("logical", "native")]
+    for op, (lo, hi) in ARITIES.items():
+        args = drawn[:min(max(count, lo), hi)]
+        call, form = _call_form(op, args)
+        want = _int_builtin_model(op, [v for v, _how in args], call,
+                                  guard_check)
+        for interp in interps:
+            try:
+                got = "value", interp.eval(form, None)
+            except GuardViolation as exc:
+                got = "error", str(exc)
+            assert got == want, (interp.mode, show(form))
 
 
 def test_mv_and_mv_let():
