@@ -520,6 +520,7 @@ class Interp:
                 return self._event(form)
             lets = self._check(form, {name: name for name in self.bank},
                                (), "this top-level form")
+            self.world.stobj_lets.update(lets)
             try:
                 val = self.eval(form, None)
             finally:
@@ -542,7 +543,7 @@ class Interp:
         never reaches the top of the form would be kept by in-place
         execution and lost by logical execution, so such forms are
         rejected before either mode runs them.  Returns the stobj-let
-        forms in it that the check parsed.
+        parses that the check made (see stobjs.Analyzer.stobj_lets).
         """
         analyzer = stobjs.Analyzer(self.world, raise_call_errors=True)
         bound = set()
@@ -773,14 +774,16 @@ class Interp:
                     "the formal %s of %s is the name of a stobj; declare it "
                     "with (declare (xargs :stobjs (%s)))" % (f, name, f),
                     form=form)
-        outputs = stobjs.check_defun(self.world, name, fnames, stobjs_in,
-                                     body_forms[0], guard, measure)
+        outputs, lets = stobjs.check_defun(self.world, name, fnames,
+                                           stobjs_in, body_forms[0], guard,
+                                           measure)
         shared = self.world.shared
         fd = FunctionDef(
             name, shared(tuple(fnames)),
             shared(tuple(f if f in stobjs_in else None for f in fnames)),
             shared(outputs), guard, measure, body_forms[0])
         self.world.add_event("defun", name, fd)
+        self.world.stobj_lets.update(lets)
         return intern(name)
 
     def _parse_declare(self, form, fname):

@@ -12,7 +12,9 @@ both paths.  The logical path (run_do) is the specification: the DO body
 is a one-formal function of an alist of the settables, applied once per
 iteration to yield an exit triple (token value new-alist), under a
 strictly decreasing lexicographic measure; each application reads fresh
-slots from the alist and conses the new alist from them.  The native
+slots from the alist and conses the new alist from them.  A measure of
+(LEN v), v a WITH variable, is checked in O(1) while v steps by CDR:
+run_do keeps the last list seen in v and its length.  The native
 path (native_exec) walks one frame for the whole loop, with no measure,
 under an iteration cap.  Both share the record, the walker and the exit
 decoding (_result), so they differ only in how stobjs are written
@@ -25,7 +27,8 @@ from .errors import (CapExceeded, EvalError, GuardViolation,
 from .stobjs import (MV, _cons_args, bindable, if_parts, let_pairs,
                      let_parts, list_items, mv_let_parts, mv_parts)
 from .sexpr import (NIL, T, Cons, Env, MultiValue, Symbol, from_pylist,
-                    intern, is_keyword, iter_conses, show, truthy)
+                    intern, is_keyword, iter_conses, list_length, show,
+                    truthy)
 
 WITH = intern("WITH")
 FOR = intern("FOR")
@@ -43,6 +46,7 @@ K_GUARD = intern(":GUARD")
 K_RETURN = intern(":RETURN")
 K_FINISH = intern(":LOOP-FINISH")
 CDR = intern("CDR")
+LEN = intern("LEN")
 ONE_MINUS = intern("1-")
 MINUS = intern("-")
 
@@ -56,7 +60,8 @@ class LoopSpec:
     __slots__ = ("form", "kind", "for_var", "for_range", "for_acc", "for_body",
                  "withs", "values", "measure_form", "guard", "do_body",
                  "finally_body", "value_stobjs", "settables",
-                 "settable_symbols", "integer_vars", "do_tree", "finally_tree")
+                 "settable_symbols", "integer_vars", "len_var", "do_tree",
+                 "finally_tree")
 
     def __init__(self, form):
         self.form = form
@@ -76,6 +81,7 @@ class LoopSpec:
         self.settables = None     # WITH names, then value_stobjs
         self.settable_symbols = None  # the same, as Symbols
         self.integer_vars = None  # the WITH names of type INTEGER
+        self.len_var = None       # v, when the measure is (LEN v) of a WITH v
         self.do_tree = None
         self.finally_tree = None
 
@@ -240,6 +246,9 @@ def make_do_plan(spec, world):
             "named in :VALUES", form=spec.form)
     if spec.measure_form is None:
         spec.measure_form = guess_measure(spec, parser.steps)
+    for name, _typ, _init in spec.withs:
+        if _is_unary(spec.measure_form, LEN, name):
+            spec.len_var = name
     return spec
 
 
@@ -403,8 +412,8 @@ def guess_measure(spec, steps):
             continue
         if all(_is_numeric_step(r, name) for r in ups):
             candidates.append(from_pylist([intern("NFIX"), intern(name)]))
-        elif all(_is_cdr_step(r, name) for r in ups):
-            candidates.append(from_pylist([intern("LEN"), intern(name)]))
+        elif all(_is_unary(r, CDR, name) for r in ups):
+            candidates.append(from_pylist([LEN, intern(name)]))
     if len(candidates) == 1:
         return candidates[0]
     raise TranslateError(
@@ -427,8 +436,9 @@ def _is_numeric_step(r, name):
             and isinstance(rest.car, int) and rest.car > 0)
 
 
-def _is_cdr_step(r, name):
-    return (isinstance(r, Cons) and r.car is CDR
+def _is_unary(r, head, name):
+    """Whether r is (head name): a CDR step, or a LEN measure."""
+    return (isinstance(r, Cons) and r.car is head
             and isinstance(r.cdr, Cons) and isinstance(r.cdr.car, Symbol)
             and r.cdr.car.name == name and r.cdr.cdr is NIL)
 
@@ -620,12 +630,30 @@ def _triple(token, value, alist):
     return from_pylist([token, value, alist])
 
 
+def _measure(interp, spec, env, held):
+    """The loop's measure in env.  A (LEN v) measure reads held, the list
+    last seen in v and its length, and updates it, so stepping v by CDR
+    costs O(1) per check.  No event can rebind LEN, and a WITH variable
+    never holds a stobj or multiple values."""
+    if held is None:
+        return interp.eval(spec.measure_form, env)
+    v = env.vars[spec.len_var]
+    last = held[0]
+    if v is not last:
+        held[1] = held[1] - 1 if isinstance(last, Cons) and v is last.cdr \
+            else list_length(v)
+        held[0] = v
+    return held[1]
+
+
 def run_do(interp, spec, env, form):
     slots = initial_bindings(interp, spec, env, form)
     alist = _build_alist(spec, slots)
     env = Env(slots)
     n = 0
     m_cur = None
+    # a (LEN v) measure's [list last seen in v, its length]; see _measure
+    held = None if spec.len_var is None else [None, 0]
     while True:
         n += 1
         if spec.guard is not None and interp.guard_check:
@@ -634,7 +662,7 @@ def run_do(interp, spec, env, form):
                     "loop :GUARD %s failed entering iteration %d with %s"
                     % (show(spec.guard), n, show(alist)), form=form)
         if m_cur is None:
-            m_cur = lex_fix(interp.eval(spec.measure_form, env))
+            m_cur = lex_fix(_measure(interp, spec, env, held))
         if interp.trace:
             interp.loop_measures.append(m_cur)
         token, val = _walk(interp, spec.do_tree, env, slots, spec, n)
@@ -655,7 +683,7 @@ def run_do(interp, spec, env, form):
                         ("finally", new_alist,
                          _triple(token, val, _build_alist(spec, slots))))
             return _result(spec, token, val, form)
-        m_new = lex_fix(interp.eval(spec.measure_form, env))
+        m_new = lex_fix(_measure(interp, spec, env, held))
         if not l_less(m_new, m_cur):
             raise MeasureViolation(
                 "the measure %s of this DO loop failed to decrease at "

@@ -411,8 +411,9 @@ def _creator_call(form, world):
 
 
 def eval_stobj_let(interp, form, env):
-    # One parse per form per World, kept only if it succeeds; only undo
-    # can change what a parse read, and World.rebuild empties the table.
+    # One parse per form per World, kept only if it succeeds; admission
+    # keeps the parses of the forms it checks.  Only undo can change what
+    # a parse read, and World.rebuild empties the table.
     world = interp.world
     spec = world.stobj_lets.get(form)
     if spec is None:
@@ -481,7 +482,9 @@ class Analyzer:
         self.self_output = self_output
         self.violations = []
         self.saw_self = False
-        self.stobj_lets = []    # the stobj-let forms parsed, in order
+        # form -> StobjLetSpec, for each stobj-let that World.stobj_lets
+        # lacks: kept there only once the form is admitted
+        self.stobj_lets = {}
         self.produced = None    # stobjs returned by calls in a producer
         # (what, settables) inside a DO loop's :GUARD, :MEASURE and
         # statements, which may name only the settables and their own
@@ -722,10 +725,12 @@ class Analyzer:
         return sh
 
     def _analyze_stobj_let(self, expr, live, bound):
-        spec = self._parse(parse_stobj_let, expr, self.world)
+        spec = self.world.stobj_lets.get(expr) or self.stobj_lets.get(expr)
         if spec is None:
-            return (None,)
-        self.stobj_lets.append(expr)
+            spec = self._parse(parse_stobj_let, expr, self.world)
+            if spec is None:
+                return (None,)
+            self.stobj_lets[expr] = spec
         parents = set()
         children = {}
         for child, parent_sym, _op, _creator in spec.bindings:
@@ -1119,15 +1124,18 @@ def _shape_str(shape):
 def check_defun(world, name, formals, stobjs_decl, body, guard, measure):
     """Run the single-threadedness analysis over a definition.
 
-    Returns the derived output shape.  Raises LinearityError when any
-    rule is violated.
+    Returns the derived output shape and the stobj-let parses made (see
+    Analyzer.stobj_lets), which the caller keeps once it admits the
+    definition.  Raises LinearityError when any rule is violated.
     """
     live0 = {s: s for s in stobjs_decl}
     bound0 = set(f for f in formals if f not in live0)
     self_inputs = tuple(f if f in live0 else None for f in formals)
+    parses = {}
 
     def check(self_output):
         analyzer = Analyzer(world, name, self_inputs, self_output)
+        analyzer.stobj_lets = parses    # both passes parse a form once
         for label, extra in (("guard", guard), ("measure", measure)):
             if extra is not None:
                 analyzer.want_value(extra, live0, bound0,
@@ -1145,4 +1153,4 @@ def check_defun(world, name, formals, stobjs_decl, body, guard, measure):
         analyzer, shape = check(shape)
     if analyzer.violations:
         raise LinearityError(name, analyzer.violations)
-    return shape
+    return shape, parses

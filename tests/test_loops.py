@@ -92,10 +92,13 @@ def test_lex_show():
 
 # ---------------------------------------------------------- measure guessing
 
-def guess(text, world=None):
-    w = world or Interp().world
-    spec = loops.parse_loop(read(text), w)
-    return show(loops.make_do_plan(spec, w).measure_form)
+def plan(text):
+    w = Interp().world
+    return loops.make_do_plan(loops.parse_loop(read(text), w), w)
+
+
+def guess(text):
+    return show(plan(text).measure_form)
 
 
 def test_guess_measure_numeric_and_cdr_steps():
@@ -798,6 +801,108 @@ def test_terminating_loop_ignores_cap_limit():
     assert v is intern("DONE")
 
 
+# ---------------------------------------------------------- (LEN v) measures
+
+def test_len_var_is_kept_only_for_len_of_a_with_variable():
+    body = "(if (consp xs) (setq xs (cdr xs)) (return 0))"
+    for measure in ("", ":measure (len xs)"):
+        assert plan("(loop$ with xs = nil do %s %s)"
+                    % (measure, body)).len_var == "XS"
+    for measure in (":measure (len (cdr xs))", ":measure (nfix (len xs))",
+                    ":measure (len xs xs)", ":measure 5"):
+        assert plan("(loop$ with xs = nil do %s %s)"
+                    % (measure, body)).len_var is None
+    assert plan("(loop$ with i = 3 do (if (zp i) (return 0) "
+                "(setq i (1- i))))").len_var is None
+
+
+def walks(monkeypatch):
+    """The length of every list walk of the LEN builtin or of run_do."""
+    lengths = []
+    real = sexpr.list_length
+
+    def counted(v):
+        n = real(v)
+        lengths.append(n)
+        return n
+    monkeypatch.setattr(sexpr, "list_length", counted)
+    monkeypatch.setattr(loops, "list_length", counted)
+    return lengths
+
+
+BIG_WALK = ("(loop$ with xs = '(%s) with acc = 0 do :values (nil st) "
+            "(if (consp xs) (progn (setq acc (+ acc (car xs))) "
+            "(setq st (update-fld (car xs) st)) (setq xs (cdr xs))) "
+            "(return (mv acc st))))" % " ".join(map(str, range(10_000))))
+
+
+def test_cdr_down_loop_walks_its_list_once(monkeypatch):
+    results = {}
+    for mode in ("logical", "native"):
+        interp = Interp(mode=mode)
+        interp.eval_text("(defstobj st fld)")
+        lengths = walks(monkeypatch)
+        out = interp.eval_text(BIG_WALK)[0][1]
+        # the guessed (LEN XS) is walked once, on entry, on the logical
+        # path; the native path checks no measure
+        assert lengths == ([10_000] if mode == "logical" else [])
+        monkeypatch.undo()
+        results[mode] = (out.values[0], show(interp.bank["ST"].logical_view()))
+    assert results["logical"] == results["native"] \
+        == (sum(range(10_000)), "(9999)")
+
+
+LEN_LOOPS = {
+    "cddr": "(loop$ with xs = '(1 2 3 4 5) with acc = 0 do :measure (len xs) "
+            "(if (consp xs) (progn (setq acc (+ acc (car xs))) "
+            "(setq xs (cdr (cdr xs)))) (return acc)))",
+    "improper": "(loop$ with xs = '(1 2 . 3) with acc = 0 do (if (consp xs) "
+                "(progn (setq acc (+ acc (car xs))) (setq xs (cdr xs))) "
+                "(return (cons acc xs))))",
+    "cons": "(loop$ with xs = '(1 2) do :measure (len xs) (if (consp xs) "
+            "(setq xs (cons 0 xs)) (return xs)))",
+    "stay": "(loop$ with xs = '(1 2 3) with i = 0 do (if (consp xs) "
+            "(if (< i 1) (progn (setq i (1+ i)) (setq xs (cdr xs))) "
+            "(setq i (1+ i))) (return i)))",
+}
+
+
+def test_len_measures_of_other_steps_still_hold():
+    assert run_both(LEN_LOOPS["cddr"]) == 9
+    assert show(run_both(LEN_LOOPS["improper"])) == "(3 . 3)"
+
+
+def test_len_measure_violations_keep_their_texts():
+    texts = {
+        "cons": "the measure (LEN XS) of this DO loop failed to decrease at "
+                "iteration 1: (3) (from ((XS 0 1 2))) is not below (2) "
+                "(from ((XS 1 2))) in %s",
+        "stay": "the measure (LEN XS) of this DO loop failed to decrease at "
+                "iteration 2: (2) (from ((XS 2 3) (I . 2))) is not below "
+                "(2) (from ((XS 2 3) (I . 1))) in %s",
+    }
+    for name, text in texts.items():
+        with pytest.raises(MeasureViolation) as exc:
+            Interp().eval_text(LEN_LOOPS[name])
+        assert str(exc.value) == text % show(read(LEN_LOOPS[name]))
+        with pytest.raises(CapExceeded):
+            Interp(mode="native", cap=100).eval_text(LEN_LOOPS[name])
+
+
+def test_len_measures_trace_as_before():
+    expected = {"cddr": [(5,), (3,), (1,), (0,)],
+                "improper": [(2,), (1,), (0,)],
+                "cons": [(2,)],
+                "stay": [(3,), (2,)]}
+    for name, measures in expected.items():
+        interp = Interp(trace=True)
+        try:
+            interp.eval_text(LEN_LOOPS[name])
+        except MeasureViolation:
+            pass
+        assert interp.loop_measures == measures, name
+
+
 # ------------------------------------------------------------------- traces
 
 def test_do_trace_and_measures_for_sum_of_squares():
@@ -987,6 +1092,70 @@ def test_generated_do_loops_match_a_model(case):
     value, fld = _do_loop_model(*case)
     use_st = case[3]
     assert runs[0][:2] == ((value, fld) if use_st else (value,)), text
+
+
+# Generated list loops: a list XS of naturals stepped by one or two
+# (setq xs (cdr xs)) in one PROGN until it is empty, under a guessed or an
+# explicit (LEN XS) measure, with 1-3 WITH variables W0.. set to sums of
+# W names, (NFIX (CAR XS)) and (LEN XS).  The model pops a Python list.
+TERMS = ["(nfix (car xs))", "(len xs)"]
+
+
+@hs.composite
+def list_loops(draw):
+    items = draw(hs.lists(hs.integers(0, 9), max_size=6))
+    names = ["W%d" % i for i in range(draw(hs.integers(1, 3)))]
+    inits = [draw(hs.integers(-3, 3)) for _ in names]
+    step = hs.tuples(hs.sampled_from(names), hs.sampled_from(names + TERMS),
+                     hs.sampled_from(names + TERMS))
+    steps = draw(hs.lists(step, max_size=4))
+    for _ in range(draw(hs.integers(1, 2))):
+        steps.insert(draw(hs.integers(0, len(steps))), ("XS",))
+    return items, inits, steps, draw(hs.booleans())
+
+
+def _list_loop_text(items, inits, steps, explicit):
+    clauses = ["with xs = '(%s)" % " ".join(map(str, items))]
+    clauses += ["with w%d = %d" % (i, k) for i, k in enumerate(inits)]
+    setqs = ["(setq xs (cdr xs))" if s == ("XS",)
+             else "(setq %s (+ %s %s))" % s for s in steps]
+    result = "nil"
+    for i in reversed(range(len(inits))):
+        result = "(cons w%d %s)" % (i, result)
+    return "(loop$ %s do%s (if (consp xs) (progn %s) (return %s)))" % (
+        " ".join(clauses), " :measure (len xs)" if explicit else "",
+        " ".join(setqs), result)
+
+
+def _list_loop_model(items, inits, steps, explicit):
+    xs, measures = list(items), []
+    env = {"W%d" % i: k for i, k in enumerate(inits)}
+    value = {"(nfix (car xs))": lambda: xs[0] if xs else 0,
+             "(len xs)": lambda: len(xs)}
+    while True:
+        measures.append((len(xs),))
+        if not xs:
+            break
+        for s in steps:
+            if s == ("XS",):
+                xs = xs[1:]
+            else:
+                env[s[0]] = sum(env[a] if a in env else value[a]()
+                                for a in s[1:])
+    return "(%s)" % " ".join(str(env[n]) for n in sorted(env)), measures
+
+
+@seed(2027)
+@settings(max_examples=40, deadline=None, database=None)
+@given(list_loops())
+def test_generated_list_loops_match_a_model(case):
+    text = _list_loop_text(*case)
+    value, measures = _list_loop_model(*case)
+    for mode in ("logical", "native"):
+        interp = Interp(mode=mode, trace=True)
+        assert show(interp.eval_text(text)[0][1]) == value, text
+        assert interp.loop_measures == (measures if mode == "logical"
+                                        else []), text
 
 # --------------------------------------------------------------- FOR loops
 

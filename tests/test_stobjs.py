@@ -736,8 +736,9 @@ def counting_parser(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["logical", "native"])
 def test_each_stobj_let_form_is_parsed_once(monkeypatch, mode):
-    interp = fixture(SWITCH_DEMO, mode=mode)
+    # admission parses the two defun bodies' forms and keeps the parses
     calls = counting_parser(monkeypatch)
+    interp = fixture(SWITCH_DEMO, mode=mode)
     peek = read("(stobj-let ((switch (tbl-get 'switch top (create-switch))))"
                 " (flg) (fld switch) flg)")
     for _ in range(4):
@@ -784,14 +785,54 @@ def test_top_level_stobj_lets_leave_no_table_entries(monkeypatch, mode):
                                            "(update-a (car 5) child)"))
     assert interp.world.stobj_lets == {}
     assert show(interp.bank["TOP"].logical_view()) == "(((CHILD 1)))"
-    # a form in a defun body is parsed once, at its first evaluation
+    # a form in a defun body is parsed once, when the defun is admitted
+    calls = counting_parser(monkeypatch)
     interp.eval_text("(defun put-child (top) (declare (xargs :stobjs (top)))"
                      " %s)" % PUT_CHILD)
-    calls = counting_parser(monkeypatch)
     for _ in range(3):
         interp.eval_text("(put-child top)")
     assert len(calls) == 1
     assert list(interp.world.stobj_lets) == calls
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_forms_that_fail_admission_keep_no_stobj_let_parses(monkeypatch,
+                                                            mode):
+    interp = fixture(CHILD_TABLE + " (defstobj child a) (defun put-child "
+                     "(top) (declare (xargs :stobjs (top))) %s)" % PUT_CHILD,
+                     mode=mode)
+    before = dict(interp.world.stobj_lets)
+    assert len(before) == 1
+    # the first stobj-let is sound, the second discards its update (R2)
+    lose = ("(let ((top %s)) %s)"
+            % (PUT_CHILD, PUT_CHILD.replace("(update-a 1 child) top",
+                                            "(update-a 2 child) 5")))
+    calls = counting_parser(monkeypatch)
+    for text in (lose, "(defun lose (top) (declare (xargs :stobjs (top)))"
+                       " %s)" % lose):
+        with pytest.raises(LinearityError) as exc:
+            interp.eval_text(text)
+        assert "its consumer must return TOP" in str(exc.value)
+        assert interp.world.stobj_lets == before
+    assert len(calls) == 4
+    assert "LOSE" not in interp.world.functions
+    assert show(interp.bank["TOP"].logical_view()) == "(NIL)"
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_self_recursive_defun_parses_each_stobj_let_once(monkeypatch, mode):
+    interp = fixture(CHILD_TABLE + " (defstobj child a)", mode=mode)
+    calls = counting_parser(monkeypatch)
+    interp.eval_text(
+        "(defun put-n (n top) (declare (xargs :stobjs (top) :measure "
+        "(nfix n))) (if (zp n) top (let ((top %s)) (put-n (1- n) top))))"
+        % PUT_CHILD)
+    assert interp.world.functions["PUT-N"].outputs == ("TOP",)
+    assert len(calls) == 1
+    assert list(interp.world.stobj_lets) == calls
+    interp.eval_text("(put-n 3 top)")
+    assert len(calls) == 1
+    assert show(interp.bank["TOP"].logical_view()) == "(((CHILD 1)))"
 
 
 @pytest.mark.parametrize("mode", ["logical", "native"])
