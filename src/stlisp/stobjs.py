@@ -6,11 +6,12 @@ values; during evaluation it is a mutable instance updated in place
 interchangeable because definitions pass a static single-threadedness
 check before they are accepted:
 
-  R1  a stobj name may appear only in a stobj argument position of a
-      call typed for it (or be returned); a DO loop's :GUARD, :MEASURE
-      and statements are closed over the loop's settable variables, so
-      a name in them must be a settable or a local bound there, and
-      their expressions may hold no statement, LOOP$ or STOBJ-LET;
+  R1  every name is bound where the evaluator reads it (a formal, a
+      local or a live stobj), and a DO loop's :GUARD, :MEASURE and
+      statements see only the loop's settables and their own locals; a
+      stobj name may appear only in a stobj argument position of a call
+      typed for it (or be returned); a DO loop's expressions may hold no
+      statement, LOOP$ or STOBJ-LET;
   R2  a call returning a stobj must have its result rebound to the
       same name, or be in return position;
   R3  a stobj is never bound to a different name, never passed twice
@@ -487,8 +488,8 @@ class Analyzer:
         self.stobj_lets = {}
         self.produced = None    # stobjs returned by calls in a producer
         # (what, settables) inside a DO loop's :GUARD, :MEASURE and
-        # statements, which may name only the settables and their own
-        # locals
+        # statements: it bars statement heads there, and _free's text
+        # names the scope and its settables
         self.loop_scope = None
         # Top-level checking raises undefined-function and arity problems
         # directly; inside a defun they are collected as violations so a
@@ -506,10 +507,7 @@ class Analyzer:
         if isinstance(expr, Symbol):
             if expr.name in live:
                 return (live[expr.name],)
-            if expr.name in bound or expr is NIL or expr is T \
-                    or sexpr.is_keyword(expr):
-                return (None,)
-            if not self._free_in_loop(expr, live, bound) \
+            if expr.name not in bound and not self._free(expr, live, bound) \
                     and self.world.stobj_spec(expr.name) is not None:
                 self.err("R1", "stobj %s is used without being declared or "
                                "bound here" % expr.name)
@@ -559,17 +557,24 @@ class Analyzer:
             return (None,)
         return self._analyze_call(expr, live, bound)
 
-    def _free_in_loop(self, expr, live, bound):
-        """Record, and return True for, a name that the loop_scope does not
-        allow: a symbol neither live, bound nor a constant."""
-        if self.loop_scope is None or not isinstance(expr, Symbol) \
-                or expr.name in live or expr.name in bound or expr is NIL \
-                or expr is T or sexpr.is_keyword(expr):
+    def _free(self, expr, live, bound):
+        """Record, and return True for, a name that nothing binds here; a
+        stobj name outside a loop is left to the caller, by its position."""
+        if not isinstance(expr, Symbol) or expr.name in live \
+                or expr.name in bound or expr is NIL or expr is T \
+                or sexpr.is_keyword(expr):
             return False
-        what, settables = self.loop_scope
-        self.err("R1", "%s is not bound in %s (settable variables: %s) in %s"
-                 % (expr.name, what, " ".join(settables) or "none",
-                    expr.name))
+        scope = self.loop_scope
+        if scope is not None:
+            text = "%s is not bound in %s (settable variables: %s)" % (
+                expr.name, scope[0], " ".join(scope[1]) or "none")
+        elif self.world.stobj_spec(expr.name) is not None:
+            return False
+        elif self.raise_call_errors:
+            raise EvalError("unbound variable %s" % expr.name, form=expr)
+        else:
+            text = "unbound variable %s" % expr.name
+        self.err("R1", "%s in %s" % (text, expr.name))
         return True
 
     def _parse(self, parse, *args):
@@ -741,7 +746,8 @@ class Analyzer:
             parents.add(pname)
             children[child.name] = child.name
         body_live = {k: v for k, v in live.items() if k not in parents}
-        body_live.update(children)
+        # as in eval_stobj_let, a child that is its own parent stays hidden
+        body_live.update((c, c) for c in children if c not in parents)
         outer, self.produced = self.produced, set()
         psh = self.analyze(spec.producer, body_live, bound)
         produced, self.produced = self.produced, outer
@@ -791,10 +797,11 @@ class Analyzer:
                                          bound, expr)
             self.want_value(spec.for_body, live, bound, "a FOR body")
             return (None,)
+        bound = set(bound)   # each WITH init sees the earlier WITH names
         for name, _typ, init in spec.withs:
             if init is not None:
-                self.want_value(init, live, bound,
-                                "a WITH initial value")
+                self.want_value(init, live, bound, "a WITH initial value")
+            bound.add(name)
         for sname in spec.values:
             if sname is not None and live.get(sname) != sname:
                 self.err("R1", ":VALUES stobj %s is not a live stobj here"
@@ -881,7 +888,7 @@ class Analyzer:
             if slot is POLY:
                 if isinstance(arg, Symbol) and arg.name in live:
                     follow = live[arg.name]
-                elif not self._free_in_loop(arg, live, bound):
+                elif not self._free(arg, live, bound):
                     self.err("R1", "%s needs a live stobj argument in %s"
                              % (name, show(expr)))
             elif slot is None:
@@ -893,7 +900,7 @@ class Analyzer:
                                     "an argument of %s" % name)
             elif not (isinstance(arg, Symbol) and arg.name == slot
                       and live.get(slot) == slot) \
-                    and not self._free_in_loop(arg, live, bound):
+                    and not self._free(arg, live, bound):
                 self.err("R1", "%s expects the stobj %s in this position of "
                                "%s" % (name, slot, show(expr)))
         if outputs is UNKNOWN:

@@ -261,14 +261,15 @@ def test_diff_reports_a_native_update_left_by_a_shared_error(capsys,
     f = tmp_path / "update_then_fail.lisp"
     f.write_text("(defstobj st fld)\n"
                  "(defun f (n st) (declare (xargs :stobjs (st) "
-                 ":measure (nfix n))) (if (zp n) (mv x st) "
+                 ":measure (nfix n))) (if (zp n) (mv (car 5) st) "
                  "(let ((st (update-fld n st))) (f (1- n) st))))\n"
                  "(f 1 st)\n(fld st)\n")
     code, out = run_cli(capsys, ["diff", str(f)])
     assert code == 2
     assert out.splitlines() == [
         "divergence at form 3: (F 1 ST)",
-        "  EvalError in both modes: unbound variable X in X",
+        "  GuardViolation in both modes: guard violation in (CAR 5): 5 "
+        "is neither a cons nor NIL in (CAR 5)",
         "  logical bank: {'ST': '(NIL)'}",
         "  native bank:  {'ST': '(1)'}"]
 

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, seed, settings, strategies as hs
 
+from conftest import count_calls
 from stlisp import sexpr
 from stlisp.errors import (EvalError, GuardViolation, LinearityError,
                            MeasureViolation, ReadError)
@@ -631,12 +632,43 @@ def test_defun_validation_errors():
     assert "the name G is already in use" in str(exc.value)
 
 
-def test_free_variable_in_defun_body_fails_at_call_time():
-    interp = Interp()
-    interp.eval_text("(defun f (x) (+ x y))")
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_free_names_are_rejected_at_admission(monkeypatch, mode):
+    # ACL2 admits no definition with a free variable, so no admitted
+    # program fails at run time for an unbound name: not on a branch
+    # that never runs, and not in a WITH init that reads a later WITH.
+    interp = Interp(mode=mode)
+    interp.eval_text("(defstobj st (tbl :type (stobj-table)))")
+    evals = count_calls(monkeypatch, Interp, "eval")
+    for text, name in [
+            ("(defun g (x) (+ y x))", "Y"),
+            ("(defun k () (loop$ with a = b with b = 1 do :measure 0 "
+             "(return a)))", "B"),
+            ("(defun s (l) (loop$ for x in l sum (+ x z)))", "Z"),
+            ("(defun h (x) (if t x y))", "Y")]:
+        with pytest.raises(LinearityError) as exc:
+            interp.eval_text(text)
+        assert exc.value.violations == ["R1: unbound variable %s in %s"
+                                        % (name, name)]
+    # A lambda is admitted when APPLY$ first meets it, with the text
+    # that evaluating the name would give.
     with pytest.raises(EvalError) as exc:
-        interp.eval_text("(f 1)")
-    assert "unbound variable Y" in str(exc.value)
+        interp.eval_text("(apply$ '(lambda (x) (+ x y)) '(1))")
+    assert type(exc.value) is EvalError
+    assert str(exc.value) == "unbound variable Y in Y"
+    # A child that is its own parent hides the parent in the producer,
+    # as evaluation poisons it.
+    with pytest.raises(LinearityError) as exc:
+        interp.eval_text("(stobj-let ((st (tbl-get 'st st (create-st)))) "
+                         "(n) (tbl-count st) n)")
+    assert exc.value.violations == [
+        "R1: TBL-COUNT expects the stobj ST in this position of "
+        "(TBL-COUNT ST)"]
+    assert not interp.world.functions
+    # only the APPLY$ call and its two quoted arguments ran
+    assert [show(args[1]) for args in evals] == [
+        "(APPLY$ (QUOTE (LAMBDA (X) (+ X Y))) (QUOTE (1)))",
+        "(QUOTE (LAMBDA (X) (+ X Y)))", "(QUOTE (1))"]
 
 
 def test_stobj_formal_requires_declaration():
