@@ -11,14 +11,16 @@ loop's own frame of settables, and one walker runs the trees over it on
 both paths.  The logical path (run_do) is the specification: the DO body
 is a one-formal function of an alist of the settables, applied once per
 iteration to yield an exit triple (token value new-alist), under a
-strictly decreasing lexicographic measure; each application reads fresh
-slots from the alist and conses the new alist from them.  A measure of
-(LEN v), v a WITH variable, is checked in O(1) while v steps by CDR:
-run_do keeps the last list seen in v and its length.  The native
-path (native_exec) walks one frame for the whole loop, with no measure,
-under an iteration cap.  Both share the record, the walker and the exit
-decoding (_result), so they differ only in how stobjs are written
-(copied or in place) and in what ends a runaway loop (measure or cap).
+strictly decreasing lexicographic measure.  run_do walks one frame of
+slots for the whole loop, as native_exec does, and conses the alist only
+for the trace and for the text of a :GUARD or measure violation.  A
+measure of (NFIX v), v a WITH variable, is read in place; one of (LEN v)
+is checked in O(1) while v steps by CDR: run_do keeps the last list seen
+in v and its length.  The native path (native_exec) walks one frame for
+the whole loop, with no measure, under an iteration cap.  Both share the
+record, the walker and the exit decoding (_result), so they differ only
+in how stobjs are written (copied or in place) and in what ends a
+runaway loop (measure or cap).
 """
 
 from . import stobjs
@@ -47,6 +49,7 @@ K_RETURN = intern(":RETURN")
 K_FINISH = intern(":LOOP-FINISH")
 CDR = intern("CDR")
 LEN = intern("LEN")
+NFIX = intern("NFIX")
 ONE_MINUS = intern("1-")
 MINUS = intern("-")
 
@@ -60,7 +63,7 @@ class LoopSpec:
     __slots__ = ("form", "kind", "for_var", "for_range", "for_acc", "for_body",
                  "withs", "values", "measure_form", "guard", "do_body",
                  "finally_body", "value_stobjs", "settables",
-                 "settable_symbols", "integer_vars", "len_var", "do_tree",
+                 "settable_symbols", "integer_vars", "measure_var", "do_tree",
                  "finally_tree")
 
     def __init__(self, form):
@@ -81,7 +84,7 @@ class LoopSpec:
         self.settables = None     # WITH names, then value_stobjs
         self.settable_symbols = None  # the same, as Symbols
         self.integer_vars = None  # the WITH names of type INTEGER
-        self.len_var = None       # v, when the measure is (LEN v) of a WITH v
+        self.measure_var = None   # v, when the measure is (LEN v) or (NFIX v)
         self.do_tree = None
         self.finally_tree = None
 
@@ -247,8 +250,9 @@ def make_do_plan(spec, world):
     if spec.measure_form is None:
         spec.measure_form = guess_measure(spec, parser.steps)
     for name, _typ, _init in spec.withs:
-        if _is_unary(spec.measure_form, LEN, name):
-            spec.len_var = name
+        if (_is_unary(spec.measure_form, LEN, name)
+                or _is_unary(spec.measure_form, NFIX, name)):
+            spec.measure_var = name
     return spec
 
 
@@ -411,7 +415,7 @@ def guess_measure(spec, steps):
         if not ups:
             continue
         if all(_is_numeric_step(r, name) for r in ups):
-            candidates.append(from_pylist([intern("NFIX"), intern(name)]))
+            candidates.append(from_pylist([NFIX, intern(name)]))
         elif all(_is_unary(r, CDR, name) for r in ups):
             candidates.append(from_pylist([LEN, intern(name)]))
     if len(candidates) == 1:
@@ -437,7 +441,7 @@ def _is_numeric_step(r, name):
 
 
 def _is_unary(r, head, name):
-    """Whether r is (head name): a CDR step, or a LEN measure."""
+    """Whether r is (head name): a CDR step, or a LEN or NFIX measure."""
     return (isinstance(r, Cons) and r.car is head
             and isinstance(r.cdr, Cons) and isinstance(r.cdr.car, Symbol)
             and r.cdr.car.name == name and r.cdr.cdr is NIL)
@@ -571,12 +575,15 @@ def _walk(interp, node, env, slots, spec, n):
                 if effect[0] != "setq":
                     _walk(interp, effect, env, slots, spec, n)
                     continue
-                # _bind's SETQ case, without the call
+                # _bind's SETQ case, without the call.  An integer passes
+                # both checks when no stobj is settable: _parse_do keeps
+                # stobj names out of WITH, and no event runs in a loop.
                 name, form = effect[1][0], effect[3]
                 v = interp.eval(effect[2], env)
-                if name in spec.integer_vars:
-                    check_of_type(interp, name, v, form, n)
-                interp.check_binding(name, v, form)
+                if spec.value_stobjs or not isinstance(v, int):
+                    if name in spec.integer_vars:
+                        check_of_type(interp, name, v, form, n)
+                    interp.check_binding(name, v, form)
                 slots[name] = v
             node = node[2]
         elif tag == "if":
@@ -602,26 +609,15 @@ def _walk(interp, node, env, slots, spec, n):
 
 ### the measured recursive path
 
-# The alist always lists the settables in order, one (name . value)
-# entry each.  Each application of the body reads fresh slots from it by
-# position, and the walk's assignments keep that order.
+# The alist of a DO loop lists the settables in order, one (name . value)
+# entry each.  run_do walks one frame of slots for the whole loop, whose
+# keys stay in that order, and conses an alist from its values only for
+# the trace and for the texts of a :GUARD or measure violation.
 
-def _alist_slots(interp, spec, alist):
-    if interp.trace:
-        assert [e.car.name for e in list_items(alist, "alist", None)] \
-            == spec.settables
-    slots = {}
-    for name in spec.settables:
-        slots[name] = alist.car.cdr
-        alist = alist.cdr
-    return slots
-
-
-def _build_alist(spec, slots):
-    alist = NIL
-    for sym in reversed(spec.settable_symbols):
-        alist = Cons(Cons(sym, slots[sym.name]), alist)
-    return alist
+def _build_alist(spec, values):
+    """The alist of the settables to values, given in settable order."""
+    return from_pylist([Cons(sym, v) for sym, v
+                        in zip(spec.settable_symbols, values)])
 
 
 def _triple(token, value, alist):
@@ -631,13 +627,16 @@ def _triple(token, value, alist):
 
 
 def _measure(interp, spec, env, held):
-    """The loop's measure in env.  A (LEN v) measure reads held, the list
-    last seen in v and its length, and updates it, so stepping v by CDR
-    costs O(1) per check.  No event can rebind LEN, and a WITH variable
-    never holds a stobj or multiple values."""
-    if held is None:
+    """The loop's measure in env.  A (NFIX v) measure reads v in place.
+    A (LEN v) measure reads held, the list last seen in v and its length,
+    and updates it, so stepping v by CDR costs O(1) per check.  No event
+    can rebind NFIX or LEN, and a WITH variable never holds a stobj or
+    multiple values."""
+    if spec.measure_var is None:
         return interp.eval(spec.measure_form, env)
-    v = env.vars[spec.len_var]
+    v = env.vars[spec.measure_var]
+    if held is None:
+        return v if isinstance(v, int) and v >= 0 else 0
     last = held[0]
     if v is not last:
         held[1] = held[1] - 1 if isinstance(last, Cons) and v is last.cdr \
@@ -648,40 +647,43 @@ def _measure(interp, spec, env, held):
 
 def run_do(interp, spec, env, form):
     slots = initial_bindings(interp, spec, env, form)
-    alist = _build_alist(spec, slots)
     env = Env(slots)
+    values = slots.values()   # a live view, in settable order
+    alist = _build_alist(spec, values) if interp.trace else None
     n = 0
     m_cur = None
     # a (LEN v) measure's [list last seen in v, its length]; see _measure
-    held = None if spec.len_var is None else [None, 0]
+    held = [None, 0] if spec.measure_var is not None \
+        and spec.measure_form.car is LEN else None
     while True:
         n += 1
         if spec.guard is not None and interp.guard_check:
             if not truthy(interp.eval(spec.guard, env)):
                 raise GuardViolation(
                     "loop :GUARD %s failed entering iteration %d with %s"
-                    % (show(spec.guard), n, show(alist)), form=form)
+                    % (show(spec.guard), n, show(_build_alist(spec, values))),
+                    form=form)
         if m_cur is None:
             m_cur = lex_fix(_measure(interp, spec, env, held))
         if interp.trace:
             interp.loop_measures.append(m_cur)
+        entry = tuple(values)
         token, val = _walk(interp, spec.do_tree, env, slots, spec, n)
-        new_alist = _build_alist(spec, slots)
         if interp.trace:
+            new_alist = _build_alist(spec, values)
             interp.do_trace.append(("do", alist,
                                     _triple(token, val, new_alist)))
+            alist = new_alist
         if token is K_RETURN:
             return _result(spec, token, val, form)
-        slots = _alist_slots(interp, spec, new_alist)
-        env = Env(slots)
         if token is K_FINISH:
             if spec.finally_tree is not None:
                 token, val = _walk(interp, spec.finally_tree, env, slots,
                                    spec, n)
                 if interp.trace:
                     interp.do_trace.append(
-                        ("finally", new_alist,
-                         _triple(token, val, _build_alist(spec, slots))))
+                        ("finally", alist,
+                         _triple(token, val, _build_alist(spec, values))))
             return _result(spec, token, val, form)
         m_new = lex_fix(_measure(interp, spec, env, held))
         if not l_less(m_new, m_cur):
@@ -689,8 +691,9 @@ def run_do(interp, spec, env, form):
                 "the measure %s of this DO loop failed to decrease at "
                 "iteration %d: %s (from %s) is not below %s (from %s)"
                 % (show(spec.measure_form), n, lex_show(m_new),
-                   show(new_alist), lex_show(m_cur), show(alist)), form=form)
-        alist, m_cur = new_alist, m_new
+                   show(_build_alist(spec, values)), lex_show(m_cur),
+                   show(_build_alist(spec, entry))), form=form)
+        m_cur = m_new
 
 
 ### the native imperative path

@@ -803,17 +803,18 @@ def test_terminating_loop_ignores_cap_limit():
 
 # ---------------------------------------------------------- (LEN v) measures
 
-def test_len_var_is_kept_only_for_len_of_a_with_variable():
+def test_measure_var_is_kept_only_for_len_or_nfix_of_a_with_variable():
     body = "(if (consp xs) (setq xs (cdr xs)) (return 0))"
-    for measure in ("", ":measure (len xs)"):
+    for measure in ("", ":measure (len xs)", ":measure (nfix xs)"):
         assert plan("(loop$ with xs = nil do %s %s)"
-                    % (measure, body)).len_var == "XS"
+                    % (measure, body)).measure_var == "XS"
     for measure in (":measure (len (cdr xs))", ":measure (nfix (len xs))",
-                    ":measure (len xs xs)", ":measure 5"):
+                    ":measure (len xs xs)", ":measure (nfix xs xs)",
+                    ":measure 5"):
         assert plan("(loop$ with xs = nil do %s %s)"
-                    % (measure, body)).len_var is None
+                    % (measure, body)).measure_var is None
     assert plan("(loop$ with i = 3 do (if (zp i) (return 0) "
-                "(setq i (1- i))))").len_var is None
+                "(setq i (1- i))))").measure_var == "I"
 
 
 def walks(monkeypatch):
@@ -934,6 +935,135 @@ def test_finally_trace_entry():
                      "(setq i (1- i))) finally (return 'end))")
     kinds = [k for k, _, _ in interp.do_trace]
     assert kinds == ["do", "do", "finally"]
+
+
+# --------------------------------------------- the alist, built only on need
+
+# Two WITH variables and a :VALUES stobj, failing at a later iteration, so
+# that the alist entering the failing iteration differs from the new one.
+GUARD_LATE = ("(loop$ with i = 4 with acc = 0 do :values (nil st) "
+              ":guard (< 1 i) :measure (nfix i) (if (zp i) (return (mv acc "
+              "st)) (progn (setq acc (+ acc i)) (setq st (update-fld acc st)) "
+              "(setq i (1- i)))))")
+MEASURE_LATE = ("(loop$ with i = 3 with acc = 0 do :values (nil st) "
+                ":measure (nfix i) (if (zp i) (return (mv acc st)) "
+                "(progn (setq acc (+ acc i)) (setq st (update-fld acc st)) "
+                "(setq i (if (= i 2) 7 (1- i))))))")
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_violation_texts_show_the_alists_of_their_iteration(trace):
+    texts = [
+        (GUARD_LATE, GuardViolation,
+         "loop :GUARD (< 1 I) failed entering iteration 4 with ((I . 1) "
+         "(ACC . 9) (ST . <ST>)) in %s"),
+        (MEASURE_LATE, MeasureViolation,
+         "the measure (NFIX I) of this DO loop failed to decrease at "
+         "iteration 2: (7) (from ((I . 7) (ACC . 5) (ST . <ST>))) is not "
+         "below (2) (from ((I . 2) (ACC . 3) (ST . <ST>))) in %s"),
+    ]
+    for text, cls, expected in texts:
+        interp = Interp(trace=trace)
+        interp.eval_text(STOBJ_SETUP)
+        with pytest.raises(cls) as exc:
+            interp.eval_text(text)
+        assert str(exc.value) == expected % show(read(text))
+    native = Interp(mode="native")
+    native.eval_text(STOBJ_SETUP)
+    with pytest.raises(GuardViolation) as exc:
+        native.eval_text(GUARD_LATE)
+    assert str(exc.value) == ("loop :GUARD (< 1 I) failed entering "
+                              "iteration 4 in %s" % show(read(GUARD_LATE)))
+
+
+@pytest.mark.parametrize("text, iterations, finally_", [
+    ("(loop$ with i = 3 with acc = 0 do (if (zp i) (return acc) "
+     "(progn (setq acc (+ acc i)) (setq i (1- i)))))", 4, 0),
+    ("(loop$ with i = 1 do (if (zp i) (loop-finish) (setq i (1- i))) "
+     "finally (return 'end))", 2, 1),
+])
+def test_only_the_trace_builds_alists(monkeypatch, text, iterations,
+                                      finally_):
+    for trace in (False, True):
+        built = count_calls(monkeypatch, loops, "_build_alist")
+        interp = Interp(trace=trace)
+        interp.eval_text(text)
+        # the trace keeps the entry alist, then one per application
+        assert len(built) == (1 + iterations + finally_ if trace else 0)
+        assert len(interp.do_trace) == (iterations + finally_
+                                        if trace else 0)
+        monkeypatch.undo()
+
+
+def test_a_violation_builds_the_alists_of_its_text(monkeypatch):
+    for text, cls, alists in ((GUARD_LATE, GuardViolation, 1),
+                              (MEASURE_LATE, MeasureViolation, 2)):
+        interp = Interp()
+        interp.eval_text(STOBJ_SETUP)
+        built = count_calls(monkeypatch, loops, "_build_alist")
+        with pytest.raises(cls):
+            interp.eval_text(text)
+        assert len(built) == alists
+        monkeypatch.undo()
+
+
+def _logical_outcome(text, trace):
+    interp = Interp(trace=trace)
+    interp.eval_text(STOBJ_SETUP)
+    try:
+        out = interp.eval_text(text)[0][1]
+    except EvalError as e:
+        return type(e).__name__, str(e)
+    if isinstance(out, MultiValue):
+        return (show(sexpr.from_pylist(out.values)),
+                show(interp.bank["ST"].logical_view()))
+    return (show(out),)
+
+
+# ----------------------------------- assignments and measures read in place
+
+@pytest.mark.parametrize("values", ["", " :values (nil st)"])
+def test_of_type_checks_a_setq_in_a_seq_of_effects(values):
+    # the SETQ joins the PROGN's effects, which the walker assigns itself
+    text = ("(loop$ with i of-type integer = 3 with j = 0 do%s :measure "
+            "(nfix i) (if (zp i) (return %s) (progn (setq j (1+ j)) "
+            "(setq i (if (= i 2) 'oops (1- i))))))"
+            % (values, "(mv i st)" if values else "i"))
+    msgs = []
+    for mode in ("logical", "native"):
+        interp = Interp(mode=mode)
+        interp.eval_text(STOBJ_SETUP)
+        with pytest.raises(OfTypeViolation) as exc:
+            interp.eval_text(text)
+        msgs.append(str(exc.value))
+    assert msgs[0] == msgs[1] == (
+        "OF-TYPE violation: I = OOPS is not an INTEGER (iteration 2) in "
+        "(SETQ I (IF (= I 2) (QUOTE OOPS) (1- I)))")
+
+
+@pytest.mark.parametrize("init, shown", [
+    ("-3", "(X . -3)"), ("'a", "(X . A)"), ("\"s\"", "(X . \"s\")"),
+    ("'(1 2)", "(X 1 2)"), ("nil", "(X)"), ("4", "(X . 4)")])
+def test_nfix_measure_reads_what_the_nfix_builtin_does(init, shown):
+    v = Interp().eval_text(init)[0][1]
+    nfix = Interp().eval_text("(nfix %s)" % init)[0][1]
+    # one application: the measure is read once, on entry
+    interp = Interp(trace=True, guard_check=False)
+    out = interp.eval_text("(loop$ with x = %s do :measure (nfix x) "
+                           "(return x))" % init)[0][1]
+    assert sexpr.equal(out, v)
+    assert interp.loop_measures == [(nfix,)]
+    # and again after a step to the same value
+    text = ("(loop$ with x = %s with k = 1 do :measure (nfix x) "
+            "(if (zp k) (return x) (progn (setq k 0) (setq x %s))))"
+            % (init, init))
+    with pytest.raises(MeasureViolation) as exc:
+        Interp(guard_check=False).eval_text(text)
+    assert str(exc.value) == (
+        "the measure (NFIX X) of this DO loop failed to decrease at "
+        "iteration 1: (%d) (from (%s (K . 0))) is not below (%d) "
+        "(from (%s (K . 1))) in %s"
+        % (nfix, shown, nfix, shown, show(read(text))))
 
 
 # ------------------------------------------------- randomized differential
@@ -1092,6 +1222,25 @@ def test_generated_do_loops_match_a_model(case):
     value, fld = _do_loop_model(*case)
     use_st = case[3]
     assert runs[0][:2] == ((value, fld) if use_st else (value,)), text
+
+
+# The same loops, some with a :GUARD (< k N) or a :MEASURE (NFIX W0) that
+# may fail at a later iteration, so that error texts are compared too.
+@hs.composite
+def failing_do_loops(draw):
+    n0, withs, steps, use_st, finish, _explicit = draw(do_loops())
+    text = _do_loop_text(n0, withs, steps, use_st, finish, False)
+    extra = draw(hs.sampled_from(["", " :guard (< %d n)" % draw(
+        hs.integers(-1, 3)), " :measure (nfix w0)"]))
+    return text.replace(" do", " do" + extra, 1)
+
+
+@seed(2028)
+@settings(max_examples=60, deadline=None, database=None)
+@given(failing_do_loops())
+def test_generated_do_loops_agree_with_the_trace_on_and_off(text):
+    assert _logical_outcome(text, False) == _logical_outcome(text, True), \
+        text
 
 
 # Generated list loops: a list XS of naturals stepped by one or two
