@@ -53,19 +53,22 @@ def build_parser():
         prog="stlisp",
         description="a miniature applicative Lisp with single-threaded "
                     "objects and measured DO loops")
+    # --mode only where one interpreter runs: diff runs both
+    mode = argparse.ArgumentParser(add_help=False)
+    _flag(mode, "mode", "logical", ("logical", "native"))
     common = argparse.ArgumentParser(add_help=False)
-    _flag(common, "mode", "logical", ("logical", "native", "diff"))
     _flag(common, "guard-check", "on", ("on", "off"))
     _flag(common, "cap", "10000000", least=1)
     sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", parents=[common],
+    p_run = sub.add_parser("run", parents=[mode, common],
                            help="evaluate a file of forms")
     p_run.add_argument("path")
-    sub.add_parser("repl", parents=[common], help="interactive session")
+    sub.add_parser("repl", parents=[mode, common],
+                   help="interactive session")
     p_diff = sub.add_parser("diff", parents=[common],
                             help="compare logical and native execution")
     p_diff.add_argument("path")
-    p_chk = sub.add_parser("check-constraints", parents=[common],
+    p_chk = sub.add_parser("check-constraints", parents=[mode, common],
                            help="load a file, then sample the scheduler "
                                 "contracts")
     p_chk.add_argument("path")
@@ -75,14 +78,11 @@ def build_parser():
 
 
 def make_interp(args, mode=None):
-    m = mode or args.mode
-    return Interp(mode=m, guard_check=args.guard_check == "on",
-                  cap=args.cap)
+    return Interp(mode=mode or args.mode,
+                  guard_check=args.guard_check == "on", cap=args.cap)
 
 
 def cmd_run(args, out):
-    if args.mode == "diff":
-        return cmd_diff(args, out)
     forms = _load(args.path, out)
     if forms is None:
         return 1
@@ -180,8 +180,7 @@ def cmd_check_constraints(args, out):
     forms = _load(args.path, out)
     if forms is None:
         return 1
-    interp = make_interp(args, "logical" if args.mode == "diff"
-                         else args.mode)
+    interp = make_interp(args)
     interp.out = out
     try:
         for form in forms:
@@ -197,10 +196,6 @@ def cmd_check_constraints(args, out):
 
 
 def cmd_repl(args, out, inp=None):
-    if args.mode == "diff":
-        out.write("error: the repl runs one interpreter; pick logical or "
-                  "native\n")
-        return 1
     inp = inp or sys.stdin
     interp = make_interp(args)
     interp.out = out

@@ -5,7 +5,8 @@ signature, defattach) plus registries derived from it; undo removes a
 suffix of the log, rebuilds the registries, and retracts undone stobj
 names from every table reachable from this session's stobj bank.
 Evaluation is pure except through live stobj instances, and in logical
-mode even those are copied on write.
+mode even those are copied on write.  Interp.mode is read only by
+stobjs._write and _table, to write a stobj, and by loops.eval_loop.
 """
 
 import sys
@@ -504,9 +505,6 @@ class Interp:
         self.loop_measures = []
         self.fn_measures = {}     # fn name -> entry measures, when tracing
         self._measure_stack = {}
-
-    def in_place(self):
-        return self.mode == "native"
 
     def write_line(self, text):
         (self.out or sys.stdout).write(text + "\n")

@@ -764,6 +764,6 @@ def eval_loop(interp, form, env):
     if spec.kind == "FOR":
         return for_exec(interp, spec, env, form)
     make_do_plan(spec, interp.world)
-    if interp.in_place():
+    if interp.mode == "native":
         return native_exec(interp, spec, env, form)
     return run_do(interp, spec, env, form)

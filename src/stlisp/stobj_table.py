@@ -5,10 +5,13 @@ hons-assoc-equal (first match wins); the execution view is a hash
 table keyed by interned symbol.  A table belongs to the stobj instance
 whose field holds it, so undoing a stobj definition unbinds that name
 by walking the session's stobj bank down through every table.
+
+The mode is read in stobjs, not here: stobjs._table hands a write the
+live cell in native mode and a copy in logical mode.
 """
 
 from . import sexpr
-from .sexpr import NIL, Cons, from_bool, intern
+from .sexpr import NIL, Cons, intern
 from .errors import EvalError, OwnershipError
 
 
@@ -29,47 +32,18 @@ class TableCell:
         return TableCell(dict(self.data))
 
 
-def table_get(cell, key):
-    """Raw lookup; returns None on a miss (the caller supplies defaults)."""
-    return cell.data.get(key)
-
-
-def table_boundp(cell, key):
-    return from_bool(key in cell.data)
-
-
-def table_count(cell):
-    return len(cell.data)
-
-
-def table_put(cell, key, child, *, in_place):
-    if in_place:
+def table_put(cell, key, child, own):
+    """Store child under key in cell, in place.  An owning store marks
+    child as held by cell and refuses a child that another cell holds.
+    Only a live cell, written in place, owns its children: a logical
+    table version shares them with the versions before it."""
+    if own:
         if child.owner is not None and child.owner is not cell.mark:
             raise OwnershipError(
                 "stobj %s is already owned by another location and cannot "
                 "be stored in a second table" % child.print_name)
-        cell.data[key] = child
         child.owner = cell.mark
-        return cell
-    new = cell.copy()
-    new.data[key] = child
-    return new
-
-
-def table_rem(cell, key, *, in_place):
-    if in_place:
-        cell.data.pop(key, None)
-        return cell
-    new = cell.copy()
-    new.data.pop(key, None)
-    return new
-
-
-def table_clear(cell, *, in_place):
-    if in_place:
-        cell.data.clear()
-        return cell
-    return TableCell({})
+    cell.data[key] = child
 
 
 def check_key(key, form=None):

@@ -2,7 +2,8 @@
 
 A stobj has a dual nature: logically it is a proper list of its field
 values; during evaluation it is a mutable instance updated in place
-(native mode) or copied on write (logical mode).  The two views stay
+(native mode) or copied on write (logical mode).  _write and _table
+are the only places a stobj write reads the mode.  The two views stay
 interchangeable because definitions pass a static single-threadedness
 check before they are accepted:
 
@@ -281,36 +282,42 @@ def recognizer_value(spec, x):
     return from_bool(x is NIL and n == len(spec.fields))
 
 
+def _write(interp, inst, i, v):
+    """inst with field i set to v: inst itself in native mode, a new
+    instance in logical mode."""
+    if interp.mode == "native":
+        inst.set_cell(i, v)
+        return inst
+    return inst.with_cell(i, v)
+
+
+def _table(interp, inst, i):
+    """Field i's table, to change and store back with _write: the live
+    cell in native mode, a copy in logical mode."""
+    cell = inst.get_cell(i)
+    return cell if interp.mode == "native" else cell.copy()
+
+
 def apply_generated(interp, op, args, form):
-    in_place = interp.in_place()
     kind = op.kind
     if kind == "get":
         return args[0].get_cell(op.findex)
     if kind == "update":
-        v, inst = args
-        if in_place:
-            inst.set_cell(op.findex, v)
-            return inst
-        return inst.with_cell(op.findex, v)
+        return _write(interp, args[1], op.findex, args[0])
     if kind == "recognize":
         return recognizer_value(op.spec, args[0])
     if kind == "tbl-boundp":
         key = stobj_table.check_key(args[0], form)
-        cell = args[1].get_cell(op.findex)
-        return stobj_table.table_boundp(cell, key)
+        return from_bool(key in args[1].get_cell(op.findex).data)
     if kind == "tbl-count":
-        return stobj_table.table_count(args[0].get_cell(op.findex))
+        return len(args[0].get_cell(op.findex).data)
     if kind == "tbl-rem":
         key = stobj_table.check_key(args[0], form)
-        inst = args[1]
-        cell = stobj_table.table_rem(inst.get_cell(op.findex), key,
-                                     in_place=in_place)
-        return inst if in_place else inst.with_cell(op.findex, cell)
+        cell = _table(interp, args[1], op.findex)
+        cell.data.pop(key, None)
+        return _write(interp, args[1], op.findex, cell)
     if kind == "tbl-clear":
-        inst = args[0]
-        cell = stobj_table.table_clear(inst.get_cell(op.findex),
-                                       in_place=in_place)
-        return inst if in_place else inst.with_cell(op.findex, cell)
+        return _write(interp, args[0], op.findex, TableCell({}))
     if kind == "create":
         raise EvalError("%s may only appear as a stobj-table default inside "
                         "stobj-let" % op.name, form=form)
@@ -419,7 +426,6 @@ def eval_stobj_let(interp, form, env):
     spec = world.stobj_lets.get(form)
     if spec is None:
         spec = world.stobj_lets[form] = parse_stobj_let(form, world)
-    in_place = interp.in_place()
 
     # The producer's frame: the children, then their parents poisoned
     # (a parent that is also a child stays poisoned).
@@ -430,7 +436,7 @@ def eval_stobj_let(interp, form, env):
         parent = parents.get(pname)
         if parent is None:
             parent = parents[pname] = interp.resolve_stobj(pname, env, form)
-        hit = stobj_table.table_get(parent.get_cell(op.findex), child)
+        hit = parent.get_cell(op.findex).data.get(child)
         # A miss creates the default child; nothing else runs it.
         frame[child.name] = creator.spec.fresh() if hit is None else hit
     for pname in parents:
@@ -455,12 +461,12 @@ def eval_stobj_let(interp, form, env):
             raise EvalError(
                 "stobj-let output %s does not satisfy the recognizer for "
                 "its key" % out.name, form=form)
-        pname = parent_sym.name
-        parent = parents[pname]
-        newcell = stobj_table.table_put(
-            parent.get_cell(op.findex), out, val, in_place=in_place)
-        if not in_place:
-            parents[pname] = parent.with_cell(op.findex, newcell)
+        parent = parents[parent_sym.name]
+        cell = _table(interp, parent, op.findex)
+        # the live cell owns its children; a logical copy shares them
+        stobj_table.table_put(cell, out, val,
+                              own=cell is parent.get_cell(op.findex))
+        parents[parent_sym.name] = _write(interp, parent, op.findex, cell)
 
     # The consumer's frame: the written-back parents, then the outputs
     # that are not children, then the children poisoned: they may not

@@ -108,13 +108,6 @@ def test_diff_corpus_equivalent(capsys, name):
     assert out.splitlines()[-1] == DIFF_LINES[name]
 
 
-def test_run_mode_diff_delegates(capsys):
-    code, out = run_cli(capsys, ["run", "--mode", "diff",
-                                 str(CORPUS / "loops_corpus.lisp")])
-    assert code == 0
-    assert out.splitlines()[-1] == "equivalent (38 forms, 2 stobjs)"
-
-
 def test_diff_reports_forced_divergence(capsys, monkeypatch):
     monkeypatch.setattr(loops, "native_exec",
                         lambda interp, spec, env, form: 999)
@@ -345,15 +338,18 @@ def test_check_constraints_eval_error(capsys, tmp_path):
 
 # ------------------------------------------------------ environment defaults
 
-def test_env_mode_default_and_flag_override(capsys, monkeypatch):
-    monkeypatch.setenv("STLISP_MODE", "diff")
-    code, out = run_cli(capsys, ["run", str(CORPUS / "loops_corpus.lisp")])
-    assert code == 0
-    assert out.splitlines()[-1].startswith("equivalent")
+def test_env_mode_default_and_flag_override(capsys, monkeypatch, tmp_path):
+    # only the native path has an iteration cap; the logical path stops
+    # the same loop at its measure
+    f = tmp_path / "spin.lisp"
+    f.write_text("(loop$ with x = 0 do :measure (nfix x) (setq x x))\n")
+    monkeypatch.setenv("STLISP_MODE", "native")
+    code, out = run_cli(capsys, ["run", "--cap", "50", str(f)])
+    assert code == 1 and "native iteration cap of 50" in out
     # an explicit flag beats the environment
-    code, out = run_cli(capsys, ["run", "--mode", "logical",
-                                 str(CORPUS / "loops_basic.lisp")])
-    assert out.splitlines() == LOOPS_BASIC_TRANSCRIPT
+    code, out = run_cli(capsys, ["run", "--mode", "logical", "--cap", "50",
+                                 str(f)])
+    assert code == 1 and "measure" in out and "cap" not in out
 
 
 def test_env_trials_and_flag_override(capsys, monkeypatch):
@@ -462,10 +458,12 @@ def test_repl_unknown_command():
     assert "error: unknown command :frobnicate" in out
 
 
-def test_repl_rejects_diff_mode():
-    code, out = repl("", argv=["--mode", "diff"])
-    assert code == 1
-    assert "repl runs one interpreter" in out
+def test_repl_rejects_diff_mode(capsys):
+    # a usage error: the repl runs one interpreter
+    with pytest.raises(SystemExit) as exc:
+        repl("", argv=["--mode", "diff"])
+    assert exc.value.code == 1
+    assert "'diff' is not one of logical, native" in capsys.readouterr().err
 
 
 def test_repl_blank_lines_ignored():
@@ -501,6 +499,9 @@ SCHEDULER = str(CORPUS / "scheduler_demo.lisp")
     ({"STLISP_CAP": "abc"}, ["run", LOOPS_BASIC]),
     ({"STLISP_CAP": "0"}, ["run", LOOPS_BASIC]),
     ({"STLISP_MODE": "bogus"}, ["run", LOOPS_BASIC]),
+    ({"STLISP_MODE": "diff"}, ["run", LOOPS_BASIC]),
+    ({"STLISP_MODE": "diff"}, ["check-constraints", SCHEDULER]),
+    ({"STLISP_MODE": "diff"}, ["repl"]),
     ({"STLISP_GUARD_CHECK": "maybe"}, ["run", LOOPS_BASIC]),
     ({"STLISP_SEED": "abc"}, ["check-constraints", SCHEDULER]),
     ({"STLISP_TRIALS": "abc"}, ["check-constraints", SCHEDULER]),
@@ -509,6 +510,10 @@ SCHEDULER = str(CORPUS / "scheduler_demo.lisp")
     ({}, ["check-constraints", "--trials", "0", SCHEDULER]),
     ({}, ["run", "--cap", "0", LOOPS_BASIC]),
     ({}, ["run", "--mode", "bogus", LOOPS_BASIC]),
+    # diff runs both modes, and every other command runs one
+    ({}, ["run", "--mode", "diff", LOOPS_BASIC]),
+    ({}, ["check-constraints", "--mode", "diff", SCHEDULER]),
+    ({}, ["diff", "--mode", "native", LOOPS_BASIC]),
     ({}, ["run", "--guard-check", "maybe", LOOPS_BASIC]),
     ({}, ["run"]),
     ({}, []),

@@ -114,18 +114,39 @@ def test_get_update_and_logical_view():
     assert inst.print_name == "<ST>"
 
 
-def test_native_updates_in_place_logical_copies():
-    log = fixture("(defstobj st fld)")
-    before = log.bank["ST"]
-    log.eval_text("(update-fld 1 st)")
-    assert log.bank["ST"] is not before
-    assert before.get_cell(0) is NIL
+# ST has a scalar field and a table that already holds KID; each entry of
+# WRITES makes one kind of stobj write to ST.
+WRITE_SETUP = """
+(defstobj kid val)
+(defstobj st fld (tbl :type (stobj-table)))
+(defun put-kid (x st)
+  (declare (xargs :stobjs (st)))
+  (stobj-let ((kid (tbl-get 'kid st (create-kid))))
+             (kid) (update-val x kid) st))
+(put-kid 1 st)
+"""
+WRITES = {"update": "(update-fld 1 st)", "tbl-rem": "(tbl-rem 'kid st)",
+          "tbl-clear": "(tbl-clear st)", "stobj-let": "(put-kid 2 st)"}
 
-    nat = fixture("(defstobj st fld)", mode="native")
+
+@pytest.mark.parametrize("write", WRITES)
+def test_native_updates_in_place_logical_copies(write):
+    log = fixture(WRITE_SETUP)
+    before = log.bank["ST"]
+    view, table = show(before.logical_view()), before.get_cell(1)
+    entries = dict(table.data)
+    log.eval_text(WRITES[write])
+    after = show(log.bank["ST"].logical_view())
+    assert log.bank["ST"] is not before
+    assert after != view
+    assert show(before.logical_view()) == view
+    assert before.get_cell(1) is table and table.data == entries
+
+    nat = fixture(WRITE_SETUP, mode="native")
     before = nat.bank["ST"]
-    nat.eval_text("(update-fld 1 st)")
+    nat.eval_text(WRITES[write])
     assert nat.bank["ST"] is before
-    assert before.get_cell(0) == 1
+    assert show(before.logical_view()) == after
 
 
 def test_create_blocked_outside_stobj_let():
@@ -686,9 +707,9 @@ def test_ownership_guard_rejects_double_store():
     cell_b = stobj_table.TableCell({})
     spec = stobjs.StobjSpec("CHILD", [stobjs.FieldSpec("F", stobjs.SCALAR)])
     inst = spec.fresh()
-    stobj_table.table_put(cell_a, intern("CHILD"), inst, in_place=True)
+    stobj_table.table_put(cell_a, intern("CHILD"), inst, own=True)
     with pytest.raises(OwnershipError) as exc:
-        stobj_table.table_put(cell_b, intern("CHILD"), inst, in_place=True)
+        stobj_table.table_put(cell_b, intern("CHILD"), inst, own=True)
     assert "already owned by another location" in str(exc.value)
 
 
@@ -697,10 +718,27 @@ def test_ownership_guard_accepts_a_second_store_in_the_same_cell():
     spec = stobjs.StobjSpec("CHILD", [stobjs.FieldSpec("F", stobjs.SCALAR)])
     inst = spec.fresh()
     for _ in range(2):
-        out = stobj_table.table_put(cell, intern("CHILD"), inst,
-                                    in_place=True)
-        assert out is cell
-    assert cell.data == {intern("CHILD"): inst}
+        stobj_table.table_put(cell, intern("CHILD"), inst, own=True)
+        assert cell.data == {intern("CHILD"): inst}
+        assert inst.owner is cell.mark
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_an_unchanged_child_is_written_back_again(mode):
+    # Logical table versions share their children, so only the native
+    # write-back may mark a child as owned: a logical mark would make the
+    # next version refuse the same child.
+    interp = fixture("""
+      (defstobj kid val)
+      (defstobj top (tbl :type (stobj-table)))
+      (defun same-kid (top)
+        (declare (xargs :stobjs (top)))
+        (stobj-let ((kid (tbl-get 'kid top (create-kid))))
+                   (kid) kid top))
+    """, mode=mode)
+    for _ in range(3):
+        interp.eval_text("(same-kid top)")
+    assert show(interp.bank["TOP"].logical_view()) == "(((KID NIL)))"
 
 
 def test_stored_child_does_not_reach_its_cell():
@@ -709,7 +747,7 @@ def test_stored_child_does_not_reach_its_cell():
     cell = stobj_table.TableCell({})
     spec = stobjs.StobjSpec("CHILD", [stobjs.FieldSpec("F", stobjs.SCALAR)])
     child = spec.fresh()
-    stobj_table.table_put(cell, intern("CHILD"), child, in_place=True)
+    stobj_table.table_put(cell, intern("CHILD"), child, own=True)
     seen = set()
     todo = [child]
     while todo:
