@@ -3,8 +3,7 @@ tables, and measured DO loops, executable along a pure logical path and
 a native in-place path that are kept observably equivalent."""
 
 from .errors import (CapExceeded, EvalError, GuardViolation, LinearityError,
-                     LispError, MeasureViolation, OwnershipError, ReadError,
-                     TranslateError)
+                     LispError, MeasureViolation, OwnershipError, ReadError)
 from .kernel import Interp
 from .sexpr import read, read_all, show
 
@@ -12,6 +11,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Interp", "read", "read_all", "show", "LispError", "ReadError",
-    "EvalError", "TranslateError", "GuardViolation", "MeasureViolation",
-    "CapExceeded", "OwnershipError", "LinearityError", "__version__",
+    "EvalError", "GuardViolation", "MeasureViolation", "CapExceeded",
+    "OwnershipError", "LinearityError", "__version__",
 ]

@@ -1,10 +1,12 @@
 """Command line front end.
 
-Subcommands: run (evaluate a file), repl, diff (evaluate under both
-execution modes and compare), check-constraints (load a file, then
-sample the scheduler contracts).  Exit codes: 0 ok, 1 evaluation or
-usage error, 2 divergence or property failure.  Every flag has an
-STLISP_* environment default; an explicit flag wins.
+Subcommands: run (evaluate a file), repl (commands :events, :ubt N and
+:q), diff (evaluate under both execution modes and compare),
+check-constraints (load a file, then sample the scheduler contracts).
+--mode fixes the one mode of a run, REPL session or check; diff is the
+way to compare the modes.  Exit codes: 0 ok, 1 evaluation or usage
+error, 2 divergence or property failure.  Every flag has an STLISP_*
+environment default; an explicit flag wins.
 """
 
 import argparse
@@ -252,15 +254,7 @@ def _repl_command(interp, line, out):
         out.write("; undid %d event%s\n" % (removed,
                                             "" if removed == 1 else "s"))
         return None
-    if cmd == ":MODE":
-        if len(parts) == 2 and parts[1] in ("logical", "native"):
-            interp.mode = parts[1]
-            out.write("; mode = %s\n" % parts[1])
-        else:
-            out.write("error: usage :mode logical|native\n")
-        return None
-    out.write("error: unknown command %s (try :events :ubt :mode :q)\n"
-              % parts[0])
+    out.write("error: unknown command %s (try :events :ubt :q)\n" % parts[0])
     return None
 
 

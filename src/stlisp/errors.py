@@ -31,10 +31,6 @@ class EvalError(LispError):
     """Evaluation failed: unbound variable, bad arity, misuse of a form."""
 
 
-class TranslateError(EvalError):
-    """A DO/FINALLY body does not fit the statement grammar."""
-
-
 class GuardViolation(EvalError):
     """A dynamic guard, type spec, or builtin precondition failed."""
 

@@ -17,7 +17,7 @@ from .errors import (EvalError, GuardViolation, LinearityError,
                      MeasureViolation)
 from .sexpr import (NIL, T, Cons, Env, MultiValue, Symbol, from_bool,
                     intern, show, truthy)
-from .stobjs import (DO_ONLY_HEADS, EVENT_HEADS, FOLLOW, POLY,
+from .stobjs import (DO_ONLY_HEADS, EVENT_HEADS, FOLLOW, LETSTAR, POLY,
                      STOBJ_LET_ONLY, GeneratedOp, Poison, StobjInstance,
                      _cons_args, arity_error, bindable, generated_ops,
                      if_parts, let_parts, list_items, mv_let_parts, mv_parts,
@@ -363,28 +363,21 @@ def _sf_if(interp, form, env):
 
 
 def _sf_let(interp, form, env):
+    """LET and LET*: one frame.  A LET right-hand side runs in env; a
+    LET* one runs in the frame as it fills, so it sees the bindings
+    before it, as a WITH init does (loops.initial_bindings)."""
     bindings, body = let_parts(form)
     frame = {}
+    inner = Env(frame, env)
+    scope = inner if form.car is LETSTAR else env
     while bindings is not NIL:
         b = bindings.car
         name = b.car.name
-        val = interp.eval(b.cdr.car, env)
+        val = interp.eval(b.cdr.car, scope)
         interp.check_binding(name, val, form)
         frame[name] = val
         bindings = bindings.cdr
-    return interp.eval(body, Env(frame, env))
-
-
-def _sf_letstar(interp, form, env):
-    bindings, body = let_parts(form)
-    while bindings is not NIL:
-        b = bindings.car
-        name = b.car.name
-        val = interp.eval(b.cdr.car, env)
-        interp.check_binding(name, val, form)
-        env = Env({name: val}, env)
-        bindings = bindings.cdr
-    return interp.eval(body, env)
+    return interp.eval(body, inner)
 
 
 def _sf_mv(interp, form, env):
@@ -474,7 +467,7 @@ def _eval_builtin(b, interp, form, env):
 # and each builtin but the POLY one.  World.name_taken keeps every event
 # from binding a builtin's name, so no head found here is shadowed.
 _SPECIAL = {
-    "QUOTE": _sf_quote, "IF": _sf_if, "LET": _sf_let, "LET*": _sf_letstar,
+    "QUOTE": _sf_quote, "IF": _sf_if, "LET": _sf_let, "LET*": _sf_let,
     "MV": _sf_mv, "MV-LET": _sf_mv_let, "LOOP$": _sf_loop,
     "STOBJ-LET": _sf_stobj_let,
 }

@@ -25,7 +25,7 @@ runaway loop (measure or cap).
 
 from . import stobjs
 from .errors import (CapExceeded, EvalError, GuardViolation,
-                     MeasureViolation, TranslateError)
+                     MeasureViolation)
 from .stobjs import (MV, _cons_args, bindable, if_parts, let_pairs,
                      let_parts, list_items, mv_let_parts, mv_parts)
 from .sexpr import (NIL, T, Cons, Env, MultiValue, Symbol, from_pylist,
@@ -90,7 +90,7 @@ class LoopSpec:
 
 
 def parse_loop(form, world):
-    items = list_items(form, "loop$ form", form, TranslateError)
+    items = list_items(form, "loop$ form", form)
     spec = LoopSpec(form)
     if len(items) >= 2 and items[1] is FOR:
         return _parse_for(spec, items)
@@ -101,19 +101,17 @@ def _parse_for(spec, items):
     # (loop$ FOR v IN range SUM|COLLECT body)
     spec.kind = "FOR"
     if len(items) != 7:
-        raise TranslateError("a FOR loop$ is (loop$ FOR v IN range "
-                             "SUM|COLLECT body)", form=spec.form)
+        raise EvalError("a FOR loop$ is (loop$ FOR v IN range "
+                        "SUM|COLLECT body)", form=spec.form)
     var = items[2]
     if not isinstance(var, Symbol) or var is NIL or var is T \
             or is_keyword(var):
-        raise TranslateError("bad FOR variable %s" % show(var),
-                             form=spec.form)
+        raise EvalError("bad FOR variable %s" % show(var), form=spec.form)
     if items[3] is not IN:
-        raise TranslateError("expected IN after the FOR variable",
-                             form=spec.form)
+        raise EvalError("expected IN after the FOR variable", form=spec.form)
     if items[5] not in (SUM, COLLECT):
-        raise TranslateError("FOR supports the SUM and COLLECT accumulators",
-                             form=spec.form)
+        raise EvalError("FOR supports the SUM and COLLECT accumulators",
+                        form=spec.form)
     spec.for_var = var
     spec.for_range = items[4]
     spec.for_acc = items[5].name
@@ -127,45 +125,43 @@ def _parse_do(spec, items, world):
     seen = set()
     while i < len(items) and items[i] is WITH:
         if i + 1 >= len(items) or not isinstance(items[i + 1], Symbol):
-            raise TranslateError("WITH needs a variable name", form=spec.form)
-        var = bindable(items[i + 1], "WITH variable", spec.form,
-                       TranslateError)
+            raise EvalError("WITH needs a variable name", form=spec.form)
+        var = bindable(items[i + 1], "WITH variable", spec.form)
         if world.stobj_spec(var.name) is not None:
-            raise TranslateError("WITH may not bind the stobj name %s; "
-                                 "stobjs enter a DO loop through :VALUES"
-                                 % var.name, form=spec.form)
+            raise EvalError("WITH may not bind the stobj name %s; "
+                            "stobjs enter a DO loop through :VALUES"
+                            % var.name, form=spec.form)
         if var.name in seen:
-            raise TranslateError("duplicate WITH variable %s" % var.name,
-                                 form=spec.form)
+            raise EvalError("duplicate WITH variable %s" % var.name,
+                            form=spec.form)
         seen.add(var.name)
         i += 2
         typ = None
         if i < len(items) and items[i] is OF_TYPE:
             if i + 1 >= len(items) or items[i + 1] not in (INTEGER, T):
-                raise TranslateError("OF-TYPE supports INTEGER and T only",
-                                     form=spec.form)
+                raise EvalError("OF-TYPE supports INTEGER and T only",
+                                form=spec.form)
             typ = items[i + 1].name
             i += 2
         init = None
         if i < len(items) and items[i] is EQUALS:
             if i + 1 >= len(items):
-                raise TranslateError("WITH %s = needs a value" % var.name,
-                                     form=spec.form)
+                raise EvalError("WITH %s = needs a value" % var.name,
+                                form=spec.form)
             init = items[i + 1]
             i += 2
         spec.withs.append((var.name, typ, init))
     if i >= len(items) or items[i] is not DO:
-        raise TranslateError("expected DO after the WITH clauses",
-                             form=spec.form)
+        raise EvalError("expected DO after the WITH clauses", form=spec.form)
     i += 1
     seen_kw = set()
     while i < len(items) and items[i] in (K_VALUES, K_MEASURE, K_GUARD):
         kw = items[i]
         if kw.name in seen_kw:
-            raise TranslateError("duplicate %s" % kw.name, form=spec.form)
+            raise EvalError("duplicate %s" % kw.name, form=spec.form)
         seen_kw.add(kw.name)
         if i + 1 >= len(items):
-            raise TranslateError("%s needs a value" % kw.name, form=spec.form)
+            raise EvalError("%s needs a value" % kw.name, form=spec.form)
         arg = items[i + 1]
         if kw is K_MEASURE:
             spec.measure_form = arg
@@ -175,36 +171,35 @@ def _parse_do(spec, items, world):
             spec.values = _parse_values(arg, spec, world)
         i += 2
     if i >= len(items):
-        raise TranslateError("DO loop has no body", form=spec.form)
+        raise EvalError("DO loop has no body", form=spec.form)
     spec.do_body = items[i]
     i += 1
     if i < len(items):
         if items[i] is not FINALLY or i + 1 >= len(items):
-            raise TranslateError("expected FINALLY and a body after the DO "
-                                 "body", form=spec.form)
+            raise EvalError("expected FINALLY and a body after the DO "
+                            "body", form=spec.form)
         spec.finally_body = items[i + 1]
         i += 2
     if i != len(items):
-        raise TranslateError("unexpected trailing forms in loop$",
-                             form=spec.form)
+        raise EvalError("unexpected trailing forms in loop$", form=spec.form)
     return spec
 
 
 def _parse_values(arg, spec, world):
     slots = []
-    for x in list_items(arg, ":VALUES", spec.form, TranslateError):
+    for x in list_items(arg, ":VALUES", spec.form):
         if x is NIL:
             slots.append(None)
         elif isinstance(x, Symbol) and world.stobj_spec(x.name) is not None:
             if x.name in [s for s in slots if s]:
-                raise TranslateError("stobj %s appears twice in :VALUES"
-                                     % x.name, form=spec.form)
+                raise EvalError("stobj %s appears twice in :VALUES"
+                                % x.name, form=spec.form)
             slots.append(x.name)
         else:
-            raise TranslateError(":VALUES entries must be NIL or a defined "
-                                 "stobj, got %s" % show(x), form=spec.form)
+            raise EvalError(":VALUES entries must be NIL or a defined "
+                            "stobj, got %s" % show(x), form=spec.form)
     if not slots:
-        raise TranslateError(":VALUES may not be empty", form=spec.form)
+        raise EvalError(":VALUES may not be empty", form=spec.form)
     return tuple(slots)
 
 
@@ -244,7 +239,7 @@ def make_do_plan(spec, world):
         spec.finally_tree = _Parser(spec.settables, spec.values,
                                     finally_mode=True).stmt(spec.finally_body)
     elif parser.saw_loop_finish and spec.value_stobjs:
-        raise TranslateError(
+        raise EvalError(
             "LOOP-FINISH without a FINALLY clause cannot produce the stobjs "
             "named in :VALUES", form=spec.form)
     if spec.measure_form is None:
@@ -272,11 +267,11 @@ class _Parser:
         name = s.car.name if isinstance(s, Cons) \
             and isinstance(s.car, Symbol) else None
         if name == "IF":
-            test, then, els = if_parts(s, TranslateError)
+            test, then, els = if_parts(s)
             return ("if", test, self.stmt(then, effect),
                     FALL if els is None else self.stmt(els, effect), s)
         if name == "PROGN":
-            items = _cons_args(s, error=TranslateError)
+            items = _cons_args(s)
             if not items:
                 return FALL
             effects = [self.stmt(x, True) for x in items[:-1]]
@@ -286,68 +281,66 @@ class _Parser:
                 last = FALL
             return ("seq", tuple(effects), last) if effects else last
         if name == "SETQ":
-            args = _cons_args(s, error=TranslateError)
+            args = _cons_args(s)
             if len(args) != 2 or not isinstance(args[0], Symbol):
-                raise TranslateError("SETQ takes a variable and a value: %s"
-                                     % show(s), form=s)
+                raise EvalError("SETQ takes a variable and a value: %s"
+                                % show(s), form=s)
             var = args[0].name
             if var not in self.settables:
-                raise TranslateError(
+                raise EvalError(
                     "SETQ target %s is not settable (settable variables "
                     "here: %s)" % (var, " ".join(self.settables) or "none"),
                     form=s)
             self.steps.setdefault(var, []).append(args[1])
             return ("setq", (var,), args[1], s)
         if name == "MV-SETQ":
-            args = _cons_args(s, error=TranslateError)
+            args = _cons_args(s)
             if len(args) != 2:
-                raise TranslateError("MV-SETQ takes a variable list and a "
-                                     "form", form=s)
-            vars_ = list_items(args[0], "MV-SETQ variables", s,
-                               TranslateError)
+                raise EvalError("MV-SETQ takes a variable list and a "
+                                "form", form=s)
+            vars_ = list_items(args[0], "MV-SETQ variables", s)
             if len(vars_) < 2 or not all(isinstance(v, Symbol)
                                          for v in vars_):
-                raise TranslateError("MV-SETQ needs two or more variables",
-                                     form=s)
+                raise EvalError("MV-SETQ needs two or more variables", form=s)
             names = tuple(v.name for v in vars_)
             if len(set(names)) != len(names):
-                raise TranslateError("duplicate MV-SETQ target in %s"
-                                     % show(s), form=s)
+                raise EvalError("duplicate MV-SETQ target in %s"
+                                % show(s), form=s)
             for n in names:
                 if n not in self.settables:
-                    raise TranslateError(
+                    raise EvalError(
                         "MV-SETQ target %s is not settable" % n, form=s)
                 self.steps.setdefault(n, []).append(None)
             return ("mv-setq", names, args[1], s)
         if effect:
             if name in ("RETURN", "LOOP-FINISH"):
-                raise TranslateError(
+                raise EvalError(
                     "%s must be the final form of its PROGN" % name, form=s)
             if name in ("LET", "LET*", "MV-LET"):
-                raise TranslateError(
+                raise EvalError(
                     "a %s before the end of a PROGN has no effect on the "
                     "settable variables; bind locals around the whole PROGN "
                     "instead" % name, form=s)
-            raise TranslateError(
+            raise EvalError(
                 "only SETQ, MV-SETQ, IF, and PROGN may precede the final "
                 "form of a PROGN, got %s" % show(s), form=s)
         if name is None:
             if isinstance(s, (int, str)):
                 return FALL
             if not isinstance(s, Symbol):
-                raise TranslateError("not a DO-body statement: %s" % show(s),
-                                     form=s)
+                raise EvalError("not a DO-body statement: %s" % show(s),
+                                form=s)
             if s is NIL or s is T or is_keyword(s):
                 return FALL
-            raise TranslateError(
+            raise EvalError(
                 "a bare variable is not a statement in a DO body: %s"
                 % show(s), form=s)
         if name in ("LET", "LET*"):
-            bindings, body = let_parts(s, TranslateError)
+            bindings, body = let_parts(s)
             pairs = let_pairs(bindings)
             for var, _rhs in pairs:
                 if var.name in self.settables:
-                    raise TranslateError(
+                    raise EvalError(
                         "a statement-position %s may not rebind the settable "
                         "variable %s; use SETQ" % (name, var.name), form=s)
             body = self.stmt(body)
@@ -358,49 +351,49 @@ class _Parser:
                 body = ("let", (var.name,), (rhs,), body, s)
             return body
         if name == "MV-LET":
-            vars_, rhs, body = mv_let_parts(s, TranslateError)
+            vars_, rhs, body = mv_let_parts(s)
             names = tuple(v.name for v in iter_conses(vars_))
             for n in names:
                 if n in self.settables:
-                    raise TranslateError(
+                    raise EvalError(
                         "a statement-position MV-LET may not rebind the "
                         "settable variable %s; use MV-SETQ" % n, form=s)
             return ("mv-let", names, rhs, self.stmt(body), s)
         if name == "RETURN":
-            args = _cons_args(s, error=TranslateError)
+            args = _cons_args(s)
             if len(args) != 1:
-                raise TranslateError("RETURN takes exactly one form", form=s)
+                raise EvalError("RETURN takes exactly one form", form=s)
             e, sig = args[0], self.values
             mv = isinstance(e, Cons) and e.car is MV
             if len(sig) == 1 and mv:
-                raise TranslateError("RETURN of multiple values requires a "
-                                     ":VALUES signature", form=s)
+                raise EvalError("RETURN of multiple values requires a "
+                                ":VALUES signature", form=s)
             if len(sig) > 1:
                 if not mv:
-                    raise TranslateError(
+                    raise EvalError(
                         "with :VALUES of length %d, RETURN needs a literal "
                         "(MV ..) of that arity" % len(sig), form=s)
-                comps = list(iter_conses(mv_parts(e, TranslateError)))
+                comps = list(iter_conses(mv_parts(e)))
                 if len(comps) != len(sig):
-                    raise TranslateError(
+                    raise EvalError(
                         "RETURN supplies %d values for %d :VALUES slots"
                         % (len(comps), len(sig)), form=s)
                 for slot, comp in zip(sig, comps):
                     if slot is not None and not (isinstance(comp, Symbol)
                                                  and comp.name == slot):
-                        raise TranslateError(
+                        raise EvalError(
                             "this RETURN slot must be the stobj %s, got %s"
                             % (slot, show(comp)), form=s)
             return ("return", e, s)
         if name == "LOOP-FINISH":
-            if _cons_args(s, error=TranslateError):
-                raise TranslateError("LOOP-FINISH takes no arguments", form=s)
+            if _cons_args(s):
+                raise EvalError("LOOP-FINISH takes no arguments", form=s)
             if self.finally_mode:
-                raise TranslateError("LOOP-FINISH is not legal in a FINALLY "
-                                     "clause", form=s)
+                raise EvalError("LOOP-FINISH is not legal in a FINALLY "
+                                "clause", form=s)
             self.saw_loop_finish = True
             return FINISH
-        raise TranslateError(
+        raise EvalError(
             "%s is not a statement; a DO body is built from if/let/let*/"
             "mv-let/progn/setq/mv-setq/return/loop-finish" % show(s), form=s)
 
@@ -420,7 +413,7 @@ def guess_measure(spec, steps):
             candidates.append(from_pylist([LEN, intern(name)]))
     if len(candidates) == 1:
         return candidates[0]
-    raise TranslateError(
+    raise EvalError(
         "cannot guess a :MEASURE for this DO loop (no single WITH variable "
         "is stepped only by 1-/-/cdr of itself); supply :MEASURE",
         form=spec.form)

@@ -166,7 +166,7 @@ def _nfix(v):
     return v if isinstance(v, int) and v >= 0 else 0
 
 
-def check_constraints(interp, seed=0, trials=1000, state_generator=None):
+def check_constraints(interp, seed=0, trials=1000):
     """Sample the four scheduler contracts over randomized states."""
     world = interp.world
     for name in ("PROC-IDS", "PICK", "READY", "EXEC", "RANK"):
@@ -188,19 +188,18 @@ def check_constraints(interp, seed=0, trials=1000, state_generator=None):
     def pick_id():
         return ids[rng.randrange(len(ids))]
 
-    if state_generator is None:
-        def state_generator(rng):
-            st = spec.fresh()
-            for _ in range(rng.randrange(7)):
-                st = interp.call("EXEC", [pick_id(), st])
-            return st
+    def random_state():
+        st = spec.fresh()
+        for _ in range(rng.randrange(7)):
+            st = interp.call("EXEC", [pick_id(), st])
+        return st
 
     report = ConstraintReport(seed, trials)
     for trial in range(trials):
         p = pick_id()
         q = pick_id()
 
-        st = state_generator(rng)
+        st = random_state()
         r = interp.call("RANK", [p, st])
         report.checked["rank-is-natural"] += 1
         if not (isinstance(r, int) and r >= 0):
@@ -209,7 +208,7 @@ def check_constraints(interp, seed=0, trials=1000, state_generator=None):
                         % (trial, show(p), show(r),
                            show(st.logical_view())))
 
-        st = state_generator(rng)
+        st = random_state()
         pk = interp.call("PICK", [st])
         report.checked["pick-is-proc-id"] += 1
         if not any(sexpr.equal(pk, i) for i in ids):
@@ -217,7 +216,7 @@ def check_constraints(interp, seed=0, trials=1000, state_generator=None):
                         "trial %d: (pick st) = %s is not a proc-id, st = %s"
                         % (trial, show(pk), show(st.logical_view())))
 
-        st = state_generator(rng)
+        st = random_state()
         before = _nfix(interp.call("RANK", [p, st]))
         st2 = interp.call("EXEC", [q, st])
         after = _nfix(interp.call("RANK", [p, st2]))
@@ -228,7 +227,7 @@ def check_constraints(interp, seed=0, trials=1000, state_generator=None):
                         "(exec %s st)" % (trial, show(p), before, after,
                                           show(q)))
 
-        st = state_generator(rng)
+        st = random_state()
         if truthy(interp.call("READY", [p, st])):
             before = _nfix(interp.call("RANK", [p, st]))
             st2 = interp.call("EXEC", [p, st])

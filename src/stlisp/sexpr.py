@@ -66,8 +66,10 @@ class MultiValue:
 
 
 class Env:
-    """Chained lexical scope.  Frames are never mutated after binding,
-    except a DO loop's frame of settables, which its executor owns."""
+    """Chained lexical scope.  A frame is never mutated after binding,
+    except a DO loop's frame of settables, which its executor owns.  A
+    LET* frame, like a DO loop's, fills while it binds: each right-hand
+    side runs in it and sees the bindings before its own."""
 
     __slots__ = ("vars", "parent")
 

@@ -36,7 +36,10 @@ def table_put(cell, key, child, own):
     """Store child under key in cell, in place.  An owning store marks
     child as held by cell and refuses a child that another cell holds.
     Only a live cell, written in place, owns its children: a logical
-    table version shares them with the versions before it."""
+    table version shares them with the versions before it.  Invariant:
+    an interpreter keeps the mode it was built with, so a logical one
+    never marks a child and a native one stores only into live cells;
+    a child's mark is that of the one live cell that holds it."""
     if own:
         if child.owner is not None and child.owner is not cell.mark:
             raise OwnershipError(

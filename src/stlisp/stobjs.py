@@ -930,20 +930,20 @@ class Analyzer:
         return self.world.callee(name, nargs)[1:]
 
 
-def list_items(v, what, form, error=EvalError):
+def list_items(v, what, form):
     """The elements of the proper list v, read from source as part of
-    form; raises error naming form when v is not a proper list."""
+    form; raises EvalError naming form when v is not a proper list."""
     out = []
     while isinstance(v, Cons):
         out.append(v.car)
         v = v.cdr
     if v is not NIL:
-        raise error("%s is not a proper list" % what, form=form)
+        raise EvalError("%s is not a proper list" % what, form=form)
     return out
 
 
-def _cons_args(expr, what="argument list", error=EvalError):
-    return list_items(expr.cdr, what, expr, error)
+def _cons_args(expr, what="argument list"):
+    return list_items(expr.cdr, what, expr)
 
 
 def _proper_length(v):
@@ -969,11 +969,11 @@ def arity_error(name, got, lo, hi, form=None):
                     form=form)
 
 
-def bindable(var, what, form, error=EvalError):
+def bindable(var, what, form):
     """var, unless it is NIL, T or a keyword, which name constants and so
-    may never be bound; then error naming what binds it and form."""
+    may never be bound; then EvalError naming what binds it and form."""
     if var is NIL or var is T or sexpr.is_keyword(var):
-        raise error("bad %s %s" % (what, var.name), form=form)
+        raise EvalError("bad %s %s" % (what, var.name), form=form)
     return var
 
 
@@ -1000,23 +1000,23 @@ DO_ONLY_HEADS = frozenset(("PROGN", "SETQ", "MV-SETQ", "RETURN",
 EVENT_HEADS = frozenset(("DEFUN", "DEFSTOBJ", "ENCAPSULATE", "DEFATTACH"))
 
 # One parser per special form, shared by the evaluator, the analyzer and
-# the DO-body parser (which passes TranslateError), so all three accept
-# the same forms and reject the rest with the same text.  Each reads a
-# well-formed form in place; a malformed one is listed by _cons_args, so
-# a dotted form raises that error before any count check.  A name is
-# tested as bindable does, inline, so a good name costs no call.
+# the DO-body parser, so all three accept the same forms and reject the
+# rest with the same EvalError and text.  Each reads a well-formed form
+# in place; a malformed one is listed by _cons_args, so a dotted form
+# raises that error before any count check.  A name is tested as
+# bindable does, inline, so a good name costs no call.
 
 
-def quote_parts(form, error=EvalError):
+def quote_parts(form):
     """(QUOTE x) -> x."""
     a = form.cdr
     if isinstance(a, Cons) and a.cdr is NIL:
         return a.car
-    _cons_args(form, error=error)
-    raise error("QUOTE takes one argument", form=form)
+    _cons_args(form)
+    raise EvalError("QUOTE takes one argument", form=form)
 
 
-def if_parts(form, error=EvalError):
+def if_parts(form):
     """(IF test then [else]) -> (test, then, else), else None if absent."""
     a = form.cdr
     if isinstance(a, Cons):
@@ -1027,20 +1027,20 @@ def if_parts(form, error=EvalError):
                 return a.car, b.car, None
             if isinstance(c, Cons) and c.cdr is NIL:
                 return a.car, b.car, c.car
-    _cons_args(form, error=error)
-    raise error("IF takes a test and one or two branches", form=form)
+    _cons_args(form)
+    raise EvalError("IF takes a test and one or two branches", form=form)
 
 
-def let_parts(form, error=EvalError):
+def let_parts(form):
     """(LET|LET* ((var rhs) ..) [declare ..] body) -> (bindings, body),
     bindings the checked spine of (var rhs) lists, with distinct vars in
     a LET; see let_pairs."""
     a = form.cdr
     body = _one_body(a.cdr) if isinstance(a, Cons) else None
     if body is None:
-        _cons_args(form, error=error)
-        raise error("%s takes bindings and a single body form"
-                    % form.car.name, form=form)
+        _cons_args(form)
+        raise EvalError("%s takes bindings and a single body form"
+                        % form.car.name, form=form)
     bindings = rest = a.car
     while isinstance(rest, Cons):
         b = rest.car
@@ -1049,15 +1049,15 @@ def let_parts(form, error=EvalError):
             break
         var = b.car
         if var is NIL or var is T or var.name[:1] == ":":
-            bindable(var, form.car.name + " variable", form, error)
+            bindable(var, form.car.name + " variable", form)
         seen = bindings if form.car is LET else rest  # LET* may shadow
         while seen is not rest and seen.car.car is not var:
             seen = seen.cdr
         if seen is not rest:
-            raise error("duplicate LET variable %s" % var.name, form=form)
+            raise EvalError("duplicate LET variable %s" % var.name, form=form)
         rest = rest.cdr
     if rest is not NIL:
-        raise error("malformed %s bindings" % form.car.name, form=form)
+        raise EvalError("malformed %s bindings" % form.car.name, form=form)
     return bindings, body
 
 
@@ -1066,39 +1066,41 @@ def let_pairs(bindings):
     return [(b.car, b.cdr.car) for b in sexpr.iter_conses(bindings)]
 
 
-def mv_parts(form, error=EvalError):
+def mv_parts(form):
     """(MV x y ..) -> the spine of x y .., two or more forms."""
     if _proper_length(form.cdr) >= 2:
         return form.cdr
-    _cons_args(form, error=error)
-    raise error("MV needs at least two values", form=form)
+    _cons_args(form)
+    raise EvalError("MV needs at least two values", form=form)
 
 
-def mv_let_parts(form, error=EvalError):
+def mv_let_parts(form):
     """(MV-LET (var var ..) rhs [declare ..] body) -> (vars, rhs, body),
     vars the checked spine of two or more distinct names."""
     a = form.cdr
     b = a.cdr if isinstance(a, Cons) else None
     body = _one_body(b.cdr) if isinstance(b, Cons) else None
     if body is None:
-        _cons_args(form, error=error)
-        raise error("MV-LET takes variables, a form, and a body", form=form)
+        _cons_args(form)
+        raise EvalError("MV-LET takes variables, a form, and a body",
+                        form=form)
     vars_, rhs = a.car, b.car
     n = 0
     rest = vars_
     while isinstance(rest, Cons) and isinstance(rest.car, Symbol):
         var = rest.car
         if var is NIL or var is T or var.name[:1] == ":":
-            bindable(var, "MV-LET variable", form, error)
+            bindable(var, "MV-LET variable", form)
         seen = vars_
         while seen is not rest and seen.car is not var:
             seen = seen.cdr
         if seen is not rest:
-            raise error("duplicate MV-LET variable %s" % var.name, form=form)
+            raise EvalError("duplicate MV-LET variable %s" % var.name,
+                            form=form)
         n += 1
         rest = rest.cdr
     if rest is not NIL or n < 2:
-        raise error("MV-LET needs two or more variable names", form=form)
+        raise EvalError("MV-LET needs two or more variable names", form=form)
     return vars_, rhs, body
 
 

@@ -7,8 +7,7 @@ that may never be bound; deep recursion and deep values."""
 import pytest
 
 from stlisp import kernel, loops, refinement, sexpr, stobjs
-from stlisp.errors import (EvalError, GuardViolation, LinearityError,
-                           TranslateError)
+from stlisp.errors import EvalError, GuardViolation, LinearityError
 from stlisp.kernel import Interp
 from stlisp.sexpr import NIL, T, Cons, intern, read, show
 
@@ -143,6 +142,9 @@ FAILING = [
      "G takes 1 argument, got 0 in (APPLY$ (QUOTE G) (QUOTE NIL))"),
     ("(apply$ 'nosuch '(1))", EvalError,
      "undefined function NOSUCH in (APPLY$ (QUOTE NOSUCH) (QUOTE (1)))"),
+    ("(apply$ 'val '(5))", EvalError,
+     "VAL expects the stobj ST in this position "
+     "in (APPLY$ (QUOTE VAL) (QUOTE (5)))"),
     ("(f 1)", EvalError, "constrained function F has no attachment in (F 1)"),
 ]
 
@@ -215,6 +217,30 @@ EVALUATED = [
      "(if (zp i) (return (mv i st)) (progn (setq st i) (setq i (1- i)))))",
      EvalError,
      "stobj name ST may not be bound to an ordinary value in (SETQ ST I)"),
+    ("(loop$ with i = 1 with j = 0 do :measure (nfix i) "
+     "(if (zp i) (return j) (mv-setq (i j) 0)))", EvalError,
+     "MV-SETQ expected 2 values in (MV-SETQ (I J) 0)"),
+    # the parser rejects only a literal (MV ..) under RETURN
+    ("(loop$ with i = 0 do :measure (nfix i) "
+     "(return (if (zp i) (mv i i) i)))", EvalError,
+     "this DO loop returns a single value in (LOOP$ WITH I = 0 DO "
+     ":MEASURE (NFIX I) (RETURN (IF (ZP I) (MV I I) I)))"),
+    ("(loop$ for x in '(1 2) collect (mv x x))", EvalError,
+     "bad value under COLLECT in (LOOP$ FOR X IN (QUOTE (1 2)) "
+     "COLLECT (MV X X))"),
+    ("(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
+     "(switch flg) 5 top)", EvalError,
+     "stobj-let producer returned 1 values for 2 outputs in (STOBJ-LET "
+     "((SWITCH (TBL-GET (QUOTE SWITCH) TOP (CREATE-SWITCH)))) "
+     "(SWITCH FLG) 5 TOP)"),
+    ("(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
+     "(switch) 5 top)", EvalError,
+     "stobj-let output SWITCH does not satisfy the recognizer for its key "
+     "in (STOBJ-LET ((SWITCH (TBL-GET (QUOTE SWITCH) TOP "
+     "(CREATE-SWITCH)))) (SWITCH) 5 TOP)"),
+    ("(report-completion-or-error-and-return 'a 5)", EvalError,
+     "REPORT-COMPLETION-OR-ERROR-AND-RETURN expects a live stobj argument "
+     "in (REPORT-COMPLETION-OR-ERROR-AND-RETURN (QUOTE A) 5)"),
 ]
 
 
@@ -419,12 +445,13 @@ def test_constant_names_may_not_be_bound(mode, text, cls, message):
     assert failure(prelude(mode), text) == (cls, message)
 
 
-def test_do_body_binding_of_a_constant_is_a_translate_error():
+def test_do_body_binding_of_a_constant_is_an_eval_error():
     interp = Interp()
     form = read("(loop$ with x = 0 do (mv-let (a nil) (mv 1 2) (return a)))")
     spec = loops.parse_loop(form, interp.world)
-    with pytest.raises(TranslateError) as exc:
+    with pytest.raises(EvalError) as exc:
         loops.make_do_plan(spec, interp.world)
+    assert type(exc.value) is EvalError
     assert str(exc.value) == ("bad MV-LET variable NIL in "
                               "(MV-LET (A NIL) (MV 1 2) (RETURN A))")
 

@@ -446,11 +446,35 @@ def test_repl_ubt():
     assert "error: no event has index 9" in out
 
 
-def test_repl_mode_switch():
-    code, out = repl(":mode native\n(+ 1 2)\n:mode bogus\n:q\n")
-    assert "; mode = native" in out
-    assert "3\n" in out
-    assert "error: usage :mode logical|native" in out
+def test_repl_mode_command_is_unknown():
+    # a session keeps the mode it starts in: the runaway loop still
+    # fails its measure, as only the logical path checks one
+    code, out = repl(":mode native\n(loop$ with x = 0 do :measure (nfix x) "
+                     "(setq x x))\n:q\n", argv=["--cap", "100"])
+    assert "error: unknown command :mode (try :events :ubt :q)" in out
+    assert "failed to decrease at iteration 1" in out
+    assert "iteration cap" not in out
+
+
+# each write-back stores the child back into the table it was bound from;
+# once a REPL could switch modes between the second and third forms, and
+# the third then failed a false ownership check
+KID = "(stobj-let ((kid (tbl-get 'kid top (create-kid)))) "
+TABLE_WRITE_BACKS = "".join([
+    "(defstobj kid fld)\n",
+    "(defstobj top (tbl :type (stobj-table)))\n",
+    KID + "(kid) (update-fld 1 kid) top)\n",
+    KID + "(kid) kid top)\n",
+    KID + "(kid) (update-fld 3 kid) top)\n",
+    KID + "(v) (fld kid) v)\n",
+])
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_repl_stobj_table_write_backs(mode):
+    code, out = repl(TABLE_WRITE_BACKS, argv=["--mode", mode])
+    assert code == 0
+    assert out == "> KID\n> TOP\n" + "> <TOP>\n" * 3 + "> 3\n> \n"
 
 
 def test_repl_unknown_command():

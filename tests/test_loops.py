@@ -11,7 +11,7 @@ from hypothesis import given, seed, settings, strategies as hs
 from conftest import count_calls
 from stlisp import cli, loops, sexpr, stobjs
 from stlisp.errors import (CapExceeded, EvalError, GuardViolation,
-                           LinearityError, MeasureViolation, TranslateError)
+                           LinearityError, MeasureViolation)
 from stlisp.kernel import Interp
 from stlisp.loops import OfTypeViolation, l_less, lex_fix, lex_show
 from stlisp.sexpr import NIL, T, MultiValue, intern, read, show
@@ -111,20 +111,18 @@ def test_guess_measure_numeric_and_cdr_steps():
 
 
 def test_guess_measure_counting_up_fails():
-    with pytest.raises(TranslateError) as exc:
-        guess("(loop$ with i = 0 do (if (= i 5) (return i) "
-              "(setq i (1+ i))))")
-    assert "cannot guess a :MEASURE" in str(exc.value)
+    assert "cannot guess a :MEASURE" in plan_error(
+        "(loop$ with i = 0 do (if (= i 5) (return i) (setq i (1+ i))))")
 
 
 def test_guess_measure_needs_exactly_one_candidate():
     # two stepped candidates
-    with pytest.raises(TranslateError):
-        guess("(loop$ with i = 5 with j = 5 do (if (zp i) (return j) "
-              "(progn (setq i (1- i)) (setq j (1- j)))))")
+    assert "cannot guess a :MEASURE" in plan_error(
+        "(loop$ with i = 5 with j = 5 do (if (zp i) (return j) "
+        "(progn (setq i (1- i)) (setq j (1- j)))))")
     # no candidates at all
-    with pytest.raises(TranslateError):
-        guess("(loop$ with x = 0 do (return x))")
+    assert "cannot guess a :MEASURE" in plan_error(
+        "(loop$ with x = 0 do (return x))")
 
 
 def test_guess_measure_skips_mv_setq_targets():
@@ -133,15 +131,15 @@ def test_guess_measure_skips_mv_setq_targets():
                  "(if (zp n) (return a) (progn (mv-setq (a b) "
                  "(mv b (+ a b))) (setq n (1- n)))))") == "(NFIX N)"
     # the same pair without a simple companion is not guessable
-    with pytest.raises(TranslateError):
-        guess("(loop$ with a = 0 with b = 1 do (if (< 100 a) (return a) "
-              "(mv-setq (a b) (mv b (+ a b)))))")
+    assert "cannot guess a :MEASURE" in plan_error(
+        "(loop$ with a = 0 with b = 1 do (if (< 100 a) (return a) "
+        "(mv-setq (a b) (mv b (+ a b)))))")
 
 
 def test_guessed_measure_mixed_step_kinds_disqualify():
-    with pytest.raises(TranslateError):
-        guess("(loop$ with i = 5 do (if (zp i) (return 0) "
-              "(if (consp i) (setq i (cdr i)) (setq i (1- i)))))")
+    assert "cannot guess a :MEASURE" in plan_error(
+        "(loop$ with i = 5 do (if (zp i) (return 0) "
+        "(if (consp i) (setq i (cdr i)) (setq i (1- i)))))")
 
 
 # ----------------------------------------------------------- grammar errors
@@ -149,14 +147,16 @@ def test_guessed_measure_mixed_step_kinds_disqualify():
 def plan_error(text, world=None):
     w = world or Interp().world
     spec = loops.parse_loop(read(text), w)
-    with pytest.raises(TranslateError) as exc:
+    with pytest.raises(EvalError) as exc:
         loops.make_do_plan(spec, w)
+    assert type(exc.value) is EvalError
     return str(exc.value)
 
 
 def parse_error(text, world=None):
-    with pytest.raises(TranslateError) as exc:
+    with pytest.raises(EvalError) as exc:
         loops.parse_loop(read(text), world or Interp().world)
+    assert type(exc.value) is EvalError
     return str(exc.value)
 
 

@@ -416,21 +416,3 @@ def test_check_constraints_rejects_empty_proc_ids():
     with pytest.raises(EvalError) as exc:
         refinement.check_constraints(interp, trials=1)
     assert "PROC-IDS returned an empty list" in str(exc.value)
-
-
-def test_check_constraints_takes_a_state_generator():
-    interp = scheduler_interp()
-
-    def drained(rng):
-        st = interp.world.stobj_spec("ST").fresh()
-        st = interp.call("EXEC", [interp.eval_text("'proc1")[0][1], st])
-        st = interp.call("EXEC", [interp.eval_text("'proc1")[0][1], st])
-        st = interp.call("EXEC", [interp.eval_text("'proc2")[0][1], st])
-        return st
-
-    report = refinement.check_constraints(interp, seed=0, trials=25,
-                                          state_generator=drained)
-    assert report.ok()
-    # nothing is ever ready in a drained state
-    assert report.checked["exec-rank-reduces"] == 0
-    assert report.checked["rank-is-natural"] == 25
