@@ -204,10 +204,7 @@ def cmd_repl(args, out, inp=None):
     buf = ""
     while True:
         out.write("> " if not buf else ".. ")
-        try:
-            out.flush()
-        except AttributeError:
-            pass
+        out.flush()
         line = inp.readline()
         if line == "":
             out.write("\n")

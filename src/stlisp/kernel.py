@@ -52,25 +52,16 @@ class World:
     def __init__(self):
         self.events = []
         self.next_index = 1
-        self.functions = {}
-        self.genops = {}
-        self.stobjs = {}
-        self.signatures = {}
-        self.attachments = {}
-        self.stobj_lets = {}  # stobj-let form -> StobjLetSpec
         # Equal formals and shape tuples of defuns, kept once: many small
         # defuns would otherwise each hold their own copies.
         self.shapes = {}
+        self.rebuild()
 
     def shared(self, shape):
         return self.shapes.setdefault(shape, shape)
 
     def stobj_spec(self, name):
         return self.stobjs.get(name)
-
-    def name_taken(self, name):
-        return (name in self.functions or name in self.genops
-                or name in self.signatures or name in BUILTINS)
 
     def callee(self, name, nargs, form=None):
         """(target, inputs, outputs) of a callable, checking arity.
@@ -126,7 +117,7 @@ class World:
         self.stobjs = {}
         self.signatures = {}
         self.attachments = {}
-        self.stobj_lets = {}
+        self.stobj_lets = {}  # stobj-let form -> StobjLetSpec
         for ev in self.events:
             self.register(ev)
 
@@ -301,15 +292,6 @@ def _bi_hons_assoc_equal(interp, args, form):
     return NIL
 
 
-def _bi_assoc_eq_safe(interp, args, form):
-    key, alist = args
-    for entry in sexpr.iter_conses(alist):
-        if isinstance(entry, Cons):
-            if entry.car is key or sexpr.equal(entry.car, key):
-                return entry
-    return NIL
-
-
 def _bi_apply(interp, args, form):
     fn, arglist = args
     call_args = list_items(arglist, "apply$ argument list", form)
@@ -332,7 +314,7 @@ for _name, _lo, _hi, _fn in [
         ("LEN", 1, 1, _bi_len), ("MEMBER-EQUAL", 2, 2, _bi_member_equal),
         ("TRUE-LIST-FIX", 1, 1, _bi_true_list_fix),
         ("HONS-ASSOC-EQUAL", 2, 2, _bi_hons_assoc_equal),
-        ("ASSOC-EQ-SAFE", 2, 2, _bi_assoc_eq_safe),
+        ("ASSOC-EQ-SAFE", 2, 2, _bi_hons_assoc_equal),
         ("APPLY$", 2, 2, _bi_apply)]:
     BUILTINS[_name] = Builtin(_name, _lo, _hi, _fn)
 
@@ -409,10 +391,7 @@ def _sf_mv_let(interp, form, env):
     return interp.eval(body, Env(frame, env))
 
 
-def _sf_loop(interp, form, env):
-    return loops.eval_loop(interp, form, env)
-
-
+# Looks stobjs.eval_stobj_let up on each call, so bench/tracer.py can wrap it.
 def _sf_stobj_let(interp, form, env):
     return stobjs.eval_stobj_let(interp, form, env)
 
@@ -464,11 +443,11 @@ def _eval_builtin(b, interp, form, env):
 
 # The handler of every head that is not sent through _eval_call, so such a
 # node makes one lookup: the special forms, the event and DO-only heads,
-# and each builtin but the POLY one.  World.name_taken keeps every event
-# from binding a builtin's name, so no head found here is shadowed.
+# and each builtin but the POLY one.  Interp._check_fresh keeps every
+# event from binding a builtin's name, so no head found here is shadowed.
 _SPECIAL = {
     "QUOTE": _sf_quote, "IF": _sf_if, "LET": _sf_let, "LET*": _sf_let,
-    "MV": _sf_mv, "MV-LET": _sf_mv_let, "LOOP$": _sf_loop,
+    "MV": _sf_mv, "MV-LET": _sf_mv_let, "LOOP$": loops.eval_loop,
     "STOBJ-LET": _sf_stobj_let,
 }
 _SPECIAL.update(dict.fromkeys(EVENT_HEADS, _sf_event))
@@ -536,7 +515,7 @@ class Interp:
         rejected before either mode runs them.  Returns the stobj-let
         parses that the check made (see stobjs.Analyzer.stobj_lets).
         """
-        analyzer = stobjs.Analyzer(self.world, raise_call_errors=True)
+        analyzer = stobjs.Analyzer(self.world)
         bound = set()
         for name in formals:
             live, bound = analyzer._bind_one(name, (None,), live, bound, form)
@@ -679,19 +658,11 @@ class Interp:
 
     ### stobj plumbing
 
-    def resolve_stobj(self, name, env, form):
-        e = env
-        while e is not None:
-            if name in e.vars:
-                v = e.vars[name]
-                if isinstance(v, Poison):
-                    raise EvalError(v % name, form=form)
-                break
-            e = e.parent
-        else:
-            v = self.bank.get(name)
-        if not (isinstance(v, StobjInstance) and v.spec.name == name):
-            raise EvalError("%s is not a live stobj here" % name, form=form)
+    def resolve_stobj(self, sym, env, form):
+        v = self.eval(sym, env)
+        if not (isinstance(v, StobjInstance) and v.spec.name == sym.name):
+            raise EvalError("%s is not a live stobj here" % sym.name,
+                            form=form)
         return v
 
     def latch(self, val):
@@ -727,7 +698,9 @@ class Interp:
         return self._defattach(form)
 
     def _check_fresh(self, name, form):
-        if self.world.name_taken(name) or self.world.stobj_spec(name):
+        w = self.world
+        if (name in BUILTINS or name in w.functions or name in w.genops
+                or name in w.signatures or name in w.stobjs):
             raise EvalError("the name %s is already in use" % name, form=form)
 
     def _defun(self, form):

@@ -496,8 +496,8 @@ def initial_bindings(interp, spec, env, form):
             raise EvalError("WITH %s may not be initialized to a stobj or "
                             "multiple values" % name, form=form)
         slots[name] = v
-    for sname in spec.value_stobjs:
-        slots[sname] = interp.resolve_stobj(sname, env, form)
+    for ssym in spec.settable_symbols[len(spec.withs):]:
+        slots[ssym.name] = interp.resolve_stobj(ssym, env, form)
     return slots
 
 

@@ -140,8 +140,7 @@ class ConstraintReport:
         self.failures = []
 
     def ok(self):
-        return not self.failures and all(v == 0
-                                         for v in self.failure_count.values())
+        return not self.failures
 
     def fail(self, contract, msg):
         self.failure_count[contract] += 1

@@ -71,13 +71,8 @@ class StobjSpec:
         self.single = len(self.fields) == 1
 
     def fresh(self):
-        return StobjInstance(self, [self._initial_cell(f) for f in self.fields])
-
-    @staticmethod
-    def _initial_cell(field):
-        if field.kind == TABLE:
-            return TableCell({})
-        return field.initial
+        return StobjInstance(self, [TableCell({}) if f.kind == TABLE
+                                    else f.initial for f in self.fields])
 
 
 class StobjInstance:
@@ -275,11 +270,7 @@ def recognizer_value(spec, x):
     # proper-list-ness are the whole check.
     if isinstance(x, StobjInstance):
         return from_bool(x.spec is spec)
-    n = 0
-    while isinstance(x, Cons):
-        n += 1
-        x = x.cdr
-    return from_bool(x is NIL and n == len(spec.fields))
+    return from_bool(_proper_length(x) == len(spec.fields))
 
 
 def _write(interp, inst, i, v):
@@ -435,7 +426,8 @@ def eval_stobj_let(interp, form, env):
         pname = parent_sym.name
         parent = parents.get(pname)
         if parent is None:
-            parent = parents[pname] = interp.resolve_stobj(pname, env, form)
+            parent = parents[pname] = interp.resolve_stobj(parent_sym, env,
+                                                           form)
         hit = parent.get_cell(op.findex).data.get(child)
         # A miss creates the default child; nothing else runs it.
         frame[child.name] = creator.spec.fresh() if hit is None else hit
@@ -481,8 +473,7 @@ def eval_stobj_let(interp, form, env):
 ### static single-threadedness analysis
 
 class Analyzer:
-    def __init__(self, world, fname=None, self_inputs=(), self_output=None,
-                 raise_call_errors=False):
+    def __init__(self, world, fname=None, self_inputs=(), self_output=None):
         self.world = world
         self.fname = fname
         self.self_inputs = self_inputs
@@ -497,10 +488,6 @@ class Analyzer:
         # statements: it bars statement heads there, and _free's text
         # names the scope and its settables
         self.loop_scope = None
-        # Top-level checking raises undefined-function and arity problems
-        # directly; inside a defun they are collected as violations so a
-        # bad definition reports everything at once.
-        self.raise_call_errors = raise_call_errors
 
     def err(self, rule, msg):
         text = "%s: %s" % (rule, msg)
@@ -576,7 +563,7 @@ class Analyzer:
                 expr.name, scope[0], " ".join(scope[1]) or "none")
         elif self.world.stobj_spec(expr.name) is not None:
             return False
-        elif self.raise_call_errors:
+        elif self.fname is None:
             raise EvalError("unbound variable %s" % expr.name, form=expr)
         else:
             text = "unbound variable %s" % expr.name
@@ -881,7 +868,10 @@ class Analyzer:
         try:
             inputs, outputs = self._shape_of(name, len(args))
         except EvalError as e:
-            if self.raise_call_errors:
+            # Top-level checking (no fname) raises undefined-function and
+            # arity problems directly; inside a defun they are collected
+            # as violations so a bad definition reports everything at once.
+            if self.fname is None:
                 raise EvalError(e.message, form=expr)
             self.err("R1", "%s in %s" % (e.message, show(expr)))
             for a in args:

@@ -2,8 +2,12 @@
 criterion here, and the terminal summary prints them as stable
 "criterion NN <name>: PASS|FAIL" lines; count_calls counts the calls of
 one function.  Hypothesis draws the same examples on every run: a test
-without its own @seed seeds them from a hash of the test function."""
+without its own @seed seeds them from a hash of the test function.  No
+STLISP_* variable of the caller's environment reaches a test."""
 
+import os
+
+import pytest
 from hypothesis import settings
 
 settings.register_profile("tier1", derandomize=True, database=None,
@@ -11,6 +15,13 @@ settings.register_profile("tier1", derandomize=True, database=None,
 settings.load_profile("tier1")
 
 CRITERIA_RESULTS = {}
+
+
+@pytest.fixture(autouse=True)
+def clean_env(monkeypatch):
+    for k in list(os.environ):
+        if k.startswith("STLISP_"):
+            monkeypatch.delenv(k)
 
 
 def record_criterion(number, name, verdict):

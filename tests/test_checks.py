@@ -156,6 +156,10 @@ def test_failing_check_text(mode, text, cls, message):
     assert failure(prelude(mode), text) == (cls, message)
 
 
+VALUES_TOP = "(loop$ with i = 0 do :measure (nfix i) :values (top) " \
+             "(return top))"
+PEEK_TOP = "(stobj-let ((switch (tbl-get 'switch top (create-switch)))) " \
+           "(switch) %s top)"
 POISONED = [
     ("(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
      "(flg) (tbl-count top) flg)",
@@ -169,12 +173,21 @@ POISONED = [
      "(switch) (update-fld t switch) (fld switch))",
      "SWITCH has been written back and is not available in the consumer "
      "in SWITCH"),
+    # a stobj-let parent and a :VALUES stobj, both read through eval
+    (PEEK_TOP % "(stobj-let ((st (tbl-get 'st top (create-st)))) (st) st "
+     "switch)",
+     "TOP is not available inside a stobj-let body that extracts from it "
+     "in TOP"),
+    (PEEK_TOP % VALUES_TOP,
+     "TOP is not available inside a stobj-let body that extracts from it "
+     "in TOP"),
 ]
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("text,message", POISONED,
-                         ids=["parent", "parent-builtin-arg", "child"])
+                         ids=["parent", "parent-builtin-arg", "child",
+                              "stobj-let-parent", "values-stobj"])
 def test_poison_text(mode, text, message):
     # The analyzer rejects each form; evaluating it directly reaches
     # the poisoned bindings, the runtime backstop.
@@ -307,6 +320,28 @@ SCOPE_POISONED = [
 def test_stobj_let_scope_poison(mode, text, message):
     with pytest.raises(EvalError) as exc:
         prelude(mode).eval(read(text), None)
+    assert type(exc.value) is EvalError
+    assert str(exc.value) == message
+
+
+# A stobj-let parent and a :VALUES stobj bound to a value that is not the
+# stobj: the text names the whole form.
+BOUND = [
+    (VALUES_TOP,
+     "TOP is not a live stobj here in (LOOP$ WITH I = 0 DO :MEASURE "
+     "(NFIX I) :VALUES (TOP) (RETURN TOP))"),
+    (PEEK_TOP % "(update-fld 1 switch)",
+     "TOP is not a live stobj here in (STOBJ-LET ((SWITCH (TBL-GET "
+     "(QUOTE SWITCH) TOP (CREATE-SWITCH)))) (SWITCH) (UPDATE-FLD 1 SWITCH) "
+     "TOP)"),
+]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("text,message", BOUND, ids=["values", "parent"])
+def test_stobj_bound_to_a_value_text(mode, text, message):
+    with pytest.raises(EvalError) as exc:
+        prelude(mode).eval(read(text), sexpr.Env({"TOP": 5}))
     assert type(exc.value) is EvalError
     assert str(exc.value) == message
 

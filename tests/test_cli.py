@@ -19,13 +19,6 @@ LOOPS_BASIC_TRANSCRIPT = ["30", "30", "ST", "(30 <ST>)", "(16 9 4 1)",
                           "30", "F", "30", "0"]
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    for k in list(os.environ):
-        if k.startswith("STLISP_"):
-            monkeypatch.delenv(k)
-
-
 def run_cli(capsys, argv):
     code = cli.main(argv)
     return code, capsys.readouterr().out
@@ -334,6 +327,25 @@ def test_check_constraints_eval_error(capsys, tmp_path):
     code, out = run_cli(capsys, ["check-constraints", str(f)])
     assert code == 1
     assert "error: check-constraints needs the PROC-IDS signature" in out
+
+
+def test_check_constraints_exec_without_a_stobj(capsys, tmp_path):
+    f = tmp_path / "no_stobj.lisp"
+    f.write_text("(encapsulate (((proc-ids) => *) ((pick *) => *)\n"
+                 "  ((ready * *) => *) ((exec * *) => *) ((rank * *) => *)))\n"
+                 "(defun my-ids () '(a b))\n"
+                 "(defun my-pick (s) 'a)\n"
+                 "(defun my-ready (p s) t)\n"
+                 "(defun my-exec (p s) s)\n"
+                 "(defun my-rank (p s) 0)\n"
+                 "(defattach proc-ids my-ids)\n"
+                 "(defattach pick my-pick)\n"
+                 "(defattach ready my-ready)\n"
+                 "(defattach exec my-exec)\n"
+                 "(defattach rank my-rank)\n")
+    code, out = run_cli(capsys, ["check-constraints", str(f)])
+    assert code == 1
+    assert out.splitlines()[-1] == "error: the EXEC signature takes no stobj"
 
 
 # ------------------------------------------------------ environment defaults
