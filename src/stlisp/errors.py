@@ -43,10 +43,6 @@ class CapExceeded(EvalError):
     """The native loop executor ran past the iteration cap."""
 
 
-class OwnershipError(EvalError):
-    """A live single-threaded object was reachable from two owners."""
-
-
 class LinearityError(EvalError):
     """Static single-threadedness check rejected a definition."""
 

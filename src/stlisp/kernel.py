@@ -17,11 +17,10 @@ from .errors import (EvalError, GuardViolation, LinearityError,
                      MeasureViolation)
 from .sexpr import (NIL, T, Cons, Env, MultiValue, Symbol, from_bool,
                     intern, show, truthy)
-from .stobjs import (DO_ONLY_HEADS, EVENT_HEADS, FOLLOW, LETSTAR, POLY,
-                     STOBJ_LET_ONLY, GeneratedOp, Poison, StobjInstance,
-                     _cons_args, arity_error, bindable, generated_ops,
-                     if_parts, let_parts, list_items, mv_let_parts, mv_parts,
-                     op_shape, quote_parts, value_check)
+from .stobjs import (EVENT_HEADS, FOLLOW, LETSTAR, POLY, STOBJ_LET_ONLY,
+                     GeneratedOp, StobjInstance, _cons_args, arity_error,
+                     bindable, generated_ops, if_parts, let_parts, list_items,
+                     mv_let_parts, mv_parts, op_shape, quote_parts)
 
 
 class FunctionDef:
@@ -295,9 +294,17 @@ def _bi_hons_assoc_equal(interp, args, form):
 def _bi_apply(interp, args, form):
     fn, arglist = args
     call_args = list_items(arglist, "apply$ argument list", form)
-    if isinstance(fn, Symbol):
-        return interp.call(fn.name, call_args, form=form)
-    return interp.apply_lambda(fn, call_args, form=form)
+    if not isinstance(fn, Symbol):
+        return interp.apply_lambda(fn, call_args, form=form)
+    target, inputs, outputs = interp.world.callee(fn.name, len(call_args),
+                                                  form)
+    # The badge: admission cannot see which function a symbol names, so
+    # APPLY$ calls only one that takes ordinary values and returns one.
+    if outputs != (None,) or any(slot is not None for slot in inputs):
+        raise EvalError("APPLY$ calls only a function of ordinary arguments "
+                        "that returns one ordinary value, not %s" % fn.name,
+                        form=form)
+    return interp._dispatch(target, call_args, form)
 
 
 BUILTINS = {}
@@ -334,10 +341,7 @@ def _sf_quote(interp, form, env):
 
 def _sf_if(interp, form, env):
     test, then, els = if_parts(form)
-    v = interp.eval(test, env)
-    if isinstance(v, (MultiValue, StobjInstance)):
-        value_check(v, "an IF test", form)
-    if v is not NIL:
+    if interp.eval(test, env) is not NIL:
         return interp.eval(then, env)
     if els is None:
         return NIL
@@ -354,39 +358,21 @@ def _sf_let(interp, form, env):
     scope = inner if form.car is LETSTAR else env
     while bindings is not NIL:
         b = bindings.car
-        name = b.car.name
-        val = interp.eval(b.cdr.car, scope)
-        interp.check_binding(name, val, form)
-        frame[name] = val
+        frame[b.car.name] = interp.eval(b.cdr.car, scope)
         bindings = bindings.cdr
     return interp.eval(body, inner)
 
 
 def _sf_mv(interp, form, env):
-    vals = []
-    node = mv_parts(form)
-    while node is not NIL:
-        v = interp.eval(node.car, env)
-        if isinstance(v, MultiValue):
-            raise EvalError("multiple values are not a single MV component",
-                            form=form)
-        vals.append(v)
-        node = node.cdr
-    return MultiValue(vals)
+    return MultiValue([interp.eval(x, env)
+                       for x in sexpr.iter_conses(mv_parts(form))])
 
 
 def _sf_mv_let(interp, form, env):
     vars_, rhs, body = mv_let_parts(form)
-    val = interp.eval(rhs, env)
-    n = sexpr.list_length(vars_)
-    if not isinstance(val, MultiValue) or len(val.values) != n:
-        raise EvalError("MV-LET expected %d values from %s"
-                        % (n, show(rhs)), form=form)
     frame = {}
-    for v in val.values:
-        name = vars_.car.name
-        interp.check_binding(name, v, form)
-        frame[name] = v
+    for v in interp.eval(rhs, env).values:
+        frame[vars_.car.name] = v
         vars_ = vars_.cdr
     return interp.eval(body, Env(frame, env))
 
@@ -394,16 +380,6 @@ def _sf_mv_let(interp, form, env):
 # Looks stobjs.eval_stobj_let up on each call, so bench/tracer.py can wrap it.
 def _sf_stobj_let(interp, form, env):
     return stobjs.eval_stobj_let(interp, form, env)
-
-
-def _sf_event(interp, form, env):
-    raise EvalError("%s is only legal at the top level" % form.car.name,
-                    form=form)
-
-
-def _sf_do_only(interp, form, env):
-    raise EvalError("%s is legal only inside DO and FINALLY bodies"
-                    % form.car.name, form=form)
 
 
 def _eval_builtin(b, interp, form, env):
@@ -423,35 +399,26 @@ def _eval_builtin(b, interp, form, env):
     while node is not NIL:
         x = node.car
         # An integer leaf, or a variable of the innermost frame, is read
-        # here, saving a call of eval; an int value needs no further test.
+        # here, saving a call of eval.
         if type(x) is int:
-            v = x
+            vals.append(x)
+        elif type(x) is Symbol and env is not None and x.name in env.vars:
+            vals.append(env.vars[x.name])
         else:
-            if type(x) is Symbol and env is not None and x.name in env.vars:
-                v = env.vars[x.name]
-                if type(v) is not int and isinstance(v, Poison):
-                    raise EvalError(v % x.name, form=x)
-            else:
-                v = interp.eval(x, env)
-            if type(v) is not int and isinstance(v, (StobjInstance,
-                                                     MultiValue)):
-                _slot_check(b.name, None, v, form)
-        vals.append(v)
+            vals.append(interp.eval(x, env))
         node = node.cdr
     return b.fn(interp, vals, form)
 
 
 # The handler of every head that is not sent through _eval_call, so such a
-# node makes one lookup: the special forms, the event and DO-only heads,
-# and each builtin but the POLY one.  Interp._check_fresh keeps every
-# event from binding a builtin's name, so no head found here is shadowed.
+# node makes one lookup: the special forms and each builtin but the POLY
+# one.  Interp._check_fresh keeps every event from binding a builtin's
+# name, so no head found here is shadowed.
 _SPECIAL = {
     "QUOTE": _sf_quote, "IF": _sf_if, "LET": _sf_let, "LET*": _sf_let,
     "MV": _sf_mv, "MV-LET": _sf_mv_let, "LOOP$": loops.eval_loop,
     "STOBJ-LET": _sf_stobj_let,
 }
-_SPECIAL.update(dict.fromkeys(EVENT_HEADS, _sf_event))
-_SPECIAL.update(dict.fromkeys(DO_ONLY_HEADS, _sf_do_only))
 _SPECIAL.update((name, MethodType(_eval_builtin, b))
                 for name, b in BUILTINS.items() if not b.poly_stobj)
 
@@ -489,7 +456,7 @@ class Interp:
                     and form.car.name in EVENT_HEADS:
                 return self._event(form)
             lets = self._check(form, {name: name for name in self.bank},
-                               (), "this top-level form")
+                               None, "this top-level form")
             self.world.stobj_lets.update(lets)
             try:
                 val = self.eval(form, None)
@@ -506,7 +473,8 @@ class Interp:
         return val
 
     def _check(self, form, live, formals, what):
-        """Single-threadedness check for a top-level form or a lambda body.
+        """Single-threadedness check for a top-level form (formals None)
+        or a lambda body, which must return one ordinary value.
 
         Same rules as a defun body, over the given live stobjs and the
         formals, each bound as a LET binds it.  An update whose result
@@ -516,10 +484,14 @@ class Interp:
         parses that the check made (see stobjs.Analyzer.stobj_lets).
         """
         analyzer = stobjs.Analyzer(self.world)
-        bound = set()
-        for name in formals:
-            live, bound = analyzer._bind_one(name, (None,), live, bound, form)
-        analyzer.analyze(form, live, bound)
+        if formals is None:
+            analyzer.analyze(form, live, set())
+        else:
+            bound = set()
+            for name in formals:
+                live, bound = analyzer._bind_one(name, (None,), live, bound,
+                                                 form)
+            analyzer.want_value(form, live, bound, "a lambda body")
         if analyzer.violations:
             raise LinearityError(what, analyzer.violations)
         return analyzer.stobj_lets
@@ -528,15 +500,18 @@ class Interp:
         return [(f, self.eval_top(f)) for f in sexpr.read_all(text)]
 
     def eval(self, form, env=None):
+        """The value of form in env.
+
+        Precondition: form was admitted, as a top-level form by eval_top,
+        as part of a defun, or as the body of an APPLY$ lambda.  The
+        static check of admission is the only check of single-threadedness
+        and of value shapes, so form is not checked again here.
+        """
         # Dispatch on the exact type, calls first: no class derives from
         # Cons, Symbol or int.
         kind = type(form)
         if kind is Cons:
-            head = form.car
-            if type(head) is not Symbol:
-                raise EvalError("call head must be a symbol in %s"
-                                % show(form), form=form)
-            handler = _SPECIAL.get(head.name)
+            handler = _SPECIAL.get(form.car.name)
             if handler is not None:
                 return handler(self, form, env)
             return self._eval_call(form, env)
@@ -547,10 +522,7 @@ class Interp:
             e = env
             while e is not None:
                 if name in e.vars:
-                    v = e.vars[name]
-                    if isinstance(v, Poison):
-                        raise EvalError(v % name, form=form)
-                    return v
+                    return e.vars[name]
                 e = e.parent
             if form is NIL or form is T or name[:1] == ":":
                 return form
@@ -586,13 +558,9 @@ class Interp:
                 v = x
             elif type(x) is Symbol and env is not None and x.name in env.vars:
                 v = env.vars[x.name]
-                if type(v) is not int and isinstance(v, Poison):
-                    raise EvalError(v % x.name, form=x)
             else:
                 v = self.eval(x, env)
-            # an ordinary slot rejects only stobjs and multiple values
-            if slot is not None or (type(v) is not int and isinstance(
-                    v, (StobjInstance, MultiValue))):
+            if slot is not None:
                 _slot_check(name, slot, v, form)
             vals.append(v)
             node = node.cdr
@@ -658,32 +626,11 @@ class Interp:
 
     ### stobj plumbing
 
-    def resolve_stobj(self, sym, env, form):
-        v = self.eval(sym, env)
-        if not (isinstance(v, StobjInstance) and v.spec.name == sym.name):
-            raise EvalError("%s is not a live stobj here" % sym.name,
-                            form=form)
-        return v
-
     def latch(self, val):
         items = val.values if isinstance(val, MultiValue) else (val,)
         for item in items:
             if isinstance(item, StobjInstance):
                 self.bank[item.spec.name] = item
-                item.owner = "bank"
-
-    def check_binding(self, name, val, form):
-        if isinstance(val, MultiValue):
-            raise EvalError("a multiple value cannot be LET-bound; use MV-LET",
-                            form=form)
-        if isinstance(val, StobjInstance):
-            if val.spec.name != name:
-                raise EvalError(
-                    "stobj %s must be rebound to its own name, not %s"
-                    % (val.spec.name, name), form=form)
-        elif name in self.world.stobjs:
-            raise EvalError("stobj name %s may not be bound to an ordinary "
-                            "value" % name, form=form)
 
     ### events
 
@@ -794,9 +741,7 @@ class Interp:
         for op in generated_ops(spec):
             self._check_fresh(op.name, form)
         self.world.add_event("defstobj", spec.name, spec)
-        inst = spec.fresh()
-        inst.owner = "bank"
-        self.bank[spec.name] = inst
+        self.bank[spec.name] = spec.fresh()
         return intern(spec.name)
 
     def _encapsulate(self, form):

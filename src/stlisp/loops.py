@@ -23,7 +23,6 @@ in how stobjs are written (copied or in place) and in what ends a
 runaway loop (measure or cap).
 """
 
-from . import stobjs
 from .errors import (CapExceeded, EvalError, GuardViolation,
                      MeasureViolation)
 from .stobjs import (MV, _cons_args, bindable, if_parts, let_pairs,
@@ -209,7 +208,7 @@ def _parse_values(arg, spec, world):
 # returns at a leaf; only the effects of a "seq" are walked on their own.
 #
 #   ("seq", effects, last)     a PROGN: the effects in order, then last
-#   ("if", test, then, else, form)
+#   ("if", test, then, else)
 #   ("let", names, rhs forms, body, form)   LET* nests one-binding LETs
 #   ("mv-let", names, rhs form, body, form)
 #   ("setq", (name,), rhs form, form)
@@ -269,7 +268,7 @@ class _Parser:
         if name == "IF":
             test, then, els = if_parts(s)
             return ("if", test, self.stmt(then, effect),
-                    FALL if els is None else self.stmt(els, effect), s)
+                    FALL if els is None else self.stmt(els, effect))
         if name == "PROGN":
             items = _cons_args(s)
             if not items:
@@ -492,69 +491,41 @@ def initial_bindings(interp, spec, env, form):
         v = interp.eval(init, inits) if init is not None else NIL
         if typ == "INTEGER":
             check_of_type(interp, name, v, form, 0)
-        if isinstance(v, (MultiValue, stobjs.StobjInstance)):
-            raise EvalError("WITH %s may not be initialized to a stobj or "
-                            "multiple values" % name, form=form)
         slots[name] = v
     for ssym in spec.settable_symbols[len(spec.withs):]:
-        slots[ssym.name] = interp.resolve_stobj(ssym, env, form)
+        slots[ssym.name] = interp.eval(ssym, env)
     return slots
 
 
 def _result(spec, token, value, form):
     """The loop's value, from the token and value of the walk that ended
-    it: a RETURN's value checked against :VALUES, else NIL per slot."""
-    sig = spec.values
-    if token is not K_RETURN:
-        if spec.value_stobjs:
-            raise EvalError("the FINALLY clause fell through without "
-                            "RETURN, but :VALUES names stobjs", form=form)
-        return NIL if len(sig) == 1 else MultiValue([NIL] * len(sig))
-    if len(sig) == 1:
-        if isinstance(value, MultiValue):
-            raise EvalError("this DO loop returns a single value", form=form)
-        _sig_check(sig[0], value, form)
+    it: a RETURN's value, which admission shaped as :VALUES, else NIL per
+    slot."""
+    if token is K_RETURN:
         return value
-    if not isinstance(value, MultiValue) or len(value.values) != len(sig):
-        raise EvalError("this DO loop returns %d values" % len(sig),
-                        form=form)
-    for slot, v in zip(sig, value.values):
-        _sig_check(slot, v, form)
-    return value
-
-
-def _sig_check(slot, v, form):
-    if slot is None:
-        if isinstance(v, stobjs.StobjInstance):
-            raise EvalError("a stobj came back in an ordinary :VALUES slot",
-                            form=form)
-    else:
-        if not (isinstance(v, stobjs.StobjInstance) and v.spec.name == slot):
-            raise EvalError("the :VALUES slot for stobj %s did not receive "
-                            "it" % slot, form=form)
+    if spec.value_stobjs:
+        raise EvalError("the FINALLY clause fell through without RETURN, "
+                        "but :VALUES names stobjs", form=form)
+    sig = spec.values
+    return NIL if len(sig) == 1 else MultiValue([NIL] * len(sig))
 
 
 ### the walker
 
 def _bind(interp, node, env, frame, spec, n):
-    """Store into frame the checked values that a LET, MV-LET, SETQ or
-    MV-SETQ node binds, its right-hand sides evaluated in env first."""
+    """Store into frame the values that a LET, MV-LET, SETQ or MV-SETQ
+    node binds, its right-hand sides evaluated in env first."""
     tag, names, rhs, form = node[0], node[1], node[2], node[-1]
     if tag == "let":
         vals = [interp.eval(r, env) for r in rhs]
     elif tag == "setq":
         vals = (interp.eval(rhs, env),)
     else:
-        val = interp.eval(rhs, env)
-        if not isinstance(val, MultiValue) or len(val.values) != len(names):
-            raise EvalError("%s expected %d values"
-                            % (form.car.name, len(names)), form=form)
-        vals = val.values
+        vals = interp.eval(rhs, env).values
     for name, v in zip(names, vals):
         # only settables have types, and only SETQ and MV-SETQ bind them
         if name in spec.integer_vars:
             check_of_type(interp, name, v, form, n)
-        interp.check_binding(name, v, form)
         frame[name] = v
 
 
@@ -568,22 +539,16 @@ def _walk(interp, node, env, slots, spec, n):
                 if effect[0] != "setq":
                     _walk(interp, effect, env, slots, spec, n)
                     continue
-                # _bind's SETQ case, without the call.  An integer passes
-                # both checks when no stobj is settable: _parse_do keeps
-                # stobj names out of WITH, and no event runs in a loop.
-                name, form = effect[1][0], effect[3]
+                # _bind's SETQ case, without the call
+                name = effect[1][0]
                 v = interp.eval(effect[2], env)
-                if spec.value_stobjs or not isinstance(v, int):
-                    if name in spec.integer_vars:
-                        check_of_type(interp, name, v, form, n)
-                    interp.check_binding(name, v, form)
+                if type(v) is not int and name in spec.integer_vars:
+                    check_of_type(interp, name, v, effect[3], n)
                 slots[name] = v
             node = node[2]
         elif tag == "if":
-            test = interp.eval(node[1], env)
-            if isinstance(test, (MultiValue, stobjs.StobjInstance)):
-                stobjs.value_check(test, "an IF test", node[4])
-            node = node[2] if truthy(test) else node[3]
+            node = node[2] if interp.eval(node[1], env) is not NIL \
+                else node[3]
         elif tag == "setq" or tag == "mv-setq":
             _bind(interp, node, env, slots, spec, n)
             return NIL, NIL
@@ -611,6 +576,17 @@ def _build_alist(spec, values):
     """The alist of the settables to values, given in settable order."""
     return from_pylist([Cons(sym, v) for sym, v
                         in zip(spec.settable_symbols, values)])
+
+
+def _check_guard(interp, spec, env, n, form):
+    """The loop's :GUARD entering iteration n, in env, the frame of its
+    slots.  Both paths fail with one text, whose alist is built only on
+    failure."""
+    if not truthy(interp.eval(spec.guard, env)):
+        raise GuardViolation(
+            "loop :GUARD %s failed entering iteration %d with %s"
+            % (show(spec.guard), n,
+               show(_build_alist(spec, env.vars.values()))), form=form)
 
 
 def _triple(token, value, alist):
@@ -651,11 +627,7 @@ def run_do(interp, spec, env, form):
     while True:
         n += 1
         if spec.guard is not None and interp.guard_check:
-            if not truthy(interp.eval(spec.guard, env)):
-                raise GuardViolation(
-                    "loop :GUARD %s failed entering iteration %d with %s"
-                    % (show(spec.guard), n, show(_build_alist(spec, values))),
-                    form=form)
+            _check_guard(interp, spec, env, n, form)
         if m_cur is None:
             m_cur = lex_fix(_measure(interp, spec, env, held))
         if interp.trace:
@@ -703,10 +675,7 @@ def native_exec(interp, spec, env, form):
                 "returning; supply a decreasing :MEASURE and run the "
                 "logical path, or raise the cap" % interp.cap, form=form)
         if spec.guard is not None and interp.guard_check:
-            if not truthy(interp.eval(spec.guard, base)):
-                raise GuardViolation(
-                    "loop :GUARD %s failed entering iteration %d"
-                    % (show(spec.guard), n), form=form)
+            _check_guard(interp, spec, base, n, form)
         token, val = _walk(interp, spec.do_tree, base, slots, spec, n)
         if token is K_RETURN:
             return _result(spec, token, val, form)
@@ -742,8 +711,6 @@ def for_exec(interp, spec, env, form):
                 v = 0
             acc += v
         else:
-            if isinstance(v, (MultiValue, stobjs.StobjInstance)):
-                raise EvalError("bad value under COLLECT", form=form)
             acc.append(v)
     if spec.for_acc == "SUM":
         return acc

@@ -7,46 +7,27 @@ whose field holds it, so undoing a stobj definition unbinds that name
 by walking the session's stobj bank down through every table.
 
 The mode is read in stobjs, not here: stobjs._table hands a write the
-live cell in native mode and a copy in logical mode.
+live cell in native mode and a copy in logical mode.  A stobj-let writes
+a child back with a plain store into that cell: admission lets a child
+leave its producer only by name, as an output written back to its own
+table, so no child is ever held by two live cells.
 """
 
 from . import sexpr
 from .sexpr import NIL, Cons, intern
-from .errors import EvalError, OwnershipError
+from .errors import EvalError
 
 
 class TableCell:
-    """Execution view of one stobj-table field: Symbol -> StobjInstance.
+    """Execution view of one stobj-table field: Symbol -> StobjInstance."""
 
-    A child stored in place is marked as owned with the cell's `mark`,
-    not the cell itself, so a stored child makes no reference cycle.
-    """
-
-    __slots__ = ("data", "mark")
+    __slots__ = ("data",)
 
     def __init__(self, data=None):
         self.data = {} if data is None else data
-        self.mark = object()
 
     def copy(self):
         return TableCell(dict(self.data))
-
-
-def table_put(cell, key, child, own):
-    """Store child under key in cell, in place.  An owning store marks
-    child as held by cell and refuses a child that another cell holds.
-    Only a live cell, written in place, owns its children: a logical
-    table version shares them with the versions before it.  Invariant:
-    an interpreter keeps the mode it was built with, so a logical one
-    never marks a child and a native one stores only into live cells;
-    a child's mark is that of the one live cell that holds it."""
-    if own:
-        if child.owner is not None and child.owner is not cell.mark:
-            raise OwnershipError(
-                "stobj %s is already owned by another location and cannot "
-                "be stored in a second table" % child.print_name)
-        child.owner = cell.mark
-    cell.data[key] = child
 
 
 def check_key(key, form=None):

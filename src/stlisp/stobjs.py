@@ -85,12 +85,11 @@ class StobjInstance:
     peak by about 7%.
     """
 
-    __slots__ = ("spec", "cells", "owner")
+    __slots__ = ("spec", "cells")
 
     def __init__(self, spec, cells):
         self.spec = spec
         self.cells = cells[0] if spec.single else cells
-        self.owner = None
 
     @property
     def print_name(self):
@@ -124,17 +123,6 @@ class StobjInstance:
 
     def __repr__(self):
         return self.print_name
-
-
-class Poison(str):
-    """Binding that makes a name unusable inside a scope: the error text,
-    a format that takes the name when the name is read."""
-
-
-EXTRACTED_PARENT = Poison("%s is not available inside a stobj-let body "
-                          "that extracts from it")
-WRITTEN_CHILD = Poison("%s has been written back and is not available in "
-                       "the consumer")
 
 
 ### defstobj parsing
@@ -418,56 +406,39 @@ def eval_stobj_let(interp, form, env):
     if spec is None:
         spec = world.stobj_lets[form] = parse_stobj_let(form, world)
 
-    # The producer's frame: the children, then their parents poisoned
-    # (a parent that is also a child stays poisoned).
+    # The producer's frame holds the children.  Admission has hidden the
+    # parents from the producer, and the children from the consumer, so
+    # neither frame needs to shadow them, and each output has the shape
+    # the analyzer's R2 gave it: a child output is that child's stobj.
     parents = {}     # parent name -> instance
     frame = {}
     for child, parent_sym, op, creator in spec.bindings:
         pname = parent_sym.name
         parent = parents.get(pname)
         if parent is None:
-            parent = parents[pname] = interp.resolve_stobj(parent_sym, env,
-                                                           form)
+            parent = parents[pname] = interp.eval(parent_sym, env)
         hit = parent.get_cell(op.findex).data.get(child)
         # A miss creates the default child; nothing else runs it.
         frame[child.name] = creator.spec.fresh() if hit is None else hit
-    for pname in parents:
-        frame[pname] = EXTRACTED_PARENT
 
     result = interp.eval(spec.producer, Env(frame, env))
     values = result.values if isinstance(result, sexpr.MultiValue) \
         else (result,)
-    if len(values) != len(spec.outputs):
-        raise EvalError("stobj-let producer returned %d values for %d outputs"
-                        % (len(values), len(spec.outputs)), form=form)
 
-    kept = {}        # outputs that are not children
+    # The consumer's frame: the written-back parents, then the outputs
+    # that are not children.
     for out, val in zip(spec.outputs, values):
         for child, parent_sym, op, _creator in spec.bindings:
             if child is out:
                 break
         else:
-            kept[out.name] = val
+            parents[out.name] = val
             continue
-        if not (isinstance(val, StobjInstance) and val.spec.name == out.name):
-            raise EvalError(
-                "stobj-let output %s does not satisfy the recognizer for "
-                "its key" % out.name, form=form)
         parent = parents[parent_sym.name]
         cell = _table(interp, parent, op.findex)
-        # the live cell owns its children; a logical copy shares them
-        stobj_table.table_put(cell, out, val,
-                              own=cell is parent.get_cell(op.findex))
+        cell.data[out] = val
         parents[parent_sym.name] = _write(interp, parent, op.findex, cell)
-
-    # The consumer's frame: the written-back parents, then the outputs
-    # that are not children, then the children poisoned: they may not
-    # escape.
-    frame = parents
-    frame.update(kept)
-    for child, _parent, _op, _creator in spec.bindings:
-        frame[child.name] = WRITTEN_CHILD
-    return interp.eval(spec.consumer, Env(frame, env))
+    return interp.eval(spec.consumer, Env(parents, env))
 
 
 ### static single-threadedness analysis
@@ -739,7 +710,7 @@ class Analyzer:
             parents.add(pname)
             children[child.name] = child.name
         body_live = {k: v for k, v in live.items() if k not in parents}
-        # as in eval_stobj_let, a child that is its own parent stays hidden
+        # a child that is its own parent stays hidden
         body_live.update((c, c) for c in children if c not in parents)
         outer, self.produced = self.produced, set()
         psh = self.analyze(spec.producer, body_live, bound)
@@ -965,17 +936,6 @@ def bindable(var, what, form):
     if var is NIL or var is T or sexpr.is_keyword(var):
         raise EvalError("bad %s %s" % (what, var.name), form=form)
     return var
-
-
-def value_check(v, what, form):
-    """Raise for a multiple value or a stobj v in what, a position that
-    takes one ordinary value."""
-    if isinstance(v, sexpr.MultiValue):
-        raise EvalError("multiple values are not a single value in %s" % what,
-                        form=form)
-    if isinstance(v, StobjInstance):
-        raise EvalError("stobj %s may not appear in %s" % (v.spec.name, what),
-                        form=form)
 
 
 def _is_declare(form):

@@ -35,6 +35,16 @@ def failure(interp, text):
     return type(exc.value), str(exc.value)
 
 
+def rejected(mode, text):
+    """The text with which admission rejects text, before it runs."""
+    with pytest.raises(LinearityError) as exc:
+        prelude(mode).eval_text(text)
+    return str(exc.value)
+
+
+TOP_FORM = "single-threadedness violation in this top-level form:\n  "
+
+
 # ----------------------------------------------- passing checks format nothing
 
 PASSING = [
@@ -143,8 +153,8 @@ FAILING = [
     ("(apply$ 'nosuch '(1))", EvalError,
      "undefined function NOSUCH in (APPLY$ (QUOTE NOSUCH) (QUOTE (1)))"),
     ("(apply$ 'val '(5))", EvalError,
-     "VAL expects the stobj ST in this position "
-     "in (APPLY$ (QUOTE VAL) (QUOTE (5)))"),
+     "APPLY$ calls only a function of ordinary arguments that returns one "
+     "ordinary value, not VAL in (APPLY$ (QUOTE VAL) (QUOTE (5)))"),
     ("(f 1)", EvalError, "constrained function F has no attachment in (F 1)"),
 ]
 
@@ -160,27 +170,32 @@ VALUES_TOP = "(loop$ with i = 0 do :measure (nfix i) :values (top) " \
              "(return top))"
 PEEK_TOP = "(stobj-let ((switch (tbl-get 'switch top (create-switch)))) " \
            "(switch) %s top)"
+# A stobj-let hides each parent from its producer and each child from its
+# consumer.  Admission alone enforces it.
 POISONED = [
     ("(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
      "(flg) (tbl-count top) flg)",
-     "TOP is not available inside a stobj-let body that extracts from it "
-     "in TOP"),
+     TOP_FORM + "R1: TBL-COUNT expects the stobj TOP in this position of "
+     "(TBL-COUNT TOP)"),
     ("(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
      "(flg) (consp top) flg)",
-     "TOP is not available inside a stobj-let body that extracts from it "
-     "in TOP"),
+     TOP_FORM + "R1: stobj TOP is used without being declared or bound "
+     "here"),
     ("(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
      "(switch) (update-fld t switch) (fld switch))",
-     "SWITCH has been written back and is not available in the consumer "
-     "in SWITCH"),
-    # a stobj-let parent and a :VALUES stobj, both read through eval
+     TOP_FORM + "R1: FLD expects the stobj SWITCH in this position of "
+     "(FLD SWITCH)\n  R2: stobj-let updates children of TOP, so its "
+     "consumer must return TOP or the update would be discarded"),
+    # a stobj-let parent and a :VALUES stobj
     (PEEK_TOP % "(stobj-let ((st (tbl-get 'st top (create-st)))) (st) st "
      "switch)",
-     "TOP is not available inside a stobj-let body that extracts from it "
-     "in TOP"),
+     TOP_FORM + "R1: stobj-let parent TOP is not a live stobj here\n  R2: "
+     "stobj-let updates children of TOP, so its consumer must return TOP "
+     "or the update would be discarded"),
     (PEEK_TOP % VALUES_TOP,
-     "TOP is not available inside a stobj-let body that extracts from it "
-     "in TOP"),
+     TOP_FORM + "R1: :VALUES stobj TOP is not a live stobj here\n  R2: "
+     "stobj-let output SWITCH expects (SWITCH) but the producer returns "
+     "(TOP)"),
 ]
 
 
@@ -189,14 +204,7 @@ POISONED = [
                          ids=["parent", "parent-builtin-arg", "child",
                               "stobj-let-parent", "values-stobj"])
 def test_poison_text(mode, text, message):
-    # The analyzer rejects each form; evaluating it directly reaches
-    # the poisoned bindings, the runtime backstop.
-    with pytest.raises(LinearityError):
-        prelude(mode).eval_text(text)
-    with pytest.raises(EvalError) as exc:
-        prelude(mode).eval(read(text), None)
-    assert type(exc.value) is EvalError
-    assert str(exc.value) == message
+    assert rejected(mode, text) == message
 
 
 # Texts that evaluation raises, read through Interp.eval: at top level the
@@ -207,50 +215,13 @@ EVALUATED = [
      "CAR takes 1 argument, got 2 in (CAR 1 (UNDEFINED-FN))"),
     ("(car 1 . 2)", EvalError,
      "argument list is not a proper list in (CAR 1 . 2)"),
-    ("(car st)", EvalError,
-     "stobj ST passed where CAR expects an ordinary value in (CAR ST)"),
-    # the stobj read from the innermost frame
-    ("(let ((st st)) (car st))", EvalError,
-     "stobj ST passed where CAR expects an ordinary value in (CAR ST)"),
-    ("(cons (g 1) (mv 1 2))", EvalError,
-     "multiple values are not a single argument of CONS "
-     "in (CONS (G 1) (MV 1 2))"),
-    # SETQs that are PROGN effects
+    # a SETQ that is a PROGN effect
     ("(loop$ with i of-type integer = 3 with j = 0 do :measure (nfix i) "
      "(if (zp i) (return i) "
      "(progn (setq i (if (= i 2) 'oops (1- i))) (setq j i))))",
      loops.OfTypeViolation,
      "OF-TYPE violation: I = OOPS is not an INTEGER (iteration 2) "
      "in (SETQ I (IF (= I 2) (QUOTE OOPS) (1- I)))"),
-    ("(loop$ with i = 3 with j = 0 do :measure (nfix i) "
-     "(if (zp i) (return i) (progn (setq j (mv i i)) (setq i (1- i)))))",
-     EvalError,
-     "a multiple value cannot be LET-bound; use MV-LET in (SETQ J (MV I I))"),
-    ("(loop$ with i = 3 do :measure (nfix i) :values (nil st) "
-     "(if (zp i) (return (mv i st)) (progn (setq st i) (setq i (1- i)))))",
-     EvalError,
-     "stobj name ST may not be bound to an ordinary value in (SETQ ST I)"),
-    ("(loop$ with i = 1 with j = 0 do :measure (nfix i) "
-     "(if (zp i) (return j) (mv-setq (i j) 0)))", EvalError,
-     "MV-SETQ expected 2 values in (MV-SETQ (I J) 0)"),
-    # the parser rejects only a literal (MV ..) under RETURN
-    ("(loop$ with i = 0 do :measure (nfix i) "
-     "(return (if (zp i) (mv i i) i)))", EvalError,
-     "this DO loop returns a single value in (LOOP$ WITH I = 0 DO "
-     ":MEASURE (NFIX I) (RETURN (IF (ZP I) (MV I I) I)))"),
-    ("(loop$ for x in '(1 2) collect (mv x x))", EvalError,
-     "bad value under COLLECT in (LOOP$ FOR X IN (QUOTE (1 2)) "
-     "COLLECT (MV X X))"),
-    ("(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
-     "(switch flg) 5 top)", EvalError,
-     "stobj-let producer returned 1 values for 2 outputs in (STOBJ-LET "
-     "((SWITCH (TBL-GET (QUOTE SWITCH) TOP (CREATE-SWITCH)))) "
-     "(SWITCH FLG) 5 TOP)"),
-    ("(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
-     "(switch) 5 top)", EvalError,
-     "stobj-let output SWITCH does not satisfy the recognizer for its key "
-     "in (STOBJ-LET ((SWITCH (TBL-GET (QUOTE SWITCH) TOP "
-     "(CREATE-SWITCH)))) (SWITCH) 5 TOP)"),
     ("(report-completion-or-error-and-return 'a 5)", EvalError,
      "REPORT-COMPLETION-OR-ERROR-AND-RETURN expects a live stobj argument "
      "in (REPORT-COMPLETION-OR-ERROR-AND-RETURN (QUOTE A) 5)"),
@@ -266,10 +237,56 @@ def test_evaluated_check_text(mode, text, cls, message):
     assert (type(exc.value), str(exc.value)) == (cls, message)
 
 
+# A stobj or multiple values where one ordinary value belongs, and a
+# stobj-let or DO-loop value of the wrong shape: admission rejects each
+# form, and evaluation does not check the shape again.
+ADMITTED = [
+    ("(car st)",
+     "R1: stobj ST passed where CAR expects an ordinary value"),
+    ("(let ((st st)) (car st))",
+     "R1: stobj ST passed where CAR expects an ordinary value\n  R2: stobj "
+     "ST is bound in this LET but is not among the values of its body; the "
+     "update would be discarded"),
+    ("(cons (g 1) (mv 1 2))",
+     "R2: multiple values are not a single value in an argument of CONS"),
+    ("(loop$ with i = 3 with j = 0 do :measure (nfix i) "
+     "(if (zp i) (return i) (progn (setq j (mv i i)) (setq i (1- i)))))",
+     "R2: (SETQ J (MV I I)) needs values shaped (*), got (* *)"),
+    ("(loop$ with i = 3 do :measure (nfix i) :values (nil st) "
+     "(if (zp i) (return (mv i st)) (progn (setq st i) (setq i (1- i)))))",
+     "R2: (SETQ ST I) needs values shaped (ST), got (*)"),
+    ("(loop$ with i = 1 with j = 0 do :measure (nfix i) "
+     "(if (zp i) (return j) (mv-setq (i j) 0)))",
+     "R2: (MV-SETQ (I J) 0) needs values shaped (* *), got (*)"),
+    # the parser rejects only a literal (MV ..) under RETURN
+    ("(loop$ with i = 0 do :measure (nfix i) "
+     "(return (if (zp i) (mv i i) i)))",
+     "R4: the branches of (IF (ZP I) (MV I I) I) return different stobjs "
+     "((* *) vs (*))\n  R2: (RETURN (IF (ZP I) (MV I I) I)) needs values "
+     "shaped (*), got (* *)"),
+    ("(loop$ for x in '(1 2) collect (mv x x))",
+     "R2: multiple values are not a single value in a FOR body"),
+    ("(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
+     "(switch flg) 5 top)",
+     "R2: stobj-let producer returns 1 values for 2 outputs"),
+    ("(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
+     "(switch) 5 top)",
+     "R2: stobj-let output SWITCH expects (SWITCH) but the producer "
+     "returns (*)"),
+]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("text,message", ADMITTED,
+                         ids=[t for t, _ in ADMITTED])
+def test_admission_rejects_a_misshapen_value(mode, text, message):
+    assert rejected(mode, text) == TOP_FORM + message
+
+
 # Stobj-let scoping, in the one frame each scope binds: the producer sees
-# the outer scope and the children, with the parents poisoned; the consumer
-# sees the written-back parents and the outputs that are not children,
-# with the children poisoned.
+# the outer scope and the children; the consumer sees the written-back
+# parents and the outputs that are not children.  Admission hides the
+# parents from the producer and the children from the consumer.
 SCOPING = [
     # an outer LET variable stays visible inside the producer
     ("(let ((k 5)) (stobj-let ((switch (tbl-get 'switch top "
@@ -300,17 +317,19 @@ def test_stobj_let_scoping(text, value, top):
 
 
 SCOPE_POISONED = [
-    # the parent is poisoned in the producer, an outer variable is not
+    # the parent is hidden in the producer, an outer variable is not
     ("(let ((k 5)) (stobj-let ((switch (tbl-get 'switch top "
      "(create-switch)))) (flg) (mv k (tbl-count top)) flg))",
-     "TOP is not available inside a stobj-let body that extracts from it "
-     "in TOP"),
-    # the child is poisoned in the consumer, behind a shadowing output
+     TOP_FORM + "R1: TBL-COUNT expects the stobj TOP in this position of "
+     "(TBL-COUNT TOP)\n  R2: stobj-let producer returns 2 values for 1 "
+     "outputs"),
+    # the child is hidden in the consumer, behind a shadowing output
     ("(let ((flg 1)) (stobj-let ((switch (tbl-get 'switch top "
      "(create-switch)))) (flg switch) (mv (fld switch) switch) "
      "(mv flg (fld switch))))",
-     "SWITCH has been written back and is not available in the consumer "
-     "in SWITCH"),
+     TOP_FORM + "R1: FLD expects the stobj SWITCH in this position of "
+     "(FLD SWITCH)\n  R2: stobj-let updates children of TOP, so its "
+     "consumer must return TOP or the update would be discarded"),
 ]
 
 
@@ -318,32 +337,26 @@ SCOPE_POISONED = [
 @pytest.mark.parametrize("text,message", SCOPE_POISONED,
                          ids=["producer-parent", "consumer-child"])
 def test_stobj_let_scope_poison(mode, text, message):
-    with pytest.raises(EvalError) as exc:
-        prelude(mode).eval(read(text), None)
-    assert type(exc.value) is EvalError
-    assert str(exc.value) == message
+    assert rejected(mode, text) == message
 
 
-# A stobj-let parent and a :VALUES stobj bound to a value that is not the
-# stobj: the text names the whole form.
+# A stobj-let parent and a :VALUES stobj whose name a LET binds to a value
+# that is not the stobj.
 BOUND = [
-    (VALUES_TOP,
-     "TOP is not a live stobj here in (LOOP$ WITH I = 0 DO :MEASURE "
-     "(NFIX I) :VALUES (TOP) (RETURN TOP))"),
+    (VALUES_TOP, "\n  R1: :VALUES stobj TOP is not a live stobj here"),
     (PEEK_TOP % "(update-fld 1 switch)",
-     "TOP is not a live stobj here in (STOBJ-LET ((SWITCH (TBL-GET "
-     "(QUOTE SWITCH) TOP (CREATE-SWITCH)))) (SWITCH) (UPDATE-FLD 1 SWITCH) "
-     "TOP)"),
+     "\n  R1: stobj-let parent TOP is not a live stobj here\n  R2: "
+     "stobj-let updates children of TOP, so its consumer must return TOP "
+     "or the update would be discarded"),
 ]
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("text,message", BOUND, ids=["values", "parent"])
 def test_stobj_bound_to_a_value_text(mode, text, message):
-    with pytest.raises(EvalError) as exc:
-        prelude(mode).eval(read(text), sexpr.Env({"TOP": 5}))
-    assert type(exc.value) is EvalError
-    assert str(exc.value) == message
+    assert rejected(mode, "(let ((top 5)) %s)" % text) == (
+        TOP_FORM + "R3: stobj name TOP may not be rebound to an ordinary "
+        "value" + message)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -262,51 +262,66 @@ CALLS_PRELUDE = """
 (defun half (n) (declare (xargs :guard (natp n))) n)
 """
 
-# a stobj-let producer body, where TOP is poisoned in the innermost frame
+# a stobj-let producer body, where admission hides TOP
 PRODUCER = "(stobj-let ((switch (tbl-get 'switch top (create-switch)))) " \
     "(flg) %s flg)"
-EXTRACTED = "TOP is not available inside a stobj-let body that extracts " \
-    "from it in TOP"
+HIDDEN = "R1: stobj TOP is used without being declared or bound here"
+TOP_FORM = "single-threadedness violation in this top-level form:\n  "
+
+# A hidden stobj, or a stobj or multiple values in an ordinary slot: each
+# form with the text of the error that admitting it raises, before any
+# argument runs and whether guards are on or off.  Evaluation does not
+# check these again.
+CALL_REJECTIONS = [
+    # in the innermost frame and in an outer one
+    (PRODUCER % "(+ top 1)", LinearityError, TOP_FORM + HIDDEN),
+    (PRODUCER % "(inc top)", LinearityError, TOP_FORM + HIDDEN),
+    (PRODUCER % "(let ((k 1)) (+ k top))", LinearityError,
+     TOP_FORM + HIDDEN),
+    (PRODUCER % "(let ((k 1)) (inc top))", LinearityError,
+     TOP_FORM + HIDDEN),
+    # admission raises an arity error as it meets it
+    (PRODUCER % "(+ top (car 1 2))", EvalError,
+     "CAR takes 1 argument, got 2 in (CAR 1 2)"),
+    ("(+ st 1)", LinearityError,
+     TOP_FORM + "R1: stobj ST passed where + expects an ordinary value"),
+    ("(let ((st st)) (+ 'a st))", LinearityError,
+     TOP_FORM + "R1: stobj ST passed where + expects an ordinary value\n  "
+     "R2: stobj ST is bound in this LET but is not among the values of its "
+     "body; the update would be discarded"),
+    ("(let ((st st)) (inc st))", LinearityError,
+     TOP_FORM + "R1: stobj ST passed where INC expects an ordinary value\n"
+     "  R2: stobj ST is bound in this LET but is not among the values of "
+     "its body; the update would be discarded"),
+    ("(+ 1 (mv 1 2))", LinearityError,
+     TOP_FORM + "R2: multiple values are not a single value in an argument "
+     "of +"),
+    ("(inc (mv 1 2))", LinearityError,
+     TOP_FORM + "R2: multiple values are not a single value in an argument "
+     "of INC"),
+]
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+@pytest.mark.parametrize("text,cls,message", CALL_REJECTIONS)
+def test_call_argument_rejections_in_both_modes(mode, text, cls, message):
+    for guard_check in (True, False):
+        interp = Interp(mode=mode, guard_check=guard_check)
+        interp.eval_text(CALLS_PRELUDE)
+        with pytest.raises(EvalError) as exc:
+            interp.eval_text(text)
+        assert (type(exc.value), str(exc.value)) == (cls, message)
+
 
 # Each form, read through Interp.eval so no static check comes first, with
 # its error class and text (or its value, as shown) with guards on, and
 # with guards off.  A builtin call and a defun call take their arguments
 # in the same order, with the same checks.
 CALL_CHECKS = [
-    # a poisoned variable, in the innermost frame and in an outer one
-    (PRODUCER % "(+ top 1)", EvalError, EXTRACTED, EvalError, EXTRACTED),
-    (PRODUCER % "(inc top)", EvalError, EXTRACTED, EvalError, EXTRACTED),
-    (PRODUCER % "(let ((k 1)) (+ k top))", EvalError, EXTRACTED,
-     EvalError, EXTRACTED),
-    (PRODUCER % "(let ((k 1)) (inc top))", EvalError, EXTRACTED,
-     EvalError, EXTRACTED),
-    # arguments run left to right: the poison, or the earlier error
-    (PRODUCER % "(+ top (car 1 2))", EvalError, EXTRACTED,
-     EvalError, EXTRACTED),
+    # arguments run left to right: an error comes before a later argument
     (PRODUCER % "(+ (car 1 2) top)", EvalError,
      "CAR takes 1 argument, got 2 in (CAR 1 2)", EvalError,
      "CAR takes 1 argument, got 2 in (CAR 1 2)"),
-    # a stobj or multiple values in an ordinary slot, before any guard
-    ("(+ st 1)", EvalError,
-     "stobj ST passed where + expects an ordinary value in (+ ST 1)",
-     EvalError,
-     "stobj ST passed where + expects an ordinary value in (+ ST 1)"),
-    ("(let ((st st)) (+ 'a st))", EvalError,
-     "stobj ST passed where + expects an ordinary value in (+ (QUOTE A) ST)",
-     EvalError,
-     "stobj ST passed where + expects an ordinary value in (+ (QUOTE A) ST)"),
-    ("(let ((st st)) (inc st))", EvalError,
-     "stobj ST passed where INC expects an ordinary value in (INC ST)",
-     EvalError,
-     "stobj ST passed where INC expects an ordinary value in (INC ST)"),
-    ("(+ 1 (mv 1 2))", EvalError,
-     "multiple values are not a single argument of + in (+ 1 (MV 1 2))",
-     EvalError,
-     "multiple values are not a single argument of + in (+ 1 (MV 1 2))"),
-    ("(inc (mv 1 2))", EvalError,
-     "multiple values are not a single argument of INC in (INC (MV 1 2))",
-     EvalError,
-     "multiple values are not a single argument of INC in (INC (MV 1 2))"),
     # a dotted argument list, reported before the arity
     ("(1+ 1 2 . 3)", EvalError,
      "argument list is not a proper list in (1+ 1 2 . 3)", EvalError,
@@ -468,13 +483,15 @@ def test_mv_and_mv_let():
     assert "binds 2 names to 1 values" in str(exc.value)
     with pytest.raises(EvalError):
         ev("(mv-let (a) (mv 1 2) a)")
-    # the runtime layer keeps its own count check as a backstop below the
-    # static pass; drive eval directly to reach it
+    # admission counts the values of a call through APPLY$ too: APPLY$
+    # returns one value
     interp = Interp()
     interp.eval_text("(defun one () 5)")
-    with pytest.raises(EvalError) as exc:
-        interp.eval(read("(mv-let (a b) (apply$ 'one nil) a)"), None)
-    assert "expected 2 values" in str(exc.value)
+    with pytest.raises(LinearityError) as exc:
+        interp.eval_text("(mv-let (a b) (apply$ 'one nil) a)")
+    assert exc.value.violations == [
+        "R2: MV-LET binds 2 names to 1 values in "
+        "(MV-LET (A B) (APPLY$ (QUOTE ONE) NIL) A)"]
 
 
 def test_multiple_values_rejected_statically():
@@ -492,28 +509,17 @@ def test_multiple_values_rejected_statically():
 
 def test_multiple_values_rejected_dynamically():
     # route the producer through apply$ so the static pass cannot see the
-    # arity; the runtime checks must still refuse the binding
-    prelude = "(defun two () (mv 1 2))"
+    # arity; APPLY$ refuses a multi-valued function before it runs
     interp = Interp()
-    interp.eval_text(prelude)
-    with pytest.raises(EvalError) as exc:
-        interp.eval_text("(let ((x (apply$ 'two nil))) x)")
-    assert "use MV-LET" in str(exc.value)
-    interp = Interp()
-    interp.eval_text(prelude)
-    with pytest.raises(EvalError) as exc:
-        interp.eval_text("(if (apply$ 'two nil) 1 2)")
-    assert "not a single value in an IF test" in str(exc.value)
-    interp = Interp()
-    interp.eval_text(prelude)
-    with pytest.raises(EvalError) as exc:
-        interp.eval_text("(+ (apply$ 'two nil) 3)")
-    assert "not a single argument of +" in str(exc.value)
-    interp = Interp()
-    interp.eval_text(prelude)
-    with pytest.raises(EvalError) as exc:
-        interp.eval_text("(mv (apply$ 'two nil) 3)")
-    assert "not a single MV component" in str(exc.value)
+    interp.eval_text("(defun two () (mv 1 2))")
+    for text in ("(let ((x (apply$ 'two nil))) x)",
+                 "(if (apply$ 'two nil) 1 2)", "(+ (apply$ 'two nil) 3)",
+                 "(mv (apply$ 'two nil) 3)"):
+        with pytest.raises(EvalError) as exc:
+            interp.eval_text(text)
+        assert str(exc.value) == (
+            "APPLY$ calls only a function of ordinary arguments that "
+            "returns one ordinary value, not TWO in (APPLY$ (QUOTE TWO) NIL)")
 
 
 def test_strings_and_integers_self_evaluate():
@@ -544,10 +550,14 @@ def test_arity_errors():
 
 
 def test_do_only_forms_rejected_outside_loops():
-    for bad in ("(progn 1 2)", "(setq x 1)", "(return 3)", "(loop-finish)"):
-        with pytest.raises(EvalError) as exc:
+    for bad, head in (("(progn 1 2)", "PROGN"), ("(setq x 1)", "SETQ"),
+                      ("(return 3)", "RETURN"), ("(loop-finish)",
+                                                 "LOOP-FINISH")):
+        with pytest.raises(LinearityError) as exc:
             ev(bad)
-        assert "legal only inside DO and FINALLY bodies" in str(exc.value)
+        assert str(exc.value) == (
+            "single-threadedness violation in this top-level form:\n"
+            "  R1: %s is legal only inside DO and FINALLY bodies" % head)
 
 
 def test_events_only_at_top_level():
@@ -656,8 +666,7 @@ def test_free_names_are_rejected_at_admission(monkeypatch, mode):
         interp.eval_text("(apply$ '(lambda (x) (+ x y)) '(1))")
     assert type(exc.value) is EvalError
     assert str(exc.value) == "unbound variable Y in Y"
-    # A child that is its own parent hides the parent in the producer,
-    # as evaluation poisons it.
+    # A child that is its own parent hides the parent in the producer.
     with pytest.raises(LinearityError) as exc:
         interp.eval_text("(stobj-let ((st (tbl-get 'st st (create-st)))) "
                          "(n) (tbl-count st) n)")
@@ -774,9 +783,11 @@ def test_latch_through_mv():
 
 
 def test_call_head_must_be_symbol():
-    with pytest.raises(EvalError) as exc:
+    with pytest.raises(LinearityError) as exc:
         ev("((lambda (x) x) 1)")
-    assert "call head must be a symbol" in str(exc.value)
+    assert str(exc.value) == (
+        "single-threadedness violation in this top-level form:\n"
+        "  R1: call head must be a symbol in ((LAMBDA (X) X) 1)")
 
 
 def test_modes_agree_on_pure_programs():

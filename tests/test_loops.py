@@ -290,20 +290,21 @@ def test_forty_ifs_run_alike_in_both_modes_and_diff(capsys, tmp_path):
 
 @pytest.mark.parametrize("mode", ["logical", "native"])
 def test_do_if_test_has_the_evaluators_texts(mode):
+    # an IF test in a DO body and outside one: one analyzer rule, one text
     interp = Interp(mode=mode)
     interp.eval_text("(defstobj st fld)")
     for form, text in [
             ("(if (mv 1 2) 1 2)",
-             "multiple values are not a single value in an IF test"),
+             "R2: multiple values are not a single value in an IF test"),
             ("(loop$ with x = 0 do :measure 0 "
              "(if (mv 1 2) (return 1) (return 2)))",
-             "multiple values are not a single value in an IF test"),
+             "R2: multiple values are not a single value in an IF test"),
             ("(loop$ with x = 0 do :measure 0 :values (st) "
              "(if st (return st) (return st)))",
-             "stobj ST may not appear in an IF test")]:
-        with pytest.raises(EvalError) as exc:
-            interp.eval(read(form), None)
-        assert exc.value.message == text
+             "R1: stobj ST may not appear in an IF test")]:
+        with pytest.raises(LinearityError) as exc:
+            interp.eval_text(form)
+        assert exc.value.violations == [text]
 
 
 def admission_error(text):
@@ -592,12 +593,12 @@ def test_a_finally_that_falls_through_cannot_yield_a_stobj(mode):
 def test_an_unadmitted_return_of_a_stobj_in_an_ordinary_slot(mode):
     interp = Interp(mode=mode)
     interp.eval_text(STOBJ_SETUP)
-    form = read("(loop$ with i = 0 do :values (nil st) :measure 0 "
-                "(return (mv st st)))")
-    with pytest.raises(EvalError) as exc:
-        interp.eval(form)   # eval skips admission, which rejects this
-    assert str(exc.value) == ("a stobj came back in an ordinary :VALUES "
-                              "slot in " + show(form))
+    with pytest.raises(LinearityError) as exc:
+        interp.eval_text("(loop$ with i = 0 do :values (nil st) :measure 0 "
+                         "(return (mv st st)))")
+    assert exc.value.violations == [
+        "R3: stobj ST appears twice in (MV ST ST)",
+        "R2: (RETURN (MV ST ST)) needs values shaped (* ST), got (ST ST)"]
 
 
 # --------------------------------------------------------------- stobj loops
@@ -972,8 +973,7 @@ def test_violation_texts_show_the_alists_of_their_iteration(trace):
     native.eval_text(STOBJ_SETUP)
     with pytest.raises(GuardViolation) as exc:
         native.eval_text(GUARD_LATE)
-    assert str(exc.value) == ("loop :GUARD (< 1 I) failed entering "
-                              "iteration 4 in %s" % show(read(GUARD_LATE)))
+    assert str(exc.value) == texts[0][2] % show(read(GUARD_LATE))
 
 
 @pytest.mark.parametrize("text, iterations, finally_", [
@@ -1356,8 +1356,18 @@ def test_for_body_sees_only_its_variable():
 def test_with_init_may_not_be_stobj_or_mv():
     interp = Interp()
     interp.eval_text("(defstobj st fld)\n(defun two () (mv 1 2))")
+    for init, violation in (
+            ("st", "R1: stobj ST may not appear in a WITH initial value"),
+            ("(two)", "R2: multiple values are not a single value in a "
+                      "WITH initial value")):
+        with pytest.raises(LinearityError) as exc:
+            interp.eval_text("(loop$ with x = %s do :measure 0 (return x))"
+                             % init)
+        assert exc.value.violations == [violation]
+    # APPLY$ hides which function it calls, so the call itself is refused
     with pytest.raises(EvalError) as exc:
         interp.eval_text("(loop$ with x = (apply$ 'two nil) do :measure 0 "
                          "(return x))")
-    assert "WITH X may not be initialized to a stobj or multiple values" \
-        in str(exc.value)
+    assert str(exc.value) == (
+        "APPLY$ calls only a function of ordinary arguments that returns one "
+        "ordinary value, not TWO in (APPLY$ (QUOTE TWO) NIL)")

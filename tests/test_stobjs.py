@@ -2,16 +2,15 @@
 single-threadedness rules, stobj-let, and table retraction on undo."""
 
 import functools
-import gc
 
 import pytest
 from hypothesis import given, seed, settings, strategies as hs
 
 from conftest import count_calls
-from stlisp import kernel, loops, sexpr, stobj_table, stobjs
-from stlisp.errors import EvalError, LinearityError, OwnershipError
+from stlisp import kernel, loops, sexpr, stobjs
+from stlisp.errors import EvalError, LinearityError
 from stlisp.kernel import Interp
-from stlisp.sexpr import NIL, T, intern, read, show
+from stlisp.sexpr import NIL, T, read, show
 
 
 SWITCH_DEMO = """
@@ -533,13 +532,13 @@ def test_stobj_let_parent_unavailable_in_producer():
                 "(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
                 "(flg) (tbl-count top) flg))")
     assert "TBL-COUNT expects the stobj TOP in this position" in msg
-    # the runtime poisons the parent binding as a backstop
-    form = read("(stobj-let ((switch (tbl-get 'switch top (create-switch))))"
-                " (flg) (tbl-count top) flg)")
-    with pytest.raises(EvalError) as exc:
-        interp.eval(form, None)
-    assert "TOP is not available inside a stobj-let body that extracts " \
-        "from it" in str(exc.value)
+    # a top-level form is admitted by the same rule
+    with pytest.raises(LinearityError) as exc:
+        interp.eval_text("(stobj-let ((switch (tbl-get 'switch top "
+                         "(create-switch)))) (flg) (tbl-count top) flg)")
+    assert exc.value.violations == [
+        "R1: TBL-COUNT expects the stobj TOP in this position of "
+        "(TBL-COUNT TOP)"]
 
 
 def test_stobj_let_child_unavailable_in_consumer():
@@ -702,32 +701,10 @@ def test_logical_view_sorts_table_keys():
     assert show(view) == "(((ALPHA 2) (ZETA 1)))"
 
 
-def test_ownership_guard_rejects_double_store():
-    cell_a = stobj_table.TableCell({})
-    cell_b = stobj_table.TableCell({})
-    spec = stobjs.StobjSpec("CHILD", [stobjs.FieldSpec("F", stobjs.SCALAR)])
-    inst = spec.fresh()
-    stobj_table.table_put(cell_a, intern("CHILD"), inst, own=True)
-    with pytest.raises(OwnershipError) as exc:
-        stobj_table.table_put(cell_b, intern("CHILD"), inst, own=True)
-    assert "already owned by another location" in str(exc.value)
-
-
-def test_ownership_guard_accepts_a_second_store_in_the_same_cell():
-    cell = stobj_table.TableCell({})
-    spec = stobjs.StobjSpec("CHILD", [stobjs.FieldSpec("F", stobjs.SCALAR)])
-    inst = spec.fresh()
-    for _ in range(2):
-        stobj_table.table_put(cell, intern("CHILD"), inst, own=True)
-        assert cell.data == {intern("CHILD"): inst}
-        assert inst.owner is cell.mark
-
-
 @pytest.mark.parametrize("mode", ["logical", "native"])
 def test_an_unchanged_child_is_written_back_again(mode):
-    # Logical table versions share their children, so only the native
-    # write-back may mark a child as owned: a logical mark would make the
-    # next version refuse the same child.
+    # Logical table versions share their children, and a native write-back
+    # stores the child into the cell that already holds it.
     interp = fixture("""
       (defstobj kid val)
       (defstobj top (tbl :type (stobj-table)))
@@ -739,24 +716,6 @@ def test_an_unchanged_child_is_written_back_again(mode):
     for _ in range(3):
         interp.eval_text("(same-kid top)")
     assert show(interp.bank["TOP"].logical_view()) == "(((KID NIL)))"
-
-
-def test_stored_child_does_not_reach_its_cell():
-    # The child's owner mark must not lead back to the cell that holds the
-    # child, or every stored child would be a reference cycle.
-    cell = stobj_table.TableCell({})
-    spec = stobjs.StobjSpec("CHILD", [stobjs.FieldSpec("F", stobjs.SCALAR)])
-    child = spec.fresh()
-    stobj_table.table_put(cell, intern("CHILD"), child, own=True)
-    seen = set()
-    todo = [child]
-    while todo:
-        obj = todo.pop()
-        assert obj is not cell
-        if id(obj) in seen or isinstance(obj, type):
-            continue
-        seen.add(id(obj))
-        todo.extend(gc.get_referents(obj))
 
 
 # ------------------------------------------------ stobj-let parse per World
