@@ -28,7 +28,9 @@ class ReadError(LispError):
 
 
 class EvalError(LispError):
-    """Evaluation failed: unbound variable, bad arity, misuse of a form."""
+    """Evaluation failed, or admission rejected a form: unbound variable,
+    bad arity, misuse of a form.  Arity and form shape are checked at
+    admission only."""
 
 
 class GuardViolation(EvalError):

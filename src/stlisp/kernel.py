@@ -17,10 +17,10 @@ from .errors import (EvalError, GuardViolation, LinearityError,
                      MeasureViolation)
 from .sexpr import (NIL, T, Cons, Env, MultiValue, Symbol, from_bool,
                     intern, show, truthy)
-from .stobjs import (EVENT_HEADS, FOLLOW, LETSTAR, POLY, STOBJ_LET_ONLY,
-                     GeneratedOp, StobjInstance, _cons_args, arity_error,
-                     bindable, generated_ops, if_parts, let_parts, list_items,
-                     mv_let_parts, mv_parts, op_shape, quote_parts)
+from .stobjs import (EVENT_HEADS, FOLLOW, LETSTAR, POLY, GeneratedOp,
+                     StobjInstance, _cons_args, arity_error, bindable,
+                     generated_ops, let_parts, list_items, mv_let_parts,
+                     mv_parts, op_shape)
 
 
 class FunctionDef:
@@ -62,28 +62,28 @@ class World:
     def stobj_spec(self, name):
         return self.stobjs.get(name)
 
+    def target(self, name):
+        """The FunctionDef, GeneratedOp, Signature or Builtin named name,
+        or None.  Interp._check_fresh keeps these names distinct."""
+        return (self.functions.get(name) or self.genops.get(name)
+                or self.signatures.get(name) or BUILTINS.get(name))
+
     def callee(self, name, nargs, form=None):
         """(target, inputs, outputs) of a callable, checking arity.
 
-        The target is a Builtin, FunctionDef, GeneratedOp or Signature.
-        Raises EvalError naming form for unknown names or wrong argument
-        counts.
+        The target is as for target().  Raises EvalError naming form for
+        unknown names or wrong argument counts.
         """
-        target = BUILTINS.get(name)
-        if target is not None:
+        target = self.target(name)
+        if target is None:
+            raise EvalError("undefined function %s" % name, form=form)
+        if type(target) is Builtin:
             lo, hi = target.min_args, target.max_args
             inputs = (None, POLY) if target.poly_stobj else (None,) * nargs
             outputs = target.outputs
         else:
-            target = self.functions.get(name) or self.signatures.get(name)
-            if target is not None:
-                inputs, outputs = target.inputs, target.outputs
-            else:
-                target = self.genops.get(name)
-                if target is None:
-                    raise EvalError("undefined function %s" % name,
-                                    form=form)
-                inputs, outputs = op_shape(target)
+            inputs, outputs = (op_shape(target) if type(target) is GeneratedOp
+                               else (target.inputs, target.outputs))
             lo = hi = len(inputs)
         if nargs < lo or (hi is not None and nargs > hi):
             arity_error(name, nargs, lo, hi, form)
@@ -336,16 +336,17 @@ LAMBDA = intern("LAMBDA")
 
 
 def _sf_quote(interp, form, env):
-    return quote_parts(form)
+    return form.cdr.car
 
 
 def _sf_if(interp, form, env):
-    test, then, els = if_parts(form)
-    if interp.eval(test, env) is not NIL:
-        return interp.eval(then, env)
-    if els is None:
+    rest = form.cdr
+    if interp.eval(rest.car, env) is not NIL:
+        return interp.eval(rest.cdr.car, env)
+    rest = rest.cdr.cdr
+    if rest is NIL:
         return NIL
-    return interp.eval(els, env)
+    return interp.eval(rest.car, env)
 
 
 def _sf_let(interp, form, env):
@@ -383,17 +384,7 @@ def _sf_stobj_let(interp, form, env):
 
 
 def _eval_builtin(b, interp, form, env):
-    """A call of the builtin b: _eval_call's checks, in its order and with
-    its texts, without the callee lookup and the dispatch."""
-    nargs = 0
-    node = form.cdr
-    while isinstance(node, Cons):
-        nargs += 1
-        node = node.cdr
-    if node is not NIL:
-        _cons_args(form)  # raises: not a proper list
-    if nargs < b.min_args or (b.max_args is not None and nargs > b.max_args):
-        arity_error(b.name, nargs, b.min_args, b.max_args, form)
+    """An admitted call of the builtin b: its arguments, then b.fn."""
     vals = []
     node = form.cdr
     while node is not NIL:
@@ -413,7 +404,8 @@ def _eval_builtin(b, interp, form, env):
 # The handler of every head that is not sent through _eval_call, so such a
 # node makes one lookup: the special forms and each builtin but the POLY
 # one.  Interp._check_fresh keeps every event from binding a builtin's
-# name, so no head found here is shadowed.
+# name, so no head found here is shadowed.  No handler checks its form,
+# since admission did (see Interp.eval): QUOTE and IF read it in place.
 _SPECIAL = {
     "QUOTE": _sf_quote, "IF": _sf_if, "LET": _sf_let, "LET*": _sf_let,
     "MV": _sf_mv, "MV-LET": _sf_mv_let, "LOOP$": loops.eval_loop,
@@ -504,8 +496,9 @@ class Interp:
 
         Precondition: form was admitted, as a top-level form by eval_top,
         as part of a defun, or as the body of an APPLY$ lambda.  The
-        static check of admission is the only check of single-threadedness
-        and of value shapes, so form is not checked again here.
+        static check of admission is the only check of single-threadedness,
+        of value shapes, of each call's argument list and arity, and of
+        each special form's shape, so form is not checked again here.
         """
         # Dispatch on the exact type, calls first: no class derives from
         # Cons, Symbol or int.
@@ -535,34 +528,21 @@ class Interp:
         raise EvalError("cannot evaluate host object %r" % (form,))
 
     def _eval_call(self, form, env):
-        name = form.car.name
-        nargs = 0
-        node = form.cdr
-        while isinstance(node, Cons):
-            nargs += 1
-            node = node.cdr
-        if node is not NIL:
-            _cons_args(form)  # raises: not a proper list
-        target, inputs, _outputs = self.world.callee(name, nargs, form)
-        if type(target) is GeneratedOp and target.kind in STOBJ_LET_ONLY:
-            # Blocked before argument evaluation: a tbl-get default must
-            # not run outside stobj-let.
-            stobjs.apply_generated(self, target, [], form)
+        target = self.world.target(form.car.name)
+        if target is None:
+            self.world.callee(form.car.name, 0, form)  # raises: undefined
         vals = []
         node = form.cdr
-        for slot in inputs:   # one slot per argument, arity checked
+        while node is not NIL:
             # read as _eval_builtin reads them (one helper for both loops
             # gave back a quarter of the gain: see CHANGES.md)
             x = node.car
             if type(x) is int:
-                v = x
+                vals.append(x)
             elif type(x) is Symbol and env is not None and x.name in env.vars:
-                v = env.vars[x.name]
+                vals.append(env.vars[x.name])
             else:
-                v = self.eval(x, env)
-            if slot is not None:
-                _slot_check(name, slot, v, form)
-            vals.append(v)
+                vals.append(self.eval(x, env))
             node = node.cdr
         return self._dispatch(target, vals, form)
 

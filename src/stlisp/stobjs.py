@@ -300,7 +300,8 @@ def apply_generated(interp, op, args, form):
     if kind == "create":
         raise EvalError("%s may only appear as a stobj-table default inside "
                         "stobj-let" % op.name, form=form)
-    # tbl-get / tbl-put reach here only outside stobj-let.
+    # tbl-get / tbl-put reach here only through Interp.call: admission
+    # and the APPLY$ badge keep Lisp code from calling them at all.
     raise EvalError("%s may only be used through stobj-let" % op.name,
                     form=form)
 
@@ -882,7 +883,8 @@ class Analyzer:
         return tuple(follow if o is FOLLOW else o for o in outputs)
 
     def _shape_of(self, name, nargs):
-        """(inputs, outputs) of a call, checking arity like the evaluator."""
+        """(inputs, outputs) of a call, checking arity as World.callee
+        does: the evaluator does not check it again."""
         if name == self.fname:
             n = len(self.self_inputs)
             if nargs != n:
@@ -949,12 +951,14 @@ DO_ONLY_HEADS = frozenset(("PROGN", "SETQ", "MV-SETQ", "RETURN",
                            "LOOP-FINISH"))
 EVENT_HEADS = frozenset(("DEFUN", "DEFSTOBJ", "ENCAPSULATE", "DEFATTACH"))
 
-# One parser per special form, shared by the evaluator, the analyzer and
-# the DO-body parser, so all three accept the same forms and reject the
-# rest with the same EvalError and text.  Each reads a well-formed form
-# in place; a malformed one is listed by _cons_args, so a dotted form
-# raises that error before any count check.  A name is tested as
-# bindable does, inline, so a good name costs no call.
+# One parser per special form, shared by the analyzer and the DO-body
+# parser, so both accept the same forms and reject the rest with the
+# same EvalError and text.  The evaluator decodes an admitted LET, LET*,
+# MV or MV-LET with them too, and reads an IF or QUOTE in place.  Each
+# reads a well-formed form in place; a malformed one is listed by
+# _cons_args, so a dotted form raises that error before any count check.
+# A name is tested as bindable does, inline, so a good name costs no
+# call.
 
 
 def quote_parts(form):

@@ -1,13 +1,18 @@
 """The texts of the evaluator's checks, pinned in both modes; passing
 checks that format nothing; stobj-let scoping; a passing path that lists
 no form, and builtin calls and DO-body SETQs that skip the generic call
-path; one callee lookup shared by the analyzer and the evaluator; names
-that may never be bound; deep recursion and deep values."""
+path; one callee lookup shared by the analyzer and the evaluator; only
+LispErrors from the failing forms of a corpus program; names that may
+never be bound; deep recursion and deep values."""
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from stlisp import kernel, loops, refinement, sexpr, stobjs
-from stlisp.errors import EvalError, GuardViolation, LinearityError
+from stlisp import cli, kernel, loops, refinement, sexpr, stobjs
+from stlisp.errors import EvalError, GuardViolation, LinearityError, LispError
 from stlisp.kernel import Interp
 from stlisp.sexpr import NIL, T, Cons, intern, read, show
 
@@ -207,10 +212,11 @@ def test_poison_text(mode, text, message):
     assert rejected(mode, text) == message
 
 
-# Texts that evaluation raises, read through Interp.eval: at top level the
-# analyzer would reject most of these forms first, with its own texts.
+# Texts of checks on calls, read through eval_text: admission raises the
+# arity, argument-list and slot texts once, so evaluation runs the call
+# without them; an OF-TYPE check is made as the loop runs.
 EVALUATED = [
-    # arity is checked before any argument runs
+    # arity is checked before any argument is checked
     ("(car 1 (undefined-fn))", EvalError,
      "CAR takes 1 argument, got 2 in (CAR 1 (UNDEFINED-FN))"),
     ("(car 1 . 2)", EvalError,
@@ -222,9 +228,10 @@ EVALUATED = [
      loops.OfTypeViolation,
      "OF-TYPE violation: I = OOPS is not an INTEGER (iteration 2) "
      "in (SETQ I (IF (= I 2) (QUOTE OOPS) (1- I)))"),
-    ("(report-completion-or-error-and-return 'a 5)", EvalError,
-     "REPORT-COMPLETION-OR-ERROR-AND-RETURN expects a live stobj argument "
-     "in (REPORT-COMPLETION-OR-ERROR-AND-RETURN (QUOTE A) 5)"),
+    ("(report-completion-or-error-and-return 'a 5)", LinearityError,
+     TOP_FORM + "R1: REPORT-COMPLETION-OR-ERROR-AND-RETURN needs a live "
+     "stobj argument in (REPORT-COMPLETION-OR-ERROR-AND-RETURN (QUOTE A) "
+     "5)"),
 ]
 
 
@@ -233,7 +240,7 @@ EVALUATED = [
                          ids=[t for t, _, _ in EVALUATED])
 def test_evaluated_check_text(mode, text, cls, message):
     with pytest.raises(EvalError) as exc:
-        prelude(mode).eval(read(text), None)
+        prelude(mode).eval_text(text)
     assert (type(exc.value), str(exc.value)) == (cls, message)
 
 
@@ -425,24 +432,33 @@ def test_builtin_calls_and_do_body_setqs_skip_the_generic_path(mode,
 # ------------------------------- the analyzer and the evaluator agree on calls
 
 # One bad call of each kind of callee: builtin, generated op, constrained
-# function, defun, and an undefined name.
-BAD_CALLS = ["(car 1 2)", "(val)", "(f 1 2)", "(g)", "(nosuch 1)"]
+# function, defun, and an undefined name, with the text of its error.
+BAD_CALLS = [
+    ("(car 1 2)", "CAR takes 1 argument, got 2"),
+    ("(val)", "VAL takes 1 argument, got 0"),
+    ("(f 1 2)", "F takes 1 argument, got 2"),
+    ("(g)", "G takes 1 argument, got 0"),
+    ("(nosuch 1)", "undefined function NOSUCH"),
+]
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("text", BAD_CALLS)
-def test_analyzer_and_evaluator_give_one_call_text(mode, text):
+@pytest.mark.parametrize("text,message", BAD_CALLS,
+                         ids=[t for t, _ in BAD_CALLS])
+def test_analyzer_and_evaluator_give_one_call_text(mode, text, message):
     interp = prelude(mode)
+    form = read(text)
     # at top level the analyzer raises before evaluation
-    analyzed = failure(interp, text)
-    # evaluating the form directly skips the analyzer
-    with pytest.raises(EvalError) as exc:
-        interp.eval(read(text), None)
-    assert analyzed == (EvalError, str(exc.value))
+    assert failure(interp, text) == (EvalError,
+                                     "%s in %s" % (message, show(form)))
+    # APPLY$ of the name looks the callee up as the program runs
+    call = "(apply$ '%s '%s)" % (show(form.car), show(form.cdr))
+    assert failure(interp, call) == (EvalError, "%s in %s"
+                                     % (message, show(read(call))))
     # inside a defun body the analyzer records it as an R1 violation
     with pytest.raises(LinearityError) as exc:
         interp.eval_text("(defun h (x) (if x %s x))" % text)
-    assert exc.value.violations == ["R1: " + analyzed[1]]
+    assert exc.value.violations == ["R1: %s in %s" % (message, show(form))]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -452,6 +468,42 @@ def test_self_call_arity_text_matches_other_calls(mode):
         interp.eval_text("(defun r (x) (if x (r x x) x))")
     assert exc.value.violations == ["R1: R takes 1 argument, got 2 "
                                     "in (R X X)"]
+
+
+# ------------------------------------------------------ the public boundary
+
+CALL_CHECKS_LISP = (Path(__file__).resolve().parent.parent / "corpus"
+                    / "call_checks.lisp")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_call_checks_corpus_fails_only_with_lisp_errors(mode, tmp_path):
+    # The evaluator does not check a form again once admission has, so
+    # each failing form of the corpus program must still end in a
+    # LispError, never another exception: through eval_text, as the body
+    # of an APPLY$ lambda, and under `stlisp run`.
+    interp = Interp(mode=mode)
+    passing, failing = [], []
+    for form in sexpr.read_all(CALL_CHECKS_LISP.read_text()):
+        try:
+            interp.eval_text(show(form))
+            passing.append(form)
+        except LispError:
+            failing.append(form)
+    assert (len(passing), len(failing)) == (15, 52)
+    prefix = "\n".join(show(f) for f in passing) + "\n"
+    for form in failing:
+        body = sexpr.from_pylist([kernel.LAMBDA, read("(x)"), form])
+        with pytest.raises(LispError):
+            interp.apply_lambda(body, [1])
+        path = tmp_path / "one.lisp"
+        path.write_text(prefix + show(form))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["run", "--mode", mode, str(path)])
+        assert code == 1
+        assert out.getvalue().splitlines()[len(passing)].startswith(
+            "error: ")
 
 
 # ------------------------------------------------ names that are never bound

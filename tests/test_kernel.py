@@ -214,42 +214,68 @@ def test_syntax_errors_name_the_form_in_both_modes(text, offending):
     assert len(classes) == 1
 
 
-@pytest.mark.parametrize("text", [
-    "(quote 1 2)", "(if 1)", "(if 1 2 3 4)", "(let ((y 1)))", "(let (y) 1)",
-    "(let* ((y . 1)) y)", "(mv 1)", "(mv-let (a) (mv 1 2) a)",
-    "(mv-let (a b) (mv 1 2))", "(if 1 2 . 3)", "(quote a . b)",
-    "(let ((x 1)) . x)", "(let ((x 1) (x 2)) x)", "(mv-let (a a) (mv 1 2) a)"])
-def test_malformed_special_form_has_one_text(text):
-    # the evaluator and the analyzer reject it alike, in a DO body too
-    with pytest.raises(EvalError) as exc:
-        Interp().eval(read(text))
-    want = str(exc.value)
+MALFORMED_SPECIAL_FORMS = [
+    ("(quote 1 2)", "QUOTE takes one argument"),
+    ("(if 1)", "IF takes a test and one or two branches"),
+    ("(if 1 2 3 4)", "IF takes a test and one or two branches"),
+    ("(let ((y 1)))", "LET takes bindings and a single body form"),
+    ("(let (y) 1)", "malformed LET bindings"),
+    ("(let* ((y . 1)) y)", "malformed LET* bindings"),
+    ("(mv 1)", "MV needs at least two values"),
+    ("(mv-let (a) (mv 1 2) a)", "MV-LET needs two or more variable names"),
+    ("(mv-let (a b) (mv 1 2))", "MV-LET takes variables, a form, and a body"),
+    ("(if 1 2 . 3)", "argument list is not a proper list"),
+    ("(quote a . b)", "argument list is not a proper list"),
+    ("(let ((x 1)) . x)", "argument list is not a proper list"),
+    ("(let ((x 1) (x 2)) x)", "duplicate LET variable X"),
+    ("(mv-let (a a) (mv 1 2) a)", "duplicate MV-LET variable A"),
+]
+
+
+@pytest.mark.parametrize("text,message", MALFORMED_SPECIAL_FORMS,
+                         ids=[t for t, _ in MALFORMED_SPECIAL_FORMS])
+def test_malformed_special_form_has_one_text(text, message):
+    # the analyzer rejects it with one text, in a DO body too
+    want = "R1: %s in %s" % (message, show(read(text)))
     with pytest.raises(LinearityError) as exc:
         ev(text)
-    assert "R1: " + want in str(exc.value)
+    assert exc.value.violations == [want]
     with pytest.raises(LinearityError) as exc:
         ev("(loop$ with x = 0 do :measure 0 (setq x %s))" % text)
-    assert exc.value.violations == ["R1: " + want]
+    assert exc.value.violations == [want]
 
 
-@pytest.mark.parametrize("text,message", [
+# Each form, the class of the error that admitting it raises, and its
+# text: a call's own check raises directly, and a special form's is its
+# one R1 violation.
+ADMISSION_TEXTS = [
     # a dotted argument list is reported before the arity
-    ("(car 1 2 . 3)", "argument list is not a proper list in (CAR 1 2 . 3)"),
-    ("(if 1 2 . 3)", "argument list is not a proper list in (IF 1 2 . 3)"),
-    ("(if 1 2 3 4)",
+    ("(car 1 2 . 3)", EvalError,
+     "argument list is not a proper list in (CAR 1 2 . 3)"),
+    ("(if 1 2 . 3)", LinearityError,
+     "argument list is not a proper list in (IF 1 2 . 3)"),
+    ("(if 1 2 3 4)", LinearityError,
      "IF takes a test and one or two branches in (IF 1 2 3 4)"),
-    ("(quote a . b)", "argument list is not a proper list in (QUOTE A . B)"),
-    ("(let ((x 1)) . x)",
+    ("(quote a . b)", LinearityError,
+     "argument list is not a proper list in (QUOTE A . B)"),
+    ("(let ((x 1)) . x)", LinearityError,
      "argument list is not a proper list in (LET ((X 1)) . X)"),
-    ("(stobj-let ((a b) . c) (a) 1 2)", "stobj-let bindings is not a proper "
-     "list in (STOBJ-LET ((A B) . C) (A) 1 2)"),
-])
-def test_evaluator_error_texts_in_both_modes(text, message):
+    ("(stobj-let ((a b) . c) (a) 1 2)", LinearityError, "stobj-let bindings "
+     "is not a proper list in (STOBJ-LET ((A B) . C) (A) 1 2)"),
+]
+
+
+@pytest.mark.parametrize("text,cls,message", ADMISSION_TEXTS,
+                         ids=["%s-%s" % (t, m) for t, _, m in ADMISSION_TEXTS])
+def test_evaluator_error_texts_in_both_modes(text, cls, message):
     for mode in ("logical", "native"):
         with pytest.raises(EvalError) as exc:
-            Interp(mode=mode).eval(read(text))
-        assert type(exc.value) is EvalError
-        assert str(exc.value) == message
+            ev(text, mode=mode)
+        assert type(exc.value) is cls
+        if cls is LinearityError:
+            assert exc.value.violations == ["R1: " + message]
+        else:
+            assert str(exc.value) == message
 
 
 # ------------------------------------------- the call path's argument reads
@@ -317,8 +343,12 @@ def test_call_argument_rejections_in_both_modes(mode, text, cls, message):
 # its error class and text (or its value, as shown) with guards on, and
 # with guards off.  A builtin call and a defun call take their arguments
 # in the same order, with the same checks.
+# Each form, with the class and text of its error with guards on, then
+# with guards off.  Admission checks argument lists and arity once; the
+# call path checks each builtin's precondition and each defun's guard.
 CALL_CHECKS = [
-    # arguments run left to right: an error comes before a later argument
+    # arguments are checked left to right: an error comes before a later
+    # argument
     (PRODUCER % "(+ (car 1 2) top)", EvalError,
      "CAR takes 1 argument, got 2 in (CAR 1 2)", EvalError,
      "CAR takes 1 argument, got 2 in (CAR 1 2)"),
@@ -329,7 +359,7 @@ CALL_CHECKS = [
     ("(inc 1 2 . 3)", EvalError,
      "argument list is not a proper list in (INC 1 2 . 3)", EvalError,
      "argument list is not a proper list in (INC 1 2 . 3)"),
-    # the arity, before any argument runs
+    # the arity, before any argument is checked
     ("(1+ 1 (undefined-fn))", EvalError,
      "1+ takes 1 argument, got 2 in (1+ 1 (UNDEFINED-FN))", EvalError,
      "1+ takes 1 argument, got 2 in (1+ 1 (UNDEFINED-FN))"),
@@ -367,10 +397,10 @@ def test_call_argument_checks_in_both_modes(mode, text, cls, message,
         interp = Interp(mode=mode, guard_check=guard_check)
         interp.eval_text(CALLS_PRELUDE)
         if want_cls is None:
-            assert show(interp.eval(read(text), None)) == want
+            assert show(interp.eval_text(text)[-1][1]) == want
             continue
         with pytest.raises(EvalError) as exc:
-            interp.eval(read(text), None)
+            interp.eval_text(text)
         assert (type(exc.value), str(exc.value)) == (want_cls, want)
 
 
