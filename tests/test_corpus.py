@@ -28,6 +28,9 @@ COMMANDS = {
     "run --mode native": ["run", "--mode", "native"],
     "diff": ["diff"],
     "check-constraints --trials 200": ["check-constraints", "--trials", "200"],
+    "check-constraints --mode native --seed 7 --trials 200": [
+        "check-constraints", "--mode", "native", "--seed", "7",
+        "--trials", "200"],
 }
 PROGRAMS = sorted(p.name for p in CORPUS.glob("*.lisp"))
 
