@@ -6,6 +6,12 @@ contracts the surrounding system relies on are checked dynamically:
 sampled over randomized states by check_constraints, and on the actual
 trajectory by the measure check on any function whose :measure calls
 the constrained rank.
+
+check_constraints checks the five signatures' shapes once, against the
+argument kinds it passes, and then runs each attachment directly: no
+event runs while it samples, and defattach made each attached
+definition's shape its signature's, so the per-call checks of
+Interp.call could never fire there.
 """
 
 import random
@@ -165,24 +171,54 @@ def _nfix(v):
     return v if isinstance(v, int) and v >= 0 else 0
 
 
+# What the sampler passes to and reads from each constrained function:
+# (name, per argument whether it is the stobj S, whether S is returned),
+# where S is the stobj EXEC names and every other slot is ordinary (*).
+_SAMPLED = (("PROC-IDS", (), False), ("PICK", (True,), False),
+            ("READY", (False, True), False), ("EXEC", (False, True), True),
+            ("RANK", (False, True), False))
+
+
 def check_constraints(interp, seed=0, trials=1000):
-    """Sample the four scheduler contracts over randomized states."""
+    """Sample the four scheduler contracts over randomized states.
+
+    Each signature's shape is checked once against the kinds the sampler
+    passes; the trials then call the attached definitions directly.
+    """
     world = interp.world
-    for name in ("PROC-IDS", "PICK", "READY", "EXEC", "RANK"):
-        if name not in world.signatures:
+    exec_sig = world.signatures.get("EXEC")
+    sname = exec_sig and next((s for s in exec_sig.inputs if s is not None),
+                              None)
+    attached = {}
+    for name, stobj_inputs, stobj_output in _SAMPLED:
+        sig = world.signatures.get(name)
+        if sig is None:
             raise EvalError("check-constraints needs the %s signature" % name)
         if name not in world.attachments:
             raise EvalError("constrained function %s has no attachment"
                             % name)
+        inputs = tuple(sname if s else None for s in stobj_inputs)
+        outputs = (sname if stobj_output else None,)
+        if sname is not None and (sig.inputs, sig.outputs) != (inputs,
+                                                                outputs):
+            raise EvalError("check-constraints needs %s to have the shape "
+                            "%s => %s, not %s => %s"
+                            % (name, _shape_str(inputs), _shape_str(outputs),
+                               _shape_str(sig.inputs),
+                               _shape_str(sig.outputs)))
+        attached[name] = world.functions[world.attachments[name]]
     ids = _proc_id_list(interp, None)
     if not ids:
         raise EvalError("PROC-IDS returned an empty list; nothing to check")
-    sname = next((s for s in world.signatures["EXEC"].inputs
-                  if s is not None), None)
     if sname is None:
         raise EvalError("the EXEC signature takes no stobj")
     spec = world.stobj_spec(sname)
     rng = random.Random(seed)
+    # The shapes above are every check Interp.call would repeat per call:
+    # PROC-IDS items are ordinary values, and EXEC returns the stobj S.
+    call = interp._call_defun
+    pick, ready, exec_, rank = (attached[n] for n in
+                                ("PICK", "READY", "EXEC", "RANK"))
 
     def pick_id():
         return ids[rng.randrange(len(ids))]
@@ -190,7 +226,7 @@ def check_constraints(interp, seed=0, trials=1000):
     def random_state():
         st = spec.fresh()
         for _ in range(rng.randrange(7)):
-            st = interp.call("EXEC", [pick_id(), st])
+            st = call(exec_, [pick_id(), st], None)
         return st
 
     report = ConstraintReport(seed, trials)
@@ -199,7 +235,7 @@ def check_constraints(interp, seed=0, trials=1000):
         q = pick_id()
 
         st = random_state()
-        r = interp.call("RANK", [p, st])
+        r = call(rank, [p, st], None)
         report.checked["rank-is-natural"] += 1
         if not (isinstance(r, int) and r >= 0):
             report.fail("rank-is-natural",
@@ -208,7 +244,7 @@ def check_constraints(interp, seed=0, trials=1000):
                            show(st.logical_view())))
 
         st = random_state()
-        pk = interp.call("PICK", [st])
+        pk = call(pick, [st], None)
         report.checked["pick-is-proc-id"] += 1
         if not any(sexpr.equal(pk, i) for i in ids):
             report.fail("pick-is-proc-id",
@@ -216,9 +252,9 @@ def check_constraints(interp, seed=0, trials=1000):
                         % (trial, show(pk), show(st.logical_view())))
 
         st = random_state()
-        before = _nfix(interp.call("RANK", [p, st]))
-        st2 = interp.call("EXEC", [q, st])
-        after = _nfix(interp.call("RANK", [p, st2]))
+        before = _nfix(call(rank, [p, st], None))
+        st2 = call(exec_, [q, st], None)
+        after = _nfix(call(rank, [p, st2], None))
         report.checked["exec-no-interfere"] += 1
         if after > before and not sexpr.equal(p, q):
             report.fail("exec-no-interfere",
@@ -227,10 +263,10 @@ def check_constraints(interp, seed=0, trials=1000):
                                           show(q)))
 
         st = random_state()
-        if truthy(interp.call("READY", [p, st])):
-            before = _nfix(interp.call("RANK", [p, st]))
-            st2 = interp.call("EXEC", [p, st])
-            after = _nfix(interp.call("RANK", [p, st2]))
+        if truthy(call(ready, [p, st], None)):
+            before = _nfix(call(rank, [p, st], None))
+            st2 = call(exec_, [p, st], None)
+            after = _nfix(call(rank, [p, st2], None))
             report.checked["exec-rank-reduces"] += 1
             if not after < before:
                 report.fail("exec-rank-reduces",

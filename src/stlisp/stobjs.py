@@ -771,7 +771,10 @@ class Analyzer:
             if sname is not None and live.get(sname) != sname:
                 self.err("R1", ":VALUES stobj %s is not a live stobj here"
                          % sname)
-        if self._parse(loops.make_do_plan, spec, self.world) is None:
+        # A plan that failed after its statement trees were built (say, no
+        # :MEASURE could be guessed) still has what it built checked.
+        self._parse(loops.make_do_plan, spec, self.world)
+        if spec.do_tree is None:
             return tuple(spec.values)
         # The loop sees the settables only: :VALUES stobjs and WITH names.
         live = {s: s for s in spec.value_stobjs}
@@ -780,8 +783,10 @@ class Analyzer:
         if spec.guard is not None:
             self.loop_scope = (":GUARD", spec.settables)
             self.want_value(spec.guard, live, bound, "a loop :GUARD")
-        self.loop_scope = (":MEASURE", spec.settables)
-        self.want_value(spec.measure_form, live, bound, "a loop :MEASURE")
+        if spec.measure_form is not None:
+            self.loop_scope = (":MEASURE", spec.settables)
+            self.want_value(spec.measure_form, live, bound,
+                            "a loop :MEASURE")
         self.loop_scope = ("a DO-body expression", spec.settables)
         for tree in (spec.do_tree, spec.finally_tree):
             if tree is not None:
@@ -829,20 +834,23 @@ class Analyzer:
 
     def _analyze_call(self, expr, live, bound):
         name = expr.car.name
-        args = _cons_args(expr)
-        entry = self.world.genops.get(name)
-        if entry is not None and entry.kind in STOBJ_LET_ONLY:
-            where = {"create": "as a stobj-table default inside stobj-let",
-                     "tbl-get": "inside stobj-let bindings",
-                     "tbl-put": "through stobj-let writeback"}[entry.kind]
-            self.err("R1", "%s may only be used %s" % (name, where))
-            return (None,)
+        args = ()
         try:
+            args = _cons_args(expr)
+            entry = self.world.genops.get(name)
+            if entry is not None and entry.kind in STOBJ_LET_ONLY:
+                where = {"create": "as a stobj-table default inside "
+                                   "stobj-let",
+                         "tbl-get": "inside stobj-let bindings",
+                         "tbl-put": "through stobj-let writeback"}[entry.kind]
+                self.err("R1", "%s may only be used %s" % (name, where))
+                return (None,)
             inputs, outputs = self._shape_of(name, len(args))
         except EvalError as e:
-            # Top-level checking (no fname) raises undefined-function and
-            # arity problems directly; inside a defun they are collected
-            # as violations so a bad definition reports everything at once.
+            # Top-level checking (no fname) raises dotted-list,
+            # undefined-function and arity problems directly; inside a
+            # defun they are collected as violations so a bad definition
+            # reports everything at once.
             if self.fname is None:
                 raise EvalError(e.message, form=expr)
             self.err("R1", "%s in %s" % (e.message, show(expr)))

@@ -470,6 +470,20 @@ def test_self_call_arity_text_matches_other_calls(mode):
                                     "in (R X X)"]
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_a_dotted_call_in_a_defun_joins_the_violations(mode):
+    interp = prelude(mode)
+    # at top level it raises at once, as a wrong arity does
+    assert failure(interp, "(g 1 . 2)") == (
+        EvalError, "argument list is not a proper list in (G 1 . 2)")
+    # in a defun it hides no later violation
+    with pytest.raises(LinearityError) as exc:
+        interp.eval_text("(defun both (x) (if (g x . 2) (g x x) x))")
+    assert exc.value.violations == [
+        "R1: argument list is not a proper list in (G X . 2)",
+        "R1: G takes 1 argument, got 2 in (G X X)"]
+
+
 # ------------------------------------------------------ the public boundary
 
 CALL_CHECKS_LISP = (Path(__file__).resolve().parent.parent / "corpus"

@@ -362,30 +362,44 @@ def test_every_scope_fault_of_a_loop_is_listed(capsys, tmp_path):
 
 
 def test_an_unguessable_measure_is_reported_before_scope_faults():
+    # ... and the body is still checked
     lines = admission_error("(loop$ with i = 0 do (if (= i 5) (return free) "
                             "(setq i (1+ i))))").splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 3
     assert lines[1].startswith("  R1: cannot guess a :MEASURE for this DO "
                                "loop")
+    assert lines[2] == ("  R1: FREE is not bound in a DO-body expression "
+                        "(settable variables: I) in FREE")
+
+
+def test_a_loop_without_a_guessable_measure_still_has_its_body_checked():
+    text = "(loop$ with i = 0 do (return (if i)))"
+    assert admission_error(text).splitlines()[1:] == [
+        "  R1: cannot guess a :MEASURE for this DO loop (no single WITH "
+        "variable is stepped only by 1-/-/cdr of itself); supply :MEASURE "
+        "in %s" % show(read(text)),
+        "  R1: IF takes a test and one or two branches in (IF I)"]
 
 
 def test_a_dotted_step_is_no_measure():
     text = "(loop$ with i = 3 do (if (zp i) (return 0) (setq i (1- i . 3))))"
-    msg = admission_error(text)
-    assert msg == (
-        "single-threadedness violation in this top-level form:\n"
-        "  R1: cannot guess a :MEASURE for this DO loop (no single WITH "
+    # in a defun the analyzer collects both: no measure is guessed from the
+    # step, and the step is rejected as the evaluator rejects any dotted call
+    with pytest.raises(LinearityError) as exc:
+        Interp().eval_text("(defun f () %s)" % text)
+    assert exc.value.violations == [
+        "R1: cannot guess a :MEASURE for this DO loop (no single WITH "
         "variable is stepped only by 1-/-/cdr of itself); supply :MEASURE "
-        "in %s" % show(read(text)))
-    # with a measure the analyzer reaches the step, and rejects it as the
-    # evaluator does any dotted call
+        "in %s" % show(read(text)),
+        "R1: argument list is not a proper list in (1- I . 3)"]
+    # at the top level the dotted call raises at once, with or without a
+    # measure
     for mode in ("logical", "native"):
-        with pytest.raises(EvalError) as exc:
-            Interp(mode=mode).eval_text(
-                "(loop$ with i = 3 do :measure i (if (zp i) (return 0) "
-                "(setq i (1- i . 3))))")
-        assert str(exc.value) == ("argument list is not a proper list in "
-                                  "(1- I . 3)")
+        for loop in (text, text.replace(" do ", " do :measure i ")):
+            with pytest.raises(EvalError) as exc:
+                Interp(mode=mode).eval_text(loop)
+            assert str(exc.value) == ("argument list is not a proper list "
+                                      "in (1- I . 3)")
 
 
 def test_return_shape_validation():

@@ -7,9 +7,10 @@ import re
 
 import pytest
 
-from stlisp import refinement
+from conftest import count_calls
+from stlisp import cli, refinement
 from stlisp.errors import EvalError, MeasureViolation
-from stlisp.kernel import Interp
+from stlisp.kernel import Interp, World
 from stlisp.loops import l_less
 
 # A scheduler written against five constrained functions, then two
@@ -416,3 +417,67 @@ def test_check_constraints_rejects_empty_proc_ids():
     with pytest.raises(EvalError) as exc:
         refinement.check_constraints(interp, trials=1)
     assert "PROC-IDS returned an empty list" in str(exc.value)
+
+
+def _replaced(text, *pairs):
+    for old, new in pairs:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+# The scheduler without RUN (which needs EXEC to return ST), with EXEC
+# declared to return an ordinary value and attached to one that does.
+EXEC_RETURNS_A_VALUE = _replaced(
+    SCHEDULER,
+    ("((exec * st) => st)", "((exec * st) => *)"),
+    (SCHEDULER[SCHEDULER.index("(defun run "):
+               SCHEDULER.index("(defstobj proc1")], ""),
+    (SCHEDULER[SCHEDULER.index("(defun my-exec "):],
+     "(defun my-exec (p st)\n  (declare (xargs :stobjs (st)))\n"
+     "  (tbl-count st))\n")) + ATTACH_ALL
+
+RANK_TAKES_THE_STOBJ_FIRST = """
+(defstobj st (cnt :initially 0))
+(encapsulate (((proc-ids) => *) ((pick st) => *) ((ready * st) => *)
+              ((exec * st) => st) ((rank st *) => *)))
+(defun my-proc-ids () '(a b))
+(defun my-pick (st) (declare (xargs :stobjs (st))) 'a)
+(defun my-ready (p st) (declare (xargs :stobjs (st))) t)
+(defun my-exec (p st) (declare (xargs :stobjs (st))) st)
+(defun my-rank (st p) (declare (xargs :stobjs (st))) 0)
+""" + ATTACH_ALL
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+@pytest.mark.parametrize("program, line", [
+    (EXEC_RETURNS_A_VALUE, "error: check-constraints needs EXEC to have "
+     "the shape (* ST) => (ST), not (* ST) => (*)"),
+    (RANK_TAKES_THE_STOBJ_FIRST, "error: check-constraints needs RANK to "
+     "have the shape (* ST) => (*), not (ST *) => (*)"),
+])
+def test_misshapen_sampler_signature_is_one_error(capsys, tmp_path, mode,
+                                                  program, line):
+    f = tmp_path / "misshapen.lisp"
+    f.write_text(program)
+    code = cli.main(["check-constraints", "--mode", mode, str(f)])
+    out = capsys.readouterr()
+    assert code == 1
+    assert [ln for ln in out.out.splitlines() if ln.startswith("error:")] \
+        == [line]
+    assert "Traceback" not in out.err
+
+
+def test_sampler_makes_no_checked_call_per_trial(monkeypatch):
+    # Only PROC-IDS goes through Interp.call (and World.callee); every
+    # trial calls the attached definitions directly.
+    calls = count_calls(monkeypatch, Interp, "call")
+    callees = count_calls(monkeypatch, World, "callee")
+    seen = []
+    for trials in (10, 40):
+        interp = scheduler_interp()
+        del calls[:], callees[:]
+        assert refinement.check_constraints(interp, seed=5,
+                                            trials=trials).ok()
+        seen.append((len(calls), len(callees)))
+    assert seen[0] == seen[1]
