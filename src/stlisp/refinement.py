@@ -171,34 +171,26 @@ def _nfix(v):
     return v if isinstance(v, int) and v >= 0 else 0
 
 
-# What the sampler passes to and reads from each constrained function:
-# (name, per argument whether it is the stobj S, whether S is returned),
-# where S is the stobj EXEC names and every other slot is ordinary (*).
-_SAMPLED = (("PROC-IDS", (), False), ("PICK", (True,), False),
-            ("READY", (False, True), False), ("EXEC", (False, True), True),
-            ("RANK", (False, True), False))
-
-
 def check_constraints(interp, seed=0, trials=1000):
-    """Sample the four scheduler contracts over randomized states.
-
-    Each signature's shape is checked once against the kinds the sampler
-    passes; the trials then call the attached definitions directly.
-    """
+    """Sample the four scheduler contracts over randomized states."""
     world = interp.world
     exec_sig = world.signatures.get("EXEC")
     sname = exec_sig and next((s for s in exec_sig.inputs if s is not None),
                               None)
+    # Each function's shape for what the sampler passes it and reads back:
+    # the stobj EXEC names where it passes the state, else ordinary values.
+    shapes = {"PROC-IDS": ((), (None,)), "PICK": ((sname,), (None,)),
+              "READY": ((None, sname), (None,)),
+              "EXEC": ((None, sname), (sname,)),
+              "RANK": ((None, sname), (None,))}
     attached = {}
-    for name, stobj_inputs, stobj_output in _SAMPLED:
+    for name, (inputs, outputs) in shapes.items():
         sig = world.signatures.get(name)
         if sig is None:
             raise EvalError("check-constraints needs the %s signature" % name)
         if name not in world.attachments:
             raise EvalError("constrained function %s has no attachment"
                             % name)
-        inputs = tuple(sname if s else None for s in stobj_inputs)
-        outputs = (sname if stobj_output else None,)
         if sname is not None and (sig.inputs, sig.outputs) != (inputs,
                                                                 outputs):
             raise EvalError("check-constraints needs %s to have the shape "

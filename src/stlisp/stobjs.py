@@ -839,8 +839,7 @@ class Analyzer:
             args = _cons_args(expr)
             entry = self.world.genops.get(name)
             if entry is not None and entry.kind in STOBJ_LET_ONLY:
-                where = {"create": "as a stobj-table default inside "
-                                   "stobj-let",
+                where = {"create": "as a stobj-table default inside stobj-let",
                          "tbl-get": "inside stobj-let bindings",
                          "tbl-put": "through stobj-let writeback"}[entry.kind]
                 self.err("R1", "%s may only be used %s" % (name, where))

@@ -419,23 +419,15 @@ def test_check_constraints_rejects_empty_proc_ids():
     assert "PROC-IDS returned an empty list" in str(exc.value)
 
 
-def _replaced(text, *pairs):
-    for old, new in pairs:
-        assert old in text
-        text = text.replace(old, new)
-    return text
-
-
 # The scheduler without RUN (which needs EXEC to return ST), with EXEC
 # declared to return an ordinary value and attached to one that does.
-EXEC_RETURNS_A_VALUE = _replaced(
-    SCHEDULER,
-    ("((exec * st) => st)", "((exec * st) => *)"),
-    (SCHEDULER[SCHEDULER.index("(defun run "):
-               SCHEDULER.index("(defstobj proc1")], ""),
-    (SCHEDULER[SCHEDULER.index("(defun my-exec "):],
-     "(defun my-exec (p st)\n  (declare (xargs :stobjs (st)))\n"
-     "  (tbl-count st))\n")) + ATTACH_ALL
+EXEC_RETURNS_A_VALUE = (
+    SCHEDULER[:SCHEDULER.index("(defun run ")].replace(
+        "((exec * st) => st)", "((exec * st) => *)")
+    + SCHEDULER[SCHEDULER.index("(defstobj proc1"):
+                SCHEDULER.index("(defun my-exec ")]
+    + "(defun my-exec (p st) (declare (xargs :stobjs (st))) (tbl-count st))"
+    + ATTACH_ALL)
 
 RANK_TAKES_THE_STOBJ_FIRST = """
 (defstobj st (cnt :initially 0))
@@ -455,7 +447,7 @@ RANK_TAKES_THE_STOBJ_FIRST = """
      "the shape (* ST) => (ST), not (* ST) => (*)"),
     (RANK_TAKES_THE_STOBJ_FIRST, "error: check-constraints needs RANK to "
      "have the shape (* ST) => (*), not (ST *) => (*)"),
-])
+], ids=["exec-returns-a-value", "rank-takes-the-stobj-first"])
 def test_misshapen_sampler_signature_is_one_error(capsys, tmp_path, mode,
                                                   program, line):
     f = tmp_path / "misshapen.lisp"
