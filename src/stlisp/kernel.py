@@ -17,10 +17,9 @@ from .errors import (EvalError, GuardViolation, LinearityError,
                      MeasureViolation)
 from .sexpr import (NIL, T, Cons, Env, MultiValue, Symbol, from_bool,
                     intern, show, truthy)
-from .stobjs import (EVENT_HEADS, FOLLOW, LETSTAR, POLY, GeneratedOp,
-                     StobjInstance, _cons_args, arity_error, bindable,
-                     generated_ops, let_parts, list_items, mv_let_parts,
-                     mv_parts, op_shape)
+from .stobjs import (EVENT_HEADS, LETSTAR, GeneratedOp, StobjInstance,
+                     _cons_args, _one_body, arity_error, bindable,
+                     generated_ops, list_items, target_shape)
 
 
 class FunctionDef:
@@ -72,21 +71,23 @@ class World:
         """(target, inputs, outputs) of a callable, checking arity.
 
         The target is as for target().  Raises EvalError naming form for
-        unknown names or wrong argument counts.
+        unknown names, wrong argument counts, and a call of
+        REPORT-COMPLETION-OR-ERROR-AND-RETURN while the functions it
+        calls lack its shapes (see refinement.report_shape).
         """
         target = self.target(name)
         if target is None:
             raise EvalError("undefined function %s" % name, form=form)
         if type(target) is Builtin:
             lo, hi = target.min_args, target.max_args
-            inputs = (None, POLY) if target.poly_stobj else (None,) * nargs
-            outputs = target.outputs
+            inputs, outputs = (None,) * nargs, target.outputs
         else:
-            inputs, outputs = (op_shape(target) if type(target) is GeneratedOp
-                               else (target.inputs, target.outputs))
+            inputs, outputs = target_shape(target)
             lo = hi = len(inputs)
         if nargs < lo or (hi is not None and nargs > hi):
             arity_error(name, nargs, lo, hi, form)
+        if name == refinement.REPORT:
+            inputs, outputs = refinement.report_shape(self, form)
         return target, inputs, outputs
 
     def add_event(self, kind, name, payload):
@@ -124,16 +125,14 @@ class World:
 ### builtins
 
 class Builtin:
-    __slots__ = ("name", "min_args", "max_args", "fn", "poly_stobj",
-                 "outputs")
+    __slots__ = ("name", "min_args", "max_args", "fn")
+    outputs = (None,)
 
-    def __init__(self, name, min_args, max_args, fn, poly_stobj=False):
+    def __init__(self, name, min_args, max_args, fn):
         self.name = name
         self.min_args = min_args
         self.max_args = max_args
         self.fn = fn
-        self.poly_stobj = poly_stobj
-        self.outputs = (FOLLOW,) if poly_stobj else (None,)
 
 
 def _guard(interp, form, fmt, *values):
@@ -322,12 +321,9 @@ for _name, _lo, _hi, _fn in [
         ("TRUE-LIST-FIX", 1, 1, _bi_true_list_fix),
         ("HONS-ASSOC-EQUAL", 2, 2, _bi_hons_assoc_equal),
         ("ASSOC-EQ-SAFE", 2, 2, _bi_hons_assoc_equal),
-        ("APPLY$", 2, 2, _bi_apply)]:
+        ("APPLY$", 2, 2, _bi_apply),
+        (refinement.REPORT, 2, 2, refinement.report_completion)]:
     BUILTINS[_name] = Builtin(_name, _lo, _hi, _fn)
-
-BUILTINS["REPORT-COMPLETION-OR-ERROR-AND-RETURN"] = Builtin(
-    "REPORT-COMPLETION-OR-ERROR-AND-RETURN", 2, 2,
-    refinement.report_completion, poly_stobj=True)
 
 
 ### special forms
@@ -353,7 +349,7 @@ def _sf_let(interp, form, env):
     """LET and LET*: one frame.  A LET right-hand side runs in env; a
     LET* one runs in the frame as it fills, so it sees the bindings
     before it, as a WITH init does (loops.initial_bindings)."""
-    bindings, body = let_parts(form)
+    bindings, rest = form.cdr.car, form.cdr.cdr
     frame = {}
     inner = Env(frame, env)
     scope = inner if form.car is LETSTAR else env
@@ -361,21 +357,21 @@ def _sf_let(interp, form, env):
         b = bindings.car
         frame[b.car.name] = interp.eval(b.cdr.car, scope)
         bindings = bindings.cdr
-    return interp.eval(body, inner)
+    return interp.eval(_one_body(rest), inner)
 
 
 def _sf_mv(interp, form, env):
     return MultiValue([interp.eval(x, env)
-                       for x in sexpr.iter_conses(mv_parts(form))])
+                       for x in sexpr.iter_conses(form.cdr)])
 
 
 def _sf_mv_let(interp, form, env):
-    vars_, rhs, body = mv_let_parts(form)
+    vars_, rest = form.cdr.car, form.cdr.cdr
     frame = {}
-    for v in interp.eval(rhs, env).values:
+    for v in interp.eval(rest.car, env).values:
         frame[vars_.car.name] = v
         vars_ = vars_.cdr
-    return interp.eval(body, Env(frame, env))
+    return interp.eval(_one_body(rest.cdr), Env(frame, env))
 
 
 # Looks stobjs.eval_stobj_let up on each call, so bench/tracer.py can wrap it.
@@ -402,17 +398,17 @@ def _eval_builtin(b, interp, form, env):
 
 
 # The handler of every head that is not sent through _eval_call, so such a
-# node makes one lookup: the special forms and each builtin but the POLY
-# one.  Interp._check_fresh keeps every event from binding a builtin's
-# name, so no head found here is shadowed.  No handler checks its form,
-# since admission did (see Interp.eval): QUOTE and IF read it in place.
+# node makes one lookup: the special forms and every builtin.
+# Interp._check_fresh keeps every event from binding a builtin's name, so
+# no head found here is shadowed.  No handler checks its form, since
+# admission did (see Interp.eval): each reads it in place.
 _SPECIAL = {
     "QUOTE": _sf_quote, "IF": _sf_if, "LET": _sf_let, "LET*": _sf_let,
     "MV": _sf_mv, "MV-LET": _sf_mv_let, "LOOP$": loops.eval_loop,
     "STOBJ-LET": _sf_stobj_let,
 }
 _SPECIAL.update((name, MethodType(_eval_builtin, b))
-                for name, b in BUILTINS.items() if not b.poly_stobj)
+                for name, b in BUILTINS.items())
 
 
 ### the interpreter
@@ -545,13 +541,6 @@ class Interp:
                 vals.append(self.eval(x, env))
             node = node.cdr
         return self._dispatch(target, vals, form)
-
-    def call(self, name, args, form=None):
-        """Apply a named function to already-evaluated arguments."""
-        target, inputs, _outputs = self.world.callee(name, len(args), form)
-        for slot, v in zip(inputs, args):
-            _slot_check(name, slot, v, form)
-        return self._dispatch(target, list(args), form)
 
     def _dispatch(self, target, vals, form):
         kind = type(target)
@@ -765,20 +754,3 @@ def _formal_names(formals, what, owner, form):
         raise EvalError("duplicate formal in %s" % owner, form=form)
     return names
 
-
-def _slot_check(name, slot, v, form):
-    if slot is None:
-        if isinstance(v, StobjInstance):
-            raise EvalError("stobj %s passed where %s expects an ordinary "
-                            "value" % (v.spec.name, name), form=form)
-        if isinstance(v, MultiValue):
-            raise EvalError("multiple values are not a single argument of %s"
-                            % name, form=form)
-    elif slot is POLY:
-        if not isinstance(v, StobjInstance):
-            raise EvalError("%s expects a live stobj argument" % name,
-                            form=form)
-    else:
-        if not (isinstance(v, StobjInstance) and v.spec.name == slot):
-            raise EvalError("%s expects the stobj %s in this position"
-                            % (name, slot), form=form)

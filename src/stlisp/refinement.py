@@ -10,8 +10,8 @@ the constrained rank.
 check_constraints checks the five signatures' shapes once, against the
 argument kinds it passes, and then runs each attachment directly: no
 event runs while it samples, and defattach made each attached
-definition's shape its signature's, so the per-call checks of
-Interp.call could never fire there.
+definition's shape its signature's, so no per-call check could fire
+there.  report_shape types the REPORT builtin at admission the same way.
 """
 
 import random
@@ -19,10 +19,11 @@ import random
 from . import sexpr
 from .errors import EvalError
 from .sexpr import Cons, Symbol, intern, show, truthy
-from .stobjs import _cons_args, _shape_str, list_items
+from .stobjs import _cons_args, _shape_str, list_items, target_shape
 
 ARROW = intern("=>")
 DEFTHM = intern("DEFTHM")
+REPORT = "REPORT-COMPLETION-OR-ERROR-AND-RETURN"
 
 
 class Signature:
@@ -112,13 +113,33 @@ def parse_defattach(form, world):
     return args[0].name, args[1].name
 
 
+def report_shape(world, form):
+    """(inputs, outputs) of REPORT: (* S) => (S), where S is the stobj
+    that RANK takes second.  It exists only while PROC-IDS has the shape
+    () => (*) and RANK the shape (* S) => (*), as report_completion calls
+    them; else EvalError naming form.  No builtin has either name."""
+    ids, rank = world.target("PROC-IDS"), world.target("RANK")
+    if ids is not None and rank is not None:
+        inputs, outputs = target_shape(rank)
+        if target_shape(ids) == ((), (None,)) and outputs == (None,) \
+                and len(inputs) == 2 and inputs[0] is None \
+                and inputs[1] is not None:
+            return inputs, inputs[1:]
+    raise EvalError("%s needs, for some stobj S, PROC-IDS with the shape "
+                    "() => (*) and RANK with the shape (* S) => (*)"
+                    % REPORT, form=form)
+
+
 def report_completion(interp, args, form):
     """One-line run report: completion when every rank is zero, else a
-    stopped-with-work-remaining diagnostic.  Returns the stobj unchanged."""
+    stopped-with-work-remaining diagnostic.  Returns the stobj unchanged.
+    Admission gave PROC-IDS and RANK the shapes report_shape needs."""
     p, st = args
+    target = interp.world.target
+    rank = target("RANK")
     total = 0
-    for pid in _proc_id_list(interp, form):
-        r = interp.call("RANK", [pid, st], form=form)
+    for pid in _proc_ids(interp, target("PROC-IDS"), form):
+        r = interp._dispatch(rank, [pid, st], form)
         total += r if isinstance(r, int) and r >= 0 else 0
     if total == 0:
         interp.write_line("run complete: every rank is zero.")
@@ -128,9 +149,9 @@ def report_completion(interp, args, form):
     return st
 
 
-def _proc_id_list(interp, form):
-    ids_v = interp.call("PROC-IDS", [], form=form)
-    return list_items(ids_v, "the PROC-IDS result", form)
+def _proc_ids(interp, target, form):
+    return list_items(interp._dispatch(target, [], form),
+                      "the PROC-IDS result", form)
 
 
 _CONTRACTS = ("rank-is-natural", "pick-is-proc-id", "exec-no-interfere",
@@ -199,16 +220,15 @@ def check_constraints(interp, seed=0, trials=1000):
                                _shape_str(sig.inputs),
                                _shape_str(sig.outputs)))
         attached[name] = world.functions[world.attachments[name]]
-    ids = _proc_id_list(interp, None)
-    if not ids:
-        raise EvalError("PROC-IDS returned an empty list; nothing to check")
     if sname is None:
         raise EvalError("the EXEC signature takes no stobj")
+    # Every shape is known, so an attached definition may run now.
+    call = interp._call_defun
+    ids = _proc_ids(interp, attached["PROC-IDS"], None)
+    if not ids:
+        raise EvalError("PROC-IDS returned an empty list; nothing to check")
     spec = world.stobj_spec(sname)
     rng = random.Random(seed)
-    # The shapes above are every check Interp.call would repeat per call:
-    # PROC-IDS items are ordinary values, and EXEC returns the stobj S.
-    call = interp._call_defun
     pick, ready, exec_, rank = (attached[n] for n in
                                 ("PICK", "READY", "EXEC", "RANK"))
 

@@ -41,12 +41,9 @@ LOOPS = intern("LOOP$")
 STOBJ_LET = intern("STOBJ-LET")
 
 # Shape vocabulary for callable signatures.  An input slot is None
-# (ordinary value), a stobj name, POLY (any stobj), or a restriction
-# marker; an output is a tuple of None / stobj names, FOLLOW (same
-# stobj as the POLY input), or UNKNOWN while self-recursive shapes are
-# being inferred.  UNKNOWN is empty, so every length check rejects it.
-POLY = "#poly"
-FOLLOW = "#follow"
+# (ordinary value) or a stobj name; an output is a tuple of None / stobj
+# names, or UNKNOWN while self-recursive shapes are being inferred.
+# UNKNOWN is empty, so every length check rejects it.
 UNKNOWN = ()
 
 SCALAR = "scalar"
@@ -237,7 +234,7 @@ _OP_SHAPES = {
     "recognize": lambda s: ((None,), (None,)),
     "get": lambda s: ((s,), (None,)),
     "update": lambda s: ((None, s), (s,)),
-    "tbl-get": lambda s: ((None, s, None), (FOLLOW,)),  # stobj-let only
+    "tbl-get": lambda s: ((None, s, None), (None,)),    # stobj-let only
     "tbl-put": lambda s: ((None, None, s), (s,)),       # writeback only
     "tbl-boundp": lambda s: ((None, s), (None,)),
     "tbl-rem": lambda s: ((None, s), (s,)),
@@ -246,9 +243,12 @@ _OP_SHAPES = {
 }
 
 
-def op_shape(op):
-    """(inputs, outputs) for the static checker and call dispatch."""
-    return _OP_SHAPES[op.kind](op.spec.name)
+def target_shape(target):
+    """(inputs, outputs) of a defun, signature or generated op, for the
+    static checker and call dispatch."""
+    if type(target) is GeneratedOp:
+        return _OP_SHAPES[target.kind](target.spec.name)
+    return target.inputs, target.outputs
 
 
 def recognizer_value(spec, x):
@@ -295,15 +295,9 @@ def apply_generated(interp, op, args, form):
         cell = _table(interp, args[1], op.findex)
         cell.data.pop(key, None)
         return _write(interp, args[1], op.findex, cell)
-    if kind == "tbl-clear":
-        return _write(interp, args[0], op.findex, TableCell({}))
-    if kind == "create":
-        raise EvalError("%s may only appear as a stobj-table default inside "
-                        "stobj-let" % op.name, form=form)
-    # tbl-get / tbl-put reach here only through Interp.call: admission
-    # and the APPLY$ badge keep Lisp code from calling them at all.
-    raise EvalError("%s may only be used through stobj-let" % op.name,
-                    form=form)
+    # tbl-clear: admission and the APPLY$ badge refuse every call of a
+    # create, tbl-get or tbl-put op (STOBJ_LET_ONLY), so none comes here.
+    return _write(interp, args[0], op.findex, TableCell({}))
 
 
 ### stobj-let
@@ -858,15 +852,8 @@ class Analyzer:
                     self.want_value(a, live, bound,
                                     "an argument of %s" % name)
             return (None,)
-        follow = None
         for arg, slot in zip(args, inputs):
-            if slot is POLY:
-                if isinstance(arg, Symbol) and arg.name in live:
-                    follow = live[arg.name]
-                elif not self._free(arg, live, bound):
-                    self.err("R1", "%s needs a live stobj argument in %s"
-                             % (name, show(expr)))
-            elif slot is None:
+            if slot is None:
                 if isinstance(arg, Symbol) and arg.name in live:
                     self.err("R1", "stobj %s passed where %s expects an "
                                    "ordinary value" % (arg.name, name))
@@ -883,11 +870,7 @@ class Analyzer:
             return UNKNOWN
         if self.produced is not None:
             self.produced.update(outputs)
-        if FOLLOW not in outputs:
-            # The callee's own tuple: a new one per call would leave freed
-            # tuples behind on CPython's free list.
-            return outputs
-        return tuple(follow if o is FOLLOW else o for o in outputs)
+        return outputs
 
     def _shape_of(self, name, nargs):
         """(inputs, outputs) of a call, checking arity as World.callee
@@ -960,12 +943,11 @@ EVENT_HEADS = frozenset(("DEFUN", "DEFSTOBJ", "ENCAPSULATE", "DEFATTACH"))
 
 # One parser per special form, shared by the analyzer and the DO-body
 # parser, so both accept the same forms and reject the rest with the
-# same EvalError and text.  The evaluator decodes an admitted LET, LET*,
-# MV or MV-LET with them too, and reads an IF or QUOTE in place.  Each
-# reads a well-formed form in place; a malformed one is listed by
-# _cons_args, so a dotted form raises that error before any count check.
-# A name is tested as bindable does, inline, so a good name costs no
-# call.
+# same EvalError and text.  The evaluator reads an admitted form in
+# place, without them.  Each reads a well-formed form in place; a
+# malformed one is listed by _cons_args, so a dotted form raises that
+# error before any count check.  A name is tested as bindable does,
+# inline, so a good name costs no call.
 
 
 def quote_parts(form):

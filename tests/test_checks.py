@@ -21,6 +21,7 @@ MODES = ("logical", "native")
 PRELUDE = """
 (defstobj st val)
 (defstobj switch fld)
+(defstobj kid kfld)
 (defstobj top (tbl :type (stobj-table)))
 (encapsulate (((f *) => *)))
 (defun g (x) x)
@@ -160,6 +161,18 @@ FAILING = [
     ("(apply$ 'val '(5))", EvalError,
      "APPLY$ calls only a function of ordinary arguments that returns one "
      "ordinary value, not VAL in (APPLY$ (QUOTE VAL) (QUOTE (5)))"),
+    # the ops only stobj-let may call are refused by the badge too
+    ("(apply$ 'create-kid nil)", EvalError,
+     "APPLY$ calls only a function of ordinary arguments that returns one "
+     "ordinary value, not CREATE-KID in (APPLY$ (QUOTE CREATE-KID) NIL)"),
+    ("(apply$ 'tbl-get '(k 1 2))", EvalError,
+     "APPLY$ calls only a function of ordinary arguments that returns one "
+     "ordinary value, not TBL-GET in (APPLY$ (QUOTE TBL-GET) "
+     "(QUOTE (K 1 2)))"),
+    ("(apply$ 'tbl-put '(k 1 2))", EvalError,
+     "APPLY$ calls only a function of ordinary arguments that returns one "
+     "ordinary value, not TBL-PUT in (APPLY$ (QUOTE TBL-PUT) "
+     "(QUOTE (K 1 2)))"),
     ("(f 1)", EvalError, "constrained function F has no attachment in (F 1)"),
 ]
 
@@ -228,10 +241,11 @@ EVALUATED = [
      loops.OfTypeViolation,
      "OF-TYPE violation: I = OOPS is not an INTEGER (iteration 2) "
      "in (SETQ I (IF (= I 2) (QUOTE OOPS) (1- I)))"),
-    ("(report-completion-or-error-and-return 'a 5)", LinearityError,
-     TOP_FORM + "R1: REPORT-COMPLETION-OR-ERROR-AND-RETURN needs a live "
-     "stobj argument in (REPORT-COMPLETION-OR-ERROR-AND-RETURN (QUOTE A) "
-     "5)"),
+    # its shape needs PROC-IDS and RANK, which the prelude lacks
+    ("(report-completion-or-error-and-return 'a 5)", EvalError,
+     "REPORT-COMPLETION-OR-ERROR-AND-RETURN needs, for some stobj S, "
+     "PROC-IDS with the shape () => (*) and RANK with the shape (* S) => "
+     "(*) in (REPORT-COMPLETION-OR-ERROR-AND-RETURN (QUOTE A) 5)"),
 ]
 
 

@@ -460,16 +460,58 @@ def test_misshapen_sampler_signature_is_one_error(capsys, tmp_path, mode,
     assert "Traceback" not in out.err
 
 
+# REPORT-COMPLETION-OR-ERROR-AND-RETURN is typed at admission: (* S) => (S)
+# only while PROC-IDS is () => (*) and RANK is (* S) => (*).
+REPORT_BASE = """
+(defstobj st fld)
+(defstobj other ofld)
+(defun proc-ids () '(a))
+(defun rank (p st) (declare (xargs :stobjs st)) 0)
+(defun rep (p st) (declare (xargs :stobjs st))
+  (report-completion-or-error-and-return p st))
+(rep 'a st)
+"""
+REPORT_NEEDS = ("R1: REPORT-COMPLETION-OR-ERROR-AND-RETURN needs, for some "
+                "stobj S, PROC-IDS with the shape () => (*) and RANK with "
+                "the shape (* S) => (*) in "
+                "(REPORT-COMPLETION-OR-ERROR-AND-RETURN P ST)")
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+@pytest.mark.parametrize("program, violation", [
+    (REPORT_BASE.replace("st)) 0)", "st)) (mv 1 st))"), REPORT_NEEDS),
+    (REPORT_BASE.replace("(defun proc-ids () '(a))", ""), REPORT_NEEDS),
+    (REPORT_BASE.replace("rank (p st)", "rank (st p)"), REPORT_NEEDS),
+    (REPORT_BASE.replace("rank (p st) (declare (xargs :stobjs st))",
+                         "rank (p q)"), REPORT_NEEDS),
+    (REPORT_BASE.replace("rep (p st) (declare (xargs :stobjs st))\n  "
+                         "(report-completion-or-error-and-return p st)",
+                         "rep (p other) (declare (xargs :stobjs other))\n"
+                         "  (report-completion-or-error-and-return p other)"),
+     "R1: REPORT-COMPLETION-OR-ERROR-AND-RETURN expects the stobj ST in "
+     "this position of (REPORT-COMPLETION-OR-ERROR-AND-RETURN P OTHER)"),
+], ids=["rank-returns-mv", "no-proc-ids", "rank-takes-the-stobj-first",
+        "rank-takes-no-stobj", "other-stobj"])
+def test_report_without_its_shape_is_refused_at_admission(
+        capsys, tmp_path, mode, program, violation):
+    f = tmp_path / "report.lisp"
+    f.write_text(program)
+    assert cli.main(["run", "--mode", mode, str(f)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith("error:")] \
+        == ["error: single-threadedness violation in REP:"]
+    assert lines[-1] == "  " + violation
+    assert cli.main(["diff", str(f)]) == 0
+
+
 def test_sampler_makes_no_checked_call_per_trial(monkeypatch):
-    # Only PROC-IDS goes through Interp.call (and World.callee); every
-    # trial calls the attached definitions directly.
-    calls = count_calls(monkeypatch, Interp, "call")
+    # Every trial calls the attached definitions directly.
     callees = count_calls(monkeypatch, World, "callee")
     seen = []
     for trials in (10, 40):
         interp = scheduler_interp()
-        del calls[:], callees[:]
+        del callees[:]
         assert refinement.check_constraints(interp, seed=5,
                                             trials=trials).ok()
-        seen.append((len(calls), len(callees)))
+        seen.append(len(callees))
     assert seen[0] == seen[1]
