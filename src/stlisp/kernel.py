@@ -17,9 +17,9 @@ from .errors import (EvalError, GuardViolation, LinearityError,
                      MeasureViolation)
 from .sexpr import (NIL, T, Cons, Env, MultiValue, Symbol, from_bool,
                     intern, show, truthy)
-from .stobjs import (EVENT_HEADS, LETSTAR, GeneratedOp, StobjInstance,
-                     _cons_args, _one_body, arity_error, bindable,
-                     generated_ops, list_items, target_shape)
+from .stobjs import (EVENT_HEADS, LETSTAR, StobjInstance, _cons_args,
+                     _one_body, arity_error, bindable, generated_ops,
+                     list_items, target_shape)
 
 
 class FunctionDef:
@@ -34,6 +34,9 @@ class FunctionDef:
         self.guard = guard
         self.measure = measure
         self.body = body
+
+    def run(self, interp, vals, form):
+        return interp._call_defun(self, vals, form)
 
 
 class Event:
@@ -125,14 +128,14 @@ class World:
 ### builtins
 
 class Builtin:
-    __slots__ = ("name", "min_args", "max_args", "fn")
+    __slots__ = ("name", "min_args", "max_args", "run")
     outputs = (None,)
 
-    def __init__(self, name, min_args, max_args, fn):
+    def __init__(self, name, min_args, max_args, run):
         self.name = name
         self.min_args = min_args
         self.max_args = max_args
-        self.fn = fn
+        self.run = run
 
 
 def _guard(interp, form, fmt, *values):
@@ -379,8 +382,8 @@ def _sf_stobj_let(interp, form, env):
     return stobjs.eval_stobj_let(interp, form, env)
 
 
-def _eval_builtin(b, interp, form, env):
-    """An admitted call of the builtin b: its arguments, then b.fn."""
+def _call(target, interp, form, env):
+    """An admitted call of target: its arguments, then target.run."""
     vals = []
     node = form.cdr
     while node is not NIL:
@@ -394,11 +397,11 @@ def _eval_builtin(b, interp, form, env):
         else:
             vals.append(interp.eval(x, env))
         node = node.cdr
-    return b.fn(interp, vals, form)
+    return target.run(interp, vals, form)
 
 
-# The handler of every head that is not sent through _eval_call, so such a
-# node makes one lookup: the special forms and every builtin.
+# The handler of every special form and builtin, so such a head is found
+# in one lookup, without World.target.
 # Interp._check_fresh keeps every event from binding a builtin's name, so
 # no head found here is shadowed.  No handler checks its form, since
 # admission did (see Interp.eval): each reads it in place.
@@ -407,7 +410,7 @@ _SPECIAL = {
     "MV": _sf_mv, "MV-LET": _sf_mv_let, "LOOP$": loops.eval_loop,
     "STOBJ-LET": _sf_stobj_let,
 }
-_SPECIAL.update((name, MethodType(_eval_builtin, b))
+_SPECIAL.update((name, MethodType(_call, b))
                 for name, b in BUILTINS.items())
 
 
@@ -503,7 +506,10 @@ class Interp:
             handler = _SPECIAL.get(form.car.name)
             if handler is not None:
                 return handler(self, form, env)
-            return self._eval_call(form, env)
+            target = self.world.target(form.car.name)
+            if target is None:
+                self.world.callee(form.car.name, 0, form)  # raises: undefined
+            return _call(target, self, form, env)
         if kind is Symbol:
             # NIL, T and keywords are never bound (see stobjs.bindable),
             # so variables are looked up first.
@@ -523,38 +529,9 @@ class Interp:
             return form
         raise EvalError("cannot evaluate host object %r" % (form,))
 
-    def _eval_call(self, form, env):
-        target = self.world.target(form.car.name)
-        if target is None:
-            self.world.callee(form.car.name, 0, form)  # raises: undefined
-        vals = []
-        node = form.cdr
-        while node is not NIL:
-            # read as _eval_builtin reads them (one helper for both loops
-            # gave back a quarter of the gain: see CHANGES.md)
-            x = node.car
-            if type(x) is int:
-                vals.append(x)
-            elif type(x) is Symbol and env is not None and x.name in env.vars:
-                vals.append(env.vars[x.name])
-            else:
-                vals.append(self.eval(x, env))
-            node = node.cdr
-        return self._dispatch(target, vals, form)
-
     def _dispatch(self, target, vals, form):
-        kind = type(target)
-        if kind is Builtin:
-            return target.fn(self, vals, form)
-        if kind is FunctionDef:
-            return self._call_defun(target, vals, form)
-        if kind is GeneratedOp:
-            return stobjs.apply_generated(self, target, vals, form)
-        attached = self.world.attachments.get(target.name)
-        if attached is None:
-            raise EvalError("constrained function %s has no attachment"
-                            % target.name, form=form)
-        return self._call_defun(self.world.functions[attached], vals, form)
+        """A call on evaluated values: from APPLY$, REPORT and the sampler."""
+        return target.run(self, vals, form)
 
     def _call_defun(self, fd, vals, form):
         env = Env(dict(zip(fd.formals, vals)))
@@ -587,8 +564,7 @@ class Interp:
             raise EvalError("not a function object: %s" % show(fn), form=form)
         names = _formal_names(parts[1], "lambda", "this lambda", form)
         if len(names) != len(args):
-            raise EvalError("lambda takes %d arguments, got %d"
-                            % (len(names), len(args)), form=form)
+            arity_error("lambda", len(args), len(names), len(names), form)
         # A function object takes no stobj, so none is live in its body.
         self._check(parts[2], {}, names, "this lambda")
         return self.eval(parts[2], Env(dict(zip(names, args))))

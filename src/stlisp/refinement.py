@@ -7,11 +7,11 @@ sampled over randomized states by check_constraints, and on the actual
 trajectory by the measure check on any function whose :measure calls
 the constrained rank.
 
-check_constraints checks the five signatures' shapes once, against the
+check_constraints checks the five signatures' _SHAPES once, against the
 argument kinds it passes, and then runs each attachment directly: no
 event runs while it samples, and defattach made each attached
 definition's shape its signature's, so no per-call check could fire
-there.  report_shape types the REPORT builtin at admission the same way.
+there.  report_shape types the REPORT builtin from the same table.
 """
 
 import random
@@ -33,6 +33,17 @@ class Signature:
         self.name = name
         self.inputs = inputs
         self.outputs = outputs
+
+    def attached(self, interp, form=None):
+        """The FunctionDef that interp's world attaches to this function."""
+        name = interp.world.attachments.get(self.name)
+        if name is None:
+            raise EvalError("constrained function %s has no attachment"
+                            % self.name, form=form)
+        return interp.world.functions[name]
+
+    def run(self, interp, vals, form):
+        return interp._call_defun(self.attached(interp, form), vals, form)
 
 
 def _parse_slot(x, world, form, what):
@@ -113,17 +124,24 @@ def parse_defattach(form, world):
     return args[0].name, args[1].name
 
 
+# Each scheduler function's (inputs, outputs), given the state's stobj s.
+_SHAPES = {"PROC-IDS": lambda s: ((), (None,)),
+           "PICK": lambda s: ((s,), (None,)),
+           "READY": lambda s: ((None, s), (None,)),
+           "EXEC": lambda s: ((None, s), (s,)),
+           "RANK": lambda s: ((None, s), (None,))}
+
+
 def report_shape(world, form):
-    """(inputs, outputs) of REPORT: (* S) => (S), where S is the stobj
-    that RANK takes second.  It exists only while PROC-IDS has the shape
-    () => (*) and RANK the shape (* S) => (*), as report_completion calls
-    them; else EvalError naming form.  No builtin has either name."""
+    """(inputs, outputs) of REPORT, (* S) => (S), while PROC-IDS and RANK
+    (no builtin's names) have their _SHAPES for the stobj S that RANK takes
+    second, as report_completion calls them; else EvalError naming form."""
     ids, rank = world.target("PROC-IDS"), world.target("RANK")
     if ids is not None and rank is not None:
         inputs, outputs = target_shape(rank)
-        if target_shape(ids) == ((), (None,)) and outputs == (None,) \
-                and len(inputs) == 2 and inputs[0] is None \
-                and inputs[1] is not None:
+        s = inputs[-1] if inputs else None
+        if s is not None and target_shape(ids) == _SHAPES["PROC-IDS"](s) \
+                and (inputs, outputs) == _SHAPES["RANK"](s):
             return inputs, inputs[1:]
     raise EvalError("%s needs, for some stobj S, PROC-IDS with the shape "
                     "() => (*) and RANK with the shape (* S) => (*)"
@@ -198,28 +216,19 @@ def check_constraints(interp, seed=0, trials=1000):
     exec_sig = world.signatures.get("EXEC")
     sname = exec_sig and next((s for s in exec_sig.inputs if s is not None),
                               None)
-    # Each function's shape for what the sampler passes it and reads back:
-    # the stobj EXEC names where it passes the state, else ordinary values.
-    shapes = {"PROC-IDS": ((), (None,)), "PICK": ((sname,), (None,)),
-              "READY": ((None, sname), (None,)),
-              "EXEC": ((None, sname), (sname,)),
-              "RANK": ((None, sname), (None,))}
     attached = {}
-    for name, (inputs, outputs) in shapes.items():
+    for name, shape in _SHAPES.items():
         sig = world.signatures.get(name)
         if sig is None:
             raise EvalError("check-constraints needs the %s signature" % name)
-        if name not in world.attachments:
-            raise EvalError("constrained function %s has no attachment"
-                            % name)
-        if sname is not None and (sig.inputs, sig.outputs) != (inputs,
-                                                                outputs):
+        attached[name] = sig.attached(interp)
+        inputs, outputs = shape(sname)
+        if sname and (sig.inputs, sig.outputs) != (inputs, outputs):
             raise EvalError("check-constraints needs %s to have the shape "
                             "%s => %s, not %s => %s"
                             % (name, _shape_str(inputs), _shape_str(outputs),
                                _shape_str(sig.inputs),
                                _shape_str(sig.outputs)))
-        attached[name] = world.functions[world.attachments[name]]
     if sname is None:
         raise EvalError("the EXEC signature takes no stobj")
     # Every shape is known, so an attached definition may run now.

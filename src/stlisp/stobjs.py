@@ -206,6 +206,9 @@ class GeneratedOp:
         self.findex = findex
         self.name = name
 
+    def run(self, interp, vals, form):
+        return apply_generated(interp, self, vals, form)
+
 
 # Kinds of generated op that only stobj-let may call.
 STOBJ_LET_ONLY = frozenset(("create", "tbl-get", "tbl-put"))

@@ -1,6 +1,6 @@
 """The texts of the evaluator's checks, pinned in both modes; passing
 checks that format nothing; stobj-let scoping; a passing path that lists
-no form, and builtin calls and DO-body SETQs that skip the generic call
+no form, and calls and DO-body SETQs that skip the generic call
 path; one callee lookup shared by the analyzer and the evaluator; only
 LispErrors from the failing forms of a corpus program; names that may
 never be bound; deep recursion and deep values."""
@@ -427,20 +427,23 @@ def test_passing_path_builds_no_lists(mode, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_builtin_calls_and_do_body_setqs_skip_the_generic_path(mode,
-                                                               monkeypatch):
+def test_calls_and_do_body_setqs_skip_the_generic_path(mode, monkeypatch):
+    # a builtin, a DO loop, a defun, a generated op, a constrained function
     forms = [read("(+ 1 (car '(2)))"),
              read("(loop$ with a = 0 with n = 3 do (if (zp n) (return a) "
-                  "(progn (setq a (+ a 1)) (setq n (1- n)))))")]
+                  "(progn (setq a (+ a 1)) (setq n (1- n)))))"),
+             read("(g 1)"), read("(val st)"), read("(f 1)")]
     interp = prelude(mode)
+    interp.eval_text("(defattach f g)")
 
     def generic(*args, **kwargs):
-        raise AssertionError("a builtin call or a SETQ took the generic path")
+        raise AssertionError("an evaluated call or a SETQ took the generic "
+                             "path")
 
     monkeypatch.setattr(kernel.World, "callee", generic)
     monkeypatch.setattr(kernel.Interp, "_dispatch", generic)
     monkeypatch.setattr(loops, "_bind", generic)
-    assert [interp.eval(f, None) for f in forms] == [3, 3]
+    assert [interp.eval(f, None) for f in forms] == [3, 3, 1, NIL, 1]
 
 
 # ------------------------------- the analyzer and the evaluator agree on calls
@@ -623,6 +626,15 @@ def test_deep_recursion_is_an_eval_error(mode):
     assert message.endswith(" in (CNT 2000 0)")
     # the session is still usable, and no measure is left pending
     assert interp.eval_text("(cnt 50 0)")[0][1] == 50
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_call_140_deep_returns(mode):
+    # The deepest CNT call that returns under pytest is 158: one more
+    # Python frame per Lisp call would bring it under 140.
+    interp = Interp(mode=mode)
+    interp.eval_text(COUNT)
+    assert interp.eval_text("(cnt 140 0)")[0][1] == 140
 
 
 @pytest.mark.parametrize("mode", MODES)

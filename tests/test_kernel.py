@@ -741,7 +741,7 @@ def test_apply_with_quoted_lambda_and_symbol():
     assert interp.eval_text("(apply$ 'twice '(21))")[0][1] == 42
     with pytest.raises(EvalError) as exc:
         ev("(apply$ '(lambda (x) x) '(1 2))")
-    assert "lambda takes 1 arguments, got 2" in str(exc.value)
+    assert "lambda takes 1 argument, got 2" in str(exc.value)
     with pytest.raises(EvalError) as exc:
         ev("(apply$ '(1 2) '(3))")
     assert "not a function object" in str(exc.value)
