@@ -16,7 +16,7 @@ import sys
 
 from . import sexpr
 from .errors import LispError
-from .kernel import Interp
+from .kernel import DEFAULT_CAP, Interp
 from .refinement import check_constraints
 from .sexpr import show
 
@@ -60,7 +60,7 @@ def build_parser():
     _flag(mode, "mode", "logical", ("logical", "native"))
     common = argparse.ArgumentParser(add_help=False)
     _flag(common, "guard-check", "on", ("on", "off"))
-    _flag(common, "cap", "10000000", least=1)
+    _flag(common, "cap", str(DEFAULT_CAP), least=1)
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", parents=[mode, common],
                            help="evaluate a file of forms")

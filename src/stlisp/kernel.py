@@ -13,8 +13,7 @@ import sys
 from types import MethodType
 
 from . import loops, refinement, sexpr, stobjs, stobj_table
-from .errors import (EvalError, GuardViolation, LinearityError,
-                     MeasureViolation)
+from .errors import EvalError, GuardViolation, MeasureViolation
 from .sexpr import (NIL, T, Cons, Env, MultiValue, Symbol, from_bool,
                     intern, show, truthy)
 from .stobjs import (EVENT_HEADS, LETSTAR, StobjInstance, _cons_args,
@@ -416,8 +415,11 @@ _SPECIAL.update((name, MethodType(_call, b))
 
 ### the interpreter
 
+DEFAULT_CAP = 10_000_000    # native DO iterations before CapExceeded
+
+
 class Interp:
-    def __init__(self, mode="logical", guard_check=True, cap=10_000_000,
+    def __init__(self, mode="logical", guard_check=True, cap=DEFAULT_CAP,
                  out=None, trace=False):
         if mode not in ("logical", "native"):
             raise ValueError("mode must be 'logical' or 'native'")
@@ -446,8 +448,10 @@ class Interp:
             if isinstance(form, Cons) and isinstance(form.car, Symbol) \
                     and form.car.name in EVENT_HEADS:
                 return self._event(form)
-            lets = self._check(form, {name: name for name in self.bank},
-                               None, "this top-level form")
+            # the bank's stobjs are the form's formals, each its own input
+            names = tuple(self.bank)
+            _shape, lets = stobjs.admit(self.world, form,
+                                        "this top-level form", names, names)
             self.world.stobj_lets.update(lets)
             try:
                 val = self.eval(form, None)
@@ -463,41 +467,17 @@ class Interp:
         self.latch(val)
         return val
 
-    def _check(self, form, live, formals, what):
-        """Single-threadedness check for a top-level form (formals None)
-        or a lambda body, which must return one ordinary value.
-
-        Same rules as a defun body, over the given live stobjs and the
-        formals, each bound as a LET binds it.  An update whose result
-        never reaches the top of the form would be kept by in-place
-        execution and lost by logical execution, so such forms are
-        rejected before either mode runs them.  Returns the stobj-let
-        parses that the check made (see stobjs.Analyzer.stobj_lets).
-        """
-        analyzer = stobjs.Analyzer(self.world)
-        if formals is None:
-            analyzer.analyze(form, live, set())
-        else:
-            bound = set()
-            for name in formals:
-                live, bound = analyzer._bind_one(name, (None,), live, bound,
-                                                 form)
-            analyzer.want_value(form, live, bound, "a lambda body")
-        if analyzer.violations:
-            raise LinearityError(what, analyzer.violations)
-        return analyzer.stobj_lets
-
     def eval_text(self, text):
         return [(f, self.eval_top(f)) for f in sexpr.read_all(text)]
 
     def eval(self, form, env=None):
         """The value of form in env.
 
-        Precondition: form was admitted, as a top-level form by eval_top,
-        as part of a defun, or as the body of an APPLY$ lambda.  The
-        static check of admission is the only check of single-threadedness,
-        of value shapes, of each call's argument list and arity, and of
-        each special form's shape, so form is not checked again here.
+        Precondition: form was admitted by stobjs.admit, as a top-level
+        form by eval_top, as part of a defun, or as the body of an APPLY$
+        lambda.  Admission is the only check of single-threadedness, of
+        value shapes, of each call's argument list and arity, and of each
+        special form's shape, so form is not checked again here.
         """
         # Dispatch on the exact type, calls first: no class derives from
         # Cons, Symbol or int.
@@ -566,7 +546,8 @@ class Interp:
         if len(names) != len(args):
             arity_error("lambda", len(args), len(names), len(names), form)
         # A function object takes no stobj, so none is live in its body.
-        self._check(parts[2], {}, names, "this lambda")
+        stobjs.admit(self.world, parts[2], "this lambda", names,
+                     want="a lambda body")
         return self.eval(parts[2], Env(dict(zip(names, args))))
 
     ### stobj plumbing
@@ -630,14 +611,12 @@ class Interp:
                     "the formal %s of %s is the name of a stobj; declare it "
                     "with (declare (xargs :stobjs (%s)))" % (f, name, f),
                     form=form)
-        outputs, lets = stobjs.check_defun(self.world, name, fnames,
-                                           stobjs_in, body_forms[0], guard,
-                                           measure)
+        inputs = tuple(f if f in stobjs_in else None for f in fnames)
+        outputs, lets = stobjs.admit(self.world, body_forms[0], name, fnames,
+                                     inputs, name, guard, measure)
         shared = self.world.shared
-        fd = FunctionDef(
-            name, shared(tuple(fnames)),
-            shared(tuple(f if f in stobjs_in else None for f in fnames)),
-            shared(outputs), guard, measure, body_forms[0])
+        fd = FunctionDef(name, shared(tuple(fnames)), shared(inputs),
+                         shared(outputs), guard, measure, body_forms[0])
         self.world.add_event("defun", name, fd)
         self.world.stobj_lets.update(lets)
         return intern(name)

@@ -4,8 +4,8 @@ A stobj has a dual nature: logically it is a proper list of its field
 values; during evaluation it is a mutable instance updated in place
 (native mode) or copied on write (logical mode).  _write and _table
 are the only places a stobj write reads the mode.  The two views stay
-interchangeable because definitions pass a static single-threadedness
-check before they are accepted:
+interchangeable because every body (a defun's, a top-level form, an
+APPLY$ lambda's) passes admit, a static check, before it runs:
 
   R1  every name is bound where the evaluator reads it (a formal, a
       local or a live stobj), and a DO loop's :GUARD, :MEASURE and
@@ -1082,36 +1082,49 @@ def _shape_str(shape):
     return "(" + " ".join("*" if s is None else s for s in shape) + ")"
 
 
-def check_defun(world, name, formals, stobjs_decl, body, guard, measure):
-    """Run the single-threadedness analysis over a definition.
+def admit(world, body, what, formals=(), inputs=(), name=None, guard=None,
+          measure=None, want=None):
+    """The shape of body and the stobj-let parses made (see
+    Analyzer.stobj_lets), which the caller keeps once it admits body; or
+    LinearityError, labelled what.  This is the one static check of the
+    rules above, of call arity and of special-form shapes.
 
-    Returns the derived output shape and the stobj-let parses made (see
-    Analyzer.stobj_lets), which the caller keeps once it admits the
-    definition.  Raises LinearityError when any rule is violated.
+    Formal i is the live stobj inputs[i], or, where that is None or
+    missing, ordinary and bound as a LET binds it.  A top-level form's
+    formals are the bank's stobjs; an APPLY$ lambda's are ordinary, and
+    want names its body, which must return one ordinary value.  A defun
+    gives its name, which types its self-calls, :guard and :measure.
     """
-    live0 = {s: s for s in stobjs_decl}
-    bound0 = set(f for f in formals if f not in live0)
-    self_inputs = tuple(f if f in live0 else None for f in formals)
     parses = {}
-
-    def check(self_output):
-        analyzer = Analyzer(world, name, self_inputs, self_output)
+    self_output = UNKNOWN
+    for _pass in range(2):  # the second only for a self-recursive defun
+        analyzer = Analyzer(world, name, inputs, self_output)
         analyzer.stobj_lets = parses    # both passes parse a form once
+        live, bound = {}, set()
+        for i, f in enumerate(formals):
+            if i < len(inputs) and inputs[i] is not None:
+                live[f] = inputs[i]
+            else:
+                live, bound = analyzer._bind_one(f, (None,), live, bound,
+                                                 body)
         for label, extra in (("guard", guard), ("measure", measure)):
             if extra is not None:
-                analyzer.want_value(extra, live0, bound0,
+                analyzer.want_value(extra, live, bound,
                                     "the :%s term" % label)
-        return analyzer, analyzer.analyze(body, live0, bound0)
-
-    analyzer, shape = check(UNKNOWN)
-    if analyzer.saw_self:
+        if want is None:
+            shape = analyzer.analyze(body, live, bound)
+        else:
+            analyzer.want_value(body, live, bound, want)
+            shape = (None,)
+        if not analyzer.saw_self or self_output is not UNKNOWN:
+            break
         # Only a self-call has an UNKNOWN shape, so a second pass that
         # knows it finds every shape.  The first pass's violations are
         # dropped, so UNKNOWN is read only where it sets a shape.
         if shape is UNKNOWN:
-            raise LinearityError(name, ["R2: cannot infer what %s returns; "
+            raise LinearityError(what, ["R2: cannot infer what %s returns; "
                                         "every path is self-recursive" % name])
-        analyzer, shape = check(shape)
+        self_output = shape
     if analyzer.violations:
-        raise LinearityError(name, analyzer.violations)
+        raise LinearityError(what, analyzer.violations)
     return shape, parses

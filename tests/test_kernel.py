@@ -644,6 +644,37 @@ def test_dynamic_measure_violation_message():
         "measure of RUN failed to decrease: (3) is not below (3)")
 
 
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_measure_that_fails_only_at_the_first_recursive_call(mode):
+    # the entry measure is compared too, not only those of later calls
+    interp = Interp(mode=mode)
+    interp.eval_text("(defun f (n) (declare (xargs :measure (nfix n))) "
+                     "(if (equal n 5) 0 (f 5)))")
+    assert interp.eval_text("(f 5)")[0][1] == 0
+    with pytest.raises(MeasureViolation) as exc:
+        interp.eval_text("(f 3)")
+    assert str(exc.value).startswith(
+        "measure of F failed to decrease: (5) is not below (3)")
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_guard_and_measure_terms_are_checked_at_admission(mode):
+    interp = Interp(mode=mode)
+    interp.eval_text("(defstobj st fld)")
+    for text, violation in [
+            ("(defun g (x) (declare (xargs :guard (mv x x))) x)",
+             "R2: multiple values are not a single value in the :guard "
+             "term"),
+            ("(defun g (x) (declare (xargs :measure (nfix y))) x)",
+             "R1: unbound variable Y in Y"),
+            ("(defun g (st) (declare (xargs :stobjs (st) :measure st)) st)",
+             "R1: stobj ST may not appear in the :measure term")]:
+        with pytest.raises(LinearityError) as exc:
+            interp.eval_text(text)
+        assert exc.value.violations == [violation]
+    assert not interp.world.functions
+
+
 def test_defun_guard_checked_at_call():
     interp = Interp()
     interp.eval_text(
@@ -745,6 +776,15 @@ def test_apply_with_quoted_lambda_and_symbol():
     with pytest.raises(EvalError) as exc:
         ev("(apply$ '(1 2) '(3))")
     assert "not a function object" in str(exc.value)
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_a_lambda_without_formals_must_return_one_value(mode):
+    with pytest.raises(LinearityError) as exc:
+        ev("(apply$ '(lambda () (mv 1 2)) nil)", mode=mode)
+    assert exc.value.violations == [
+        "R2: multiple values are not a single value in a lambda body"]
+    assert ev("(apply$ '(lambda () 7) nil)", mode=mode) == 7
 
 
 # ----------------------------------------------------------- world and undo

@@ -754,6 +754,12 @@ def test_loop_guard_failure_both_modes():
             in str(exc.value)
 
 
+def test_loop_guard_unchecked_when_guards_off():
+    assert run_both("(loop$ with i = 5 do :guard (< i 3) :measure (nfix i) "
+                    "(if (zp i) (return i) (setq i (1- i))))",
+                    guard_check=False) == 0
+
+
 def test_loop_guard_checked_each_entry():
     # passes at first, trips when i drops below the bound
     for mode in ("logical", "native"):
@@ -814,6 +820,16 @@ def test_terminating_loop_ignores_cap_limit():
     v = interp.eval_text("(loop$ with i = 99 do (if (zp i) (return 'done) "
                          "(setq i (1- i))))")[0][1]
     assert v is intern("DONE")
+
+
+def test_native_cap_allows_exactly_cap_iterations():
+    loop = "(loop$ with i = %d do (if (zp i) (return 'done) (setq i (1- i))))"
+    interp = Interp(mode="native", cap=3)
+    # I = 2 returns in its third iteration, I = 3 needs a fourth
+    assert interp.eval_text(loop % 2)[0][1] is intern("DONE")
+    with pytest.raises(CapExceeded) as exc:
+        interp.eval_text(loop % 3)
+    assert "native iteration cap of 3 without returning" in str(exc.value)
 
 
 # ---------------------------------------------------------- (LEN v) measures

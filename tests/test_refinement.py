@@ -362,6 +362,39 @@ def test_check_constraints_catches_interference():
     assert "result: FAIL" in report.lines()[-1]
 
 
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_check_constraints_catches_an_exec_that_keeps_the_rank(mode):
+    # executing a ready PROC2 leaves its work as it was
+    interp = scheduler_interp(mode, attach=False)
+    interp.eval_text("""
+      (defun idle-exec (p st)
+        (declare (xargs :stobjs (st)))
+        (if (eq p 'proc1)
+            (stobj-let ((proc1 (tbl-get 'proc1 st (create-proc1))))
+                       (proc1)
+                       (update-work1 (1- (work1 proc1)) proc1)
+                       st)
+          (if (eq p 'proc2)
+              (stobj-let ((proc2 (tbl-get 'proc2 st (create-proc2))))
+                         (proc2)
+                         proc2
+                         st)
+            st)))
+      (defattach proc-ids my-proc-ids)
+      (defattach pick my-pick)
+      (defattach ready my-ready)
+      (defattach exec idle-exec)
+      (defattach rank my-rank)
+    """)
+    report = refinement.check_constraints(interp, seed=7, trials=200)
+    assert report.failure_count["exec-rank-reduces"] > 0
+    assert report.failure_count["exec-no-interfere"] == 0
+    assert any("exec-rank-reduces" in f and "rank of PROC2 went 1 -> 1 "
+               "across its own exec while ready" in f
+               for f in report.failures)
+    assert report.lines()[-1] == "result: FAIL"
+
+
 def test_check_constraints_catches_non_natural_rank():
     interp = scheduler_interp(attach=False)
     interp.eval_text("""

@@ -792,6 +792,19 @@ def test_top_level_stobj_lets_leave_no_table_entries(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", ["logical", "native"])
+def test_a_top_level_stobj_let_runs_the_parse_admission_made(monkeypatch,
+                                                             mode):
+    interp = fixture(CHILD_TABLE + " (defstobj child a)", mode=mode)
+    calls = counting_parser(monkeypatch)
+    for _ in range(3):
+        interp.eval_text(PUT_CHILD)
+    # one parse per form read, none when it runs
+    assert len(calls) == 3
+    assert interp.world.stobj_lets == {}
+    assert show(interp.bank["TOP"].logical_view()) == "(((CHILD 1)))"
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
 def test_forms_that_fail_admission_keep_no_stobj_let_parses(monkeypatch,
                                                             mode):
     interp = fixture(CHILD_TABLE + " (defstobj child a) (defun put-child "
