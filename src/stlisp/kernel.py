@@ -450,8 +450,8 @@ class Interp:
                 return self._event(form)
             # the bank's stobjs are the form's formals, each its own input
             names = tuple(self.bank)
-            _shape, lets = stobjs.admit(self.world, form,
-                                        "this top-level form", names, names)
+            _shape, lets = stobjs.admit(self.world, form, names, names,
+                                        "this top-level form")
             self.world.stobj_lets.update(lets)
             try:
                 val = self.eval(form, None)
@@ -546,8 +546,8 @@ class Interp:
         if len(names) != len(args):
             arity_error("lambda", len(args), len(names), len(names), form)
         # A function object takes no stobj, so none is live in its body.
-        stobjs.admit(self.world, parts[2], "this lambda", names,
-                     want="a lambda body")
+        stobjs.admit(self.world, parts[2], names, (None,) * len(names),
+                     "this lambda", want="a lambda body")
         return self.eval(parts[2], Env(dict(zip(names, args))))
 
     ### stobj plumbing
@@ -612,8 +612,9 @@ class Interp:
                     "with (declare (xargs :stobjs (%s)))" % (f, name, f),
                     form=form)
         inputs = tuple(f if f in stobjs_in else None for f in fnames)
-        outputs, lets = stobjs.admit(self.world, body_forms[0], name, fnames,
-                                     inputs, name, guard, measure)
+        outputs, lets = stobjs.admit(self.world, body_forms[0], fnames,
+                                     inputs, name=name, guard=guard,
+                                     measure=measure)
         shared = self.world.shared
         fd = FunctionDef(name, shared(tuple(fnames)), shared(inputs),
                          shared(outputs), guard, measure, body_forms[0])

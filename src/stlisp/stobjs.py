@@ -1082,18 +1082,19 @@ def _shape_str(shape):
     return "(" + " ".join("*" if s is None else s for s in shape) + ")"
 
 
-def admit(world, body, what, formals=(), inputs=(), name=None, guard=None,
+def admit(world, body, formals, inputs, what=None, name=None, guard=None,
           measure=None, want=None):
     """The shape of body and the stobj-let parses made (see
     Analyzer.stobj_lets), which the caller keeps once it admits body; or
-    LinearityError, labelled what.  This is the one static check of the
-    rules above, of call arity and of special-form shapes.
+    LinearityError, labelled what (by default name).  This is the one
+    static check of the rules above, of call arity and of special-form
+    shapes.
 
-    Formal i is the live stobj inputs[i], or, where that is None or
-    missing, ordinary and bound as a LET binds it.  A top-level form's
-    formals are the bank's stobjs; an APPLY$ lambda's are ordinary, and
-    want names its body, which must return one ordinary value.  A defun
-    gives its name, which types its self-calls, :guard and :measure.
+    Formal i is the live stobj inputs[i] or, where that is None,
+    ordinary and bound as a LET binds it.  A top-level form's formals are
+    the bank's stobjs; an APPLY$ lambda's are ordinary, and want names
+    its body, which must return one ordinary value.  A defun gives its
+    name, which types its self-calls, :guard and :measure.
     """
     parses = {}
     self_output = UNKNOWN
@@ -1101,12 +1102,12 @@ def admit(world, body, what, formals=(), inputs=(), name=None, guard=None,
         analyzer = Analyzer(world, name, inputs, self_output)
         analyzer.stobj_lets = parses    # both passes parse a form once
         live, bound = {}, set()
-        for i, f in enumerate(formals):
-            if i < len(inputs) and inputs[i] is not None:
-                live[f] = inputs[i]
-            else:
+        for f, s in zip(formals, inputs):
+            if s is None:
                 live, bound = analyzer._bind_one(f, (None,), live, bound,
                                                  body)
+            else:
+                live[f] = s
         for label, extra in (("guard", guard), ("measure", measure)):
             if extra is not None:
                 analyzer.want_value(extra, live, bound,
@@ -1122,9 +1123,9 @@ def admit(world, body, what, formals=(), inputs=(), name=None, guard=None,
         # knows it finds every shape.  The first pass's violations are
         # dropped, so UNKNOWN is read only where it sets a shape.
         if shape is UNKNOWN:
-            raise LinearityError(what, ["R2: cannot infer what %s returns; "
+            raise LinearityError(name, ["R2: cannot infer what %s returns; "
                                         "every path is self-recursive" % name])
         self_output = shape
     if analyzer.violations:
-        raise LinearityError(what, analyzer.violations)
+        raise LinearityError(what or name, analyzer.violations)
     return shape, parses

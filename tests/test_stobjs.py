@@ -773,8 +773,11 @@ def test_undo_empties_the_stobj_let_table(mode):
 @pytest.mark.parametrize("mode", ["logical", "native"])
 def test_top_level_stobj_lets_leave_no_table_entries(monkeypatch, mode):
     interp = fixture(CHILD_TABLE + " (defstobj child a)", mode=mode)
+    calls = counting_parser(monkeypatch)
     for _ in range(3):
         interp.eval_text(PUT_CHILD)
+    # one parse per form read, none when it runs
+    assert len(calls) == 3
     assert interp.world.stobj_lets == {}
     with pytest.raises(EvalError):
         interp.eval_text(PUT_CHILD.replace("(update-a 1 child)",
@@ -782,26 +785,13 @@ def test_top_level_stobj_lets_leave_no_table_entries(monkeypatch, mode):
     assert interp.world.stobj_lets == {}
     assert show(interp.bank["TOP"].logical_view()) == "(((CHILD 1)))"
     # a form in a defun body is parsed once, when the defun is admitted
-    calls = counting_parser(monkeypatch)
+    calls.clear()
     interp.eval_text("(defun put-child (top) (declare (xargs :stobjs (top)))"
                      " %s)" % PUT_CHILD)
     for _ in range(3):
         interp.eval_text("(put-child top)")
     assert len(calls) == 1
     assert list(interp.world.stobj_lets) == calls
-
-
-@pytest.mark.parametrize("mode", ["logical", "native"])
-def test_a_top_level_stobj_let_runs_the_parse_admission_made(monkeypatch,
-                                                             mode):
-    interp = fixture(CHILD_TABLE + " (defstobj child a)", mode=mode)
-    calls = counting_parser(monkeypatch)
-    for _ in range(3):
-        interp.eval_text(PUT_CHILD)
-    # one parse per form read, none when it runs
-    assert len(calls) == 3
-    assert interp.world.stobj_lets == {}
-    assert show(interp.bank["TOP"].logical_view()) == "(((CHILD 1)))"
 
 
 @pytest.mark.parametrize("mode", ["logical", "native"])

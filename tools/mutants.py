@@ -3,17 +3,19 @@
 Each entry below names a file of the tree, an exact text in it, the text
 that replaces it, and what the change breaks.  For each entry the script
 copies the tree, applies that one replacement (an entry whose text does
-not occur exactly once is an error) and runs tier-1 with -x under a
-wall-clock timeout.  The mutant is killed when the suite fails, timed
-out when the suite runs past the timeout, and survived when it passes.
-The EQUIVALENT entries change nothing a program can observe, so they are
-expected to survive.  An unmutated copy runs first and must pass.
+not occur exactly once is an error) and runs tier-1 with -x.  An
+unmutated copy runs first, with no time limit, and must pass; each
+mutant's run may take SLOWDOWN times as long, and at least FLOOR
+seconds.  The mutant is killed when the suite fails, timed out when the
+suite runs past that limit, and survived when it passes.  The
+EQUIVALENT entries change nothing a program can observe, so they are
+expected to survive.
 
 A change that deletes a check adds here the mutants of the checks that
 now enforce its rule.  Run from the repository root; it is not part of
 tier-1:
 
-    python tools/mutants.py [--timeout SECONDS]
+    python tools/mutants.py
 
 Exit status 0 when every mutant is killed or timed out and every
 equivalent one survives, 1 otherwise, 2 when the unmutated suite fails
@@ -31,6 +33,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# A mutant's suite is cut after SLOWDOWN times the unmutated suite's
+# wall-clock time, and never before FLOOR seconds.
+SLOWDOWN = 3
+FLOOR = 30.0
 KERNEL = "src/stlisp/kernel.py"
 STOBJS = "src/stlisp/stobjs.py"
 LOOPS = "src/stlisp/loops.py"
@@ -52,8 +58,7 @@ MUTANTS = [
      "if outputs != (None,):",
      "APPLY$ calls a function that takes a stobj"),
     # the three callers of stobjs.admit
-    (KERNEL, '"this top-level form", names, names)',
-     '"this top-level form", names)',
+    (KERNEL, "form, names, names,", "form, names, (None,) * len(names),",
      "a top-level form sees the bank's stobjs as ordinary names"),
     (KERNEL, "self.world.stobj_lets.update(lets)\n            try:",
      "try:",
@@ -62,16 +67,18 @@ MUTANTS = [
      "a top-level form's stobj-let parses pile up"),
     (KERNEL, 'want="a lambda body")', "want=None)",
      "an APPLY$ lambda body may return several values"),
-    (KERNEL, "inputs, name, guard, measure)", "inputs, None, guard, measure)",
+    (KERNEL, "names, (None,) * len(names),", "names, names,",
+     "an APPLY$ lambda's formals are live stobjs"),
+    (KERNEL, "inputs, name=name,", "inputs, name=None,",
      "a defun's self-calls are not typed by its own formals"),
-    (KERNEL, "inputs, name, guard, measure)", "inputs, name)",
+    (KERNEL, "name=name, guard=guard,\n"
+             "                                     measure=measure)",
+     "name=name)",
      "a defun's :guard and :measure terms are not checked"),
     # stobjs.admit's branches
-    (STOBJS, "if i < len(inputs) and inputs[i] is not None:",
-     "if i < len(inputs):",
-     "an ordinary defun formal is live with no stobj"),
-    (STOBJS, "                live[f] = inputs[i]",
-     "                bound.add(f)",
+    (STOBJS, "            if s is None:", "            if False:",
+     "an ordinary formal is live with no stobj"),
+    (STOBJS, "            if s is None:", "            if True:",
      "a stobj formal is bound as an ordinary value"),
     (STOBJS, "        if want is None:\n            shape = analyzer.analyze",
      "        if True:\n            shape = analyzer.analyze",
@@ -92,6 +99,8 @@ MUTANTS = [
     (STOBJS, "    if analyzer.violations:\n        raise LinearityError(what",
      "    if False:\n        raise LinearityError(what",
      "no violation is ever raised"),
+    (STOBJS, "LinearityError(what or name,", "LinearityError(what,",
+     "a defun's violations are not labelled with its name"),
     (STOBJS, "analyzer.stobj_lets = parses", "pass",
      "a defun's stobj-let parses are not kept"),
     # one copy-on-write rule
@@ -154,7 +163,8 @@ def mutated(tree, entry):
 
 
 def run_suite(tree, timeout):
-    """'passed', 'failed' or 'timed out', and the seconds it took."""
+    """'passed', 'failed' or 'timed out', and the seconds it took; a
+    timeout of None waits for the suite to end."""
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("STLISP_")}
     env["PYTHONPATH"] = str(Path(tree) / "src")
@@ -192,10 +202,8 @@ def describe(entry):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--timeout", type=float, default=60.0,
-                        help="seconds allowed to one run of the suite")
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(
+        argv)
 
     entries = [(e, False) for e in MUTANTS] + [(e, True) for e in EQUIVALENT]
     started = time.monotonic()
@@ -205,15 +213,17 @@ def main(argv=None):
     except ValueError as e:
         print("bad entry: %s" % e)
         return 2
-    outcome, secs = check(None, args.timeout)
-    print("unmutated  %6.1fs  %s" % (secs, outcome), flush=True)
+    outcome, secs = check(None, None)
+    timeout = max(FLOOR, SLOWDOWN * secs)
+    print("unmutated  %6.1fs  %s; each mutant gets %.0fs"
+          % (secs, outcome, timeout), flush=True)
     if outcome != "passed":
         return 2
 
     counts = {"killed": 0, "timed out": 0, "survived": 0, "equivalent": 0}
     wrong = []
     for entry, equivalent in entries:
-        outcome, secs = check(entry, args.timeout)
+        outcome, secs = check(entry, timeout)
         verdict = {"passed": "survived", "failed": "killed"}.get(outcome,
                                                                  outcome)
         if equivalent:
