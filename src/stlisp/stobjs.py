@@ -1108,10 +1108,10 @@ def admit(world, body, formals, inputs, what=None, name=None, guard=None,
                                                  body)
             else:
                 live[f] = s
-        for label, extra in (("guard", guard), ("measure", measure)):
-            if extra is not None:
-                analyzer.want_value(extra, live, bound,
-                                    "the :%s term" % label)
+        if guard is not None:
+            analyzer.want_value(guard, live, bound, "the :guard term")
+        if measure is not None:
+            analyzer.want_value(measure, live, bound, "the :measure term")
         if want is None:
             shape = analyzer.analyze(body, live, bound)
         else:

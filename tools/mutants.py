@@ -83,9 +83,9 @@ MUTANTS = [
     (STOBJS, "        if want is None:\n            shape = analyzer.analyze",
      "        if True:\n            shape = analyzer.analyze",
      "a lambda body's one-value rule is skipped"),
-    (STOBJS, "for label, extra in ((\"guard\", guard), (\"measure\", "
-             "measure)):",
-     "for label, extra in ((\"guard\", guard),):",
+    (STOBJS, "if guard is not None:", "if False:",
+     "a defun's :guard term is not checked"),
+    (STOBJS, "if measure is not None:", "if False:",
      "a defun's :measure term is not checked"),
     (STOBJS, "if not analyzer.saw_self or self_output is not UNKNOWN:",
      "if True:",
