@@ -8,6 +8,8 @@ name equality.
 """
 
 import re
+from itertools import islice
+from operator import length_hint
 
 from .errors import ReadError
 
@@ -138,23 +140,22 @@ def equal(a, b):
 
 ### reader
 
-# One token per match: the blanks and `;` comments before it, then an
-# atom (a symbol that cannot be numeric, or one that starts with a sign,
-# digit or dot), a string, a parenthesis or quote, an unterminated string
-# (its opening quote), or the end of the text.  Every position matches,
-# so finditer yields the tokens back to back.  `\s` is exactly
-# str.isspace() and `\d` exactly str.isdecimal(), which int() accepts.
-_TOKEN = re.compile(r"""\s*(?:;[^\n]*\s*)*(?:
-    ([^\s()'";+\-.\d][^\s()'";]*)
-  | ([^\s()'";]+)
-  | ("(?:[^"\\]|\\.)*")
-  | (\()
-  | (\))
-  | (')
-  | (")
+# The tokens of a text are strings: an atom, a string, `(`, `)`, `'`, a
+# lone `"` that opens an unterminated string, and "" for the end of the
+# text.  A text that holds no `"` holds no string, so each `;` in it
+# starts a comment: blanking the comments, spacing out `(`, `)` and `'`
+# and splitting at blanks gives its tokens.  A text that holds a `"` is
+# cut by _TOKEN, whose one group is the token after the blanks and `;`
+# comments before it.  Every position matches, so finditer yields the
+# tokens back to back; it runs again to find a token's offset only when
+# an error is raised.  `\s` is exactly str.isspace(), which str.split()
+# cuts at, and `\d` exactly str.isdecimal(), which int() accepts.
+_TOKEN = re.compile(r"""\s*(?:;[^\n]*\s*)*(
+    [^\s()'";]+
+  | "(?:[^"\\]|\\.)*"
+  | [()'"]
   | \Z)""", re.X | re.S)
-_SYM, _NUM, _STR, _LPAREN, _RPAREN, _QUOTE, _OPEN_STR = range(1, 8)
-_END = None  # lastindex of the end-of-text match
+_COMMENT = re.compile(r";[^\n]*")
 
 _INT_RX = re.compile(r"[+-]?\d+")
 _RATIO_RX = re.compile(r"[+-]?\d+/\d+\Z")
@@ -163,158 +164,210 @@ _ESCAPE_RX = re.compile(r"\\(.)", re.S)
 _QUOTE_SYM = intern("QUOTE")
 
 
+def _scan(text):
+    """The tokens of text as _TOKEN cuts them, ending in one ""."""
+    tokens = _TOKEN.findall(text)
+    if len(tokens) > 1 and not tokens[-2]:
+        tokens.pop()  # after trailing blanks the end matches twice
+    return tokens
+
+
+def _split(text):
+    """The tokens of a text that holds no `"`, as _scan cuts them."""
+    tokens = _COMMENT.sub("", text).replace("(", " ( ").replace(
+        ")", " ) ").replace("'", " ' ").split()
+    tokens.append("")
+    return tokens
+
+
+def _tokens(text):
+    return _scan(text) if '"' in text else _split(text)
+
+
 class _Reader:
-    """A scan of text's tokens.  The reader recurses once per list level,
-    so input nested past Python's recursion limit is a ReadError at the
-    start of its top-level form.  Line and column are worked out from a
-    token's offset only when an error is raised."""
+    """A pass over text's tokens.  The reader recurses once per list
+    level, so input nested past Python's recursion limit is a ReadError
+    at the start of its top-level form.  Each atom token is turned into
+    its symbol or integer once per read.  A token's line and column are
+    worked out only when an error is raised."""
 
     def __init__(self, text):
         self.text = text
-        self.tokens = _TOKEN.finditer(text)
+        self.tokens = _tokens(text)
+        self.rest = iter(self.tokens)
+        self.atoms = {}
 
-    def error(self, msg, pos):
+    def index(self):
+        """The index of the token read last."""
+        return len(self.tokens) - length_hint(self.rest) - 1
+
+    def match(self, index=None):
+        """_TOKEN's match of the token at index, by default the one read
+        last."""
+        if index is None:
+            index = self.index()
+        return next(islice(_TOKEN.finditer(self.text), index, None))
+
+    def error(self, msg, index=None, end=False):
+        """Raise msg at the start of the token at index, or at its end;
+        the token is by default the one read last."""
+        m = self.match(index)
+        pos = m.end() if end else m.start(1)
         text = self.text
         raise ReadError(msg, line=text.count("\n", 0, pos) + 1,
                         col=pos - text.rfind("\n", 0, pos))
 
-    def top(self, m):
-        """The top-level form whose first token is m."""
+    def list_error(self, msg):
+        """Raise msg at the `(` of the list being read: the last one
+        before the token read last that no `)` closes."""
+        tokens = self.tokens
+        i = self.index()
+        depth = 0
+        while True:
+            i -= 1
+            if tokens[i] == ")":
+                depth += 1
+            elif tokens[i] == "(":
+                if not depth:
+                    self.error(msg, i)
+                depth -= 1
+
+    def top(self, token):
+        """The top-level form whose first token is token."""
+        start = self.index()
         try:
-            return self.form(m)
+            return self.form(token)
         except RecursionError:
             pass
-        self.error("nesting too deep", m.start(m.lastindex))
+        self.error("nesting too deep", start)
 
-    def form(self, m):
-        """The form whose first token is m, quoted once per leading quote."""
+    def form(self, token):
+        """The form whose first token is token, quoted once per leading
+        quote."""
         quotes = 0
-        while m.lastindex == _QUOTE:
+        while token == "'":
             quotes += 1
-            m = next(self.tokens)
-        kind = m.lastindex
-        if kind == _SYM:
-            form = intern(m[_SYM].upper())
-        elif kind == _NUM:
-            if m[_NUM] == ".":
-                self.error("stray dot", m.end())
-            form = self.number(m)
-        elif kind == _LPAREN:
-            form = self.read_list(m)
-        elif kind == _STR or kind == _OPEN_STR:
-            form = self.string(m)
-        elif kind == _RPAREN:
-            self.error("unbalanced close parenthesis", m.start(_RPAREN))
+            token = next(self.rest)
+        if token == "(":
+            form = self.read_list()
         else:
-            self.error("unexpected end of input", m.end())
+            form = self.atoms.get(token)
+            if form is None:
+                form = self.atom(token)
         for _ in range(quotes):
             form = Cons(_QUOTE_SYM, Cons(form, NIL))
         return form
 
-    def read_list(self, start):
+    def read_list(self):
         items = []
-        for m in self.tokens:
-            kind = m.lastindex
-            if kind == _SYM:
-                items.append(intern(m[_SYM].upper()))
-            elif kind == _LPAREN:
-                items.append(self.read_list(m))
-            elif kind == _RPAREN:
+        atoms = self.atoms
+        for token in self.rest:
+            if token == "(":
+                items.append(self.read_list())
+            elif token == ")":
                 return from_pylist(items)
-            elif kind == _NUM and m[_NUM] == ".":
-                return self.dotted(start.start(_LPAREN), items)
-            elif kind == _END:
-                self.error("unterminated list", start.start(_LPAREN))
+            elif token in atoms:
+                items.append(atoms[token])
+            elif token == ".":
+                return self.dotted(items)
+            elif not token:
+                self.list_error("unterminated list")
             else:
-                items.append(self.form(m))
+                items.append(self.form(token))
 
-    def dotted(self, where, items):
+    def dotted(self, items):
         """The rest of a list whose items are read up to its dot."""
         if not items:
-            self.error("dot at start of list", where)
-        m = next(self.tokens)
-        if m.lastindex in (_RPAREN, _END):
-            self.error("dotted pair missing tail", where)
-        if m.lastindex == _NUM and m[_NUM] == ".":
-            self.error("multiple dots in list", where)
-        tail = self.form(m)
-        m = next(self.tokens)
-        if m.lastindex == _END:
-            self.error("unterminated list", where)
-        if m.lastindex != _RPAREN:
-            self.error("more than one form after dot", where)
+            self.list_error("dot at start of list")
+        token = next(self.rest)
+        if token == ")" or not token:
+            self.list_error("dotted pair missing tail")
+        if token == ".":
+            self.list_error("multiple dots in list")
+        tail = self.form(token)
+        token = next(self.rest)
+        if not token:
+            self.list_error("unterminated list")
+        if token != ")":
+            self.list_error("more than one form after dot")
         return from_pylist(items, tail=tail)
 
-    def number(self, m):
+    def atom(self, token):
+        """The form of a token other than `(` and `'`: a string, an error,
+        or a symbol or integer, which is kept for the token's next use."""
+        if token[:1] == '"':
+            return self.string(token)
+        if token == ")":
+            self.error("unbalanced close parenthesis")
+        if not token:
+            self.error("unexpected end of input", end=True)
+        if token == ".":
+            self.error("stray dot", end=True)
+        c = token[0]
+        if c in "+-." or c.isdecimal():
+            form = self.number(token)
+        else:
+            form = intern(token.upper())
+        self.atoms[token] = form
+        return form
+
+    def number(self, token):
         """An atom that starts with a sign, digit or dot: an integer, a
         rejected ratio or float, or else a symbol, such as 1+ or 2X."""
-        token = m[_NUM]
         if _INT_RX.fullmatch(token):
             return int(token)
         if _RATIO_RX.match(token):
-            self.error("rational literals are not supported: %s" % token,
-                       m.start(_NUM))
+            self.error("rational literals are not supported: %s" % token)
         if _FLOAT_RX.match(token):
             self.error("non-integer numeric literals are not supported: %s"
-                       % token, m.start(_NUM))
+                       % token)
         return intern(token.upper())
 
-    def string(self, m):
-        """A string, or the error of an unterminated one.  Escapes are
-        checked first, so an unknown one is reported even then."""
-        if m.lastindex == _STR:
-            body = m[_STR][1:-1]
+    def string(self, token):
+        """A string, or the error of an unterminated one (a lone `"`).
+        Escapes are checked first, so an unknown one is reported even
+        then."""
+        if token == '"':
+            body = self.text[self.match().end():]
+        else:
+            body = token[1:-1]
             if "\\" not in body:
                 return body
-        else:
-            body = self.text[m.end():]
         for e in _ESCAPE_RX.finditer(body):
             if e[1] not in '"\\':
-                self.error("unknown string escape \\%s" % e[1],
-                           m.start(m.lastindex))
-        if m.lastindex == _OPEN_STR:
-            self.error("unterminated string", m.start(_OPEN_STR))
+                self.error("unknown string escape \\%s" % e[1])
+        if token == '"':
+            self.error("unterminated string")
         return _ESCAPE_RX.sub(r"\1", body)
 
 
 def read(text):
     """Read a single form from text; trailing content is an error."""
     r = _Reader(text)
-    form = r.top(next(r.tokens))
-    m = next(r.tokens)
-    if m.lastindex != _END:
-        r.error("trailing content after form", m.start(m.lastindex))
+    form = r.top(next(r.rest))
+    if next(r.rest):
+        r.error("trailing content after form")
     return form
 
 
 def read_all(text):
     r = _Reader(text)
     forms = []
-    for m in r.tokens:
-        if m.lastindex == _END:
+    for token in r.rest:
+        if not token:
             return forms
-        forms.append(r.top(m))
+        forms.append(r.top(token))
 
 
 def balanced(text):
     """True when text contains no open parens, strings, or partial tokens.
 
-    Used by the REPL to decide whether to keep reading lines.  It scans
+    Used by the REPL to decide whether to keep reading lines.  It counts
     the reader's own tokens, so the two agree on where a string or
     comment ends.
     """
-    depth = 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastindex
-        if kind == _LPAREN:
-            depth += 1
-        elif kind == _RPAREN:
-            depth -= 1
-        elif kind == _OPEN_STR:
-            return False
-        elif kind == _END:
-            break
-    return depth <= 0
+    tokens = _tokens(text)
+    return '"' not in tokens and tokens.count("(") <= tokens.count(")")
 
 
 ### printer

@@ -5,8 +5,11 @@ generated-value property confirms read(show(v)) is the identity on the
 printable value universe.
 """
 
+import re
+from pathlib import Path
+
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from stlisp import sexpr
 from stlisp.errors import ReadError
@@ -262,3 +265,68 @@ def test_reader_raises_only_read_errors(text):
     assert balanced(text)
     for form in forms:
         assert equal(read(show(form)), form)
+
+
+# A text that holds no `"` is split at blanks; one that holds a `"` is
+# cut by the token pattern.  A `"` in a comment on a line of its own
+# sends a text down the second route and moves its errors down one line.
+_VIA_PATTERN = ';"\n'
+_CORPUS_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(
+    (Path(__file__).resolve().parent.parent / "corpus").glob("*.lisp"))]
+_STRINGLESS = st.text(alphabet=st.sampled_from(
+    list("()';.+-1aA") + ["\n", "\r", "\t", "\xa0", "\x1c", "٣"]),
+    max_size=40)
+
+
+def _one_line_down(message):
+    return re.sub(r"line (\d+)", lambda m: "line %d" % (int(m[1]) + 1),
+                  message)
+
+
+def _read_all_outcome(text):
+    try:
+        return read_all(text), None
+    except ReadError as e:
+        return None, e
+
+
+def _with_corpus_examples(test):
+    for text in _CORPUS_TEXTS:
+        if '"' not in text:
+            test = example(text)(test)
+    return test
+
+
+@_with_corpus_examples
+@given(_STRINGLESS)
+def test_both_token_routes_read_a_stringless_text_alike(text):
+    assert sexpr._split(text) == sexpr._scan(text)
+    forms, err = _read_all_outcome(text)
+    forms_via, err_via = _read_all_outcome(_VIA_PATTERN + text)
+    if err is None:
+        assert err_via is None
+        assert len(forms) == len(forms_via)
+        assert all(equal(a, b) for a, b in zip(forms, forms_via))
+    else:
+        assert err_via is not None
+        assert (err_via.message, err_via.line, err_via.col) == (
+            err.message, err.line + 1, err.col)
+    assert balanced(text) == balanced(_VIA_PATTERN + text)
+
+
+def test_the_corpus_has_stringless_examples():
+    assert sum('"' not in text for text in _CORPUS_TEXTS) >= 5
+
+
+@pytest.mark.parametrize("text,message", [
+    (text, message) for text, message in READ_ERRORS if '"' not in text])
+def test_read_error_text_and_position_via_the_token_pattern(text, message):
+    with pytest.raises(ReadError) as exc:
+        read(_VIA_PATTERN + text)
+    assert str(exc.value) == _one_line_down(message)
+
+
+def test_nesting_800_deep_reads():
+    deep = "(" * 800 + "x" + ")" * 800
+    assert show(read(deep)) == deep.upper()
+    assert show(read_all(_VIA_PATTERN + deep)[0]) == deep.upper()

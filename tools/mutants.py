@@ -41,6 +41,7 @@ KERNEL = "src/stlisp/kernel.py"
 STOBJS = "src/stlisp/stobjs.py"
 LOOPS = "src/stlisp/loops.py"
 REFINEMENT = "src/stlisp/refinement.py"
+SEXPR = "src/stlisp/sexpr.py"
 
 # (file, old text, new text, what the mutant breaks)
 MUTANTS = [
@@ -57,6 +58,25 @@ MUTANTS = [
              "for slot in inputs):",
      "if outputs != (None,):",
      "APPLY$ calls a function that takes a stobj"),
+    (KERNEL, "if nargs < lo or (hi is not None and nargs > hi):",
+     "if form is None and (nargs < lo or (hi is not None and nargs > hi)):",
+     "APPLY$ calls a function with the wrong number of arguments"),
+    # the special forms' handlers
+    (KERNEL, "    return form.cdr.car\n", "    return form.cdr\n",
+     "QUOTE gives the list of its arguments"),
+    (KERNEL, "if interp.eval(rest.car, env) is not NIL:",
+     "if interp.eval(rest.car, env) is NIL:",
+     "IF takes the wrong branch"),
+    (KERNEL, "    if rest is NIL:\n        return NIL\n",
+     "    if rest is NIL:\n        return T\n",
+     "an IF without an else branch gives T when its test fails"),
+    (KERNEL, "scope = inner if form.car is LETSTAR else env", "scope = inner",
+     "a LET right-hand side sees the bindings before it"),
+    (KERNEL, "scope = inner if form.car is LETSTAR else env", "scope = env",
+     "a LET* right-hand side does not see the bindings before it"),
+    (KERNEL, "        frame[vars_.car.name] = v\n        vars_ = vars_.cdr\n",
+     "        frame[vars_.car.name] = v\n",
+     "MV-LET binds every value to its first variable"),
     # the three callers of stobjs.admit
     (KERNEL, "form, names, names,", "form, names, (None,) * len(names),",
      "a top-level form sees the bank's stobjs as ordinary names"),
@@ -133,6 +153,17 @@ MUTANTS = [
     (REFINEMENT, "if not (isinstance(r, int) and r >= 0):",
      "if not isinstance(r, int):",
      "a negative rank passes rank-is-natural"),
+    # the reader's two token routes, its atoms and its error positions
+    (SEXPR, '.replace("\'", " \' ").split()', ".split()",
+     "a quote that touches its form is read into a symbol"),
+    (SEXPR, '_COMMENT.sub("", text).replace(', "text.replace(",
+     "a comment in a text without a string is read as forms"),
+    (SEXPR, 'if c in "+-." or c.isdecimal():', 'if c in "+-.":',
+     "a token that starts with a digit is read as a symbol"),
+    (SEXPR, "length_hint(self.rest) - 1", "length_hint(self.rest)",
+     "an error is placed at the token after the one that failed"),
+    (SEXPR, "                depth += 1\n", "                pass\n",
+     "an unterminated list is placed at a list it holds"),
 ]
 
 # Mutants that no program can tell from the original.
@@ -144,6 +175,19 @@ EQUIVALENT = [
     (LOOPS, "items.append(x if isinstance(x, int) and x >= 0 else 0)",
      "items.append(x if isinstance(x, int) and x > 0 else 0)",
      "both give 0 for 0"),
+    (KERNEL, "elif type(x) is Symbol and env is not None and x.name in "
+             "env.vars:",
+     "elif False:",
+     "eval looks a variable up in the innermost frame first"),
+    (SEXPR, "return _scan(text) if '\"' in text else _split(text)",
+     "return _scan(text)",
+     "the token pattern cuts a text without a string as split does"),
+    (SEXPR, 'if c in "+-." or c.isdecimal():',
+     'if c in "+-." or c.isdigit():',
+     "a digit that is not decimal cannot start an integer, ratio or "
+     "float, so number() reads the token as the same symbol"),
+    (SEXPR, "        self.atoms[token] = form\n", "        pass\n",
+     "an atom token read again gives an equal symbol or integer"),
 ]
 
 # Left out of each copy: version control, caches and benchmark output.
@@ -196,9 +240,11 @@ def check(entry, timeout):
 
 
 def describe(entry):
+    """The file and the first lines of an entry's two texts; a text that
+    is only blanks shows as nothing."""
     path, old, new, _why = entry
-    return "%s: %s -> %s" % (Path(path).name, old.strip().splitlines()[0],
-                             new.strip().splitlines()[0])
+    first = [(text.strip().splitlines() or [""])[0] for text in (old, new)]
+    return "%s: %s -> %s" % (Path(path).name, first[0], first[1])
 
 
 def main(argv=None):
