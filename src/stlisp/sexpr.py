@@ -187,9 +187,9 @@ def _tokens(text):
 class _Reader:
     """A pass over text's tokens.  The reader recurses once per list
     level, so input nested past Python's recursion limit is a ReadError
-    at the start of its top-level form.  Each atom token is turned into
-    its symbol or integer once per read.  A token's line and column are
-    worked out only when an error is raised."""
+    at the start of its top-level form.  An atom token in a list is
+    turned into its symbol or integer once per read.  A token's line and
+    column are worked out only when an error is raised."""
 
     def __init__(self, text):
         self.text = text
@@ -248,12 +248,7 @@ class _Reader:
         while token == "'":
             quotes += 1
             token = next(self.rest)
-        if token == "(":
-            form = self.read_list()
-        else:
-            form = self.atoms.get(token)
-            if form is None:
-                form = self.atom(token)
+        form = self.read_list() if token == "(" else self.atom(token)
         for _ in range(quotes):
             form = Cons(_QUOTE_SYM, Cons(form, NIL))
         return form
@@ -294,7 +289,8 @@ class _Reader:
 
     def atom(self, token):
         """The form of a token other than `(` and `'`: a string, an error,
-        or a symbol or integer, which is kept for the token's next use."""
+        or a symbol or integer, which read_list takes from self.atoms at
+        the token's next use."""
         if token[:1] == '"':
             return self.string(token)
         if token == ")":
