@@ -16,9 +16,9 @@ from . import loops, refinement, sexpr, stobjs, stobj_table
 from .errors import EvalError, GuardViolation, MeasureViolation
 from .sexpr import (NIL, T, Cons, Env, MultiValue, Symbol, from_bool,
                     intern, show, truthy)
-from .stobjs import (EVENT_HEADS, LETSTAR, StobjInstance, _cons_args,
-                     _one_body, arity_error, bindable, generated_ops,
-                     list_items, target_shape)
+from .stobjs import (EVENT_HEADS, LETSTAR, QUOTE, StobjInstance,
+                     _cons_args, _one_body, arity_error, bindable,
+                     generated_ops, list_items, target_shape)
 
 
 class FunctionDef:
@@ -65,7 +65,8 @@ class World:
 
     def target(self, name):
         """The FunctionDef, GeneratedOp, Signature or Builtin named name,
-        or None.  Interp._check_fresh keeps these names distinct."""
+        or None.  Interp._check_fresh keeps these names distinct.
+        Interp.eval writes this lookup out, less BUILTINS (see _SPECIAL)."""
         return (self.functions.get(name) or self.genops.get(name)
                 or self.signatures.get(name) or BUILTINS.get(name))
 
@@ -239,8 +240,10 @@ def _bi_not(interp, args, form):
 
 def _bi_eq(interp, args, form):
     a, b = args
-    if not (isinstance(a, Symbol) or isinstance(b, Symbol)):
-        _guard(interp, form, "EQ needs a symbol argument")
+    # Symbols are interned, so a symbol is EQUAL only to itself.
+    if type(a) is Symbol or type(b) is Symbol:
+        return T if a is b else NIL
+    _guard(interp, form, "EQ needs a symbol argument")
     return from_bool(sexpr.equal(a, b))
 
 
@@ -387,12 +390,14 @@ def _call(target, interp, form, env):
     node = form.cdr
     while node is not NIL:
         x = node.car
-        # An integer leaf, or a variable of the innermost frame, is read
-        # here, saving a call of eval.
+        # An integer leaf, a variable of the innermost frame, or a quoted
+        # form is read here, saving a call of eval.
         if type(x) is int:
             vals.append(x)
         elif type(x) is Symbol and env is not None and x.name in env.vars:
             vals.append(env.vars[x.name])
+        elif type(x) is Cons and x.car is QUOTE:
+            vals.append(x.cdr.car)
         else:
             vals.append(interp.eval(x, env))
         node = node.cdr
@@ -419,13 +424,13 @@ DEFAULT_CAP = 10_000_000    # native DO iterations before CapExceeded
 
 
 class Interp:
-    def __init__(self, mode="logical", guard_check=True, cap=DEFAULT_CAP,
+    def __init__(self, mode="logical", guard_check=True, cap=None,
                  out=None, trace=False):
         if mode not in ("logical", "native"):
             raise ValueError("mode must be 'logical' or 'native'")
         self.mode = mode
         self.guard_check = guard_check
-        self.cap = cap
+        self.cap = DEFAULT_CAP if cap is None else cap
         self.out = out
         self.trace = trace
         self.world = World()
@@ -483,12 +488,16 @@ class Interp:
         # Cons, Symbol or int.
         kind = type(form)
         if kind is Cons:
-            handler = _SPECIAL.get(form.car.name)
+            name = form.car.name
+            handler = _SPECIAL.get(name)
             if handler is not None:
                 return handler(self, form, env)
-            target = self.world.target(form.car.name)
+            # World.target without its frame: builtins are in _SPECIAL.
+            w = self.world
+            target = (w.functions.get(name) or w.genops.get(name)
+                      or w.signatures.get(name))
             if target is None:
-                self.world.callee(form.car.name, 0, form)  # raises: undefined
+                w.callee(name, 0, form)  # raises: undefined
             return _call(target, self, form, env)
         if kind is Symbol:
             # NIL, T and keywords are never bound (see stobjs.bindable),

@@ -12,6 +12,10 @@ argument kinds it passes, and then runs each attachment directly: no
 event runs while it samples, and defattach made each attached
 definition's shape its signature's, so no per-call check could fire
 there.  report_shape types the REPORT builtin from the same table.
+Each process id it picks is rng.choice(ids): one _randbelow(len(ids))
+of the seeded stream, as randrange(len(ids)) took, so a seed fixes the
+trials and their checked counts (bench/workloads.py scheduler_counts
+models that stream).
 """
 
 import random
@@ -242,7 +246,7 @@ def check_constraints(interp, seed=0, trials=1000):
                                 ("PICK", "READY", "EXEC", "RANK"))
 
     def pick_id():
-        return ids[rng.randrange(len(ids))]
+        return rng.choice(ids)
 
     def random_state():
         st = spec.fresh()

@@ -283,7 +283,8 @@ def _table(interp, inst, i):
 def apply_generated(interp, op, args, form):
     kind = op.kind
     if kind == "get":
-        return args[0].get_cell(op.findex)
+        inst = args[0]    # get_cell, read in place
+        return inst.cells if inst.spec.single else inst.cells[op.findex]
     if kind == "update":
         return _write(interp, args[1], op.findex, args[0])
     if kind == "recognize":
@@ -398,7 +399,10 @@ def _creator_call(form, world):
 def eval_stobj_let(interp, form, env):
     # One parse per form per World, kept only if it succeeds; admission
     # keeps the parses of the forms it checks.  Only undo can change what
-    # a parse read, and World.rebuild empties the table.
+    # a parse read, and World.rebuild empties the table.  A parent bound
+    # in the innermost frame, each child's table cell, and a consumer
+    # that names an entry of the written-back frame are read in place,
+    # without eval, get_cell or a consumer Env.
     world = interp.world
     spec = world.stobj_lets.get(form)
     if spec is None:
@@ -414,8 +418,13 @@ def eval_stobj_let(interp, form, env):
         pname = parent_sym.name
         parent = parents.get(pname)
         if parent is None:
-            parent = parents[pname] = interp.eval(parent_sym, env)
-        hit = parent.get_cell(op.findex).data.get(child)
+            if env is not None and pname in env.vars:
+                parent = env.vars[pname]
+            else:
+                parent = interp.eval(parent_sym, env)
+            parents[pname] = parent
+        cell = parent.cells if parent.spec.single else parent.cells[op.findex]
+        hit = cell.data.get(child)
         # A miss creates the default child; nothing else runs it.
         frame[child.name] = creator.spec.fresh() if hit is None else hit
 
@@ -436,7 +445,10 @@ def eval_stobj_let(interp, form, env):
         cell = _table(interp, parent, op.findex)
         cell.data[out] = val
         parents[parent_sym.name] = _write(interp, parent, op.findex, cell)
-    return interp.eval(spec.consumer, Env(parents, env))
+    consumer = spec.consumer
+    if type(consumer) is Symbol and consumer.name in parents:
+        return parents[consumer.name]
+    return interp.eval(consumer, Env(parents, env))
 
 
 ### static single-threadedness analysis

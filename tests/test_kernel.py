@@ -130,6 +130,67 @@ def test_eq_and_equal():
     assert off.eval_text("(eq 1 1)")[0][1] is T
 
 
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_eq_with_a_symbol_is_identity(mode):
+    # literal, quoted and LET-bound arguments, either side the symbol
+    for text, want in [
+            ("(eq 'a 'a)", T), ("(eq 'a 'b)", NIL),
+            ("(eq 'a \"A\")", NIL), ("(eq \"A\" 'a)", NIL),
+            ("(eq 'a 1)", NIL), ("(eq 1 'a)", NIL),
+            ("(eq 'nil nil)", T), ("(eq nil 'nil)", T), ("(eq t 't)", T),
+            ("(eq :k ':k)", T), ("(eq 'nil '(nil))", NIL),
+            ("(let ((x 'a) (y \"A\")) (eq x y))", NIL),
+            ("(let ((x 'a)) (let ((y 'a)) (eq x y)))", T)]:
+        for guard_check in (True, False):
+            assert ev(text, mode=mode, guard_check=guard_check) is want, text
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_eq_without_a_symbol_is_a_guard_or_equal(mode):
+    with pytest.raises(GuardViolation) as exc:
+        ev("(eq '(1) '(1))", mode=mode)
+    assert str(exc.value) == (
+        "guard violation in (EQ (QUOTE (1)) (QUOTE (1))): EQ needs a "
+        "symbol argument in (EQ (QUOTE (1)) (QUOTE (1)))")
+    for text, want in [("(eq '(1) '(1))", T), ("(eq '(1) '(2))", NIL),
+                       ("(let ((x '(a b))) (eq x '(a b)))", T),
+                       ("(eq \"x\" \"x\")", T), ("(eq 1 2)", NIL)]:
+        assert ev(text, mode=mode, guard_check=False) is want, text
+
+
+QUOTED_ARGS_PRELUDE = """
+(defstobj st fld)
+(defun pair (x y) (cons x y))
+(defun tag (x) (cons 'tag x))
+"""
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+@pytest.mark.parametrize("text,want", [
+    # a builtin
+    ("(cons 'nil 'nil)", "(NIL)"), ("(cons 'a '(b c))", "(A B C)"),
+    ("(consp 'nil)", "NIL"), ("(car '(a b))", "A"), ("(car ''a)", "QUOTE"),
+    ("(cdr ''a)", "(A)"), ("(len '(nil nil))", "2"),
+    # a defun, at top level and from inside another defun's body
+    ("(pair 'nil 'sym)", "(NIL . SYM)"), ("(pair '(1 2) 'nil)", "((1 2))"),
+    ("(tag 'nil)", "(TAG)"), ("(tag '(a))", "(TAG A)"),
+    # a generated op
+    ("(update-fld 'nil st) (fld st)", "NIL"),
+    ("(update-fld 'sym st) (fld st)", "SYM"),
+    ("(update-fld '(a (b)) st) (fld st)", "(A (B))"),
+    ("(stp '(nil))", "T"), ("(stp 'nil)", "NIL"),
+    # APPLY$, its function and its argument list both quoted
+    ("(apply$ 'pair '(nil sym))", "(NIL . SYM)"),
+    ("(apply$ 'cons '((1 2) nil))", "((1 2))"),
+    ("(apply$ 'tag '(quote))", "(TAG . QUOTE)"),
+    ("(apply$ '(lambda (x) (pair x 'nil)) '((a)))", "((A))"),
+])
+def test_quoted_arguments_reach_each_kind_of_callee(mode, text, want):
+    interp = Interp(mode=mode)
+    interp.eval_text(QUOTED_ARGS_PRELUDE)
+    assert show(interp.eval_text(text)[-1][1]) == want
+
+
 def test_natp_nfix_zp():
     assert ev("(natp 3)") is T
     assert ev("(natp -1)") is NIL
@@ -735,10 +796,9 @@ def test_free_names_are_rejected_at_admission(monkeypatch, mode):
         "R1: TBL-COUNT expects the stobj ST in this position of "
         "(TBL-COUNT ST)"]
     assert not interp.world.functions
-    # only the APPLY$ call and its two quoted arguments ran
+    # only the APPLY$ call ran: its quoted arguments are read in place
     assert [show(args[1]) for args in evals] == [
-        "(APPLY$ (QUOTE (LAMBDA (X) (+ X Y))) (QUOTE (1)))",
-        "(QUOTE (LAMBDA (X) (+ X Y)))", "(QUOTE (1))"]
+        "(APPLY$ (QUOTE (LAMBDA (X) (+ X Y))) (QUOTE (1)))"]
 
 
 def test_stobj_formal_requires_declaration():

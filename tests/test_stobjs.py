@@ -715,6 +715,67 @@ def test_an_unchanged_child_is_written_back_again(mode):
     assert show(interp.bank["TOP"].logical_view()) == "(((KID NIL)))"
 
 
+# A parent with a scalar field before its table, so the table is not the
+# stobj's only cell.
+TWO_FIELD_TOP = """
+(defstobj kid val)
+(defstobj top n (tbl :type (stobj-table)))
+(defun poke-in-let (v top)
+  (declare (xargs :stobjs (top)))
+  (let ((w (1+ v)))
+    (stobj-let ((kid (tbl-get 'kid top (create-kid))))
+               (kid)
+               (update-val w kid)
+               top)))
+(defun peek-outer (v top)
+  (declare (xargs :stobjs (top)))
+  (stobj-let ((kid (tbl-get 'kid top (create-kid))))
+             (x)
+             (val kid)
+             v))
+(defun peek-both (v top)
+  (declare (xargs :stobjs (top)))
+  (let ((w (cons v (n top))))
+    (stobj-let ((kid (tbl-get 'kid top (create-kid))))
+               (x)
+               (val kid)
+               (cons x (cons w (n top))))))
+(defun peek-output (top)
+  (declare (xargs :stobjs (top)))
+  (stobj-let ((kid (tbl-get 'kid top (create-kid))))
+             (x)
+             (val kid)
+             x))
+"""
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_stobj_let_parents_and_consumers_in_every_scope(mode):
+    interp = fixture(TWO_FIELD_TOP, mode=mode)
+    steps = [
+        # the parent comes from the bank: a top-level form has no frame
+        ("(stobj-let ((kid (tbl-get 'kid top (create-kid)))) (x) (val kid) "
+         "x)", "NIL"),
+        ("(update-n 'm top)", "<TOP>"),
+        ("(stobj-let ((kid (tbl-get 'kid top (create-kid)))) (kid) "
+         "(update-val 3 kid) top)", "<TOP>"),
+        ("(stobj-let ((kid (tbl-get 'kid top (create-kid)))) (x) (val kid) "
+         "(cons x (n top)))", "(3 . M)"),
+        # the parent lies in a frame outside the LET around the stobj-let
+        ("(poke-in-let 6 top)", "<TOP>"),
+        ("(peek-output top)", "7"),
+        # consumers: an outer variable, and compound forms that read an
+        # output, an outer variable and the parent
+        ("(peek-outer 'v top)", "V"),
+        ("(peek-both 'v top)", "(7 (V . M) . M)"),
+        ("(let ((n 9)) (stobj-let ((kid (tbl-get 'kid top (create-kid)))) "
+         "(x) (val kid) (+ x n)))", "16")]
+    for text, want in steps:
+        assert show(interp.eval_text(text)[-1][1]) == want, text
+    assert show(interp.bank["TOP"].logical_view()) == "(M ((KID 7)))"
+    assert show(interp.bank["KID"].logical_view()) == "(NIL)"
+
+
 # ------------------------------------------------ stobj-let parse per World
 
 def counting_parser(monkeypatch):

@@ -64,6 +64,26 @@ MUTANTS = [
     # the special forms' handlers
     (KERNEL, "    return form.cdr.car\n", "    return form.cdr\n",
      "QUOTE gives the list of its arguments"),
+    # what an admitted call reads without eval
+    (KERNEL, "vals.append(x.cdr.car)", "vals.append(x.cdr)",
+     "a quoted argument is passed as the list of QUOTE's arguments"),
+    (KERNEL, "elif type(x) is Cons and x.car is QUOTE:", "elif False:",
+     "a quoted argument costs a call of eval, which the eval calls "
+     "pinned by test_free_names_are_rejected_at_admission show"),
+    (KERNEL, "return T if a is b else NIL", "return T",
+     "EQ with a symbol argument always holds"),
+    (STOBJS, "            if env is not None and pname in env.vars:",
+     "            if env is not None:",
+     "a stobj-let parent is looked for in the innermost frame only"),
+    (STOBJS, "if type(consumer) is Symbol and consumer.name in parents:",
+     "if type(consumer) is Symbol:",
+     "a stobj-let consumer that names an outer variable is looked for "
+     "in the written-back frame only"),
+    (STOBJS, "        return parents[consumer.name]\n",
+     "        return parent\n",
+     "a stobj-let consumer that names an output gives the last parent"),
+    (STOBJS, "else inst.cells[op.findex]", "else inst.cells",
+     "a field of a stobj of several fields reads as all its fields"),
     (KERNEL, "if interp.eval(rest.car, env) is not NIL:",
      "if interp.eval(rest.car, env) is NIL:",
      "IF takes the wrong branch"),
@@ -153,6 +173,8 @@ MUTANTS = [
     (REFINEMENT, "if not (isinstance(r, int) and r >= 0):",
      "if not isinstance(r, int):",
      "a negative rank passes rank-is-natural"),
+    (REFINEMENT, "return rng.choice(ids)", "return rng.choice(ids[::-1])",
+     "the sampler maps each random draw to the other process id"),
     # the reader's two token routes, its atoms and its error positions
     (SEXPR, '.replace("\'", " \' ").split()', ".split()",
      "a quote that touches its form is read into a symbol"),
@@ -179,6 +201,17 @@ EQUIVALENT = [
              "env.vars:",
      "elif False:",
      "eval looks a variable up in the innermost frame first"),
+    (KERNEL, "target = (w.functions.get(name) or w.genops.get(name)\n"
+             "                      or w.signatures.get(name))",
+     "target = (w.signatures.get(name) or w.genops.get(name)\n"
+     "                      or w.functions.get(name))",
+     "Interp._check_fresh keeps the three tables' names distinct"),
+    (STOBJS, "            if env is not None and pname in env.vars:",
+     "            if False:",
+     "eval looks the parent up in the innermost frame first"),
+    (STOBJS, "if type(consumer) is Symbol and consumer.name in parents:",
+     "if False:",
+     "eval looks the consumer up in the written-back frame first"),
     (SEXPR, "return _scan(text) if '\"' in text else _split(text)",
      "return _scan(text)",
      "the token pattern cuts a text without a string as split does"),
