@@ -10,13 +10,12 @@ stobjs._write and _table, to write a stobj, and by loops.eval_loop.
 """
 
 import sys
-from types import MethodType
 
 from . import loops, refinement, sexpr, stobjs, stobj_table
 from .errors import EvalError, GuardViolation, MeasureViolation
 from .sexpr import (NIL, T, Cons, Env, MultiValue, Symbol, from_bool,
                     intern, show, truthy)
-from .stobjs import (EVENT_HEADS, LETSTAR, QUOTE, StobjInstance,
+from .stobjs import (EVENT_HEADS, IF, LETSTAR, QUOTE, StobjInstance,
                      _cons_args, _one_body, arity_error, bindable,
                      generated_ops, list_items, target_shape)
 
@@ -66,7 +65,7 @@ class World:
     def target(self, name):
         """The FunctionDef, GeneratedOp, Signature or Builtin named name,
         or None.  Interp._check_fresh keeps these names distinct.
-        Interp.eval writes this lookup out, less BUILTINS (see _SPECIAL)."""
+        Interp.eval writes this lookup out, finding builtins in _SPECIAL."""
         return (self.functions.get(name) or self.genops.get(name)
                 or self.signatures.get(name) or BUILTINS.get(name))
 
@@ -340,16 +339,6 @@ def _sf_quote(interp, form, env):
     return form.cdr.car
 
 
-def _sf_if(interp, form, env):
-    rest = form.cdr
-    if interp.eval(rest.car, env) is not NIL:
-        return interp.eval(rest.cdr.car, env)
-    rest = rest.cdr.cdr
-    if rest is NIL:
-        return NIL
-    return interp.eval(rest.car, env)
-
-
 def _sf_let(interp, form, env):
     """LET and LET*: one frame.  A LET right-hand side runs in env; a
     LET* one runs in the frame as it fills, so it sees the bindings
@@ -384,38 +373,17 @@ def _sf_stobj_let(interp, form, env):
     return stobjs.eval_stobj_let(interp, form, env)
 
 
-def _call(target, interp, form, env):
-    """An admitted call of target: its arguments, then target.run."""
-    vals = []
-    node = form.cdr
-    while node is not NIL:
-        x = node.car
-        # An integer leaf, a variable of the innermost frame, or a quoted
-        # form is read here, saving a call of eval.
-        if type(x) is int:
-            vals.append(x)
-        elif type(x) is Symbol and env is not None and x.name in env.vars:
-            vals.append(env.vars[x.name])
-        elif type(x) is Cons and x.car is QUOTE:
-            vals.append(x.cdr.car)
-        else:
-            vals.append(interp.eval(x, env))
-        node = node.cdr
-    return target.run(interp, vals, form)
-
-
-# The handler of every special form and builtin, so such a head is found
-# in one lookup, without World.target.
-# Interp._check_fresh keeps every event from binding a builtin's name, so
-# no head found here is shadowed.  No handler checks its form, since
-# admission did (see Interp.eval): each reads it in place.
+# Each special form's handler but IF's (Interp.eval runs IF itself) and
+# each builtin's Builtin, so such a head is found in one lookup, without
+# World.target.  Interp._check_fresh keeps every event from binding a
+# builtin's name, so no head found here is shadowed.  No handler checks
+# its form, since admission did (see Interp.eval): each reads it in place.
 _SPECIAL = {
-    "QUOTE": _sf_quote, "IF": _sf_if, "LET": _sf_let, "LET*": _sf_let,
+    "QUOTE": _sf_quote, "LET": _sf_let, "LET*": _sf_let,
     "MV": _sf_mv, "MV-LET": _sf_mv_let, "LOOP$": loops.eval_loop,
     "STOBJ-LET": _sf_stobj_let,
 }
-_SPECIAL.update((name, MethodType(_call, b))
-                for name, b in BUILTINS.items())
+_SPECIAL.update(BUILTINS)
 
 
 ### the interpreter
@@ -482,23 +450,52 @@ class Interp:
         form by eval_top, as part of a defun, or as the body of an APPLY$
         lambda.  Admission is the only check of single-threadedness, of
         value shapes, of each call's argument list and arity, and of each
-        special form's shape, so form is not checked again here.
+        special form's shape, so form is not checked again here.  An IF
+        goes on with its branch in this frame, and one argument loop
+        serves every call, each target then running itself.
         """
         # Dispatch on the exact type, calls first: no class derives from
         # Cons, Symbol or int.
         kind = type(form)
-        if kind is Cons:
-            name = form.car.name
-            handler = _SPECIAL.get(name)
-            if handler is not None:
-                return handler(self, form, env)
-            # World.target without its frame: builtins are in _SPECIAL.
-            w = self.world
-            target = (w.functions.get(name) or w.genops.get(name)
-                      or w.signatures.get(name))
+        while kind is Cons:
+            head = form.car
+            if head is IF:
+                rest = form.cdr
+                if self.eval(rest.car, env) is NIL:
+                    rest = rest.cdr
+                    if rest.cdr is NIL:
+                        return NIL
+                form = rest.cdr.car
+                kind = type(form)
+                continue
+            name = head.name
+            target = _SPECIAL.get(name)
             if target is None:
-                w.callee(name, 0, form)  # raises: undefined
-            return _call(target, self, form, env)
+                # World.target without its frame: builtins are in _SPECIAL.
+                w = self.world
+                target = (w.functions.get(name) or w.genops.get(name)
+                          or w.signatures.get(name))
+                if target is None:
+                    w.callee(name, 0, form)  # raises: undefined
+            elif type(target) is not Builtin:
+                return target(self, form, env)
+            vals = []
+            node = form.cdr
+            while node is not NIL:
+                x = node.car
+                # An integer leaf, a variable of the innermost frame, or a
+                # quoted form is read here, saving a call of eval.
+                if type(x) is int:
+                    vals.append(x)
+                elif type(x) is Symbol and env is not None \
+                        and x.name in env.vars:
+                    vals.append(env.vars[x.name])
+                elif type(x) is Cons and x.car is QUOTE:
+                    vals.append(x.cdr.car)
+                else:
+                    vals.append(self.eval(x, env))
+                node = node.cdr
+            return target.run(self, vals, form)
         if kind is Symbol:
             # NIL, T and keywords are never bound (see stobjs.bindable),
             # so variables are looked up first.

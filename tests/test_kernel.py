@@ -47,11 +47,13 @@ def test_arithmetic_matches_python_oracle():
 
 
 def test_variadic_identities():
-    assert ev("(+)") == 0
-    assert ev("(*)") == 1
-    assert ev("(- 7)") == -7
-    assert ev("(+ 1 2 3 4 5)") == 15
-    assert ev("(* 2 3 4)") == 24
+    for mode in ("logical", "native"):
+        assert ev("(+)", mode=mode) == 0
+        assert ev("(*)", mode=mode) == 1
+        assert ev("(- 7)", mode=mode) == -7
+        assert ev("(+ 1 2 3)", mode=mode) == 6
+        assert ev("(+ 1 2 3 4 5)", mode=mode) == 15
+        assert ev("(* 2 3 4)", mode=mode) == 24
 
 
 def test_arithmetic_guards_on_versus_off():
@@ -223,6 +225,92 @@ def test_if_one_and_two_armed():
     assert ev("(if 0 'yes 'no)") is intern("YES")
 
 
+# An IF goes on with its branch in eval's own frame, and one argument loop
+# serves every call: these pin what either may not change.
+IF_PRELUDE = """
+(defstobj switch fld)
+(defstobj top (tbl :type (stobj-table)))
+(defun sign (x)
+  (if (< x 0) 'neg (if (= x 0) 'zero (if (< x 10) 'small 'big))))
+(defun zero-or-nil (x) (if (zp x) 'zero))
+(defun pos (x) (if (if (zp x) nil t) 'pos 'zero))
+(defun pick (x top)
+  (declare (xargs :stobjs (top)))
+  (if (zp x)
+      (let ((y (+ x 1))) (* y 2))
+    (if (= x 1)
+        (stobj-let ((switch (tbl-get 'switch top (create-switch))))
+                   (flg)
+                   (fld switch)
+                   (if flg 'on 'off))
+      (loop$ with n = x with acc = 0 do :measure (nfix n)
+             (if (zp n)
+                 (return acc)
+               (progn (setq acc (+ acc n)) (setq n (1- n))))))))
+(defun sum3 (a b c) (+ a b c))
+"""
+
+
+def if_values(mode, *texts):
+    interp = Interp(mode=mode)
+    interp.eval_text(IF_PRELUDE)
+    return [show(interp.eval_text(t)[-1][1]) for t in texts]
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_nested_ifs_in_a_defun_tail(mode):
+    assert if_values(mode, "(sign -5)", "(sign 0)", "(sign 3)",
+                     "(sign 10)") == ["NEG", "ZERO", "SMALL", "BIG"]
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_an_if_whose_test_is_an_if(mode):
+    assert if_values(mode, "(pos 0)", "(pos 2)", "(if (if t nil t) 'a 'b)",
+                     "(if (if nil nil 0) 'a 'b)", "(if (if nil 1) 'a 'b)") \
+        == ["ZERO", "POS", "B", "A", "B"]
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_an_if_without_else_whose_test_fails_gives_nil(mode):
+    assert if_values(mode, "(zero-or-nil 1)", "(zero-or-nil 0)",
+                     "(if (< 2 1) 'a)", "(if (zp 0) (if nil 'a))") \
+        == ["NIL", "ZERO", "NIL", "NIL"]
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_an_if_as_an_argument(mode):
+    assert if_values(
+        mode, "(let ((x 0)) (cons (if (zp x) 'a 'b) (+ 1 (if (zp x) 10 20))))",
+        "(cons 1 (if nil 2))", "(sum3 (if t 1 2) (if nil 1 20) (if t 300))") \
+        == ["(A . 11)", "(1)", "321"]
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_let_stobj_let_and_loop_branches(mode):
+    assert if_values(mode, "(pick 0 top)", "(pick 1 top)", "(pick 4 top)",
+                     "(if t (let ((a 1)) (+ a 1)) 0)") \
+        == ["2", "OFF", "10", "2"]
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_apply_of_a_builtin_runs_through_dispatch(monkeypatch, mode):
+    interp = Interp(mode=mode)
+    calls = count_calls(monkeypatch, Interp, "_dispatch")
+    assert interp.eval_text("(apply$ 'car '((1)))")[0][1] == 1
+    assert [(args[1].name, show(sexpr.from_pylist(args[2])))
+            for args in calls] == [("CAR", "((1))")]
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_an_unmeasured_self_call_in_a_tail_still_nests(mode):
+    # The branch's call is not a loop: each self-call takes Python frames,
+    # so the recursion ends at Python's limit instead of running forever.
+    interp = Interp(mode=mode)
+    interp.eval_text("(defun f (x) (if (zp x) 0 (f x)))")
+    with pytest.raises(EvalError) as exc:
+        interp.eval_text("(f 1)")
+    assert str(exc.value).startswith("nesting too deep: ")
+    assert interp.eval_text("(f 0)")[0][1] == 0
 def test_quote():
     assert show(ev("'(a b)")) == "(A B)"
     with pytest.raises(EvalError):

@@ -84,12 +84,16 @@ MUTANTS = [
      "a stobj-let consumer that names an output gives the last parent"),
     (STOBJS, "else inst.cells[op.findex]", "else inst.cells",
      "a field of a stobj of several fields reads as all its fields"),
-    (KERNEL, "if interp.eval(rest.car, env) is not NIL:",
-     "if interp.eval(rest.car, env) is NIL:",
+    # IF's branch, which Interp.eval goes on with in its own frame
+    (KERNEL, "if self.eval(rest.car, env) is NIL:",
+     "if self.eval(rest.car, env) is not NIL:",
      "IF takes the wrong branch"),
-    (KERNEL, "    if rest is NIL:\n        return NIL\n",
-     "    if rest is NIL:\n        return T\n",
+    (KERNEL, "return NIL\n                form = rest.cdr.car",
+     "return T\n                form = rest.cdr.car",
      "an IF without an else branch gives T when its test fails"),
+    (KERNEL, "kind = type(form)\n                continue", "continue",
+     "an IF's branch is run as a call whatever its type"),
+    # the binding forms' handlers
     (KERNEL, "scope = inner if form.car is LETSTAR else env", "scope = inner",
      "a LET right-hand side sees the bindings before it"),
     (KERNEL, "scope = inner if form.car is LETSTAR else env", "scope = env",
@@ -197,14 +201,14 @@ EQUIVALENT = [
     (LOOPS, "items.append(x if isinstance(x, int) and x >= 0 else 0)",
      "items.append(x if isinstance(x, int) and x > 0 else 0)",
      "both give 0 for 0"),
-    (KERNEL, "elif type(x) is Symbol and env is not None and x.name in "
-             "env.vars:",
+    (KERNEL, "elif type(x) is Symbol and env is not None \\\n"
+             "                        and x.name in env.vars:",
      "elif False:",
      "eval looks a variable up in the innermost frame first"),
     (KERNEL, "target = (w.functions.get(name) or w.genops.get(name)\n"
-             "                      or w.signatures.get(name))",
+             "                          or w.signatures.get(name))",
      "target = (w.signatures.get(name) or w.genops.get(name)\n"
-     "                      or w.functions.get(name))",
+     "                          or w.functions.get(name))",
      "Interp._check_fresh keeps the three tables' names distinct"),
     (STOBJS, "            if env is not None and pname in env.vars:",
      "            if False:",
@@ -223,9 +227,12 @@ EQUIVALENT = [
      "an atom token read again gives an equal symbol or integer"),
 ]
 
-# Left out of each copy: version control, caches and benchmark output.
+# Left out of each copy: version control, caches, benchmark output, and
+# the test that every entry's text occurs once, which a mutated copy
+# fails whatever the mutant does.
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
-                              ".pytest_cache", ".benchmarks", "out")
+                              ".pytest_cache", ".benchmarks", "out",
+                              "test_mutants.py")
 
 
 def mutated(tree, entry):
