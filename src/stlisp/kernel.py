@@ -351,7 +351,10 @@ def _sf_let(interp, form, env):
         b = bindings.car
         frame[b.car.name] = interp.eval(b.cdr.car, scope)
         bindings = bindings.cdr
-    return interp.eval(_one_body(rest), inner)
+    # an admitted LET's last form is its body, so only a LET with a
+    # declare has more than one
+    return interp.eval(rest.car if rest.cdr is NIL else _one_body(rest),
+                       inner)
 
 
 def _sf_mv(interp, form, env):
@@ -365,7 +368,9 @@ def _sf_mv_let(interp, form, env):
     for v in interp.eval(rest.car, env).values:
         frame[vars_.car.name] = v
         vars_ = vars_.cdr
-    return interp.eval(_one_body(rest.cdr), Env(frame, env))
+    body = rest.cdr
+    return interp.eval(body.car if body.cdr is NIL else _one_body(body),
+                       Env(frame, env))
 
 
 # Looks stobjs.eval_stobj_let up on each call, so bench/tracer.py can wrap it.
@@ -520,7 +525,13 @@ class Interp:
         return target.run(self, vals, form)
 
     def _call_defun(self, fd, vals, form):
-        env = Env(dict(zip(fd.formals, vals)))
+        # One loop that fills {} costs about half of dict(zip(..)).
+        frame = {}
+        i = 0
+        for name in fd.formals:
+            frame[name] = vals[i]
+            i += 1
+        env = Env(frame)
         if fd.guard is not None and self.guard_check:
             if not truthy(self.eval(fd.guard, env)):
                 raise GuardViolation(
@@ -554,7 +565,12 @@ class Interp:
         # A function object takes no stobj, so none is live in its body.
         stobjs.admit(self.world, parts[2], names, (None,) * len(names),
                      "this lambda", want="a lambda body")
-        return self.eval(parts[2], Env(dict(zip(names, args))))
+        frame = {}
+        i = 0
+        for name in names:
+            frame[name] = args[i]
+            i += 1
+        return self.eval(parts[2], Env(frame))
 
     ### stobj plumbing
 

@@ -517,8 +517,14 @@ def _bind(interp, node, env, frame, spec, n):
     node binds, its right-hand sides evaluated in env first."""
     tag, names, rhs, form = node[0], node[1], node[2], node[-1]
     if tag == "let":
-        vals = [interp.eval(r, env) for r in rhs]
-    elif tag == "setq":
+        # A LET's frame is new, so env cannot see it while its right-hand
+        # sides run, and it binds no settable, so no name has a type.
+        i = 0
+        for r in rhs:
+            frame[names[i]] = interp.eval(r, env)
+            i += 1
+        return
+    if tag == "setq":
         vals = (interp.eval(rhs, env),)
     else:
         vals = interp.eval(rhs, env).values

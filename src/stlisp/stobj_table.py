@@ -27,7 +27,7 @@ class TableCell:
         self.data = {} if data is None else data
 
     def copy(self):
-        return TableCell(dict(self.data))
+        return TableCell(self.data.copy())
 
 
 def check_key(key, form=None):

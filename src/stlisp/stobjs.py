@@ -68,6 +68,10 @@ class StobjSpec:
         self.single = len(self.fields) == 1
 
     def fresh(self):
+        if self.single:
+            f = self.fields[0]
+            return StobjInstance(self, [TableCell({}) if f.kind == TABLE
+                                        else f.initial])
         return StobjInstance(self, [TableCell({}) if f.kind == TABLE
                                     else f.initial for f in self.fields])
 
@@ -104,7 +108,10 @@ class StobjInstance:
             self.cells[i] = v
 
     def with_cell(self, i, v):
-        cells = [self.get_cell(j) for j in range(len(self.spec.fields))]
+        """A new instance with field i set to v; self is unchanged."""
+        if self.spec.single:
+            return StobjInstance(self.spec, [v])
+        cells = list(self.cells)
         cells[i] = v
         return StobjInstance(self.spec, cells)
 
@@ -429,12 +436,17 @@ def eval_stobj_let(interp, form, env):
         frame[child.name] = creator.spec.fresh() if hit is None else hit
 
     result = interp.eval(spec.producer, Env(frame, env))
-    values = result.values if isinstance(result, sexpr.MultiValue) \
-        else (result,)
+    # R2 gave the producer one value per output: several come as one
+    # MultiValue, and one as itself.
+    outputs = spec.outputs
+    values = result.values if len(outputs) > 1 else (result,)
 
     # The consumer's frame: the written-back parents, then the outputs
     # that are not children.
-    for out, val in zip(spec.outputs, values):
+    i = 0
+    for out in outputs:
+        val = values[i]
+        i += 1
         for child, parent_sym, op, _creator in spec.bindings:
             if child is out:
                 break

@@ -402,6 +402,7 @@ IN_PLACE = [
     ("(let* ((x 1) (y (+ x 1))) (* x y))", "2"),
     ("(mv 1 (g 2) 3)", "(1 2 3)"),
     ("(mv-let (a b) (mv 1 2) (- a b))", "-1"),
+    ("(mv-let (a b) (mv 1 2) (declare (ignore a)) b)", "2"),
     ("(val (update-val (let ((v 5)) v) st))", "5"),
 ]
 

@@ -715,6 +715,57 @@ def test_an_unchanged_child_is_written_back_again(mode):
     assert show(interp.bank["TOP"].logical_view()) == "(((KID NIL)))"
 
 
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_a_write_to_a_two_field_stobj_keeps_the_other_field(mode):
+    # A logical write copies the cells and leaves the old version whole;
+    # a native one writes the same instance.
+    interp = fixture("(defstobj st a b) (update-b 2 st)", mode=mode)
+    old = interp.bank["ST"]
+    interp.eval_text("(update-a 1 st)")
+    new = interp.bank["ST"]
+    assert show(new.logical_view()) == "(1 2)"
+    if mode == "logical":
+        assert new is not old
+        assert show(old.logical_view()) == "(NIL 2)"
+    else:
+        assert new is old
+
+
+# Two outputs, a child and an ordinary value, in either order.
+CHILD_AND_VALUE = """
+(defstobj kid val)
+(defstobj top (tbl :type (stobj-table)))
+(defun bump (top)
+  (declare (xargs :stobjs (top)))
+  (stobj-let ((kid (tbl-get 'kid top (create-kid))))
+             (old kid)
+             (let* ((old (nfix (val kid)))
+                    (kid (update-val (1+ old) kid)))
+               (mv old kid))
+             (mv old top)))
+(defun bump-by-ten (top)
+  (declare (xargs :stobjs (top)))
+  (stobj-let ((kid (tbl-get 'kid top (create-kid))))
+             (kid old)
+             (let* ((old (nfix (val kid)))
+                    (kid (update-val (+ 10 old) kid)))
+               (mv kid old))
+             (mv old top)))
+"""
+
+
+def test_a_stobj_let_writes_back_a_child_beside_a_value():
+    runs = []
+    for mode in ("logical", "native"):
+        interp = fixture(CHILD_AND_VALUE, mode=mode)
+        values = [show(v) for _f, v in interp.eval_text(
+            "(bump top) (bump top) (bump-by-ten top) (bump top)")]
+        runs.append((values, show(interp.bank["TOP"].logical_view())))
+    assert runs[0] == runs[1]
+    assert runs[0] == (["(0 <TOP>)", "(1 <TOP>)", "(2 <TOP>)", "(12 <TOP>)"],
+                       "(((KID 13)))")
+
+
 # A parent with a scalar field before its table, so the table is not the
 # stobj's only cell.
 TWO_FIELD_TOP = """

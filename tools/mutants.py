@@ -42,6 +42,7 @@ STOBJS = "src/stlisp/stobjs.py"
 LOOPS = "src/stlisp/loops.py"
 REFINEMENT = "src/stlisp/refinement.py"
 SEXPR = "src/stlisp/sexpr.py"
+STOBJ_TABLE = "src/stlisp/stobj_table.py"
 
 # (file, old text, new text, what the mutant breaks)
 MUTANTS = [
@@ -50,6 +51,11 @@ MUTANTS = [
      "if len(stack) > 1 and not loops.l_less(m, stack[-1]):",
      "a defun's entry measure is never compared with its first "
      "recursive call's"),
+    # the callee's frame
+    (KERNEL, "frame[name] = vals[i]", "frame[name] = vals[0]",
+     "a defun binds every formal to its first argument"),
+    (KERNEL, "frame[name] = args[i]", "frame[name] = args[0]",
+     "an APPLY$ lambda binds every formal to its first argument"),
     (KERNEL, "if fd.guard is not None and self.guard_check:",
      "if fd.guard is not None:",
      "a defun's :guard is checked with guards off"),
@@ -82,6 +88,12 @@ MUTANTS = [
     (STOBJS, "        return parents[consumer.name]\n",
      "        return parent\n",
      "a stobj-let consumer that names an output gives the last parent"),
+    (STOBJS, "val = values[i]", "val = values[0]",
+     "every stobj-let output gets the producer's first value"),
+    (STOBJS, "values = result.values if len(outputs) > 1 else (result,)",
+     "values = (result,)",
+     "a stobj-let of several outputs gets the producer's MultiValue as "
+     "its first output"),
     (STOBJS, "else inst.cells[op.findex]", "else inst.cells",
      "a field of a stobj of several fields reads as all its fields"),
     # IF's branch, which Interp.eval goes on with in its own frame
@@ -101,6 +113,10 @@ MUTANTS = [
     (KERNEL, "        frame[vars_.car.name] = v\n        vars_ = vars_.cdr\n",
      "        frame[vars_.car.name] = v\n",
      "MV-LET binds every value to its first variable"),
+    (KERNEL, "rest.car if rest.cdr is NIL else _one_body(rest)",
+     "rest.car", "a LET with a declare runs the declare as its body"),
+    (KERNEL, "body.car if body.cdr is NIL else _one_body(body)",
+     "body.car", "an MV-LET with a declare runs the declare as its body"),
     # the three callers of stobjs.admit
     (KERNEL, "form, names, names,", "form, names, (None,) * len(names),",
      "a top-level form sees the bank's stobjs as ordinary names"),
@@ -154,7 +170,24 @@ MUTANTS = [
     (STOBJS, 'return cell if interp.mode == "native" else cell.copy()',
      "return cell",
      "a logical-mode table write updates the old table"),
+    (STOBJS, "            return StobjInstance(self.spec, [v])\n",
+     "            self.cells = v\n            return self\n",
+     "a logical-mode write to a one-field stobj updates it in place"),
+    (STOBJS, "cells = list(self.cells)", "cells = self.cells",
+     "a logical-mode write to a stobj of several fields changes the old "
+     "version's cells"),
+    (STOBJ_TABLE, "TableCell(self.data.copy())", "TableCell(self.data)",
+     "a logical-mode table copy shares its entries with the old table"),
+    (STOBJS, "            return StobjInstance(self, [TableCell({}) if "
+             "f.kind == TABLE\n"
+             "                                        else f.initial])",
+     "            return StobjInstance(self, [f.initial])",
+     "a new one-field stobj of a table field holds NIL, not a table"),
     # loop measures, guards and the cap
+    # the walker's LET
+    (LOOPS, "frame[names[i]] = interp.eval(r, env)",
+     "frame[names[0]] = interp.eval(r, env)",
+     "a statement-position LET binds every value to its first name"),
     (LOOPS, "    return a < b\n", "    return a <= b\n",
      "an equal measure counts as a decrease"),
     (LOOPS, "if not l_less(m_new, m_cur):", "if l_less(m_cur, m_new):",
@@ -280,10 +313,15 @@ def check(entry, timeout):
 
 
 def describe(entry):
-    """The file and the first lines of an entry's two texts; a text that
-    is only blanks shows as nothing."""
+    """The file and the first line where an entry's two texts differ,
+    stripped; a text that has no such line shows as nothing."""
     path, old, new, _why = entry
-    first = [(text.strip().splitlines() or [""])[0] for text in (old, new)]
+    olds, news = old.splitlines(), new.splitlines()
+    k = 0
+    while k < len(olds) and k < len(news) and olds[k] == news[k]:
+        k += 1
+    first = [lines[k].strip() if k < len(lines) else ""
+             for lines in (olds, news)]
     return "%s: %s -> %s" % (Path(path).name, first[0], first[1])
 
 
