@@ -519,6 +519,7 @@ def _bind(interp, node, env, frame, spec, n):
     if tag == "let":
         # A LET's frame is new, so env cannot see it while its right-hand
         # sides run, and it binds no settable, so no name has a type.
+        # By index, like Interp._call_defun: a zip costs more.
         i = 0
         for r in rhs:
             frame[names[i]] = interp.eval(r, env)

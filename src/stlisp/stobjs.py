@@ -68,10 +68,6 @@ class StobjSpec:
         self.single = len(self.fields) == 1
 
     def fresh(self):
-        if self.single:
-            f = self.fields[0]
-            return StobjInstance(self, [TableCell({}) if f.kind == TABLE
-                                        else f.initial])
         return StobjInstance(self, [TableCell({}) if f.kind == TABLE
                                     else f.initial for f in self.fields])
 
@@ -442,7 +438,7 @@ def eval_stobj_let(interp, form, env):
     values = result.values if len(outputs) > 1 else (result,)
 
     # The consumer's frame: the written-back parents, then the outputs
-    # that are not children.
+    # that are not children, by index (a zip costs more).
     i = 0
     for out in outputs:
         val = values[i]

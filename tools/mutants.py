@@ -54,8 +54,6 @@ MUTANTS = [
     # the callee's frame
     (KERNEL, "frame[name] = vals[i]", "frame[name] = vals[0]",
      "a defun binds every formal to its first argument"),
-    (KERNEL, "frame[name] = args[i]", "frame[name] = args[0]",
-     "an APPLY$ lambda binds every formal to its first argument"),
     (KERNEL, "if fd.guard is not None and self.guard_check:",
      "if fd.guard is not None:",
      "a defun's :guard is checked with guards off"),
@@ -178,11 +176,6 @@ MUTANTS = [
      "version's cells"),
     (STOBJ_TABLE, "TableCell(self.data.copy())", "TableCell(self.data)",
      "a logical-mode table copy shares its entries with the old table"),
-    (STOBJS, "            return StobjInstance(self, [TableCell({}) if "
-             "f.kind == TABLE\n"
-             "                                        else f.initial])",
-     "            return StobjInstance(self, [f.initial])",
-     "a new one-field stobj of a table field holds NIL, not a table"),
     # loop measures, guards and the cap
     # the walker's LET
     (LOOPS, "frame[names[i]] = interp.eval(r, env)",
