@@ -13,7 +13,7 @@ import sys
 
 from . import loops, refinement, sexpr, stobjs, stobj_table
 from .errors import EvalError, GuardViolation, MeasureViolation
-from .sexpr import (NIL, T, Cons, Env, MultiValue, Symbol, from_bool,
+from .sexpr import (NIL, T, Cons, MultiValue, Symbol, from_bool,
                     intern, show, truthy)
 from .stobjs import (EVENT_HEADS, IF, LETSTAR, QUOTE, StobjInstance,
                      _cons_args, _one_body, arity_error, bindable,
@@ -345,7 +345,7 @@ def _sf_let(interp, form, env):
     before it, as a WITH init does (loops.initial_bindings)."""
     bindings, rest = form.cdr.car, form.cdr.cdr
     frame = {}
-    inner = Env(frame, env)
+    inner = (frame, env)
     scope = inner if form.car is LETSTAR else env
     while bindings is not NIL:
         b = bindings.car
@@ -370,7 +370,7 @@ def _sf_mv_let(interp, form, env):
         vars_ = vars_.cdr
     body = rest.cdr
     return interp.eval(body.car if body.cdr is NIL else _one_body(body),
-                       Env(frame, env))
+                       (frame, env))
 
 
 # Looks stobjs.eval_stobj_let up on each call, so bench/tracer.py can wrap it.
@@ -493,8 +493,8 @@ class Interp:
                 if type(x) is int:
                     vals.append(x)
                 elif type(x) is Symbol and env is not None \
-                        and x.name in env.vars:
-                    vals.append(env.vars[x.name])
+                        and x.name in env[0]:
+                    vals.append(env[0][x.name])
                 elif type(x) is Cons and x.car is QUOTE:
                     vals.append(x.cdr.car)
                 else:
@@ -507,9 +507,9 @@ class Interp:
             name = form.name
             e = env
             while e is not None:
-                if name in e.vars:
-                    return e.vars[name]
-                e = e.parent
+                frame, e = e
+                if name in frame:
+                    return frame[name]
             if form is NIL or form is T or name[:1] == ":":
                 return form
             inst = self.bank.get(name)
@@ -532,7 +532,7 @@ class Interp:
         for name in fd.formals:
             frame[name] = vals[i]
             i += 1
-        env = Env(frame)
+        env = (frame, None)
         if fd.guard is not None and self.guard_check:
             if not truthy(self.eval(fd.guard, env)):
                 raise GuardViolation(
@@ -566,7 +566,7 @@ class Interp:
         # A function object takes no stobj, so none is live in its body.
         stobjs.admit(self.world, parts[2], names, (None,) * len(names),
                      "this lambda", want="a lambda body")
-        return self.eval(parts[2], Env(dict(zip(names, args))))
+        return self.eval(parts[2], (dict(zip(names, args)), None))
 
     ### stobj plumbing
 

@@ -27,7 +27,7 @@ from .errors import (CapExceeded, EvalError, GuardViolation,
                      MeasureViolation)
 from .stobjs import (MV, _cons_args, bindable, if_parts, let_pairs,
                      let_parts, list_items, mv_let_parts, mv_parts)
-from .sexpr import (NIL, T, Cons, Env, MultiValue, Symbol, from_pylist,
+from .sexpr import (NIL, T, Cons, MultiValue, Symbol, from_pylist,
                     intern, is_keyword, iter_conses, list_length, show,
                     truthy)
 
@@ -486,7 +486,7 @@ def initial_bindings(interp, spec, env, form):
     Each WITH init runs while the frame holds only the earlier WITH
     names, so a later name still resolves outward, in env."""
     slots = {}
-    inits = Env(slots, env)
+    inits = (slots, env)
     for name, typ, init in spec.withs:
         v = interp.eval(init, inits) if init is not None else NIL
         if typ == "INTEGER":
@@ -568,7 +568,7 @@ def _walk(interp, node, env, slots, spec, n):
         else:
             frame = {}
             _bind(interp, node, env, frame, spec, n)
-            env = Env(frame, env)
+            env = (frame, env)
             node = node[3]
 
 
@@ -593,7 +593,7 @@ def _check_guard(interp, spec, env, n, form):
         raise GuardViolation(
             "loop :GUARD %s failed entering iteration %d with %s"
             % (show(spec.guard), n,
-               show(_build_alist(spec, env.vars.values()))), form=form)
+               show(_build_alist(spec, env[0].values()))), form=form)
 
 
 def _triple(token, value, alist):
@@ -610,7 +610,7 @@ def _measure(interp, spec, env, held):
     multiple values."""
     if spec.measure_var is None:
         return interp.eval(spec.measure_form, env)
-    v = env.vars[spec.measure_var]
+    v = env[0][spec.measure_var]
     if held is None:
         return v if isinstance(v, int) and v >= 0 else 0
     last = held[0]
@@ -623,7 +623,7 @@ def _measure(interp, spec, env, held):
 
 def run_do(interp, spec, env, form):
     slots = initial_bindings(interp, spec, env, form)
-    env = Env(slots)
+    env = (slots, None)
     values = slots.values()   # a live view, in settable order
     alist = _build_alist(spec, values) if interp.trace else None
     n = 0
@@ -672,7 +672,7 @@ def run_do(interp, spec, env, form):
 
 def native_exec(interp, spec, env, form):
     slots = initial_bindings(interp, spec, env, form)
-    base = Env(slots)
+    base = (slots, None)
     n = 0
     while True:
         n += 1
@@ -707,7 +707,7 @@ def for_exec(interp, spec, env, form):
                         form=form)
     acc = 0 if spec.for_acc == "SUM" else []
     for x in items:
-        v = interp.eval(spec.for_body, Env({spec.for_var.name: x}, env))
+        v = interp.eval(spec.for_body, ({spec.for_var.name: x}, env))
         if spec.for_acc == "SUM":
             if not isinstance(v, int):
                 if interp.guard_check:

@@ -27,7 +27,7 @@ of scope and rejected up front.
 """
 
 from . import sexpr, stobj_table
-from .sexpr import NIL, T, Cons, Env, Symbol, intern, show, from_bool
+from .sexpr import NIL, T, Cons, Symbol, intern, show, from_bool
 from .errors import EvalError, LinearityError
 from .stobj_table import TableCell
 
@@ -68,6 +68,10 @@ class StobjSpec:
         self.single = len(self.fields) == 1
 
     def fresh(self):
+        if self.single:
+            f = self.fields[0]
+            return StobjInstance(self, TableCell({}) if f.kind == TABLE
+                                 else f.initial)
         return StobjInstance(self, [TableCell({}) if f.kind == TABLE
                                     else f.initial for f in self.fields])
 
@@ -76,7 +80,8 @@ class StobjInstance:
     """Live execution view of a stobj.
 
     A one-field stobj stores the field directly in `cells` with no
-    list around it, which is invisible to every accessor.  This saves
+    list around it, which is invisible to every accessor; its
+    constructor takes that field's value as `cells`.  This saves
     memory, not time: with 128 one-field children in one table, giving
     each child a one-element list raised the benchmark's `table_mix`
     peak by about 7%.
@@ -86,7 +91,7 @@ class StobjInstance:
 
     def __init__(self, spec, cells):
         self.spec = spec
-        self.cells = cells[0] if spec.single else cells
+        self.cells = cells
 
     @property
     def print_name(self):
@@ -106,7 +111,7 @@ class StobjInstance:
     def with_cell(self, i, v):
         """A new instance with field i set to v; self is unchanged."""
         if self.spec.single:
-            return StobjInstance(self.spec, [v])
+            return StobjInstance(self.spec, v)
         cells = list(self.cells)
         cells[i] = v
         return StobjInstance(self.spec, cells)
@@ -213,6 +218,24 @@ class GeneratedOp:
         return apply_generated(interp, self, vals, form)
 
 
+# A field's get and update ops run themselves, one Python call each; the
+# other kinds go through apply_generated.
+
+class GetOp(GeneratedOp):
+    __slots__ = ()
+
+    def run(self, interp, vals, form):
+        inst = vals[0]    # get_cell, read in place
+        return inst.cells if inst.spec.single else inst.cells[self.findex]
+
+
+class UpdateOp(GeneratedOp):
+    __slots__ = ()
+
+    def run(self, interp, vals, form):
+        return _write(interp, vals[1], self.findex, vals[0])
+
+
 # Kinds of generated op that only stobj-let may call.
 STOBJ_LET_ONLY = frozenset(("create", "tbl-get", "tbl-put"))
 
@@ -222,8 +245,8 @@ def generated_ops(spec):
            GeneratedOp("recognize", spec, None, spec.name + "P")]
     for i, f in enumerate(spec.fields):
         if f.kind == SCALAR:
-            ops.append(GeneratedOp("get", spec, i, f.name))
-            ops.append(GeneratedOp("update", spec, i, "UPDATE-" + f.name))
+            ops.append(GetOp("get", spec, i, f.name))
+            ops.append(UpdateOp("update", spec, i, "UPDATE-" + f.name))
         else:
             for suffix, kind in (("GET", "tbl-get"), ("PUT", "tbl-put"),
                                  ("BOUNDP", "tbl-boundp"), ("REM", "tbl-rem"),
@@ -252,7 +275,7 @@ _OP_SHAPES = {
 def target_shape(target):
     """(inputs, outputs) of a defun, signature or generated op, for the
     static checker and call dispatch."""
-    if type(target) is GeneratedOp:
+    if isinstance(target, GeneratedOp):
         return _OP_SHAPES[target.kind](target.spec.name)
     return target.inputs, target.outputs
 
@@ -279,17 +302,12 @@ def _write(interp, inst, i, v):
 def _table(interp, inst, i):
     """Field i's table, to change and store back with _write: the live
     cell in native mode, a copy in logical mode."""
-    cell = inst.get_cell(i)
+    cell = inst.cells if inst.spec.single else inst.cells[i]
     return cell if interp.mode == "native" else cell.copy()
 
 
 def apply_generated(interp, op, args, form):
     kind = op.kind
-    if kind == "get":
-        inst = args[0]    # get_cell, read in place
-        return inst.cells if inst.spec.single else inst.cells[op.findex]
-    if kind == "update":
-        return _write(interp, args[1], op.findex, args[0])
     if kind == "recognize":
         return recognizer_value(op.spec, args[0])
     if kind == "tbl-boundp":
@@ -405,7 +423,7 @@ def eval_stobj_let(interp, form, env):
     # a parse read, and World.rebuild empties the table.  A parent bound
     # in the innermost frame, each child's table cell, and a consumer
     # that names an entry of the written-back frame are read in place,
-    # without eval, get_cell or a consumer Env.
+    # without eval, get_cell or a consumer scope.
     world = interp.world
     spec = world.stobj_lets.get(form)
     if spec is None:
@@ -421,8 +439,8 @@ def eval_stobj_let(interp, form, env):
         pname = parent_sym.name
         parent = parents.get(pname)
         if parent is None:
-            if env is not None and pname in env.vars:
-                parent = env.vars[pname]
+            if env is not None and pname in env[0]:
+                parent = env[0][pname]
             else:
                 parent = interp.eval(parent_sym, env)
             parents[pname] = parent
@@ -431,7 +449,7 @@ def eval_stobj_let(interp, form, env):
         # A miss creates the default child; nothing else runs it.
         frame[child.name] = creator.spec.fresh() if hit is None else hit
 
-    result = interp.eval(spec.producer, Env(frame, env))
+    result = interp.eval(spec.producer, (frame, env))
     # R2 gave the producer one value per output: several come as one
     # MultiValue, and one as itself.
     outputs = spec.outputs
@@ -456,7 +474,7 @@ def eval_stobj_let(interp, form, env):
     consumer = spec.consumer
     if type(consumer) is Symbol and consumer.name in parents:
         return parents[consumer.name]
-    return interp.eval(consumer, Env(parents, env))
+    return interp.eval(consumer, (parents, env))
 
 
 ### static single-threadedness analysis

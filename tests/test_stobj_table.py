@@ -219,8 +219,8 @@ def test_retract_helper_on_raw_cells():
     b = stobj_table.TableCell({intern("X"): "right", intern("Y"): "keep"})
     holder = stobjs.StobjSpec("HOLDER",
                               [stobjs.FieldSpec("TBL", stobjs.TABLE)])
-    stobj_table.retract([stobjs.StobjInstance(holder, [a]),
-                         stobjs.StobjInstance(holder, [b])], ["X"])
+    stobj_table.retract([stobjs.StobjInstance(holder, a),
+                         stobjs.StobjInstance(holder, b)], ["X"])
     assert intern("X") not in a.data
     assert intern("X") not in b.data
     assert b.data[intern("Y")] == "keep"
@@ -250,6 +250,34 @@ def test_retract_reaches_tables_inside_table_children():
         assert interp.eval_text("(leaves top)")[0][1] == 1
         interp.undo(4)  # the leaf definition
         assert interp.eval_text("(leaves top)")[0][1] == 0
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_fresh_one_field_table_stobjs_hold_distinct_cells(mode):
+    # The bank's MID and the MID a stobj-let draws on a miss are both
+    # fresh instances of a one-field table stobj.
+    interp = Interp(mode=mode)
+    interp.eval_text("""
+      (defstobj leaf v)
+      (defstobj mid (mt :type (stobj-table)))
+      (defstobj top (tt :type (stobj-table)))
+      (defun put-leaf (mid)
+        (declare (xargs :stobjs (mid)))
+        (stobj-let ((leaf (mt-get 'leaf mid (create-leaf))))
+                   (leaf) (update-v 1 leaf) mid))
+      (defun put-mid (top)
+        (declare (xargs :stobjs (top)))
+        (stobj-let ((mid (tt-get 'mid top (create-mid))))
+                   (mid) (put-leaf mid) top))
+      (put-mid top)
+    """)
+    own = interp.bank["MID"]
+    drawn = interp.bank["TOP"].get_cell(0).data[intern("MID")]
+    assert own.get_cell(0) is not drawn.get_cell(0)
+    assert show(own.logical_view()) == "(NIL)"
+    assert show(drawn.logical_view()) == "(((LEAF 1)))"
+    spec = own.spec
+    assert spec.fresh().get_cell(0) is not spec.fresh().get_cell(0)
 
 
 def test_logical_view_is_sorted_alist():

@@ -827,6 +827,29 @@ def test_stobj_let_parents_and_consumers_in_every_scope(mode):
     assert show(interp.bank["KID"].logical_view()) == "(NIL)"
 
 
+# A formal read inside a LET inside a stobj-let producer lies three
+# scopes out: the LET's, the producer's and the defun's.  The LET's W
+# shadows the formal W.
+FORMAL_IN_PRODUCER = """
+(defstobj kid val)
+(defstobj top (tbl :type (stobj-table)))
+(defun set-in-let (d w top)
+  (declare (xargs :stobjs (top)))
+  (stobj-let ((kid (tbl-get 'kid top (create-kid))))
+             (kid)
+             (let ((w (* 2 w)))
+               (update-val (+ d w) kid))
+             top))
+"""
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_a_formal_is_read_in_a_let_in_a_stobj_let_producer(mode):
+    interp = fixture(FORMAL_IN_PRODUCER, mode=mode)
+    assert show(interp.eval_text("(set-in-let 100 3 top)")[0][1]) == "<TOP>"
+    assert show(interp.bank["TOP"].logical_view()) == "(((KID 106)))"
+
+
 # ------------------------------------------------ stobj-let parse per World
 
 def counting_parser(monkeypatch):

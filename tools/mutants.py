@@ -76,7 +76,7 @@ MUTANTS = [
      "pinned by test_free_names_are_rejected_at_admission show"),
     (KERNEL, "return T if a is b else NIL", "return T",
      "EQ with a symbol argument always holds"),
-    (STOBJS, "            if env is not None and pname in env.vars:",
+    (STOBJS, "            if env is not None and pname in env[0]:",
      "            if env is not None:",
      "a stobj-let parent is looked for in the innermost frame only"),
     (STOBJS, "if type(consumer) is Symbol and consumer.name in parents:",
@@ -92,8 +92,13 @@ MUTANTS = [
      "values = (result,)",
      "a stobj-let of several outputs gets the producer's MultiValue as "
      "its first output"),
-    (STOBJS, "else inst.cells[op.findex]", "else inst.cells",
+    (STOBJS, "else inst.cells[self.findex]", "else inst.cells",
      "a field of a stobj of several fields reads as all its fields"),
+    (STOBJS, "else inst.cells[self.findex]", "else inst.cells[0]",
+     "a get op reads field 0 for every field"),
+    # the scope chain
+    (KERNEL, "frame, e = e\n", "frame, e = e[0], None\n",
+     "a variable lookup never steps to the enclosing scope"),
     # IF's branch, which Interp.eval goes on with in its own frame
     (KERNEL, "if self.eval(rest.car, env) is NIL:",
      "if self.eval(rest.car, env) is not NIL:",
@@ -168,9 +173,22 @@ MUTANTS = [
     (STOBJS, 'return cell if interp.mode == "native" else cell.copy()',
      "return cell",
      "a logical-mode table write updates the old table"),
-    (STOBJS, "            return StobjInstance(self.spec, [v])\n",
+    (STOBJS, "            return StobjInstance(self.spec, v)\n",
      "            self.cells = v\n            return self\n",
      "a logical-mode write to a one-field stobj updates it in place"),
+    (STOBJS, "        return _write(interp, vals[1], self.findex, vals[0])\n",
+     "        vals[1].set_cell(self.findex, vals[0])\n"
+     "        return vals[1]\n",
+     "an update op writes in place in logical mode"),
+    (STOBJS, "    def fresh(self):\n"
+             "        if self.single:\n"
+             "            f = self.fields[0]\n"
+             "            return StobjInstance(self, TableCell({}) if",
+     "    def fresh(self, _shared=TableCell({})):\n"
+     "        if self.single:\n"
+     "            f = self.fields[0]\n"
+     "            return StobjInstance(self, _shared if",
+     "every fresh one-field table stobj shares one TableCell"),
     (STOBJS, "cells = list(self.cells)", "cells = self.cells",
      "a logical-mode write to a stobj of several fields changes the old "
      "version's cells"),
@@ -228,7 +246,7 @@ EQUIVALENT = [
      "items.append(x if isinstance(x, int) and x > 0 else 0)",
      "both give 0 for 0"),
     (KERNEL, "elif type(x) is Symbol and env is not None \\\n"
-             "                        and x.name in env.vars:",
+             "                        and x.name in env[0]:",
      "elif False:",
      "eval looks a variable up in the innermost frame first"),
     (KERNEL, "target = (w.functions.get(name) or w.genops.get(name)\n"
@@ -236,7 +254,7 @@ EQUIVALENT = [
      "target = (w.signatures.get(name) or w.genops.get(name)\n"
      "                          or w.functions.get(name))",
      "Interp._check_fresh keeps the three tables' names distinct"),
-    (STOBJS, "            if env is not None and pname in env.vars:",
+    (STOBJS, "            if env is not None and pname in env[0]:",
      "            if False:",
      "eval looks the parent up in the innermost frame first"),
     (STOBJS, "if type(consumer) is Symbol and consumer.name in parents:",
