@@ -380,8 +380,8 @@ def _sf_stobj_let(interp, form, env):
 
 # Each special form's handler but IF's (Interp.eval runs IF itself) and
 # each builtin's Builtin, so such a head is found in one lookup, without
-# World.target.  Interp._check_fresh keeps every event from binding a
-# builtin's name, so no head found here is shadowed.  No handler checks
+# World.target.  Interp._check_fresh keeps every event from binding one
+# of these names, so no head found here is shadowed.  No handler checks
 # its form, since admission did (see Interp.eval): each reads it in place.
 _SPECIAL = {
     "QUOTE": _sf_quote, "LET": _sf_let, "LET*": _sf_let,
@@ -389,6 +389,11 @@ _SPECIAL = {
     "STOBJ-LET": _sf_stobj_let,
 }
 _SPECIAL.update(BUILTINS)
+
+# Names no event may define: the heads that admission or Interp.eval reads
+# before any callee, and the constants NIL and T (keywords by their colon).
+_RESERVED = frozenset(_SPECIAL).union(("IF", "DECLARE", "NIL", "T"),
+                                      stobjs.DO_ONLY_HEADS, EVENT_HEADS)
 
 
 ### the interpreter
@@ -590,8 +595,9 @@ class Interp:
 
     def _check_fresh(self, name, form):
         w = self.world
-        if (name in BUILTINS or name in w.functions or name in w.genops
-                or name in w.signatures or name in w.stobjs):
+        if (name in _RESERVED or name[:1] == ":" or name in w.functions
+                or name in w.genops or name in w.signatures
+                or name in w.stobjs):
             raise EvalError("the name %s is already in use" % name, form=form)
 
     def _defun(self, form):

@@ -236,8 +236,10 @@ class UpdateOp(GeneratedOp):
         return _write(interp, vals[1], self.findex, vals[0])
 
 
-# Kinds of generated op that only stobj-let may call.
-STOBJ_LET_ONLY = frozenset(("create", "tbl-get", "tbl-put"))
+# Kinds of generated op that only stobj-let may call -> where it calls them.
+STOBJ_LET_ONLY = {"create": "as a stobj-table default inside stobj-let",
+                  "tbl-get": "inside stobj-let bindings",
+                  "tbl-put": "through stobj-let writeback"}
 
 
 def generated_ops(spec):
@@ -501,13 +503,14 @@ class Analyzer:
         if text not in self.violations:
             self.violations.append(text)
 
-    # live: name -> stobj name for stobjs in scope
-    # bound: set of ordinary variable names in scope
-    def analyze(self, expr, live, bound):
+    # scope: each name bound here -> its stobj name, or None for an
+    # ordinary variable, as an Interp frame maps a name to its value
+    def analyze(self, expr, scope):
         if isinstance(expr, Symbol):
-            if expr.name in live:
-                return (live[expr.name],)
-            if expr.name not in bound and not self._free(expr, live, bound) \
+            slot = scope.get(expr.name)
+            if slot is not None:
+                return (slot,)
+            if expr.name not in scope and not self._free(expr, scope) \
                     and self.world.stobj_spec(expr.name) is not None:
                 self.err("R1", "stobj %s is used without being declared or "
                                "bound here" % expr.name)
@@ -523,14 +526,13 @@ class Analyzer:
             self._parse(quote_parts, expr)
             return (None,)
         if head is IF:
-            return self._analyze_if(expr, live, bound)
+            return self._analyze_if(expr, scope)
         if head is LET or head is LETSTAR:
-            return self._analyze_let(expr, live, bound,
-                                     sequential=head is LETSTAR)
+            return self._analyze_let(expr, scope, sequential=head is LETSTAR)
         if head is MV:
-            return self._analyze_mv(expr, live, bound)
+            return self._analyze_mv(expr, scope)
         if head is MV_LET:
-            return self._analyze_mv_let(expr, live, bound)
+            return self._analyze_mv_let(expr, scope)
         if self.loop_scope is not None:
             if head is STOBJ_LET or head is LOOPS:
                 self.err("R1", "%s is not supported inside a DO body in %s"
@@ -542,9 +544,9 @@ class Analyzer:
                                              show(expr)))
                 return (None,)
         if head is STOBJ_LET:
-            return self._analyze_stobj_let(expr, live, bound)
+            return self._analyze_stobj_let(expr, scope)
         if head is LOOPS:
-            return self._analyze_loop(expr, live, bound)
+            return self._analyze_loop(expr, scope)
         if name in DO_ONLY_HEADS:
             self.err("R1", "%s is legal only inside DO and FINALLY bodies"
                      % name)
@@ -555,19 +557,18 @@ class Analyzer:
         if name == "DECLARE":
             self.err("R1", "misplaced declare form %s" % show(expr))
             return (None,)
-        return self._analyze_call(expr, live, bound)
+        return self._analyze_call(expr, scope)
 
-    def _free(self, expr, live, bound):
+    def _free(self, expr, scope):
         """Record, and return True for, a name that nothing binds here; a
         stobj name outside a loop is left to the caller, by its position."""
-        if not isinstance(expr, Symbol) or expr.name in live \
-                or expr.name in bound or expr is NIL or expr is T \
-                or sexpr.is_keyword(expr):
+        if not isinstance(expr, Symbol) or expr.name in scope \
+                or expr is NIL or expr is T or sexpr.is_keyword(expr):
             return False
-        scope = self.loop_scope
-        if scope is not None:
+        loop = self.loop_scope
+        if loop is not None:
             text = "%s is not bound in %s (settable variables: %s)" % (
-                expr.name, scope[0], " ".join(scope[1]) or "none")
+                expr.name, loop[0], " ".join(loop[1]) or "none")
         elif self.world.stobj_spec(expr.name) is not None:
             return False
         elif self.fname is None:
@@ -585,8 +586,8 @@ class Analyzer:
             self.err("R1", str(e))
             return None
 
-    def want_value(self, expr, live, bound, what):
-        sh = self.analyze(expr, live, bound)
+    def want_value(self, expr, scope, what):
+        sh = self.analyze(expr, scope)
         if len(sh) != 1:
             self.err("R2", "multiple values are not a single value in %s"
                      % what)
@@ -594,14 +595,14 @@ class Analyzer:
         if sh[0] is not None:
             self.err("R1", "stobj %s may not appear in %s" % (sh[0], what))
 
-    def _analyze_if(self, expr, live, bound):
+    def _analyze_if(self, expr, scope):
         args = self._parse(if_parts, expr)
         if args is None:
             return (None,)
         test, then, els = args
-        self.want_value(test, live, bound, "an IF test")
-        sh_t = self.analyze(then, live, bound)
-        sh_f = (None,) if els is None else self.analyze(els, live, bound)
+        self.want_value(test, scope, "an IF test")
+        sh_t = self.analyze(then, scope)
+        sh_f = (None,) if els is None else self.analyze(els, scope)
         return self._unify(sh_t, sh_f, expr)
 
     def _unify(self, a, b, expr):
@@ -615,60 +616,53 @@ class Analyzer:
                                            _shape_str(b)))
         return a
 
-    def _bind_one(self, name, shape, live, bound, expr):
-        """Extend scope maps for one binding of name; enforces R2/R3."""
+    def _bind_one(self, name, shape, scope, expr):
+        """A new scope: scope with one binding of name; enforces R2/R3."""
         if shape is UNKNOWN:
             # Self-recursive call: adopt the binding name's own typing.
-            shape = (live.get(name),)
+            shape = (scope.get(name),)
         if len(shape) != 1:
             self.err("R2", "LET binds multiple values in %s" % show(expr))
             shape = (None,)
         slot = shape[0]
-        live = dict(live)
-        bound = set(bound)
         if slot is not None:
             if name != slot:
                 self.err("R2+R3",
                          "the result of a call returning stobj %s must be "
                          "rebound to the name %s, not %s" % (slot, slot, name))
-            live[name] = slot
-        else:
-            if name in live:
-                self.err("R3", "stobj name %s may not be rebound to an "
-                               "ordinary value" % name)
-                live.pop(name)
-            elif self.world.stobj_spec(name) is not None:
-                self.err("R3", "stobj name %s may not be used as an ordinary "
-                               "variable" % name)
-            bound.add(name)
-        return live, bound
+        elif scope.get(name) is not None:
+            self.err("R3", "stobj name %s may not be rebound to an ordinary "
+                           "value" % name)
+        elif self.world.stobj_spec(name) is not None:
+            self.err("R3", "stobj name %s may not be used as an ordinary "
+                           "variable" % name)
+        scope = dict(scope)
+        scope[name] = slot
+        return scope
 
-    def _analyze_let(self, expr, live, bound, sequential):
+    def _analyze_let(self, expr, scope, sequential):
         parts = self._parse(let_parts, expr)
         if parts is None:
             return (None,)
         bindings, body = let_pairs(parts[0]), parts[1]
         if not sequential:
             # each right-hand side sees the scope outside the LET
-            shapes = [self.analyze(rhs, live, bound) for _var, rhs in bindings]
+            shapes = [self.analyze(rhs, scope) for _var, rhs in bindings]
             if len(bindings) > 1:
                 self._check_parallel(bindings, shapes)
-        cur_live, cur_bound = live, bound
-        rebound = []
+        slots = []
         for i, (var, rhs) in enumerate(bindings):
-            sh = (self.analyze(rhs, cur_live, cur_bound) if sequential
-                  else shapes[i])
-            cur_live, cur_bound = self._bind_one(var.name, sh, cur_live,
-                                                 cur_bound, expr)
-            if var.name in cur_live:
-                rebound.append(cur_live[var.name])
-        bsh = self.analyze(body, cur_live, cur_bound)
-        self._require_returned(rebound, bsh, "LET")
+            sh = self.analyze(rhs, scope) if sequential else shapes[i]
+            scope = self._bind_one(var.name, sh, scope, expr)
+            slots.append(scope[var.name])
+        bsh = self.analyze(body, scope)
+        self._require_returned(slots, bsh, "LET")
         return bsh
 
-    def _require_returned(self, rebound, body_shape, binder):
-        for sname in rebound:
-            if sname not in body_shape:
+    def _require_returned(self, slots, body_shape, binder):
+        """Each stobj among the slots a binder bound must be returned."""
+        for sname in slots:
+            if sname is not None and sname not in body_shape:
                 self.err("R2", "stobj %s is bound in this %s but is not "
                                "among the values of its body; the update "
                                "would be discarded" % (sname, binder))
@@ -685,51 +679,49 @@ class Analyzer:
                     self.err("R3", "parallel LET both updates and reads "
                                    "stobj %s" % name)
 
-    def _analyze_mv(self, expr, live, bound):
+    def _analyze_mv(self, expr, scope):
         args = self._parse(mv_parts, expr)
         if args is None:
             return (None,)
         slots = []
         seen = set()
         for a in sexpr.iter_conses(args):
-            if isinstance(a, Symbol) and a.name in live:
+            slot = scope.get(a.name) if isinstance(a, Symbol) else None
+            if slot is not None:
                 if a.name in seen:
                     self.err("R3", "stobj %s appears twice in %s"
                              % (a.name, show(expr)))
                 seen.add(a.name)
-                slots.append(live[a.name])
+                slots.append(slot)
             else:
-                self.want_value(a, live, bound, "an MV component (a stobj "
-                                                "must be returned by name)")
+                self.want_value(a, scope, "an MV component (a stobj must be "
+                                          "returned by name)")
                 slots.append(None)
         return tuple(slots)
 
-    def _analyze_mv_let(self, expr, live, bound):
+    def _analyze_mv_let(self, expr, scope):
         parts = self._parse(mv_let_parts, expr)
         if parts is None:
             return (None,)
         vars_, rhs, body = parts
         vars_ = list(sexpr.iter_conses(vars_))
-        sh = self._mv_shape(rhs, [v.name for v in vars_], live, bound, expr)
-        cur_live, cur_bound = live, bound
+        sh = self._mv_shape(rhs, [v.name for v in vars_], scope, expr)
         for var, slot in zip(vars_, sh):
-            cur_live, cur_bound = self._bind_one(var.name, (slot,), cur_live,
-                                                 cur_bound, expr)
-        bsh = self.analyze(body, cur_live, cur_bound)
-        self._require_returned([s for s in sh if s is not None], bsh,
-                               "MV-LET")
+            scope = self._bind_one(var.name, (slot,), scope, expr)
+        bsh = self.analyze(body, scope)
+        self._require_returned(sh, bsh, "MV-LET")
         return bsh
 
-    def _mv_shape(self, rhs, names, live, bound, expr):
+    def _mv_shape(self, rhs, names, scope, expr):
         """The shape of an MV-LET right-hand side binding names."""
-        sh = self.analyze(rhs, live, bound)
+        sh = self.analyze(rhs, scope)
         if len(sh) != len(names):
             self.err("R2", "MV-LET binds %d names to %d values in %s"
                      % (len(names), len(sh), show(expr)))
-            sh = tuple(live.get(n) for n in names)
+            sh = tuple(scope.get(n) for n in names)
         return sh
 
-    def _analyze_stobj_let(self, expr, live, bound):
+    def _analyze_stobj_let(self, expr, scope):
         spec = self.world.stobj_lets.get(expr) or self.stobj_lets.get(expr)
         if spec is None:
             spec = self._parse(parse_stobj_let, expr, self.world)
@@ -740,16 +732,17 @@ class Analyzer:
         children = {}
         for child, parent_sym, _op, _creator in spec.bindings:
             pname = parent_sym.name
-            if pname not in live:
+            if scope.get(pname) is None:
                 self.err("R1", "stobj-let parent %s is not a live stobj here"
                          % pname)
             parents.add(pname)
             children[child.name] = child.name
-        body_live = {k: v for k, v in live.items() if k not in parents}
+        prod = {k: v for k, v in scope.items()
+                if v is None or k not in parents}
         # a child that is its own parent stays hidden
-        body_live.update((c, c) for c in children if c not in parents)
+        prod.update((c, c) for c in children if c not in parents)
         outer, self.produced = self.produced, set()
-        psh = self.analyze(spec.producer, body_live, bound)
+        psh = self.analyze(spec.producer, prod)
         produced, self.produced = self.produced, outer
         if outer is not None:
             outer |= produced
@@ -771,13 +764,12 @@ class Analyzer:
                                "not among the stobj-let outputs" % cname)
         # An output that is not a child binds an ordinary value, as a LET
         # variable does.
-        cons_live = {k: v for k, v in live.items() if k not in children}
-        cons_bound = bound
+        cons = {k: v for k, v in scope.items()
+                if v is None or k not in children}
         for out in spec.outputs:
             if out.name not in children:
-                cons_live, cons_bound = self._bind_one(
-                    out.name, (None,), cons_live, cons_bound, expr)
-        csh = self.analyze(spec.consumer, cons_live, cons_bound)
+                cons = self._bind_one(out.name, (None,), cons, expr)
+        csh = self.analyze(spec.consumer, cons)
         if written:
             for pname in parents:
                 if pname not in csh:
@@ -786,24 +778,23 @@ class Analyzer:
                                    "would be discarded" % (pname, pname))
         return csh
 
-    def _analyze_loop(self, expr, live, bound):
+    def _analyze_loop(self, expr, scope):
         from . import loops
         spec = self._parse(loops.parse_loop, expr, self.world)
         if spec is None:
             return (None,)
         if spec.kind == "FOR":
-            self.want_value(spec.for_range, live, bound, "a FOR range")
-            live, bound = self._bind_one(spec.for_var.name, (None,), live,
-                                         bound, expr)
-            self.want_value(spec.for_body, live, bound, "a FOR body")
+            self.want_value(spec.for_range, scope, "a FOR range")
+            scope = self._bind_one(spec.for_var.name, (None,), scope, expr)
+            self.want_value(spec.for_body, scope, "a FOR body")
             return (None,)
-        bound = set(bound)   # each WITH init sees the earlier WITH names
+        scope = dict(scope)   # each WITH init sees the earlier WITH names
         for name, _typ, init in spec.withs:
             if init is not None:
-                self.want_value(init, live, bound, "a WITH initial value")
-            bound.add(name)
+                self.want_value(init, scope, "a WITH initial value")
+            scope[name] = None
         for sname in spec.values:
-            if sname is not None and live.get(sname) != sname:
+            if sname is not None and scope.get(sname) != sname:
                 self.err("R1", ":VALUES stobj %s is not a live stobj here"
                          % sname)
         # A plan that failed after its statement trees were built (say, no
@@ -812,24 +803,23 @@ class Analyzer:
         if spec.do_tree is None:
             return tuple(spec.values)
         # The loop sees the settables only: :VALUES stobjs and WITH names.
-        live = {s: s for s in spec.value_stobjs}
-        bound = {name for name, _typ, _init in spec.withs}
+        scope = {name: None for name, _typ, _init in spec.withs}
+        scope.update((s, s) for s in spec.value_stobjs)
         outer = self.loop_scope
         if spec.guard is not None:
             self.loop_scope = (":GUARD", spec.settables)
-            self.want_value(spec.guard, live, bound, "a loop :GUARD")
+            self.want_value(spec.guard, scope, "a loop :GUARD")
         if spec.measure_form is not None:
             self.loop_scope = (":MEASURE", spec.settables)
-            self.want_value(spec.measure_form, live, bound,
-                            "a loop :MEASURE")
+            self.want_value(spec.measure_form, scope, "a loop :MEASURE")
         self.loop_scope = ("a DO-body expression", spec.settables)
         for tree in (spec.do_tree, spec.finally_tree):
             if tree is not None:
-                self._analyze_stmt(tree, live, bound, spec.values)
+                self._analyze_stmt(tree, scope, spec.values)
         self.loop_scope = outer
         return tuple(spec.values)
 
-    def _analyze_stmt(self, node, live, bound, values):
+    def _analyze_stmt(self, node, scope, values):
         """Check a DO or FINALLY statement tree (see loops.make_do_plan).
 
         An assignment must keep the shape of its targets and a RETURN
@@ -839,45 +829,43 @@ class Analyzer:
         tag = node[0]
         if tag == "seq":
             for effect in node[1]:
-                self._analyze_stmt(effect, live, bound, values)
-            self._analyze_stmt(node[2], live, bound, values)
+                self._analyze_stmt(effect, scope, values)
+            self._analyze_stmt(node[2], scope, values)
         elif tag == "if":
-            self.want_value(node[1], live, bound, "an IF test")
-            self._analyze_stmt(node[2], live, bound, values)
-            self._analyze_stmt(node[3], live, bound, values)
+            self.want_value(node[1], scope, "an IF test")
+            self._analyze_stmt(node[2], scope, values)
+            self._analyze_stmt(node[3], scope, values)
         elif tag == "let" or tag == "mv-let":
             _tag, names, rhs, body, form = node
             if tag == "let":
-                shapes = [self.analyze(r, live, bound) for r in rhs]
+                shapes = [self.analyze(r, scope) for r in rhs]
             else:
-                shapes = [(s,) for s in self._mv_shape(rhs, names, live,
-                                                       bound, form)]
+                shapes = [(s,) for s in self._mv_shape(rhs, names, scope,
+                                                       form)]
             for name, sh in zip(names, shapes):
-                live, bound = self._bind_one(name, sh, live, bound, form)
-            self._analyze_stmt(body, live, bound, values)
+                scope = self._bind_one(name, sh, scope, form)
+            self._analyze_stmt(body, scope, values)
         elif tag == "setq" or tag == "mv-setq":
-            want = tuple(live.get(n) for n in node[1])
-            self._want_shape(node[2], want, live, bound, node[3])
+            want = tuple(scope.get(n) for n in node[1])
+            self._want_shape(node[2], want, scope, node[3])
         elif tag == "return":
-            self._want_shape(node[1], tuple(values), live, bound, node[2])
+            self._want_shape(node[1], tuple(values), scope, node[2])
 
-    def _want_shape(self, expr, want, live, bound, stmt):
-        sh = self.analyze(expr, live, bound)
+    def _want_shape(self, expr, want, scope, stmt):
+        sh = self.analyze(expr, scope)
         if sh != want:
             self.err("R2", "%s needs values shaped %s, got %s"
                      % (show(stmt), _shape_str(want), _shape_str(sh)))
 
-    def _analyze_call(self, expr, live, bound):
+    def _analyze_call(self, expr, scope):
         name = expr.car.name
         args = ()
         try:
             args = _cons_args(expr)
             entry = self.world.genops.get(name)
             if entry is not None and entry.kind in STOBJ_LET_ONLY:
-                where = {"create": "as a stobj-table default inside stobj-let",
-                         "tbl-get": "inside stobj-let bindings",
-                         "tbl-put": "through stobj-let writeback"}[entry.kind]
-                self.err("R1", "%s may only be used %s" % (name, where))
+                self.err("R1", "%s may only be used %s"
+                         % (name, STOBJ_LET_ONLY[entry.kind]))
                 return (None,)
             inputs, outputs = self._shape_of(name, len(args))
         except EvalError as e:
@@ -889,21 +877,19 @@ class Analyzer:
                 raise EvalError(e.message, form=expr)
             self.err("R1", "%s in %s" % (e.message, show(expr)))
             for a in args:
-                if not (isinstance(a, Symbol) and a.name in live):
-                    self.want_value(a, live, bound,
-                                    "an argument of %s" % name)
+                if not (isinstance(a, Symbol) and scope.get(a.name)):
+                    self.want_value(a, scope, "an argument of %s" % name)
             return (None,)
         for arg, slot in zip(args, inputs):
             if slot is None:
-                if isinstance(arg, Symbol) and arg.name in live:
+                if isinstance(arg, Symbol) and scope.get(arg.name):
                     self.err("R1", "stobj %s passed where %s expects an "
                                    "ordinary value" % (arg.name, name))
                 else:
-                    self.want_value(arg, live, bound,
-                                    "an argument of %s" % name)
+                    self.want_value(arg, scope, "an argument of %s" % name)
             elif not (isinstance(arg, Symbol) and arg.name == slot
-                      and live.get(slot) == slot) \
-                    and not self._free(arg, live, bound):
+                      and scope.get(slot) == slot) \
+                    and not self._free(arg, scope):
                 self.err("R1", "%s expects the stobj %s in this position of "
                                "%s" % (name, slot, show(expr)))
         if outputs is UNKNOWN:
@@ -1139,21 +1125,20 @@ def admit(world, body, formals, inputs, what=None, name=None, guard=None,
     for _pass in range(2):  # the second only for a self-recursive defun
         analyzer = Analyzer(world, name, inputs, self_output)
         analyzer.stobj_lets = parses    # both passes parse a form once
-        live, bound = {}, set()
+        scope = {}
         for f, s in zip(formals, inputs):
             if s is None:
-                live, bound = analyzer._bind_one(f, (None,), live, bound,
-                                                 body)
+                scope = analyzer._bind_one(f, (None,), scope, body)
             else:
-                live[f] = s
+                scope[f] = s
         if guard is not None:
-            analyzer.want_value(guard, live, bound, "the :guard term")
+            analyzer.want_value(guard, scope, "the :guard term")
         if measure is not None:
-            analyzer.want_value(measure, live, bound, "the :measure term")
+            analyzer.want_value(measure, scope, "the :measure term")
         if want is None:
-            shape = analyzer.analyze(body, live, bound)
+            shape = analyzer.analyze(body, scope)
         else:
-            analyzer.want_value(body, live, bound, want)
+            analyzer.want_value(body, scope, want)
             shape = (None,)
         if not analyzer.saw_self or self_output is not UNKNOWN:
             break

@@ -852,6 +852,35 @@ def test_defun_validation_errors():
     assert "the name G is already in use" in str(exc.value)
 
 
+# A special form, IF, DECLARE, a statement or event head, NIL, T or a
+# keyword is read before any callee, so a definition of one could never
+# be called as defined.
+@pytest.mark.parametrize("src, name", [
+    ("(defun let (x) x)", "LET"),
+    ("(defun if (x) x)", "IF"),
+    ("(defun progn (x) x)", "PROGN"),
+    ("(defun defun (x) x)", "DEFUN"),
+    ("(defun t (x) x)", "T"),
+    ("(defun nil (x) x)", "NIL"),
+    ("(defun :k (x) x)", ":K"),
+    ("(defun declare (x) x)", "DECLARE"),
+    ("(defun stobj-let (x) x)", "STOBJ-LET"),
+    ("(defstobj if fld)", "IF"),
+    ("(defstobj return fld)", "RETURN"),
+    ("(defstobj st (let :type t))", "LET"),
+    ("(defstobj st (defattach :type t))", "DEFATTACH"),
+    ("(encapsulate (((progn *) => *)))", "PROGN"),
+    ("(encapsulate (((mv-let *) => *)))", "MV-LET"),
+])
+def test_a_definition_may_not_take_a_reserved_name(src, name):
+    interp = Interp()
+    with pytest.raises(EvalError) as exc:
+        interp.eval_text(src)
+    assert str(exc.value).startswith("the name %s is already in use in "
+                                     % name)
+    assert interp.world.events == []
+
+
 @pytest.mark.parametrize("mode", ["logical", "native"])
 def test_free_names_are_rejected_at_admission(monkeypatch, mode):
     # ACL2 admits no definition with a free variable, so no admitted

@@ -1010,16 +1010,54 @@ def test_analyzer_returns_the_callees_own_outputs():
                      "(defun proc-ids () nil) (defun rank (p st) "
                      "(declare (xargs :stobjs (st))) 0)")
     analyzer = stobjs.Analyzer(interp.world, None, (), stobjs.UNKNOWN)
-    live = {"ST": "ST"}
-    shape = analyzer.analyze(read("(f st)"), live, set())
+    scope = {"ST": "ST"}
+    shape = analyzer.analyze(read("(f st)"), scope)
     assert shape is interp.world.functions["F"].outputs
-    shape = analyzer.analyze(read("(car x)"), live, {"X"})
+    shape = analyzer.analyze(read("(car x)"), {"ST": "ST", "X": None})
     assert shape is kernel.BUILTINS["CAR"].outputs
     # the stobj RANK takes second
     shape = analyzer.analyze(
-        read("(report-completion-or-error-and-return 1 st)"), live, set())
+        read("(report-completion-or-error-and-return 1 st)"), scope)
     assert shape == ("ST",)
     assert analyzer.violations == []
+
+
+# After an R2+R3 violation the misnamed variable holds a stobj in the
+# analyzer's scope; what later forms report about it stays fixed.
+MISBOUND = "R2+R3: the result of a call returning stobj ST must be " \
+           "rebound to the name ST, not X"
+
+
+@pytest.mark.parametrize("body, more", [
+    ("(let ((x (update-fld 1 st))) (mv x st))", []),
+    ("(let ((x (update-fld 1 st))) (let ((x 3)) (mv x st)))",
+     ["R3: stobj name X may not be rebound to an ordinary value"]),
+    ("(let ((x (update-fld 1 st))) (stobj-let ((switch (tbl-get 'switch "
+     "top (create-switch)))) (flg) (sfld switch) (mv x top)))", []),
+    ("(let ((x (update-fld 1 st))) (stobj-let ((switch (tbl-get 'switch "
+     "top (create-switch)))) (switch) (update-sfld x switch) (mv x top)))",
+     ["R1: stobj X passed where UPDATE-SFLD expects an ordinary value"]),
+    ("(let ((x (update-fld 1 st))) (mv (loop$ for y in x collect y) top))",
+     ["R1: stobj ST may not appear in a FOR range",
+      "R2: stobj ST is bound in this LET but is not among the values of "
+      "its body; the update would be discarded"]),
+    ("(let ((x (update-fld 1 st))) (mv (loop$ with i = x do (if (zp i) "
+     "(return x) (setq i (1- i)))) top))",
+     ["R1: stobj ST may not appear in a WITH initial value",
+      "R1: X is not bound in a DO-body expression (settable variables: I) "
+      "in X",
+      "R2: stobj ST is bound in this LET but is not among the values of "
+      "its body; the update would be discarded"]),
+    ("(mv-let (x y) (mv st 1) (mv x top))", []),
+])
+def test_a_name_bound_to_the_wrong_stobj_reports_fixed_texts(body, more):
+    interp = fixture("(defstobj st fld) (defstobj switch sfld) "
+                     "(defstobj top (tbl :type (stobj-table)))")
+    with pytest.raises(LinearityError) as exc:
+        interp.eval_text("(defun h (x st top) (declare (xargs :stobjs "
+                         "(st top))) %s)" % body)
+    assert str(exc.value) == "\n  ".join(
+        ["single-threadedness violation in H:", MISBOUND] + more)
 
 
 # --------------------------------------------------------------- retraction

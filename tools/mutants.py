@@ -138,9 +138,28 @@ MUTANTS = [
              "                                     measure=measure)",
      "name=name)",
      "a defun's :guard and :measure terms are not checked"),
+    # definitions
+    (KERNEL, 'name in _RESERVED or name[:1] == ":" or name in w.functions',
+     "name in w.functions",
+     "a definition may take a special form's or a constant's name"),
+    # the analyzer's scope map: a name -> its stobj, or None
+    (STOBJS, "        scope = dict(scope)\n        scope[name] = slot\n",
+     "        scope[name] = slot\n",
+     "_bind_one adds its binding to its caller's scope"),
+    (STOBJS, "        scope[name] = slot\n        return scope",
+     "        scope[name] = slot or scope.get(name)\n        return scope",
+     "an ordinary rebinding of a name keeps its stobj"),
+    (STOBJS, "prod = {k: v for k, v in scope.items()\n"
+             "                if v is None or k not in parents}",
+     "prod = dict(scope)",
+     "a stobj-let producer sees the parents"),
+    (STOBJS, "scope = dict(scope)   # each WITH init",
+     "scope = dict(scope, **{n: None for n, _t, _i in spec.withs})  #",
+     "a WITH init sees the loop's later WITH names"),
     # stobjs.admit's branches
     (STOBJS, "            if s is None:", "            if False:",
-     "an ordinary formal is live with no stobj"),
+     "an ordinary formal skips R3, so a lambda formal may take a stobj's "
+     "name"),
     (STOBJS, "            if s is None:", "            if True:",
      "a stobj formal is bound as an ordinary value"),
     (STOBJS, "        if want is None:\n            shape = analyzer.analyze",
