@@ -4,9 +4,11 @@ A LoopSpec is the one record of a loop$ form: parse_loop fills in its
 clauses, and for a DO loop make_do_plan adds the settable variables, the
 measure (given or guessed), and the DO and FINALLY bodies as trees of
 seq/if/let/mv-let/setq/mv-setq/return/loop-finish nodes.  It checks only
-the statement grammar; stobjs.Analyzer checks the expressions, :GUARD
-and :MEASURE before the loop runs, and lets them name only the
-settables and the locals they bind.  The WITH values bind into the
+the statement grammar.  Before the loop runs, stobjs.Analyzer checks the
+expressions, :GUARD and :MEASURE, lets them name only the settables and
+the locals they bind, lets a SETQ or MV-SETQ set only a settable and a
+LET or MV-LET bind none, and gives each assignment and RETURN the shape
+of its targets and of :VALUES.  The WITH values bind into the
 loop's own frame of settables, and one walker runs the trees over it on
 both paths.  The logical path (run_do) is the specification: the DO body
 is a one-formal function of an alist of the settables, applied once per
@@ -25,8 +27,8 @@ runaway loop (measure or cap).
 
 from .errors import (CapExceeded, EvalError, GuardViolation,
                      MeasureViolation)
-from .stobjs import (MV, _cons_args, bindable, if_parts, let_pairs,
-                     let_parts, list_items, mv_let_parts, mv_parts)
+from .stobjs import (_cons_args, bindable, if_parts, let_pairs, let_parts,
+                     list_items, mv_let_parts)
 from .sexpr import (NIL, T, Cons, MultiValue, Symbol, from_pylist,
                     intern, is_keyword, iter_conses, list_length, show,
                     truthy)
@@ -232,11 +234,10 @@ def make_do_plan(spec, world):
     spec.settable_symbols = tuple([intern(name) for name in spec.settables])
     spec.integer_vars = {name for name, typ, _init in spec.withs
                          if typ == "INTEGER"}
-    parser = _Parser(spec.settables, spec.values)
+    parser = _Parser()
     spec.do_tree = parser.stmt(spec.do_body)
     if spec.finally_body is not None:
-        spec.finally_tree = _Parser(spec.settables, spec.values,
-                                    finally_mode=True).stmt(spec.finally_body)
+        spec.finally_tree = _Parser(finally_mode=True).stmt(spec.finally_body)
     elif parser.saw_loop_finish and spec.value_stobjs:
         raise EvalError(
             "LOOP-FINISH without a FINALLY clause cannot produce the stobjs "
@@ -251,9 +252,7 @@ def make_do_plan(spec, world):
 
 
 class _Parser:
-    def __init__(self, settables, values, finally_mode=False):
-        self.settables = settables
-        self.values = values
+    def __init__(self, finally_mode=False):
         self.finally_mode = finally_mode
         self.saw_loop_finish = False
         # settable name -> right-hand side of each SETQ of it, or None
@@ -285,11 +284,6 @@ class _Parser:
                 raise EvalError("SETQ takes a variable and a value: %s"
                                 % show(s), form=s)
             var = args[0].name
-            if var not in self.settables:
-                raise EvalError(
-                    "SETQ target %s is not settable (settable variables "
-                    "here: %s)" % (var, " ".join(self.settables) or "none"),
-                    form=s)
             self.steps.setdefault(var, []).append(args[1])
             return ("setq", (var,), args[1], s)
         if name == "MV-SETQ":
@@ -306,9 +300,6 @@ class _Parser:
                 raise EvalError("duplicate MV-SETQ target in %s"
                                 % show(s), form=s)
             for n in names:
-                if n not in self.settables:
-                    raise EvalError(
-                        "MV-SETQ target %s is not settable" % n, form=s)
                 self.steps.setdefault(n, []).append(None)
             return ("mv-setq", names, args[1], s)
         if effect:
@@ -337,11 +328,6 @@ class _Parser:
         if name in ("LET", "LET*"):
             bindings, body = let_parts(s)
             pairs = let_pairs(bindings)
-            for var, _rhs in pairs:
-                if var.name in self.settables:
-                    raise EvalError(
-                        "a statement-position %s may not rebind the settable "
-                        "variable %s; use SETQ" % (name, var.name), form=s)
             body = self.stmt(body)
             if name == "LET":
                 return ("let", tuple(v.name for v, _rhs in pairs),
@@ -352,38 +338,12 @@ class _Parser:
         if name == "MV-LET":
             vars_, rhs, body = mv_let_parts(s)
             names = tuple(v.name for v in iter_conses(vars_))
-            for n in names:
-                if n in self.settables:
-                    raise EvalError(
-                        "a statement-position MV-LET may not rebind the "
-                        "settable variable %s; use MV-SETQ" % n, form=s)
             return ("mv-let", names, rhs, self.stmt(body), s)
         if name == "RETURN":
             args = _cons_args(s)
             if len(args) != 1:
                 raise EvalError("RETURN takes exactly one form", form=s)
-            e, sig = args[0], self.values
-            mv = isinstance(e, Cons) and e.car is MV
-            if len(sig) == 1 and mv:
-                raise EvalError("RETURN of multiple values requires a "
-                                ":VALUES signature", form=s)
-            if len(sig) > 1:
-                if not mv:
-                    raise EvalError(
-                        "with :VALUES of length %d, RETURN needs a literal "
-                        "(MV ..) of that arity" % len(sig), form=s)
-                comps = list(iter_conses(mv_parts(e)))
-                if len(comps) != len(sig):
-                    raise EvalError(
-                        "RETURN supplies %d values for %d :VALUES slots"
-                        % (len(comps), len(sig)), form=s)
-                for slot, comp in zip(sig, comps):
-                    if slot is not None and not (isinstance(comp, Symbol)
-                                                 and comp.name == slot):
-                        raise EvalError(
-                            "this RETURN slot must be the stobj %s, got %s"
-                            % (slot, show(comp)), form=s)
-            return ("return", e, s)
+            return ("return", args[0], s)
         if name == "LOOP-FINISH":
             if _cons_args(s):
                 raise EvalError("LOOP-FINISH takes no arguments", form=s)

@@ -492,10 +492,9 @@ class Analyzer:
         # form -> StobjLetSpec, for each stobj-let that World.stobj_lets
         # lacks: kept there only once the form is admitted
         self.stobj_lets = {}
-        self.produced = None    # stobjs returned by calls in a producer
         # (what, settables) inside a DO loop's :GUARD, :MEASURE and
-        # statements: it bars statement heads there, and _free's text
-        # names the scope and its settables
+        # statements: it bars statement heads there, _free's text names
+        # the scope and its settables, and _analyze_stmt reads them
         self.loop_scope = None
 
     def err(self, rule, msg):
@@ -741,11 +740,7 @@ class Analyzer:
                 if v is None or k not in parents}
         # a child that is its own parent stays hidden
         prod.update((c, c) for c in children if c not in parents)
-        outer, self.produced = self.produced, set()
         psh = self.analyze(spec.producer, prod)
-        produced, self.produced = self.produced, outer
-        if outer is not None:
-            outer |= produced
         out_names = [o.name for o in spec.outputs]
         expected = tuple(children.get(n) for n in out_names)
         if len(psh) != len(expected):
@@ -758,10 +753,6 @@ class Analyzer:
                                    "producer returns %s"
                              % (n, _shape_str((want,)), _shape_str((slot,))))
         written = set(n for n in out_names if n in children)
-        for cname in children:
-            if cname not in written and cname in produced:
-                self.err("R2", "child %s is updated in the producer but is "
-                               "not among the stobj-let outputs" % cname)
         # An output that is not a child binds an ordinary value, as a LET
         # variable does.
         cons = {k: v for k, v in scope.items()
@@ -822,11 +813,14 @@ class Analyzer:
     def _analyze_stmt(self, node, scope, values):
         """Check a DO or FINALLY statement tree (see loops.make_do_plan).
 
-        An assignment must keep the shape of its targets and a RETURN
-        must have the shape of :VALUES, so an update the native path
-        keeps is never one the logical path drops.
+        A SETQ or MV-SETQ may set only settables, and a LET or MV-LET
+        may bind none; the rest of a statement that breaks either rule
+        is not checked.  An assignment must keep the shape of its
+        targets and a RETURN must have the shape of :VALUES, so an
+        update the native path keeps is never one the logical path drops.
         """
         tag = node[0]
+        settables = self.loop_scope[1]
         if tag == "seq":
             for effect in node[1]:
                 self._analyze_stmt(effect, scope, values)
@@ -837,6 +831,13 @@ class Analyzer:
             self._analyze_stmt(node[3], scope, values)
         elif tag == "let" or tag == "mv-let":
             _tag, names, rhs, body, form = node
+            for name in names:
+                if name in settables:
+                    self.err("R1", "a statement-position %s may not rebind "
+                                   "the settable variable %s; use %s in %s"
+                             % (form.car.name, name, "SETQ" if tag == "let"
+                                else "MV-SETQ", show(form)))
+                    return
             if tag == "let":
                 shapes = [self.analyze(r, scope) for r in rhs]
             else:
@@ -846,6 +847,14 @@ class Analyzer:
                 scope = self._bind_one(name, sh, scope, form)
             self._analyze_stmt(body, scope, values)
         elif tag == "setq" or tag == "mv-setq":
+            for name in node[1]:
+                if name not in settables:
+                    where = "" if tag == "mv-setq" else \
+                        " (settable variables here: %s)" % (
+                            " ".join(settables) or "none")
+                    self.err("R1", "%s target %s is not settable%s in %s"
+                             % (tag.upper(), name, where, show(node[3])))
+                    return
             want = tuple(scope.get(n) for n in node[1])
             self._want_shape(node[2], want, scope, node[3])
         elif tag == "return":
@@ -895,8 +904,6 @@ class Analyzer:
         if outputs is UNKNOWN:
             self.saw_self = True
             return UNKNOWN
-        if self.produced is not None:
-            self.produced.update(outputs)
         return outputs
 
     def _shape_of(self, name, nargs):

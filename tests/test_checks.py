@@ -279,7 +279,7 @@ ADMITTED = [
     ("(loop$ with i = 1 with j = 0 do :measure (nfix i) "
      "(if (zp i) (return j) (mv-setq (i j) 0)))",
      "R2: (MV-SETQ (I J) 0) needs values shaped (* *), got (*)"),
-    # the parser rejects only a literal (MV ..) under RETURN
+    # a RETURN has the shape of :VALUES, whatever form gives it
     ("(loop$ with i = 0 do :measure (nfix i) "
      "(return (if (zp i) (mv i i) i)))",
      "R4: the branches of (IF (ZP I) (MV I I) I) return different stobjs "

@@ -208,25 +208,12 @@ def test_statement_grammar_errors():
     assert "only SETQ, MV-SETQ, IF, and PROGN may precede" \
         in plan_error("(loop$ with x = 0 do :measure 0 "
                       "(progn 5 (return x)))")
-    assert "a statement-position LET may not rebind the settable " \
-        "variable X; use SETQ" \
-        in plan_error("(loop$ with x = 0 do :measure 0 "
-                      "(let ((x 1)) (return x)))")
-    assert "a statement-position MV-LET may not rebind the settable " \
-        "variable X; use MV-SETQ" \
-        in plan_error("(loop$ with x = 0 do :measure 0 "
-                      "(mv-let (x y) (mv 1 2) (return x)))")
-    assert "SETQ target Y is not settable (settable variables here: X)" \
-        in plan_error("(loop$ with x = 0 do :measure 0 (setq y 1))")
     assert "MV-SETQ needs two or more variables" \
         in plan_error("(loop$ with x = 0 with y = 0 do :measure 0 "
                       "(mv-setq (x) (mv 1)))")
     assert "duplicate MV-SETQ target" \
         in plan_error("(loop$ with x = 0 with y = 0 do :measure 0 "
                       "(mv-setq (x x) (mv 1 2)))")
-    assert "MV-SETQ target Z is not settable" \
-        in plan_error("(loop$ with x = 0 with y = 0 do :measure 0 "
-                      "(mv-setq (x z) (mv 1 2)))")
     assert "RETURN takes exactly one form" \
         in plan_error("(loop$ with x = 0 do :measure 0 (return))")
     assert "LOOP-FINISH takes no arguments" \
@@ -234,6 +221,41 @@ def test_statement_grammar_errors():
     assert "LOOP-FINISH is not legal in a FINALLY clause" \
         in plan_error("(loop$ with x = 0 do :measure 0 (return x) "
                       "finally (loop-finish))")
+
+
+# Which names a statement may set or bind is a scope rule, checked by the
+# analyzer: one line for the one fault, and the rest of the statement is
+# not checked.
+@pytest.mark.parametrize("body, text", [
+    ("(let ((x 1)) (return x))",
+     "a statement-position LET may not rebind the settable variable X; use "
+     "SETQ in (LET ((X 1)) (RETURN X))"),
+    ("(let* ((y 1) (st 0)) (return (mv y st)))",
+     "a statement-position LET* may not rebind the settable variable ST; "
+     "use SETQ in (LET* ((Y 1) (ST 0)) (RETURN (MV Y ST)))"),
+    ("(mv-let (x y) (mv 1 2) (return x))",
+     "a statement-position MV-LET may not rebind the settable variable X; "
+     "use MV-SETQ in (MV-LET (X Y) (MV 1 2) (RETURN X))"),
+    ("(setq y (car st))",
+     "SETQ target Y is not settable (settable variables here: X ST) in "
+     "(SETQ Y (CAR ST))"),
+    ("(mv-setq (x z) (mv 1 2))",
+     "MV-SETQ target Z is not settable in (MV-SETQ (X Z) (MV 1 2))"),
+])
+def test_statement_scope_errors(body, text):
+    interp = Interp()
+    interp.eval_text("(defstobj st fld)")
+    with pytest.raises(LinearityError) as exc:
+        interp.eval_text("(loop$ with x = 0 do :values (nil st) :measure 0 "
+                         "%s)" % body)
+    assert exc.value.violations == ["R1: " + text]
+
+
+def test_a_statement_that_is_not_a_form_is_refused_at_admission():
+    with pytest.raises(LinearityError) as exc:
+        Interp().eval_text("(loop$ with x = 1 do ((x)))")
+    assert exc.value.violations == [
+        "R1: not a DO-body statement: ((X)) in ((X))"]
 
 
 @pytest.mark.parametrize("branch, text", [
@@ -410,24 +432,46 @@ def test_a_dotted_step_is_no_measure():
                                       "in (1- I . 3)")
 
 
+RETURN_SHAPES = [
+    ("", "(mv x 1)",
+     ["R2: (RETURN (MV X 1)) needs values shaped (*), got (* *)"]),
+    (":values (nil st)", "x",
+     ["R2: (RETURN X) needs values shaped (* ST), got (*)"]),
+    (":values (nil st)", "(mv x 1 2)",
+     ["R2: (RETURN (MV X 1 2)) needs values shaped (* ST), got (* * *)"]),
+    (":values (nil st)", "(mv x (update-fld 1 st))",
+     ["R1: stobj ST may not appear in an MV component (a stobj must be "
+      "returned by name)",
+      "R2: (RETURN (MV X (UPDATE-FLD 1 ST))) needs values shaped (* ST), "
+      "got (* *)"]),
+]
+
+
 def test_return_shape_validation():
+    # the analyzer's R2 alone shapes a RETURN
     interp = Interp()
     interp.eval_text("(defstobj st fld)")
-    w = interp.world
-    assert "RETURN of multiple values requires a :VALUES signature" \
-        in plan_error("(loop$ with x = 0 do :measure 0 (return (mv x 1)))")
-    assert "with :VALUES of length 2, RETURN needs a literal (MV ..)" \
-        in plan_error("(loop$ with x = 0 do :values (nil st) :measure 0 "
-                      "(return x))", w)
-    assert "RETURN supplies 3 values for 2 :VALUES slots" \
-        in plan_error("(loop$ with x = 0 do :values (nil st) :measure 0 "
-                      "(return (mv x 1 2)))", w)
-    assert "this RETURN slot must be the stobj ST, got (UPDATE-FLD 1 ST)" \
-        in plan_error("(loop$ with x = 0 do :values (nil st) :measure 0 "
-                      "(return (mv x (update-fld 1 st))))", w)
+    for values, ret, texts in RETURN_SHAPES:
+        with pytest.raises(LinearityError) as exc:
+            interp.eval_text("(loop$ with x = 0 do %s :measure 0 "
+                             "(return %s))" % (values, ret))
+        assert exc.value.violations == texts
     assert "stobj ST appears twice in :VALUES" in parse_error(
         "(loop$ with x = 0 do :values (st st) :measure 0 "
-        "(return (mv st st)))", w)
+        "(return (mv st st)))", interp.world)
+
+
+@pytest.mark.parametrize("mode", ["logical", "native"])
+@pytest.mark.parametrize("guards", [True, False])
+def test_a_return_may_be_a_call_of_the_values_shape(mode, guards):
+    interp = Interp(mode=mode, guard_check=guards)
+    interp.eval_text("(defstobj st fld) "
+                     "(defun two (x st) (declare (xargs :stobjs (st))) "
+                     "(let ((st (update-fld x st))) (mv x st)))")
+    out = interp.eval_text("(loop$ with x = 0 do :values (nil st) "
+                           ":measure 0 (return (two 7 st)))")[-1][1]
+    assert show(out) == "(7 <ST>)"
+    assert show(interp.bank["ST"].logical_view()) == "(7)"
 
 
 def test_loop_finish_without_finally_cannot_yield_stobjs():

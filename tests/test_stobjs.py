@@ -2,6 +2,7 @@
 single-threadedness rules, stobj-let, and table retraction on undo."""
 
 import functools
+import random
 
 import pytest
 from hypothesis import given, seed, settings, strategies as hs
@@ -554,8 +555,85 @@ def test_stobj_let_updated_child_must_be_output():
                 "(stobj-let ((switch (tbl-get 'switch top (create-switch)))) "
                 "(flg) (let ((switch (update-fld t switch))) "
                 "(fld switch)) flg))")
-    assert "child SWITCH is updated in the producer but is not among the " \
-        "stobj-let outputs" in msg
+    assert msg == ("single-threadedness violation in F:\n  R2: stobj SWITCH "
+                   "is bound in this LET but is not among the values of its "
+                   "body; the update would be discarded")
+
+
+# Producers over the child SWITCH, by the kind of their result: an ordinary
+# value, the child, or (MV value SWITCH).  Each is paired with outputs
+# chosen apart from its kind, so many producers update the child and do
+# not list it among the outputs.
+PRODUCER_LEAVES = {"val": ["x", "0", "'a", "(fld switch)"],
+                   "sw": ["switch", "(update-fld x switch)", "(bump switch)"],
+                   "mv": ["(mv (fld switch) switch)", "(pair x switch)"]}
+PRODUCER_UPDATES = ("update-fld", "bump", "pair")
+
+
+def producer(rng, kind, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(PRODUCER_LEAVES[kind])
+    sub = lambda k: producer(rng, k, depth - 1)
+    forms = [lambda: "(if %s %s %s)" % (sub("val"), sub(kind), sub(kind)),
+             lambda: "(let ((x %s)) %s)" % (sub("val"), sub(kind)),
+             lambda: "(let ((switch %s)) %s)" % (sub("sw"), sub(kind)),
+             lambda: "(mv-let (x switch) %s %s)" % (sub("mv"), sub(kind))]
+    forms.append({"val": lambda: "(cons %s %s)" % (sub("val"), sub("val")),
+                  "sw": lambda: "(update-fld %s switch)" % sub("val"),
+                  "mv": lambda: "(mv %s switch)" % sub("val")}[kind])
+    return rng.choice(forms)()
+
+
+def test_a_producer_that_updates_a_child_it_does_not_output_is_refused():
+    rng = random.Random(33)
+    interp = fixture("""
+    (defstobj switch fld)
+    (defstobj top (tbl :type (stobj-table)))
+    (defun bump (switch) (declare (xargs :stobjs (switch)))
+      (update-fld (cons 1 (fld switch)) switch))
+    (defun pair (x switch) (declare (xargs :stobjs (switch)))
+      (let ((switch (update-fld x switch))) (mv x switch)))""")
+    counts = {}
+    for i in range(400):
+        prod = producer(rng, rng.choice(sorted(PRODUCER_LEAVES)), 3)
+        outs = rng.choice(["(flg)", "(switch)", "(flg switch)"])
+        try:
+            interp.eval_text(
+                "(defun f%d (x top) (declare (xargs :stobjs (top))) "
+                "(stobj-let ((switch (tbl-get 'switch top (create-switch))))"
+                " %s %s top))" % (i, outs, prod))
+            admitted = True
+        except LinearityError:
+            admitted = False
+        updates = any(u in prod for u in PRODUCER_UPDATES)
+        key = (updates, "switch" in outs, admitted)
+        counts[key] = counts.get(key, 0) + 1
+    assert counts.get((True, False, True), 0) == 0
+    # the generator reaches both sides of the rule
+    assert counts[(True, False, False)] > 50
+    assert counts[(True, True, True)] > 10
+
+
+def test_an_inner_stobj_let_child_is_not_the_outer_child():
+    # the inner SWITCH is MID's, and MID is an output: TOP's SWITCH is
+    # not updated, so it need not be among the outer outputs
+    text = """
+    (defstobj switch fld)
+    (defstobj mid (mtbl :type (stobj-table)))
+    (defstobj top (tbl :type (stobj-table)))
+    (defun poke (top)
+      (declare (xargs :stobjs (top)))
+      (stobj-let ((mid (tbl-get 'mid top (create-mid)))
+                  (switch (tbl-get 'switch top (create-switch))))
+                 (mid)
+                 (stobj-let ((switch (mtbl-get 'switch mid (create-switch))))
+                            (switch) (update-fld 5 switch) mid)
+                 top))
+    (poke top)"""
+    for mode in ("logical", "native"):
+        interp = fixture(text, mode=mode)
+        assert show(interp.bank["TOP"].logical_view()) \
+            == "(((MID ((SWITCH 5)))))"
 
 
 def test_stobj_let_producer_is_walked_once(monkeypatch):

@@ -156,6 +156,22 @@ MUTANTS = [
     (STOBJS, "scope = dict(scope)   # each WITH init",
      "scope = dict(scope, **{n: None for n, _t, _i in spec.withs})  #",
      "a WITH init sees the loop's later WITH names"),
+    # the analyzer's DO-statement rules, which the statement parser leaves
+    # to it, and the binder and output rules that refuse a dropped update
+    (STOBJS, "self._want_shape(node[1], tuple(values), scope, node[2])",
+     "self.analyze(node[1], scope)",
+     "a RETURN of any shape is admitted"),
+    (STOBJS, "                if name not in settables:",
+     "                if False:",
+     "a SETQ or MV-SETQ may set a name that is not settable"),
+    (STOBJS, "                if name in settables:",
+     "                if False:",
+     "a statement-position LET or MV-LET may rebind a settable"),
+    (STOBJS, "if sname is not None and sname not in body_shape:",
+     "if False:",
+     "a LET or MV-LET may drop the update of a stobj it binds"),
+    (STOBJS, "if slot != want:", "if False:",
+     "a stobj-let output may get a value of the wrong shape"),
     # stobjs.admit's branches
     (STOBJS, "            if s is None:", "            if False:",
      "an ordinary formal skips R3, so a lambda formal may take a stobj's "
