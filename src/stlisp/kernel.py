@@ -119,7 +119,6 @@ class World:
         self.stobjs = {}
         self.signatures = {}
         self.attachments = {}
-        self.stobj_lets = {}  # stobj-let form -> StobjLetSpec
         for ev in self.events:
             self.register(ev)
 
@@ -433,16 +432,8 @@ class Interp:
                 return self._event(form)
             # the bank's stobjs are the form's formals, each its own input
             names = tuple(self.bank)
-            _shape, lets = stobjs.admit(self.world, form, names, names,
-                                        "this top-level form")
-            self.world.stobj_lets.update(lets)
-            try:
-                val = self.eval(form, None)
-            finally:
-                # a top-level form is read once, so its stobj-let parses
-                # would only pile up
-                for f in lets:
-                    self.world.stobj_lets.pop(f, None)
+            stobjs.admit(self.world, form, names, names, "this top-level form")
+            val = self.eval(form, None)
         except RecursionError:
             raise EvalError("nesting too deep: evaluation exceeded Python's "
                             "recursion limit of %d" % sys.getrecursionlimit(),
@@ -636,14 +627,13 @@ class Interp:
                     "with (declare (xargs :stobjs (%s)))" % (f, name, f),
                     form=form)
         inputs = tuple(f if f in stobjs_in else None for f in fnames)
-        outputs, lets = stobjs.admit(self.world, body_forms[0], fnames,
-                                     inputs, name=name, guard=guard,
-                                     measure=measure)
+        outputs = stobjs.admit(self.world, body_forms[0], fnames,
+                               inputs, name=name, guard=guard,
+                               measure=measure)
         shared = self.world.shared
         fd = FunctionDef(name, shared(tuple(fnames)), shared(inputs),
                          shared(outputs), guard, measure, body_forms[0])
         self.world.add_event("defun", name, fd)
-        self.world.stobj_lets.update(lets)
         return intern(name)
 
     def _parse_declare(self, form, fname):

@@ -329,20 +329,11 @@ def apply_generated(interp, op, args, form):
 
 ### stobj-let
 
-class StobjLetSpec:
-    __slots__ = ("bindings", "outputs", "producer", "consumer")
-
-    def __init__(self, bindings, outputs, producer, consumer):
-        # ((child Symbol, parent Symbol, tbl-get op, create op), ..)
-        self.bindings = bindings
-        self.outputs = outputs      # (Symbol, ..)
-        self.producer = producer
-        self.consumer = consumer
-
-
 def parse_stobj_let(form, world):
-    """The checked parts of a stobj-let.  The evaluator keeps the result
-    per form in its World (see eval_stobj_let)."""
+    """The checked parts of a stobj-let, (bindings, outputs, producer,
+    consumer), with each binding a (child, parent) pair of symbols.  Only
+    the analyzer calls it; eval_stobj_let reads an admitted form in place,
+    relying on each check made here."""
     args = list_items(form, "stobj-let form", form)
     if len(args) != 5:
         raise EvalError(
@@ -373,7 +364,7 @@ def parse_stobj_let(form, world):
         bindable(o, "stobj-let output", form)
     if len(set(outputs)) != len(outputs):
         raise EvalError("duplicate stobj-let output", form=form)
-    return StobjLetSpec(tuple(bindings), tuple(outputs), producer, consumer)
+    return bindings, outputs, producer, consumer
 
 
 def _parse_accessor(child, accessor, world, form):
@@ -407,7 +398,7 @@ def _parse_accessor(child, accessor, world, form):
             "stobj-table default for key %s must be (CREATE-%s); a creator "
             "for a different stobj does not match the key"
             % (key.name, key.name), form=form)
-    return (child, parentform, entry, creator)
+    return child, parentform
 
 
 def _creator_call(form, world):
@@ -420,16 +411,14 @@ def _creator_call(form, world):
 
 
 def eval_stobj_let(interp, form, env):
-    # One parse per form per World, kept only if it succeeds; admission
-    # keeps the parses of the forms it checks.  Only undo can change what
-    # a parse read, and World.rebuild empties the table.  A parent bound
+    # Admission checked the form (see parse_stobj_let), so it is read in
+    # place, as the kernel reads a LET: each binding is
+    # (child (<tbl>-GET 'child parent (CREATE-child))).  A parent bound
     # in the innermost frame, each child's table cell, and a consumer
-    # that names an entry of the written-back frame are read in place,
-    # without eval, get_cell or a consumer scope.
+    # that names an entry of the written-back frame are read without
+    # eval, get_cell or a consumer scope.
     world = interp.world
-    spec = world.stobj_lets.get(form)
-    if spec is None:
-        spec = world.stobj_lets[form] = parse_stobj_let(form, world)
+    bindings, rest = form.cdr.car, form.cdr.cdr  # (outputs producer consumer)
 
     # The producer's frame holds the children.  Admission has hidden the
     # parents from the producer, and the children from the consumer, so
@@ -437,7 +426,10 @@ def eval_stobj_let(interp, form, env):
     # the analyzer's R2 gave it: a child output is that child's stobj.
     parents = {}     # parent name -> instance
     frame = {}
-    for child, parent_sym, op, creator in spec.bindings:
+    node = bindings
+    while node is not NIL:
+        child, acc = node.car.car, node.car.cdr.car
+        parent_sym = acc.cdr.cdr.car
         pname = parent_sym.name
         parent = parents.get(pname)
         if parent is None:
@@ -446,34 +438,44 @@ def eval_stobj_let(interp, form, env):
             else:
                 parent = interp.eval(parent_sym, env)
             parents[pname] = parent
-        cell = parent.cells if parent.spec.single else parent.cells[op.findex]
+        findex = world.genops[acc.car.name].findex
+        cell = parent.cells if parent.spec.single else parent.cells[findex]
         hit = cell.data.get(child)
-        # A miss creates the default child; nothing else runs it.
-        frame[child.name] = creator.spec.fresh() if hit is None else hit
+        # A miss creates the default child; nothing else runs its creator.
+        frame[child.name] = world.stobjs[child.name].fresh() \
+            if hit is None else hit
+        node = node.cdr
 
-    result = interp.eval(spec.producer, (frame, env))
+    result = interp.eval(rest.cdr.car, (frame, env))
     # R2 gave the producer one value per output: several come as one
     # MultiValue, and one as itself.
-    outputs = spec.outputs
-    values = result.values if len(outputs) > 1 else (result,)
+    outputs = rest.car
+    values = result.values if outputs.cdr is not NIL else (result,)
 
     # The consumer's frame: the written-back parents, then the outputs
-    # that are not children, by index (a zip costs more).
+    # that are not children, by index (a zip costs more).  An output is a
+    # child exactly when the producer's frame binds it, and only then is
+    # its binding looked up, to write it back.
     i = 0
-    for out in outputs:
+    while outputs is not NIL:
+        out = outputs.car
+        outputs = outputs.cdr
         val = values[i]
         i += 1
-        for child, parent_sym, op, _creator in spec.bindings:
-            if child is out:
-                break
-        else:
+        if out.name not in frame:
             parents[out.name] = val
             continue
-        parent = parents[parent_sym.name]
-        cell = _table(interp, parent, op.findex)
+        node = bindings
+        while node.car.car is not out:
+            node = node.cdr
+        acc = node.car.cdr.car
+        pname = acc.cdr.cdr.car.name
+        findex = world.genops[acc.car.name].findex
+        parent = parents[pname]
+        cell = _table(interp, parent, findex)
         cell.data[out] = val
-        parents[parent_sym.name] = _write(interp, parent, op.findex, cell)
-    consumer = spec.consumer
+        parents[pname] = _write(interp, parent, findex, cell)
+    consumer = rest.cdr.cdr.car
     if type(consumer) is Symbol and consumer.name in parents:
         return parents[consumer.name]
     return interp.eval(consumer, (parents, env))
@@ -489,9 +491,6 @@ class Analyzer:
         self.self_output = self_output
         self.violations = []
         self.saw_self = False
-        # form -> StobjLetSpec, for each stobj-let that World.stobj_lets
-        # lacks: kept there only once the form is admitted
-        self.stobj_lets = {}
         # (what, settables) inside a DO loop's :GUARD, :MEASURE and
         # statements: it bars statement heads there, _free's text names
         # the scope and its settables, and _analyze_stmt reads them
@@ -721,15 +720,13 @@ class Analyzer:
         return sh
 
     def _analyze_stobj_let(self, expr, scope):
-        spec = self.world.stobj_lets.get(expr) or self.stobj_lets.get(expr)
-        if spec is None:
-            spec = self._parse(parse_stobj_let, expr, self.world)
-            if spec is None:
-                return (None,)
-            self.stobj_lets[expr] = spec
+        parts = self._parse(parse_stobj_let, expr, self.world)
+        if parts is None:
+            return (None,)
+        bindings, outputs, producer, consumer = parts
         parents = set()
         children = {}
-        for child, parent_sym, _op, _creator in spec.bindings:
+        for child, parent_sym in bindings:
             pname = parent_sym.name
             if scope.get(pname) is None:
                 self.err("R1", "stobj-let parent %s is not a live stobj here"
@@ -740,8 +737,8 @@ class Analyzer:
                 if v is None or k not in parents}
         # a child that is its own parent stays hidden
         prod.update((c, c) for c in children if c not in parents)
-        psh = self.analyze(spec.producer, prod)
-        out_names = [o.name for o in spec.outputs]
+        psh = self.analyze(producer, prod)
+        out_names = [o.name for o in outputs]
         expected = tuple(children.get(n) for n in out_names)
         if len(psh) != len(expected):
             self.err("R2", "stobj-let producer returns %d values for %d "
@@ -757,10 +754,10 @@ class Analyzer:
         # variable does.
         cons = {k: v for k, v in scope.items()
                 if v is None or k not in children}
-        for out in spec.outputs:
+        for out in outputs:
             if out.name not in children:
                 cons = self._bind_one(out.name, (None,), cons, expr)
-        csh = self.analyze(spec.consumer, cons)
+        csh = self.analyze(consumer, cons)
         if written:
             for pname in parents:
                 if pname not in csh:
@@ -1115,11 +1112,9 @@ def _shape_str(shape):
 
 def admit(world, body, formals, inputs, what=None, name=None, guard=None,
           measure=None, want=None):
-    """The shape of body and the stobj-let parses made (see
-    Analyzer.stobj_lets), which the caller keeps once it admits body; or
-    LinearityError, labelled what (by default name).  This is the one
-    static check of the rules above, of call arity and of special-form
-    shapes.
+    """The shape of body, or LinearityError, labelled what (by default
+    name).  This is the one static check of the rules above, of call
+    arity and of special-form shapes.
 
     Formal i is the live stobj inputs[i] or, where that is None,
     ordinary and bound as a LET binds it.  A top-level form's formals are
@@ -1127,11 +1122,9 @@ def admit(world, body, formals, inputs, what=None, name=None, guard=None,
     its body, which must return one ordinary value.  A defun gives its
     name, which types its self-calls, :guard and :measure.
     """
-    parses = {}
     self_output = UNKNOWN
     for _pass in range(2):  # the second only for a self-recursive defun
         analyzer = Analyzer(world, name, inputs, self_output)
-        analyzer.stobj_lets = parses    # both passes parse a form once
         scope = {}
         for f, s in zip(formals, inputs):
             if s is None:
@@ -1158,4 +1151,4 @@ def admit(world, body, formals, inputs, what=None, name=None, guard=None,
         self_output = shape
     if analyzer.violations:
         raise LinearityError(what or name, analyzer.violations)
-    return shape, parses
+    return shape

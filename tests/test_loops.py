@@ -258,6 +258,24 @@ def test_a_statement_that_is_not_a_form_is_refused_at_admission():
         "R1: not a DO-body statement: ((X)) in ((X))"]
 
 
+# A grammar fault stops the statement parser, so it is the one line for
+# its body: the FINALLY body's non-settable Y goes unreported.  A DO body
+# parsed before it keeps its own lines.
+@pytest.mark.parametrize("do_setq, lines", [
+    ("(setq i (1- i))", []),
+    ("(setq z (1- i))", ["R1: SETQ target Z is not settable (settable "
+                         "variables here: I J) in (SETQ Z (1- I))"]),
+])
+def test_a_grammar_fault_is_the_one_line_for_its_body(do_setq, lines):
+    with pytest.raises(LinearityError) as exc:
+        Interp().eval_text(
+            "(loop$ with i = 4 with j = 0 do (if (zp i) (return j) %s) "
+            "finally (progn (setq y (+ i 1)) (loop-finish)))" % do_setq)
+    assert exc.value.violations == [
+        "R1: LOOP-FINISH is not legal in a FINALLY clause in (LOOP-FINISH)"
+    ] + lines
+
+
 @pytest.mark.parametrize("branch, text", [
     ("(return x)", "RETURN must be the final form of its PROGN"),
     ("(progn (setq x 1) (loop-finish))",

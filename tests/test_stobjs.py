@@ -928,34 +928,18 @@ def test_a_formal_is_read_in_a_let_in_a_stobj_let_producer(mode):
     assert show(interp.bank["TOP"].logical_view()) == "(((KID 106)))"
 
 
-# ------------------------------------------------ stobj-let parse per World
-
-def counting_parser(monkeypatch):
-    """Count parse_stobj_let calls, per form, at the binding that
-    eval_stobj_let reads."""
-    calls = []
-    real = stobjs.parse_stobj_let
-
-    def parse(form, world):
-        calls.append(form)
-        return real(form, world)
-    monkeypatch.setattr(stobjs, "parse_stobj_let", parse)
-    return calls
-
+# ------------------------------------------- stobj-let read in place
 
 @pytest.mark.parametrize("mode", ["logical", "native"])
-def test_each_stobj_let_form_is_parsed_once(monkeypatch, mode):
-    # admission parses the two defun bodies' forms and keeps the parses
-    calls = counting_parser(monkeypatch)
+def test_switch_flips_with_a_top_level_peek_between(mode):
     interp = fixture(SWITCH_DEMO, mode=mode)
     peek = read("(stobj-let ((switch (tbl-get 'switch top (create-switch))))"
                 " (flg) (fld switch) flg)")
+    seen = []
     for _ in range(4):
         interp.eval_text("(flip-switch top) (print-switch top)")
-        interp.eval(peek, None)
-    assert len(calls) == 3
-    assert len(set(map(id, calls))) == 3
-    assert peek in interp.world.stobj_lets
+        seen.append(interp.eval_top(peek))
+    assert seen == [T, NIL, T, NIL]
     assert interp.eval_text("(print-switch top)")[0][1] == "OFF"
 
 
@@ -970,12 +954,11 @@ def bank_after(interp, form):
 
 
 @pytest.mark.parametrize("mode", ["logical", "native"])
-def test_undo_empties_the_stobj_let_table(mode):
+def test_undo_then_redefining_the_child_gives_its_new_fields(mode):
     form = read(PUT_CHILD)
     interp = fixture(CHILD_TABLE + " (defstobj child a)", mode=mode)
     assert bank_after(interp, form) == "(((CHILD 1)))"
     interp.undo(interp.world.events[-1].index)
-    assert interp.world.stobj_lets == {}
     interp.eval_text("(defstobj child (b :initially 7) a)")
     fresh = fixture(CHILD_TABLE + " (defstobj child (b :initially 7) a)",
                     mode=mode)
@@ -984,102 +967,116 @@ def test_undo_empties_the_stobj_let_table(mode):
 
 
 @pytest.mark.parametrize("mode", ["logical", "native"])
-def test_top_level_stobj_lets_leave_no_table_entries(monkeypatch, mode):
+def test_top_level_and_defun_stobj_lets_put_the_same_child(mode):
     interp = fixture(CHILD_TABLE + " (defstobj child a)", mode=mode)
-    calls = counting_parser(monkeypatch)
     for _ in range(3):
         interp.eval_text(PUT_CHILD)
-    # one parse per form read, none when it runs
-    assert len(calls) == 3
-    assert interp.world.stobj_lets == {}
     with pytest.raises(EvalError):
         interp.eval_text(PUT_CHILD.replace("(update-a 1 child)",
                                            "(update-a (car 5) child)"))
-    assert interp.world.stobj_lets == {}
     assert show(interp.bank["TOP"].logical_view()) == "(((CHILD 1)))"
-    # a form in a defun body is parsed once, when the defun is admitted
-    calls.clear()
     interp.eval_text("(defun put-child (top) (declare (xargs :stobjs (top)))"
-                     " %s)" % PUT_CHILD)
+                     " %s)" % PUT_CHILD.replace("1 child", "2 child"))
     for _ in range(3):
         interp.eval_text("(put-child top)")
-    assert len(calls) == 1
-    assert list(interp.world.stobj_lets) == calls
+    assert show(interp.bank["TOP"].logical_view()) == "(((CHILD 2)))"
 
 
 @pytest.mark.parametrize("mode", ["logical", "native"])
-def test_forms_that_fail_admission_keep_no_stobj_let_parses(monkeypatch,
-                                                            mode):
+def test_forms_that_fail_admission_leave_the_bank(mode):
     interp = fixture(CHILD_TABLE + " (defstobj child a) (defun put-child "
                      "(top) (declare (xargs :stobjs (top))) %s)" % PUT_CHILD,
                      mode=mode)
-    before = dict(interp.world.stobj_lets)
-    assert len(before) == 1
     # the first stobj-let is sound, the second discards its update (R2)
     lose = ("(let ((top %s)) %s)"
             % (PUT_CHILD, PUT_CHILD.replace("(update-a 1 child) top",
                                             "(update-a 2 child) 5")))
-    calls = counting_parser(monkeypatch)
     for text in (lose, "(defun lose (top) (declare (xargs :stobjs (top)))"
                        " %s)" % lose):
         with pytest.raises(LinearityError) as exc:
             interp.eval_text(text)
         assert "its consumer must return TOP" in str(exc.value)
-        assert interp.world.stobj_lets == before
-    assert len(calls) == 4
+        assert show(interp.bank["TOP"].logical_view()) == "(NIL)"
     assert "LOSE" not in interp.world.functions
-    assert show(interp.bank["TOP"].logical_view()) == "(NIL)"
 
 
 @pytest.mark.parametrize("mode", ["logical", "native"])
-def test_self_recursive_defun_parses_each_stobj_let_once(monkeypatch, mode):
+def test_self_recursive_defun_with_a_stobj_let(mode):
     interp = fixture(CHILD_TABLE + " (defstobj child a)", mode=mode)
-    calls = counting_parser(monkeypatch)
     interp.eval_text(
         "(defun put-n (n top) (declare (xargs :stobjs (top) :measure "
         "(nfix n))) (if (zp n) top (let ((top %s)) (put-n (1- n) top))))"
         % PUT_CHILD)
     assert interp.world.functions["PUT-N"].outputs == ("TOP",)
-    assert len(calls) == 1
-    assert list(interp.world.stobj_lets) == calls
     interp.eval_text("(put-n 3 top)")
-    assert len(calls) == 1
     assert show(interp.bank["TOP"].logical_view()) == "(((CHILD 1)))"
 
 
 @pytest.mark.parametrize("mode", ["logical", "native"])
-def test_two_interps_keep_separate_stobj_let_tables(monkeypatch, mode):
-    calls = counting_parser(monkeypatch)
-    form = read(PUT_CHILD)
-    one = fixture(CHILD_TABLE + " (defstobj child a)", mode=mode)
-    two = fixture(CHILD_TABLE + " (defstobj child (b :initially 7) a)",
+def test_two_interps_keep_separate_banks(mode):
+    # one form object, run in turn in two Interps whose CHILD differs; the
+    # update is not idempotent, so each run must see its own bank's result
+    form = read("(stobj-let ((child (tbl-get 'child top (create-child))))"
+                " (child) (update-a (1+ (a child)) child) top)")
+    one = fixture(CHILD_TABLE + " (defstobj child (a :initially 0))",
                   mode=mode)
-    del calls[:]
-    for _ in range(2):
-        one.eval(form, None)
-        two.eval(form, None)
-    assert len(calls) == 2
-    assert one.world.stobj_lets[form] is not two.world.stobj_lets[form]
-    assert bank_after(one, form) == "(((CHILD 1)))"
-    assert bank_after(two, form) == "(((CHILD 7 1)))"
+    two = fixture(CHILD_TABLE + " (defstobj child (b :initially 7) "
+                  "(a :initially 10))", mode=mode)
+    for _ in range(3):
+        one.eval_top(form)
+        two.eval_top(form)
+    assert show(one.bank["TOP"].logical_view()) == "(((CHILD 3)))"
+    assert show(two.bank["TOP"].logical_view()) == "(((CHILD 7 13)))"
 
 
 @pytest.mark.parametrize("mode", ["logical", "native"])
-def test_malformed_stobj_let_raises_the_same_text_each_time(monkeypatch,
-                                                            mode):
-    interp = fixture(SWITCH_DEMO, mode=mode)
-    calls = counting_parser(monkeypatch)
+def test_malformed_stobj_let_raises_the_same_text_each_time(mode):
+    interp = fixture(SWITCH_DEMO + "(flip-switch top)", mode=mode)
+    before = show(interp.bank["TOP"].logical_view())
     form = read("(stobj-let ((switch (tbl-get 'other top (create-switch))))"
-                " (flg) (fld switch) flg)")
+                " (switch) (update-fld nil switch) top)")
     texts = []
     for _ in range(2):
-        with pytest.raises(EvalError) as exc:
-            interp.eval(form, None)
+        with pytest.raises(LinearityError) as exc:
+            interp.eval_top(form)
         texts.append(str(exc.value))
     assert texts[0] == texts[1]
     assert "binds SWITCH but looks up key OTHER" in texts[0]
-    assert len(calls) == 2
-    assert form not in interp.world.stobj_lets
+    assert show(interp.bank["TOP"].logical_view()) == before \
+        == "(((SWITCH T)))"
+
+
+# Two children from two parents, each parent's table at field 1 after a
+# scalar; the outputs name the children in the other order.
+TWO_PARENTS = """
+(defstobj kid1 v)
+(defstobj kid2 w)
+(defstobj pa n (atbl :type (stobj-table)))
+(defstobj pb m (btbl :type (stobj-table)))
+(defun bump-both (d pa pb)
+  (declare (xargs :stobjs (pa pb)))
+  (stobj-let ((kid1 (atbl-get 'kid1 pa (create-kid1)))
+              (kid2 (btbl-get 'kid2 pb (create-kid2))))
+             (kid2 kid1)
+             (let ((kid1 (update-v (cons d (v kid1)) kid1)))
+               (let ((kid2 (update-w (+ d (nfix (w kid2))) kid2)))
+                 (mv kid2 kid1)))
+             (mv pa pb)))
+"""
+
+
+@pytest.mark.parametrize("guard_check", [True, False])
+@pytest.mark.parametrize("mode", ["logical", "native"])
+def test_stobj_let_draws_two_children_from_two_parents(mode, guard_check):
+    interp = fixture(TWO_PARENTS + "(update-n 'a pa) (update-m 'b pb)",
+                     mode=mode, guard_check=guard_check)
+    for d in (1, 2):
+        assert show(interp.eval_text("(bump-both %d pa pb)" % d)[0][1]) \
+            == "(<PA> <PB>)"
+    assert show(interp.bank["PA"].logical_view()) == "(A ((KID1 (2 1))))"
+    assert show(interp.bank["PB"].logical_view()) == "(B ((KID2 3)))"
+    assert show(interp.bank["KID1"].logical_view()) == "(NIL)"
+    assert show(interp.bank["KID2"].logical_view()) == "(NIL)"
 
 
 def test_analyzer_returns_the_callees_own_outputs():

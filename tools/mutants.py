@@ -88,10 +88,27 @@ MUTANTS = [
      "a stobj-let consumer that names an output gives the last parent"),
     (STOBJS, "val = values[i]", "val = values[0]",
      "every stobj-let output gets the producer's first value"),
-    (STOBJS, "values = result.values if len(outputs) > 1 else (result,)",
+    (STOBJS, "values = result.values if outputs.cdr is not NIL else "
+             "(result,)",
      "values = (result,)",
      "a stobj-let of several outputs gets the producer's MultiValue as "
      "its first output"),
+    (STOBJS, "while node.car.car is not out:", "while False:",
+     "every stobj-let child is written back through the first binding"),
+    # the stobj-let checks that the in-place read relies on
+    (STOBJS, "if key is not child:", "if False:",
+     "a stobj-let child may be drawn from another key's entry"),
+    (STOBJS, "if creator is None or creator.spec.name != child.name:",
+     "if creator is None:",
+     "a stobj-let default may create a stobj other than the child"),
+    (STOBJS, 'if entry is None or entry.kind != "tbl-get":',
+     "if entry is None:",
+     "a stobj-let accessor may be any generated op"),
+    (STOBJS, "if not isinstance(parentform, Symbol) or parentform.name "
+             "!= parent:",
+     "if not isinstance(parentform, Symbol):",
+     "a stobj-let may draw a child from a stobj whose table the op does "
+     "not read"),
     (STOBJS, "else inst.cells[self.findex]", "else inst.cells",
      "a field of a stobj of several fields reads as all its fields"),
     (STOBJS, "else inst.cells[self.findex]", "else inst.cells[0]",
@@ -123,11 +140,6 @@ MUTANTS = [
     # the three callers of stobjs.admit
     (KERNEL, "form, names, names,", "form, names, (None,) * len(names),",
      "a top-level form sees the bank's stobjs as ordinary names"),
-    (KERNEL, "self.world.stobj_lets.update(lets)\n            try:",
-     "try:",
-     "a top-level form's stobj-lets are parsed again when they run"),
-    (KERNEL, "self.world.stobj_lets.pop(f, None)", "pass",
-     "a top-level form's stobj-let parses pile up"),
     (KERNEL, 'want="a lambda body")', "want=None)",
      "an APPLY$ lambda body may return several values"),
     (KERNEL, "names, (None,) * len(names),", "names, names,",
@@ -135,7 +147,7 @@ MUTANTS = [
     (KERNEL, "inputs, name=name,", "inputs, name=None,",
      "a defun's self-calls are not typed by its own formals"),
     (KERNEL, "name=name, guard=guard,\n"
-             "                                     measure=measure)",
+             "                               measure=measure)",
      "name=name)",
      "a defun's :guard and :measure terms are not checked"),
     # definitions
@@ -199,8 +211,6 @@ MUTANTS = [
      "no violation is ever raised"),
     (STOBJS, "LinearityError(what or name,", "LinearityError(what,",
      "a defun's violations are not labelled with its name"),
-    (STOBJS, "analyzer.stobj_lets = parses", "pass",
-     "a defun's stobj-let parses are not kept"),
     # one copy-on-write rule
     (STOBJS, '    if interp.mode == "native":\n        inst.set_cell(i, v)',
      '    if True:\n        inst.set_cell(i, v)',
