@@ -23,12 +23,16 @@ the whole loop, with no measure, under an iteration cap.  Both share the
 record, the walker and the exit decoding (_result), so they differ only
 in how stobjs are written (copied or in place) and in what ends a
 runaway loop (measure or cap).
+
+The parse of a DO body records one step kind per assigned name:
+numeric-only, CDR-only or neither.  A guessed measure is (NFIX v) or
+(LEN v) for the one WITH variable v of one of the first two kinds.
 """
 
 from .errors import (CapExceeded, EvalError, GuardViolation,
                      MeasureViolation)
-from .stobjs import (_cons_args, bindable, if_parts, let_pairs, let_parts,
-                     list_items, mv_let_parts)
+from .stobjs import (_cons_args, _proper_length, bindable, if_parts,
+                     let_pairs, let_parts, list_items, mv_let_parts)
 from .sexpr import (NIL, T, Cons, MultiValue, Symbol, from_pylist,
                     intern, is_keyword, iter_conses, list_length, show,
                     truthy)
@@ -80,10 +84,10 @@ class LoopSpec:
         self.guard = None
         self.do_body = None
         self.finally_body = None
+        self.settable_symbols = []  # WITH, then :VALUES stobj Symbols, as read
         # set by make_do_plan
         self.value_stobjs = None  # the stobj names in values, in order
-        self.settables = None     # WITH names, then value_stobjs
-        self.settable_symbols = None  # the same, as Symbols
+        self.settables = None     # the names of settable_symbols
         self.integer_vars = None  # the WITH names of type INTEGER
         self.measure_var = None   # v, when the measure is (LEN v) or (NFIX v)
         self.do_tree = None
@@ -122,46 +126,45 @@ def _parse_for(spec, items):
 
 def _parse_do(spec, items, world):
     spec.kind = "DO"
-    i = 1
-    seen = set()
-    while i < len(items) and items[i] is WITH:
-        if i + 1 >= len(items) or not isinstance(items[i + 1], Symbol):
+    i, n = 1, len(items)
+    while i < n and items[i] is WITH:
+        if i + 1 >= n or not isinstance(items[i + 1], Symbol):
             raise EvalError("WITH needs a variable name", form=spec.form)
         var = bindable(items[i + 1], "WITH variable", spec.form)
-        if world.stobj_spec(var.name) is not None:
+        if var.name in world.stobjs:
             raise EvalError("WITH may not bind the stobj name %s; "
                             "stobjs enter a DO loop through :VALUES"
                             % var.name, form=spec.form)
-        if var.name in seen:
+        if var in spec.settable_symbols:
             raise EvalError("duplicate WITH variable %s" % var.name,
                             form=spec.form)
-        seen.add(var.name)
         i += 2
         typ = None
-        if i < len(items) and items[i] is OF_TYPE:
-            if i + 1 >= len(items) or items[i + 1] not in (INTEGER, T):
+        if i < n and items[i] is OF_TYPE:
+            if i + 1 >= n or items[i + 1] not in (INTEGER, T):
                 raise EvalError("OF-TYPE supports INTEGER and T only",
                                 form=spec.form)
             typ = items[i + 1].name
             i += 2
         init = None
-        if i < len(items) and items[i] is EQUALS:
-            if i + 1 >= len(items):
+        if i < n and items[i] is EQUALS:
+            if i + 1 >= n:
                 raise EvalError("WITH %s = needs a value" % var.name,
                                 form=spec.form)
             init = items[i + 1]
             i += 2
         spec.withs.append((var.name, typ, init))
-    if i >= len(items) or items[i] is not DO:
+        spec.settable_symbols.append(var)
+    if i >= n or items[i] is not DO:
         raise EvalError("expected DO after the WITH clauses", form=spec.form)
     i += 1
     seen_kw = set()
-    while i < len(items) and items[i] in (K_VALUES, K_MEASURE, K_GUARD):
+    while i < n and items[i] in (K_VALUES, K_MEASURE, K_GUARD):
         kw = items[i]
         if kw.name in seen_kw:
             raise EvalError("duplicate %s" % kw.name, form=spec.form)
         seen_kw.add(kw.name)
-        if i + 1 >= len(items):
+        if i + 1 >= n:
             raise EvalError("%s needs a value" % kw.name, form=spec.form)
         arg = items[i + 1]
         if kw is K_MEASURE:
@@ -171,17 +174,17 @@ def _parse_do(spec, items, world):
         else:
             spec.values = _parse_values(arg, spec, world)
         i += 2
-    if i >= len(items):
+    if i >= n:
         raise EvalError("DO loop has no body", form=spec.form)
     spec.do_body = items[i]
     i += 1
-    if i < len(items):
-        if items[i] is not FINALLY or i + 1 >= len(items):
+    if i < n:
+        if items[i] is not FINALLY or i + 1 >= n:
             raise EvalError("expected FINALLY and a body after the DO "
                             "body", form=spec.form)
         spec.finally_body = items[i + 1]
         i += 2
-    if i != len(items):
+    if i != n:
         raise EvalError("unexpected trailing forms in loop$", form=spec.form)
     return spec
 
@@ -191,11 +194,12 @@ def _parse_values(arg, spec, world):
     for x in list_items(arg, ":VALUES", spec.form):
         if x is NIL:
             slots.append(None)
-        elif isinstance(x, Symbol) and world.stobj_spec(x.name) is not None:
-            if x.name in [s for s in slots if s]:
+        elif isinstance(x, Symbol) and x.name in world.stobjs:
+            if x.name in slots:
                 raise EvalError("stobj %s appears twice in :VALUES"
                                 % x.name, form=spec.form)
             slots.append(x.name)
+            spec.settable_symbols.append(x)
         else:
             raise EvalError(":VALUES entries must be NIL or a defined "
                             "stobj, got %s" % show(x), form=spec.form)
@@ -228,10 +232,10 @@ FALL = ("fall",)
 
 def make_do_plan(spec, world):
     """Complete the record of a parsed DO loop: its settable variables,
-    its DO and FINALLY bodies as statement trees, and its measure."""
-    spec.value_stobjs = [s for s in spec.values if s is not None]
-    spec.settables = [w[0] for w in spec.withs] + spec.value_stobjs
-    spec.settable_symbols = tuple([intern(name) for name in spec.settables])
+    its DO and FINALLY bodies as statement trees, and its measure, if not
+    given, guessed from the step kinds of the DO body (_Parser.steps)."""
+    spec.settables = [s.name for s in spec.settable_symbols]
+    spec.value_stobjs = spec.settables[len(spec.withs):]
     spec.integer_vars = {name for name, typ, _init in spec.withs
                          if typ == "INTEGER"}
     parser = _Parser()
@@ -243,11 +247,12 @@ def make_do_plan(spec, world):
             "LOOP-FINISH without a FINALLY clause cannot produce the stobjs "
             "named in :VALUES", form=spec.form)
     if spec.measure_form is None:
-        spec.measure_form = guess_measure(spec, parser.steps)
-    for name, _typ, _init in spec.withs:
-        if (_is_unary(spec.measure_form, LEN, name)
-                or _is_unary(spec.measure_form, NFIX, name)):
-            spec.measure_var = name
+        spec.measure_form, spec.measure_var = guess_measure(spec, parser.steps)
+    else:
+        m = spec.measure_form
+        for name, _typ, _init in spec.withs:
+            if _is_unary(m, LEN, name) or _is_unary(m, NFIX, name):
+                spec.measure_var = name
     return spec
 
 
@@ -255,8 +260,8 @@ class _Parser:
     def __init__(self, finally_mode=False):
         self.finally_mode = finally_mode
         self.saw_loop_finish = False
-        # settable name -> right-hand side of each SETQ of it, or None
-        # for an MV-SETQ of it; read by guess_measure
+        # assigned name -> NFIX or LEN when each assignment of it is a SETQ
+        # of that step kind (_step_kind), else None; read by guess_measure
         self.steps = {}
 
     def stmt(self, s, effect=False):
@@ -269,23 +274,29 @@ class _Parser:
             return ("if", test, self.stmt(then, effect),
                     FALL if els is None else self.stmt(els, effect))
         if name == "PROGN":
-            items = _cons_args(s)
-            if not items:
-                return FALL
-            effects = [self.stmt(x, True) for x in items[:-1]]
-            last = self.stmt(items[-1], effect)
+            rest = s.cdr
+            if _proper_length(rest) < 1:   # _cons_args raises if dotted
+                return _cons_args(s) or FALL
+            effects = []
+            while rest.cdr is not NIL:
+                effects.append(self.stmt(rest.car, True))
+                rest = rest.cdr
+            last = self.stmt(rest.car, effect)
             if effects and last[0] == "setq":
                 effects.append(last)
                 last = FALL
             return ("seq", tuple(effects), last) if effects else last
         if name == "SETQ":
-            args = _cons_args(s)
-            if len(args) != 2 or not isinstance(args[0], Symbol):
+            a = s.cdr
+            if _proper_length(a) != 2 or not isinstance(a.car, Symbol):
+                _cons_args(s)
                 raise EvalError("SETQ takes a variable and a value: %s"
                                 % show(s), form=s)
-            var = args[0].name
-            self.steps.setdefault(var, []).append(args[1])
-            return ("setq", (var,), args[1], s)
+            var = a.car.name
+            kind = _step_kind(a.cdr.car, var)
+            self.steps[var] = kind if self.steps.get(var, kind) is kind \
+                else None
+            return ("setq", (var,), a.cdr.car, s)
         if name == "MV-SETQ":
             args = _cons_args(s)
             if len(args) != 2:
@@ -300,7 +311,7 @@ class _Parser:
                 raise EvalError("duplicate MV-SETQ target in %s"
                                 % show(s), form=s)
             for n in names:
-                self.steps.setdefault(n, []).append(None)
+                self.steps[n] = None
             return ("mv-setq", names, args[1], s)
         if effect:
             if name in ("RETURN", "LOOP-FINISH"):
@@ -360,40 +371,38 @@ class _Parser:
 ### measure guessing
 
 def guess_measure(spec, steps):
-    """A measure from the DO body's SETQ record (see _Parser.steps)."""
-    candidates = []
-    for name, _typ, _init in spec.withs:
-        ups = steps.get(name)
-        if not ups:
-            continue
-        if all(_is_numeric_step(r, name) for r in ups):
-            candidates.append(from_pylist([NFIX, intern(name)]))
-        elif all(_is_unary(r, CDR, name) for r in ups):
-            candidates.append(from_pylist([LEN, intern(name)]))
+    """(measure form, measure_var) from the DO body's step kinds (see
+    _Parser.steps): (NFIX v) or (LEN v) for the one WITH variable v whose
+    every assignment is a SETQ of one kind."""
+    candidates = [(steps[v.name], v)
+                  for v in spec.settable_symbols[:len(spec.withs)]
+                  if steps.get(v.name) is not None]
     if len(candidates) == 1:
-        return candidates[0]
+        head, var = candidates[0]
+        return Cons(head, Cons(var, NIL)), var.name
     raise EvalError(
         "cannot guess a :MEASURE for this DO loop (no single WITH variable "
         "is stepped only by 1-/-/cdr of itself); supply :MEASURE",
         form=spec.form)
 
 
-def _is_numeric_step(r, name):
-    """Whether r is (1- name) or (- name k) with k a positive integer,
-    read in place: a step reaches here unchecked, and may be dotted."""
+def _step_kind(r, name):
+    """NFIX if r is (1- name) or (- name k), k a positive integer; LEN if
+    r is (CDR name); else None.  Read in place: r may be dotted."""
     if not (isinstance(r, Cons) and isinstance(r.cdr, Cons)):
-        return False
+        return None
     var, rest = r.cdr.car, r.cdr.cdr
     if not (isinstance(var, Symbol) and var.name == name):
-        return False
-    if r.car is ONE_MINUS:
-        return rest is NIL
-    return (r.car is MINUS and isinstance(rest, Cons) and rest.cdr is NIL
-            and isinstance(rest.car, int) and rest.car > 0)
+        return None
+    if rest is NIL:
+        return NFIX if r.car is ONE_MINUS else LEN if r.car is CDR else None
+    return NFIX if (r.car is MINUS and isinstance(rest, Cons)
+                    and rest.cdr is NIL and isinstance(rest.car, int)
+                    and rest.car > 0) else None
 
 
 def _is_unary(r, head, name):
-    """Whether r is (head name): a CDR step, or a LEN or NFIX measure."""
+    """Whether r is (head name): a LEN or NFIX measure."""
     return (isinstance(r, Cons) and r.car is head
             and isinstance(r.cdr, Cons) and isinstance(r.cdr.car, Symbol)
             and r.cdr.car.name == name and r.cdr.cdr is NIL)

@@ -92,8 +92,8 @@ def test_lex_show():
 
 # ---------------------------------------------------------- measure guessing
 
-def plan(text):
-    w = Interp().world
+def plan(text, world=None):
+    w = world or Interp().world
     return loops.make_do_plan(loops.parse_loop(read(text), w), w)
 
 
@@ -134,12 +134,35 @@ def test_guess_measure_skips_mv_setq_targets():
     assert "cannot guess a :MEASURE" in plan_error(
         "(loop$ with a = 0 with b = 1 do (if (< 100 a) (return a) "
         "(mv-setq (a b) (mv b (+ a b)))))")
+    # an MV-SETQ target stays out, before or after a SETQ that steps it
+    for steps in ("(mv-setq (a b) (mv b a)) (setq a (1- a))",
+                  "(setq a (1- a)) (mv-setq (a b) (mv b a))"):
+        assert guess("(loop$ with n = 9 with a = 5 with b = 1 do "
+                     "(if (zp n) (return a) (progn %s (setq n (1- n)))))"
+                     % steps) == "(NFIX N)"
 
 
 def test_guessed_measure_mixed_step_kinds_disqualify():
     assert "cannot guess a :MEASURE" in plan_error(
         "(loop$ with i = 5 do (if (zp i) (return 0) "
         "(if (consp i) (setq i (cdr i)) (setq i (1- i)))))")
+    # in either order: beside it, the one clean variable is the guess
+    for steps in ("(setq i (cdr i)) (setq i (1- i))",
+                  "(setq i (1- i)) (setq i (cdr i))"):
+        assert guess("(loop$ with n = 3 with i = 5 do (if (zp n) (return 0) "
+                     "(progn (setq n (1- n)) (if (consp i) %s))))"
+                     % steps) == "(NFIX N)"
+
+
+def test_a_values_stobj_is_never_a_measure_candidate():
+    interp = Interp()
+    interp.eval_text("(defstobj st fld)")
+    text = ("(loop$ with i = 3 do :values (nil st) (if (zp i) "
+            "(return (mv i st)) (progn (setq st (1- st)) %s)))")
+    assert show(plan(text % "(setq i (1- i))", interp.world).measure_form) \
+        == "(NFIX I)"
+    assert "cannot guess a :MEASURE" in plan_error(text % "(setq i i)",
+                                                   interp.world)
 
 
 # ----------------------------------------------------------- grammar errors
@@ -221,6 +244,21 @@ def test_statement_grammar_errors():
     assert "LOOP-FINISH is not legal in a FINALLY clause" \
         in plan_error("(loop$ with x = 0 do :measure 0 (return x) "
                       "finally (loop-finish))")
+    assert plan_error("(loop$ with i = 0 do :measure 0 (setq i))") == \
+        "SETQ takes a variable and a value: (SETQ I) in (SETQ I)"
+
+
+# A dotted PROGN or SETQ is refused before any statement in it is parsed.
+@pytest.mark.parametrize("body, dotted", [
+    ("(progn . 2)", "(PROGN . 2)"),
+    ("(setq . 2)", "(SETQ . 2)"),
+    ("(progn (setq i (1- i)) . 2)", "(PROGN (SETQ I (1- I)) . 2)"),
+    ("(setq i (1- i) . 2)", "(SETQ I (1- I) . 2)"),
+    ("(progn (return i) (setq i 0) . 2)", "(PROGN (RETURN I) (SETQ I 0) . 2)"),
+    ("(progn (progn . 2) (return i))", "(PROGN . 2)")])
+def test_a_dotted_progn_or_setq_is_not_a_proper_list(body, dotted):
+    assert plan_error("(loop$ with i = 0 do :measure 0 %s)" % body) == \
+        "argument list is not a proper list in %s" % dotted
 
 
 # Which names a statement may set or bind is a scope rule, checked by the
@@ -911,7 +949,7 @@ def test_measure_var_is_kept_only_for_len_or_nfix_of_a_with_variable():
                     % (measure, body)).measure_var == "XS"
     for measure in (":measure (len (cdr xs))", ":measure (nfix (len xs))",
                     ":measure (len xs xs)", ":measure (nfix xs xs)",
-                    ":measure 5"):
+                    ":measure (+ xs 0)", ":measure 5"):
         assert plan("(loop$ with xs = nil do %s %s)"
                     % (measure, body)).measure_var is None
     assert plan("(loop$ with i = 3 do (if (zp i) (return 0) "

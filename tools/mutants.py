@@ -16,8 +16,10 @@ now enforce its rule.  Run from the repository root; it is not part of
 tier-1:
 
     python tools/mutants.py
+    python tools/mutants.py --only loops.py
 
-Exit status 0 when every mutant is killed or timed out and every
+--only TEXT runs just the entries whose file or description contains
+TEXT.  Exit status 0 when every mutant is killed or timed out and every
 equivalent one survives, 1 otherwise, 2 when the unmutated suite fails
 or an entry does not match.
 """
@@ -257,6 +259,21 @@ MUTANTS = [
      "        if spec.guard is not None:\n"
      "            _check_guard(interp, spec, env, n, form)",
      "a logical DO loop's :GUARD is checked with guards off"),
+    # the DO-body parse: PROGN and SETQ read in place, and the step kinds
+    # from which a measure is guessed
+    (LOOPS, "return _cons_args(s) or FALL", "return FALL",
+     "a dotted PROGN is read as an empty one"),
+    (LOOPS, "                _cons_args(s)\n"
+            "                raise EvalError(\"SETQ takes",
+     "                raise EvalError(\"SETQ takes",
+     "a dotted SETQ gets the SETQ text, not the dotted-list one"),
+    (LOOPS, "                self.steps[n] = None\n", "                pass\n",
+     "an MV-SETQ no longer disqualifies its targets"),
+    (LOOPS, "is kind \\\n                else None", "is kind \\\n"
+            "                else NFIX",
+     "a variable stepped by both 1- and CDR is guessed as (NFIX v)"),
+    (LOOPS, "if len(candidates) == 1:", "if candidates:",
+     "a measure is guessed from the first of two candidates"),
     # the sampler's contracts
     (REFINEMENT, "if not after < before:", "if not after <= before:",
      "an EXEC that keeps a ready process's rank passes exec-rank-reduces"),
@@ -382,10 +399,19 @@ def describe(entry):
 
 
 def main(argv=None):
-    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(
-        argv)
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--only", metavar="TEXT",
+                    help="run only the entries whose file or description "
+                         "contains TEXT")
+    only = ap.parse_args(argv).only
 
     entries = [(e, False) for e in MUTANTS] + [(e, True) for e in EQUIVALENT]
+    if only is not None:
+        entries = [(e, eq) for e, eq in entries
+                   if only in e[0] or only in e[3]]
+    if not entries:
+        print("no entry's file or description contains %r" % only)
+        return 2
     started = time.monotonic()
     try:
         for entry, _eq in entries:
